@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bspline import SplineFunction, SplineSpace, basis_integral, eval_basis_derivative
+from .bspline import SplineFunction, SplineSpace, eval_basis_derivative
 from .knots import KnotVector, PartitionSpec, generate_partition
 from .nearbest import build_nearbest_qi
 from .quasi_interp import (
@@ -78,11 +78,14 @@ def quadrature_from_qi(qi: QuasiInterpolant) -> QuadratureRule:
     """Integrate the spline output exactly: node k collects lambda_j(k - j)
     times the basis integral, over every stencil j touching k."""
     space = qi.space
-    w = np.zeros(space.dimension)
-    for st in qi.stencils:
-        integral = basis_integral(space, st.i)
-        for s, lam in zip(st.offsets, st.weights):
-            w[st.i + s] += lam * integral
+    dim = space.dimension
+    m = space.degree
+    t = space.knots.t
+    integrals = (t[m + 1 : m + 1 + dim] - t[:dim]) / (m + 1)
+    # bincount adds each node's terms in row order, as the stencil loop did
+    w = np.bincount(
+        qi.sites.ravel(), weights=(qi.weights * integrals[:, None]).ravel(), minlength=dim
+    )
     nodes = space.greville.copy()
     nodes.flags.writeable = False
     w.flags.writeable = False
@@ -118,9 +121,8 @@ def differentiation_matrix(qi: QuasiInterpolant) -> DifferentiationMatrix:
         raise ValueError("differentiation needs degree >= 2")
     dim = space.dimension
     coeff_map = np.zeros((dim, dim))
-    for st in qi.stencils:
-        for s, lam in zip(st.offsets, st.weights):
-            coeff_map[st.i, st.i + s] = lam
+    real = np.arange(qi.weights.shape[1]) < qi.lengths[:, None]
+    coeff_map[np.nonzero(real)[0], qi.sites[real]] = qi.weights[real]
     basis_prime = np.zeros((dim, dim))
     for row, x in enumerate(space.greville):
         first, derivs = eval_basis_derivative(space, float(x))

@@ -107,17 +107,19 @@ def eval_spline(f: SplineFunction, x: float, derivative_order: int = 0) -> float
         raise ValueError(
             f"coefficient vector has length {coeffs.shape}, space needs {space.dimension}"
         )
-    view = kv.t
+    t = kv.t
+    span = _find_span(kv, x)
+    first = span - m
+    # difference only the m+1 coefficients active on the span; entry l of
+    # the order-r coefficients belongs to basis index first + l
+    local = coeffs[first : span + 1]
     deg = m
-    for _ in range(derivative_order):
-        denom = view[deg + 1 : deg + len(coeffs)] - view[1 : len(coeffs)]
-        coeffs = deg * np.diff(coeffs) / denom
-        view = view[1:-1]
+    for r in range(1, derivative_order + 1):
+        denom = t[span + 1 : span + m + 2 - r] - t[first + r : span + 1]
+        local = deg * np.diff(local) / denom
         deg -= 1
-    span = _find_span(kv, x) - derivative_order
-    values = _basis_values(view, span, deg, x)
-    first = span - deg
-    return float(np.dot(values, coeffs[first : first + deg + 1]))
+    values = _basis_values(t, span, deg, x)
+    return float(np.dot(values, local))
 
 
 def eval_basis_derivative(space: SplineSpace, x: float) -> tuple[int, np.ndarray]:

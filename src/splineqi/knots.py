@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 FAMILIES = ("uniform", "arithmetic", "geometric", "random")
 
@@ -176,22 +177,32 @@ def generate_partition(spec: PartitionSpec, m: int) -> KnotVector:
     else:
         steps = _partition_steps(spec)
         interior = spec.a + np.cumsum(steps)[:-1]
+    if interior.size and not (
+        np.all(np.diff(interior) > 0) and spec.a < interior[0] and interior[-1] < spec.b
+    ):
+        raise ValueError(
+            f"the {spec.family} partition of [{spec.a}, {spec.b}] into {spec.n} "
+            f"subintervals (ratio {spec.ratio}) cannot be represented in float64: "
+            "its smallest steps fall below the resolution of its knots"
+        )
     return make_clamped_knots(spec.a, spec.b, interior, m)
 
 
 def elementary_symmetric(values: np.ndarray) -> np.ndarray:
     """All elementary symmetric functions sigma_0 .. sigma_k of k values.
 
+    Works on the last axis: values of shape (..., k) give (..., k + 1).
     Incremental polynomial build-up (coefficients of prod (x + v)), O(k^2),
     no divisions.
     """
-    values = np.asarray(values, dtype=float)
-    k = values.size
-    esp = np.zeros(k + 1)
+    # reversing the axes puts the values' axis first; the recurrence is
+    # elementwise in all the others
+    cols = np.asarray(values, dtype=float).T
+    esp = np.zeros((len(cols) + 1,) + cols.shape[1:])
     esp[0] = 1.0
-    for j, v in enumerate(values, start=1):
+    for j, v in enumerate(cols, start=1):
         esp[1 : j + 1] = esp[1 : j + 1] + v * esp[0:j]
-    return esp
+    return esp.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,25 +225,25 @@ class GrevilleGrid:
 def greville_grid(kv: KnotVector) -> GrevilleGrid:
     """Compute Greville abscissae, moments, and centered second moments.
 
-    Raises ValueError if the abscissae fail to be strictly increasing (they
-    always are for simple interior knots; the check guards malformed input).
+    Each abscissa is clamped into its knot window [t_{j+1}, t_{j+m}], so
+    the end abscissae are exactly a and b. Raises ValueError if the
+    abscissae fail to be strictly increasing (they always are for simple
+    interior knots; the check guards malformed input).
     """
     m = kv.degree
-    dim = kv.dimension
-    theta = np.empty(dim)
-    moments = np.empty((dim, m + 1))
-    centered = np.zeros(dim)
+    windows = sliding_window_view(kv.t[1:], m)[: kv.dimension]
     binom = np.array([math.comb(m, l) for l in range(m + 1)], dtype=float)
-    for j in range(dim):
-        window = kv.t[j + 1 : j + m + 1]
-        moments[j] = elementary_symmetric(window) / binom
-        theta[j] = moments[j, 1]
-        if m >= 2:
-            acc = 0.0
-            for r in range(m - 1):
-                d = window[r] - window[r + 1 :]
-                acc += float(np.dot(d, d))
-            centered[j] = acc / (m * m * (m - 1))
+    moments = elementary_symmetric(windows) / binom
+    moments[:, 1] = np.clip(moments[:, 1], windows[:, 0], windows[:, -1])
+    theta = moments[:, 1].copy()
+    centered = np.zeros(kv.dimension)
+    # pairwise double sum, one knot r against the later ones; the batched
+    # matmul rounds each row like np.dot on that row
+    for r in range(m - 1):
+        d = windows[:, r : r + 1] - windows[:, r + 1 :]
+        centered += (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    if m >= 2:
+        centered /= m * m * (m - 1)
     if not np.all(np.diff(theta) > 0):
         raise ValueError("Greville abscissae are not strictly increasing")
     theta.setflags(write=False)

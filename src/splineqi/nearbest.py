@@ -29,9 +29,8 @@ from .bspline import SplineSpace
 from .quasi_interp import (
     KIND_NEARBEST,
     QuasiInterpolant,
-    Stencil,
+    _empty_band,
     _interior_range,
-    _point_eval_stencil,
     _three_point_weights,
     dqi_coefficients,
 )
@@ -362,35 +361,32 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
             stacklevel=2,
         )
     lo, hi = _interior_range(m, p, space.knots.n)
-    stencils = []
-    values = []
-    for i in range(dim):
-        if i == 0 or i == dim - 1:
-            stencils.append(_point_eval_stencil(i))
-            values.append(1.0)
-            continue
+    i = np.arange(dim)
+    lengths = np.minimum(i, p) + np.minimum(dim - 1 - i, p) + 1
+    # the two extreme indices evaluate at their own site
+    lengths[[0, -1]] = 1
+    sites, weights = _empty_band(dim, int(lengths.max()))
+    weights[[0, -1], 0] = 1.0
+    values = [1.0] * dim
+    for i in range(1, dim - 1):
         offsets = tuple(range(max(-p, -i), min(p, dim - 1 - i) + 1))
         system = assemble_constraints(space, i, p, q, offsets=offsets)
         try:
             solution = solve_l1(system)
         except RuntimeError as exc:
             raise RuntimeError(f"near-best build failed at index {i}: {exc}") from exc
-        stencils.append(
-            Stencil(
-                i=i,
-                offsets=offsets,
-                weights=solution.weights,
-                boundary=not lo <= i <= hi,
-            )
-        )
-        values.append(solution.value)
+        sites[i, : lengths[i]] = np.arange(i + offsets[0], i + offsets[-1] + 1)
+        weights[i, : lengths[i]] = solution.weights
+        values[i] = solution.value
     interior_values = [values[i] for i in range(dim) if lo <= i <= hi]
     return QuasiInterpolant(
         space=space,
         kind=KIND_NEARBEST,
         q=q,
         p=p,
-        stencils=tuple(stencils),
+        sites=sites,
+        weights=weights,
+        lengths=lengths,
         interior_lo=lo,
         interior_hi=hi,
         lp_values=tuple(values),
@@ -404,7 +400,7 @@ def iter_lp_audit(space: SplineSpace, p: int, q: int = 2):
     dim = space.dimension
     qi = build_nearbest_qi(space, p, q)
     for i in range(dim):
-        st = qi.stencils[i]
+        st = qi.stencil(i)
         record = {
             "i": i,
             "offsets": list(st.offsets),

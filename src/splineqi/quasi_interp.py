@@ -25,6 +25,7 @@ only on that range, and `norm_upper_bound` can restrict to it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -41,10 +42,11 @@ KIND_QP2STAR = "qp2star"
 KIND_NEARBEST = "nearbest"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Stencil:
     """Sampling functional mu_i(f) = sum_s weights[s] * f(theta[i + offsets[s]]).
 
+    One row of an operator's band, as `QuasiInterpolant.stencil` reads it.
     ``boundary`` marks stencils whose knot windows touch the repeated end
     knots (including shifted and point-evaluation stencils); norm bounds are
     only asserted away from those.
@@ -62,36 +64,64 @@ class Stencil:
     def l1(self) -> float:
         return float(np.abs(self.weights).sum())
 
-    def apply(self, samples: np.ndarray) -> float:
-        acc = 0.0
-        for s, w in zip(self.offsets, self.weights):
-            acc += w * samples[self.i + s]
-        return acc
+
+def _empty_band(dim: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Band arrays of the given width whose entries are all padding: each
+    row's sites repeat its own index, so a gather stays in range, and every
+    weight is 0."""
+    sites = np.repeat(np.arange(dim)[:, None], width, axis=1)
+    return sites, np.zeros((dim, width))
 
 
 @dataclass(frozen=True, eq=False)
 class QuasiInterpolant:
-    """Discrete quasi-interpolant: one stencil per basis index.
+    """Discrete quasi-interpolant stored as one padded weight band.
 
-    ``q`` is the guaranteed polynomial exactness degree, ``p`` the offset
-    radius. ``interior_lo``/``interior_hi`` bound the index range where no
-    stencil window touches a repeated end knot. Near-best operators carry
-    their per-index optimal l1 values and the interior max ``nu1_star``.
+    Row i holds the functional of basis index i: ``sites[i, :lengths[i]]``
+    are its Greville indices in increasing order and ``weights[i, :lengths[i]]``
+    its weights; the rest of the row is padding with weight 0. The band's
+    width is the widest row. ``q`` is the guaranteed polynomial exactness
+    degree, ``p`` the offset radius. ``interior_lo``/``interior_hi`` bound the
+    index range where no stencil window touches a repeated end knot.
+    Near-best operators carry their per-index optimal l1 values and the
+    interior max ``nu1_star``.
     """
 
     space: SplineSpace
     kind: str
     q: int
     p: int
-    stencils: tuple[Stencil, ...]
+    sites: np.ndarray
+    weights: np.ndarray
+    lengths: np.ndarray
     interior_lo: int
     interior_hi: int
     lp_values: tuple[float, ...] | None = None
     nu1_star: float | None = None
 
+    def __post_init__(self) -> None:
+        for band in (self.sites, self.weights, self.lengths):
+            band.setflags(write=False)
+
+    def stencil(self, i: int) -> Stencil:
+        """Row i of the band without its padding; the weights are a
+        read-only view of the row."""
+        length = self.lengths[i]
+        return Stencil(
+            i=i,
+            offsets=tuple(int(s) - i for s in self.sites[i, :length]),
+            weights=self.weights[i, :length],
+            boundary=not self.interior_lo <= i <= self.interior_hi,
+        )
+
+    @functools.cached_property
+    def stencils(self) -> tuple[Stencil, ...]:
+        """Every row as a Stencil, built on first access."""
+        return tuple(self.stencil(i) for i in range(self.space.dimension))
+
     def to_record(self) -> dict:
         kv = self.space.knots
-        return {
+        record = {
             "kind": self.kind,
             "degree": kv.degree,
             "q": self.q,
@@ -106,9 +136,14 @@ class QuasiInterpolant:
                     "weights": [float(w) for w in st.weights],
                     "boundary": st.boundary,
                 }
-                for st in self.stencils
+                for st in map(self.stencil, range(kv.dimension))
             ],
         }
+        if self.lp_values is not None:
+            record["lp_values"] = [float(v) for v in self.lp_values]
+        if self.nu1_star is not None:
+            record["nu1_star"] = float(self.nu1_star)
+        return record
 
     @classmethod
     def from_record(cls, record: dict) -> "QuasiInterpolant":
@@ -116,25 +151,32 @@ class QuasiInterpolant:
             record["a"], record["b"], record["interior"], int(record["degree"])
         )
         space = SplineSpace.from_knots(kv)
-        stencils = tuple(
-            Stencil(
-                i=int(item["i"]),
-                offsets=tuple(int(s) for s in item["offsets"]),
-                weights=np.array(item["weights"], dtype=float),
-                boundary=bool(item["boundary"]),
-            )
-            for item in record["stencils"]
-        )
+        items = record["stencils"]
+        width = max(len(item["offsets"]) for item in items)
+        sites, weights = _empty_band(kv.dimension, width)
+        lengths = np.zeros(kv.dimension, dtype=int)
+        for item in items:
+            i = int(item["i"])
+            offsets = [int(s) for s in item["offsets"]]
+            sites[i, : len(offsets)] = [i + s for s in offsets]
+            weights[i, : len(offsets)] = item["weights"]
+            lengths[i] = len(offsets)
         p = int(record["p"])
         lo, hi = _interior_range(kv.degree, p, kv.n)
+        lp_values = record.get("lp_values")
+        nu1_star = record.get("nu1_star")
         return cls(
             space=space,
             kind=str(record["kind"]),
             q=int(record["q"]),
             p=p,
-            stencils=stencils,
+            sites=sites,
+            weights=weights,
+            lengths=lengths,
             interior_lo=lo,
             interior_hi=hi,
+            lp_values=None if lp_values is None else tuple(float(v) for v in lp_values),
+            nu1_star=None if nu1_star is None else float(nu1_star),
         )
 
     def to_json(self) -> str:
@@ -197,54 +239,43 @@ def apply_dqi(space: SplineSpace, oracle: DerivativeOracle) -> SplineFunction:
     return SplineFunction(space, coeffs)
 
 
-def _three_point_weights(
-    theta: np.ndarray, tbar_i: float, i: int, jm: int, jp: int
-) -> np.ndarray:
-    """Quadratically exact weights at sites (theta[jm], theta[i], theta[jp])."""
+def _three_point_weights(theta: np.ndarray, tbar, i, jm, jp) -> np.ndarray:
+    """Quadratically exact weights at sites (theta[jm], theta[i], theta[jp]).
+
+    Scalar indices give the 3 weights; index arrays give one row of 3 per
+    entry, each rounded exactly as the scalar call would round it.
+    """
     dm = theta[i] - theta[jm]
     dp = theta[jp] - theta[i]
     dd = theta[jp] - theta[jm]
-    return np.array(
-        [
-            -tbar_i / (dd * dm),
-            1.0 + tbar_i / (dp * dm),
-            -tbar_i / (dd * dp),
-        ]
-    )
-
-
-def _point_eval_stencil(i: int) -> Stencil:
-    return Stencil(i=i, offsets=(0,), weights=np.array([1.0]), boundary=True)
+    return np.array([-tbar / (dd * dm), 1.0 + tbar / (dp * dm), -tbar / (dd * dp)]).T
 
 
 def _build_radius_p(space: SplineSpace, p: int, kind: str) -> QuasiInterpolant:
     kv = space.knots
-    theta = space.grid.theta
-    tbar = space.grid.centered_second
     dim = space.dimension
     lo, hi = _interior_range(kv.degree, p, kv.n)
-    stencils = []
-    for i in range(dim):
-        if i == 0 or i == dim - 1:
-            stencils.append(_point_eval_stencil(i))
-            continue
-        jm = max(0, i - p)
-        jp = min(dim - 1, i + p)
-        w = _three_point_weights(theta, tbar[i], i, jm, jp)
-        stencils.append(
-            Stencil(
-                i=i,
-                offsets=(jm - i, 0, jp - i),
-                weights=w,
-                boundary=not lo <= i <= hi,
-            )
-        )
+    sites, weights = _empty_band(dim, 3)
+    lengths = np.full(dim, 3)
+    # the two extreme indices evaluate at their own site
+    lengths[[0, -1]] = 1
+    weights[[0, -1], 0] = 1.0
+    i = np.arange(1, dim - 1)
+    jm = np.maximum(0, i - p)
+    jp = np.minimum(dim - 1, i + p)
+    sites[1:-1, 0] = jm
+    sites[1:-1, 2] = jp
+    weights[1:-1] = _three_point_weights(
+        space.grid.theta, space.grid.centered_second[i], i, jm, jp
+    )
     return QuasiInterpolant(
         space=space,
         kind=kind,
         q=2,
         p=p,
-        stencils=tuple(stencils),
+        sites=sites,
+        weights=weights,
+        lengths=lengths,
         interior_lo=lo,
         interior_hi=hi,
     )
@@ -295,8 +326,22 @@ def apply_qi(qi: QuasiInterpolant, samples: np.ndarray) -> SplineFunction:
         raise ValueError(
             f"need {qi.space.dimension} Greville samples, got {samples.shape}"
         )
-    coeffs = np.array([st.apply(samples) for st in qi.stencils])
+    # one band column at a time: each row sums its terms left to right
+    coeffs = np.zeros(qi.space.dimension)
+    for col in range(qi.weights.shape[1]):
+        coeffs += qi.weights[:, col] * samples[qi.sites[:, col]]
     return SplineFunction(qi.space, coeffs)
+
+
+def _row_l1(qi: QuasiInterpolant) -> np.ndarray:
+    """l1 norm of every band row, rounded as numpy sums that row alone."""
+    l1 = np.empty(qi.space.dimension)
+    # zero padding would change numpy's pairwise summation order on rows of
+    # 9 or more entries, so each row is summed at its own length
+    for length in np.unique(qi.lengths):
+        rows = qi.lengths == length
+        l1[rows] = np.abs(qi.weights[rows, :length]).sum(axis=1)
+    return l1
 
 
 def norm_upper_bound(qi: QuasiInterpolant, interior_only: bool = False) -> float:
@@ -305,17 +350,14 @@ def norm_upper_bound(qi: QuasiInterpolant, interior_only: bool = False) -> float
     With ``interior_only`` the max runs over stencils whose windows avoid the
     repeated end knots; raises if that range is empty.
     """
+    l1 = _row_l1(qi)
     if interior_only:
-        chosen = [
-            st for st in qi.stencils if qi.interior_lo <= st.i <= qi.interior_hi
-        ]
-        if not chosen:
+        if qi.interior_hi < qi.interior_lo:
             raise ValueError(
                 f"no interior stencils for p={qi.p} on n={qi.space.knots.n} subintervals"
             )
-    else:
-        chosen = list(qi.stencils)
-    return max(st.l1() for st in chosen)
+        l1 = l1[qi.interior_lo : qi.interior_hi + 1]
+    return float(l1.max())
 
 
 def theoretical_bound(kind: str, m: int) -> float:

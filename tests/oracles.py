@@ -6,6 +6,7 @@ code with the package internals they check.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -49,3 +50,125 @@ def l1_min_enumerate(V, b):
 
 def central_diff(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference loops: one index at a time, the way the package computed
+# these before it stored operators as weight bands. Vectorized code must
+# reproduce them bit for bit.
+
+
+def greville_loop(t, m):
+    """Greville abscissae, moments and centered second moments, per index.
+
+    Returns (theta, moments, centered) with the abscissae unclamped: the
+    mean of each window as the elementary-symmetric recurrence rounds it.
+    """
+    t = np.asarray(t, dtype=float)
+    dim = len(t) - m - 1
+    theta = np.empty(dim)
+    moments = np.empty((dim, m + 1))
+    centered = np.zeros(dim)
+    binom = np.array([math.comb(m, l) for l in range(m + 1)], dtype=float)
+    for j in range(dim):
+        window = t[j + 1 : j + m + 1]
+        esp = np.zeros(m + 1)
+        esp[0] = 1.0
+        for k, v in enumerate(window, start=1):
+            esp[1 : k + 1] = esp[1 : k + 1] + v * esp[0:k]
+        moments[j] = esp / binom
+        theta[j] = moments[j, 1]
+        if m >= 2:
+            acc = 0.0
+            for r in range(m - 1):
+                d = window[r] - window[r + 1 :]
+                acc += float(np.dot(d, d))
+            centered[j] = acc / (m * m * (m - 1))
+    return theta, moments, centered
+
+
+def three_point_loop(theta, tbar, p):
+    """Three-point stencils at offsets {-p, 0, p} (shifted inward at the
+    ends), with point evaluation at both extreme indices; a list of
+    (offsets, weights) per index."""
+    dim = len(theta)
+    out = []
+    for i in range(dim):
+        if i == 0 or i == dim - 1:
+            out.append(((0,), np.array([1.0])))
+            continue
+        jm = max(0, i - p)
+        jp = min(dim - 1, i + p)
+        dm = theta[i] - theta[jm]
+        dp = theta[jp] - theta[i]
+        dd = theta[jp] - theta[jm]
+        w = np.array([
+            -tbar[i] / (dd * dm),
+            1.0 + tbar[i] / (dp * dm),
+            -tbar[i] / (dd * dp),
+        ])
+        out.append(((jm - i, 0, jp - i), w))
+    return out
+
+
+def apply_loop(stencils, samples):
+    """Coefficients sum_s w_s * samples[i + s], one stencil at a time."""
+    coeffs = []
+    for i, (offsets, weights) in enumerate(stencils):
+        acc = 0.0
+        for s, w in zip(offsets, weights):
+            acc += w * samples[i + s]
+        coeffs.append(acc)
+    return np.array(coeffs)
+
+
+def quadrature_loop(t, m, stencils):
+    """Quadrature weights: node i + s collects w_s times the integral
+    (t[i+m+1] - t[i]) / (m+1) of basis function i, stencil by stencil."""
+    w = np.zeros(len(stencils))
+    for i, (offsets, weights) in enumerate(stencils):
+        integral = float(t[i + m + 1] - t[i]) / (m + 1)
+        for s, lam in zip(offsets, weights):
+            w[i + s] += lam * integral
+    return w
+
+
+def _basis_values(t, span, deg, x):
+    values = np.zeros(deg + 1)
+    values[0] = 1.0
+    left = np.zeros(deg + 1)
+    right = np.zeros(deg + 1)
+    for j in range(1, deg + 1):
+        left[j] = x - t[span + 1 - j]
+        right[j] = t[span + j] - x
+        saved = 0.0
+        for r in range(j):
+            tmp = values[r] / (right[r + 1] + left[j - r])
+            values[r] = saved + right[r + 1] * tmp
+            saved = left[j - r] * tmp
+        values[j] = saved
+    return values
+
+
+def eval_spline_full(t, m, coeffs, x, order):
+    """Spline derivative of the given order at x, differencing the whole
+    coefficient vector down to that order first (right-continuous at
+    knots, left-continuous at b); 0 above the degree."""
+    if order > m:
+        return 0.0
+    t = np.asarray(t, dtype=float)
+    n = len(t) - 2 * m - 1
+    k = int(np.searchsorted(t, x, side="right")) - 1
+    span = min(max(k, m), m + n - 1)
+    coeffs = np.asarray(coeffs, dtype=float)
+    view = t
+    deg = m
+    for _ in range(order):
+        denom = view[deg + 1 : deg + len(coeffs)] - view[1 : len(coeffs)]
+        coeffs = deg * np.diff(coeffs) / denom
+        view = view[1:-1]
+        deg -= 1
+    span -= order
+    values = _basis_values(view, span, deg, x)
+    first = span - deg
+    return float(np.dot(values, coeffs[first : first + deg + 1]))

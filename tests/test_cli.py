@@ -250,6 +250,22 @@ class TestMain:
         assert "nu1_interior" in header
         assert float(rows[0]["nu1_interior"]) == pytest.approx(1.5, abs=1e-12)
 
+    def test_diffmat_end_abscissa_on_interval(self, capsys):
+        # the Greville recurrence once rounded the last abscissa just past b
+        argv = ["diffmat", "--kind", "qp2star", "--m", "3", "--p", "3",
+                "--sizes", "96,192,384,768", "--family", "arithmetic",
+                "--ratio", "3.886578985942352", "--a=-0.9325781732149063",
+                "--b=1.372744145131636"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 5
+
+    @pytest.mark.parametrize("n", ["55", "60"])
+    def test_unrepresentable_partition_exit_2(self, capsys, n):
+        argv = ["norms", "--m", "3", "--family", "geometric", "--ratio", "2",
+                "--a", "0.25", "--b", "1.25", "--n", n]
+        assert main(argv) == 2
+        assert "cannot be represented in float64" in capsys.readouterr().err
+
     def test_repeated_runs_identical(self, capsys):
         argv = ["nearbest", "--m", "2", "--p", "2", "--n", "20",
                 "--family", "random", "--seed", "7", "--audit"]

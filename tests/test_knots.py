@@ -110,6 +110,13 @@ class TestGeneratePartition:
         with pytest.raises(ValueError):
             generate_partition(PartitionSpec(family="geometric", n=4, ratio=0.0), 2)
 
+    @pytest.mark.parametrize("n", [55, 60])
+    def test_steps_below_float64_resolution_named(self, n):
+        # ratio 2 on [0.25, 1.25]: the smallest steps fall below ulp(0.25)
+        spec = PartitionSpec("geometric", a=0.25, b=1.25, n=n, ratio=2.0)
+        with pytest.raises(ValueError, match="cannot be represented in float64"):
+            generate_partition(spec, 3)
+
     def test_families_constant(self):
         assert set(FAMILIES) == {"uniform", "arithmetic", "geometric", "random"}
 
@@ -151,6 +158,20 @@ class TestGrevilleGrid:
         assert grid.centered_second[0] == 0.0
         assert grid.centered_second[-1] == 0.0
         assert grid.theta[0] == 0.0 and grid.theta[-1] == 1.0
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_abscissae_inside_interval(self, m):
+        rng = np.random.default_rng(m)
+        for family in FAMILIES:
+            for _ in range(10):
+                a = float(rng.uniform(-1.0, 0.5))
+                b = a + float(rng.uniform(1.0, 3.0))
+                n = int(rng.integers(1, 60))
+                sp = space_from(family, m, n, seed=int(rng.integers(2**31)), a=a, b=b,
+                                ratio=float(rng.uniform(1.0, 4.0)) ** (1.0 / n))
+                theta = sp.grid.theta
+                assert theta[0] == a and theta[-1] == b
+                assert np.all((theta >= a) & (theta <= b))
 
     def test_degree_one_centered_moments_vanish(self):
         sp = space_from("random", m=1, n=9, seed=3)

@@ -9,14 +9,17 @@ from hypothesis import given
 from conftest import space_from, spaces
 from oracles import vandermonde_solve_3
 from splineqi import (
+    PartitionSpec,
     QuasiInterpolant,
     SplineFunction,
     SplineSpace,
     apply_dqi,
     apply_qi,
+    build_nearbest_qi,
     build_q2star,
     build_qp2star,
     dqi_coefficients,
+    generate_partition,
     greville_samples,
     make_clamped_knots,
     norm_upper_bound,
@@ -316,3 +319,18 @@ class TestSerialization:
         np.testing.assert_allclose(
             f.coefficients, clone.space.grid.moments[:, 2], atol=1e-12
         )
+
+    def test_round_trip_keeps_lp_certificate(self):
+        spec = PartitionSpec("random", 0, 1, 30, 1.0, 0)
+        qi = build_nearbest_qi(SplineSpace.from_knots(generate_partition(spec, 3)), 3)
+        clone = QuasiInterpolant.from_json(qi.to_json())
+        assert clone.nu1_star == qi.nu1_star == pytest.approx(1.17390, abs=1e-5)
+        assert clone.lp_values == qi.lp_values
+
+    def test_record_without_lp_keys_loads(self):
+        qi = build_nearbest_qi(space_from("random", m=2, n=10, seed=4), 2)
+        record = qi.to_record()
+        del record["lp_values"], record["nu1_star"]
+        clone = QuasiInterpolant.from_record(record)
+        assert clone.lp_values is None and clone.nu1_star is None
+        np.testing.assert_array_equal(clone.weights, qi.weights)
