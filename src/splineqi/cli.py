@@ -30,7 +30,7 @@ from .applications import (
 )
 from .bspline import SplineSpace
 from .knots import FAMILIES, PartitionSpec, generate_partition
-from .nearbest import build_nearbest_qi, iter_lp_audit, watson_certificate
+from .nearbest import _audit_records, watson_certificate
 from .quasi_interp import (
     KIND_DQI,
     KIND_NEARBEST,
@@ -41,6 +41,8 @@ from .quasi_interp import (
 )
 
 COMMANDS = ("norms", "nearbest", "convergence", "quad", "diffmat", "audit")
+# commands defined by p and q alone: they always build the near-best operator
+_NEARBEST_COMMANDS = ("nearbest", "audit")
 KINDS = (KIND_DQI, KIND_Q2STAR, KIND_QP2STAR, KIND_NEARBEST)
 FORMATS = ("csv", "json")
 DEFAULT_SIZES = (16, 32, 64, 128)
@@ -108,6 +110,10 @@ class RunConfig:
             raise ValueError(f"exactness degree must be >= 0, got {self.q}")
         if self.p is not None and self.p < 1:
             raise ValueError(f"offset radius must be >= 1, got {self.p}")
+        if self.p is None and (
+            self.kind in (KIND_QP2STAR, KIND_NEARBEST) or self.command in _NEARBEST_COMMANDS
+        ):
+            raise ValueError(f"{self.command} with kind {self.kind!r} requires --p")
         if not self.sizes or any(s < 2 for s in self.sizes):
             raise ValueError(f"sizes must be integers >= 2, got {self.sizes}")
         if not self.b > self.a:
@@ -234,86 +240,64 @@ def _prefix_columns(cfg: RunConfig, with_n: bool) -> tuple[list[str], list]:
 # subcommand handlers
 
 
-def _require_p(cfg: RunConfig) -> int:
-    if cfg.p is None:
-        raise ValueError(f"{cfg.command} with kind {cfg.kind!r} requires --p")
-    return cfg.p
-
-
-def _space_for(cfg: RunConfig, n: int | None = None) -> SplineSpace:
-    spec = PartitionSpec(
-        family=cfg.family,
-        a=cfg.a,
-        b=cfg.b,
-        n=cfg.n if n is None else n,
-        ratio=cfg.ratio,
-        seed=cfg.seed,
-    )
-    return SplineSpace.from_knots(generate_partition(spec, cfg.m))
-
-
-def _template(cfg: RunConfig) -> PartitionSpec:
+def _partition(cfg: RunConfig) -> PartitionSpec:
+    """The single partition of the config, and the template of the studies."""
     return PartitionSpec(
         family=cfg.family, a=cfg.a, b=cfg.b, n=cfg.n, ratio=cfg.ratio, seed=cfg.seed
     )
 
 
-def _build_operator(cfg: RunConfig):
-    space = _space_for(cfg)
-    if cfg.kind == KIND_Q2STAR:
-        from .quasi_interp import build_q2star
+def _recipe(cfg: RunConfig):
+    return operator_recipe(cfg.kind, cfg.p, cfg.q)
 
-        return build_q2star(space)
-    if cfg.kind == KIND_QP2STAR:
-        from .quasi_interp import build_qp2star
 
-        return build_qp2star(space, _require_p(cfg))
-    if cfg.kind == KIND_NEARBEST:
-        return build_nearbest_qi(space, _require_p(cfg), cfg.q)
-    raise ValueError(f"command {cfg.command!r} needs a stencil operator, not 'dqi'")
+def _operator(cfg: RunConfig):
+    space = SplineSpace.from_knots(generate_partition(_partition(cfg), cfg.m))
+    return _recipe(cfg).build(space)
+
+
+def _bound(cfg: RunConfig) -> float | None:
+    """The kind's interior norm bound. None for near-best with q >= 3: the
+    qp2star weights that prove (m+1)/(m-1) are not exact there."""
+    if cfg.kind == KIND_NEARBEST and cfg.q > 2:
+        return None
+    return theoretical_bound(cfg.kind, cfg.m)
 
 
 def _run_norms(cfg: RunConfig, sink: IO[str]) -> None:
-    qi = _build_operator(cfg)
+    qi = _operator(cfg)
     nu_interior = norm_upper_bound(qi, interior_only=True)
     nu_all = norm_upper_bound(qi)
-    bound = theoretical_bound(cfg.kind, cfg.m)
+    bound = _bound(cfg)
+    ok = None if bound is None else bool(nu_interior <= bound + 1e-12)
     cols, vals = _prefix_columns(cfg, with_n=True)
     cols += ["nu1_interior", "nu1_all", "bound", "ok"]
-    vals += [float(nu_interior), float(nu_all), float(bound),
-             bool(nu_interior <= bound + 1e-12)]
+    vals += [float(nu_interior), float(nu_all), bound, ok]
     _emit_table(cfg, sink, cols, [vals])
 
 
 def _run_nearbest(cfg: RunConfig, sink: IO[str]) -> None:
-    p = _require_p(cfg)
-    space = _space_for(cfg)
-    qi = build_nearbest_qi(space, p, cfg.q)
-    bound = theoretical_bound(KIND_NEARBEST, cfg.m)
-    dim = space.dimension
-    full = range(p, dim - p)
+    qi = _operator(cfg)
+    space, p = qi.space, qi.p
+    full = range(p, space.dimension - p)
     if cfg.q == 2 and len(full) > 0:
         certified: object = all(watson_certificate(space, i, p).passes for i in full)
     else:
         certified = "n/a"
-    # the sweep is defined by p and q, not by cfg.kind
-    cols, vals = _prefix_columns(replace(cfg, kind=KIND_NEARBEST), with_n=True)
+    cols, vals = _prefix_columns(cfg, with_n=True)
     cols += ["nu1_star", "bound", "all_certified"]
     vals += [
         None if qi.nu1_star is None else float(qi.nu1_star),
-        float(bound),
+        _bound(cfg),
         certified,
     ]
-    audit_records = None
-    if cfg.audit:
-        audit_records = list(iter_lp_audit(space, p, cfg.q))
+    audit_records = list(_audit_records(qi)) if cfg.audit else None
     _emit_table(cfg, sink, cols, [vals], audit_records=audit_records)
 
 
 def _run_convergence(cfg: RunConfig, sink: IO[str]) -> None:
-    recipe = operator_recipe(cfg.kind, cfg.p, cfg.q)
     f = BUILTIN_FUNCTIONS[cfg.f or "sin"]
-    report = convergence_study(recipe, f, cfg.sizes, _template(cfg), cfg.m)
+    report = convergence_study(_recipe(cfg), f, cfg.sizes, _partition(cfg), cfg.m)
     prefix_cols, prefix_vals = _prefix_columns(cfg, with_n=False)
     cols = prefix_cols + ["f", "n", "h_max", "error", "order_running", "fitted_order"]
     rows = [
@@ -325,8 +309,7 @@ def _run_convergence(cfg: RunConfig, sink: IO[str]) -> None:
 
 
 def _run_quad(cfg: RunConfig, sink: IO[str]) -> None:
-    qi = _build_operator(cfg)
-    rule = quadrature_from_qi(qi)
+    rule = quadrature_from_qi(_operator(cfg))
     if cfg.f is None:
         cols = ["j", "theta", "weight"]
         rows = [[j, float(x), float(w)]
@@ -344,9 +327,8 @@ def _run_quad(cfg: RunConfig, sink: IO[str]) -> None:
 
 
 def _run_diffmat(cfg: RunConfig, sink: IO[str]) -> None:
-    recipe = operator_recipe(cfg.kind, cfg.p, cfg.q)
     f = BUILTIN_FUNCTIONS[cfg.f or "sin"]
-    report = differentiation_study(recipe, f, cfg.sizes, _template(cfg), cfg.m)
+    report = differentiation_study(_recipe(cfg), f, cfg.sizes, _partition(cfg), cfg.m)
     prefix_cols, prefix_vals = _prefix_columns(cfg, with_n=False)
     cols = prefix_cols + [
         "f", "n", "h_max", "err_interior", "err_all", "order_running", "fitted_order",
@@ -361,9 +343,7 @@ def _run_diffmat(cfg: RunConfig, sink: IO[str]) -> None:
 
 
 def _run_audit(cfg: RunConfig, sink: IO[str]) -> None:
-    p = _require_p(cfg)
-    space = _space_for(cfg)
-    for record in iter_lp_audit(space, p, cfg.q):
+    for record in _audit_records(_operator(cfg)):
         sink.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -379,6 +359,8 @@ _HANDLERS = {
 
 def run(cfg: RunConfig, sink: IO[str]) -> int:
     cfg.validate()
+    if cfg.command in _NEARBEST_COMMANDS:
+        cfg = replace(cfg, kind=KIND_NEARBEST)
     _HANDLERS[cfg.command](cfg, sink)
     return 0
 

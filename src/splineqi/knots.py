@@ -134,6 +134,14 @@ class PartitionSpec:
         )
 
 
+def _unrepresentable(spec: PartitionSpec) -> ValueError:
+    return ValueError(
+        f"the {spec.family} partition of [{spec.a}, {spec.b}] into {spec.n} "
+        f"subintervals (ratio {spec.ratio}) cannot be represented in float64: "
+        "its smallest steps fall below the resolution of its knots"
+    )
+
+
 def _partition_steps(spec: PartitionSpec) -> np.ndarray:
     span = spec.b - spec.a
     n = spec.n
@@ -147,6 +155,13 @@ def _partition_steps(spec: PartitionSpec) -> np.ndarray:
         return span * weights / weights.sum()
     if spec.family == "geometric":
         r = spec.ratio
+        # the largest or smallest weight r ** (n - 1) and, for r > 1, the
+        # weights' sum (below r ** (n - 1) * r / (r - 1)) must fit in float64
+        log_extreme = (n - 1) * abs(math.log(r))
+        if r > 1:
+            log_extreme += math.log(r / (r - 1))
+        if log_extreme >= math.log(np.finfo(float).max):
+            raise _unrepresentable(spec)
         weights = r ** np.arange(n)
         return span * weights / weights.sum()
     if spec.family == "random":
@@ -180,11 +195,7 @@ def generate_partition(spec: PartitionSpec, m: int) -> KnotVector:
     if interior.size and not (
         np.all(np.diff(interior) > 0) and spec.a < interior[0] and interior[-1] < spec.b
     ):
-        raise ValueError(
-            f"the {spec.family} partition of [{spec.a}, {spec.b}] into {spec.n} "
-            f"subintervals (ratio {spec.ratio}) cannot be represented in float64: "
-            "its smallest steps fall below the resolution of its knots"
-        )
+        raise _unrepresentable(spec)
     return make_clamped_knots(spec.a, spec.b, interior, m)
 
 

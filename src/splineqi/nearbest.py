@@ -241,13 +241,9 @@ def _watson_data(space: SplineSpace, i: int, p: int):
     return lam, coefs
 
 
-def build_watson_form(space: SplineSpace, i: int, p: int) -> WatsonForm:
-    """Explicit null-space parametrization of the q=2 constraints.
-
-    For p = 1 the feasible point is unique and the matrix is empty.
-    """
-    lam, coefs = _watson_data(space, i, p)
-    free = tuple(sorted(coefs))
+def _watson_matrix(p: int, coefs: dict) -> np.ndarray:
+    """Null-space columns of the q=2 constraints, one per free offset."""
+    free = sorted(coefs)
     A = np.zeros((2 * p + 1, len(free)))
     for col, k in enumerate(free):
         alpha, beta, gamma = coefs[k]
@@ -260,12 +256,21 @@ def build_watson_form(space: SplineSpace, i: int, p: int) -> WatsonForm:
             A[p, col] = beta
             A[2 * p, col] = gamma
         A[p + k, col] = -1.0
+    return A
+
+
+def build_watson_form(space: SplineSpace, i: int, p: int) -> WatsonForm:
+    """Explicit null-space parametrization of the q=2 constraints.
+
+    For p = 1 the feasible point is unique and the matrix is empty.
+    """
+    lam, coefs = _watson_data(space, i, p)
     return WatsonForm(
         center=i,
         p=p,
         offsets=tuple(range(-p, p + 1)),
-        free_offsets=free,
-        matrix=A,
+        free_offsets=tuple(sorted(coefs)),
+        matrix=_watson_matrix(p, coefs),
         lambda_star=lam,
     )
 
@@ -317,13 +322,16 @@ def watson_certificate(space: SplineSpace, i: int, p: int) -> Certificate:
     passes iff all entries are bounded by 1 in absolute value, which is
     equivalent to `knot_condition`.
     """
-    lam, coefs = _watson_data(space, i, p)
-    form = build_watson_form(space, i, p)
+    return _certificate(p, *_watson_data(space, i, p))
+
+
+def _certificate(p: int, lam: np.ndarray, coefs: dict) -> Certificate:
+    """`watson_certificate` from the window's `_watson_data`."""
     v = np.zeros(2 * p + 1)
     v[0], v[p], v[2 * p] = -1.0, 1.0, -1.0
     for k, (alpha, beta, gamma) in coefs.items():
         v[p + k] = (-alpha + beta + gamma) if k < 0 else (alpha + beta - gamma)
-    A = form.matrix
+    A = _watson_matrix(p, coefs)
     residual = float(np.abs(A.T @ v).max()) if A.size else 0.0
     scale = max(1.0, float(np.abs(A).max()) if A.size else 1.0)
     sign_ok = tuple(
@@ -397,8 +405,13 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
 def iter_lp_audit(space: SplineSpace, p: int, q: int = 2):
     """Yield one audit record per index: the LP, its optimum, and the
     certificate status. Used by the CLI audit stream."""
+    yield from _audit_records(build_nearbest_qi(space, p, q))
+
+
+def _audit_records(qi: QuasiInterpolant):
+    """The audit records of a built near-best operator, one per index."""
+    space, p, q = qi.space, qi.p, qi.q
     dim = space.dimension
-    qi = build_nearbest_qi(space, p, q)
     for i in range(dim):
         st = qi.stencil(i)
         record = {
@@ -419,10 +432,10 @@ def iter_lp_audit(space: SplineSpace, p: int, q: int = 2):
             record["b"] = [float(v) for v in system.rhs]
             full_window = p <= i <= dim - 1 - p
             if q == 2 and full_window:
-                cond = knot_condition(space, i, p)
-                cert = watson_certificate(space, i, p)
-                closed = float(np.abs(_watson_data(space, i, p)[0]).sum())
-                record["knot_condition"] = bool(cond)
+                lam, coefs = _watson_data(space, i, p)
+                cert = _certificate(p, lam, coefs)
+                closed = float(np.abs(lam).sum())
+                record["knot_condition"] = knot_condition(space, i, p)
                 record["certificate"] = "pass" if cert.passes else "fail"
                 record["closed_form_value"] = closed
                 record["gap"] = closed - record["value"]

@@ -361,7 +361,12 @@ def norm_upper_bound(qi: QuasiInterpolant, interior_only: bool = False) -> float
 
 
 def theoretical_bound(kind: str, m: int) -> float:
-    """Partition-independent interior norm bound for a stencil family."""
+    """Partition-independent interior norm bound for a stencil family.
+
+    The near-best bound is the qp2star one, (m+1)/(m-1), which the near-best
+    weights inherit only where the qp2star weights are feasible: for q <= 2
+    and p >= m.
+    """
     if kind == KIND_Q2STAR:
         if m < 1:
             raise ValueError("degree must be >= 1")

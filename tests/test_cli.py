@@ -180,6 +180,46 @@ class TestRunNearbest:
         with pytest.raises(ValueError, match="requires --p"):
             run(cfg, io.StringIO())
 
+    def test_no_bound_for_q_above_two(self, capsys):
+        # (m+1)/(m-1) comes from the qp2star weights, which are exact only to
+        # degree 2; here the near-best optimum exceeds it
+        config = ["--m", "4", "--p", "4", "--q", "4", "--family", "random",
+                  "--n", "40", "--seed", "6"]
+        assert main(["nearbest", *config]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert float(rows[0]["nu1_star"]) > 5 / 3
+        assert rows[0]["bound"] == ""
+        assert main(["norms", "--kind", "nearbest", *config]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert float(rows[0]["nu1_interior"]) > 5 / 3
+        assert rows[0]["bound"] == "" and rows[0]["ok"] == ""
+        assert main(["norms", "--kind", "nearbest", *config, "--fmt", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["bound"] is None and row["ok"] is None
+
+    def test_audit_solves_each_lp_once(self, capsys, monkeypatch):
+        import splineqi.nearbest as nb
+
+        solved = []
+        solve_l1 = nb.solve_l1
+
+        def counting(system):
+            solved.append(system.center)
+            return solve_l1(system)
+
+        monkeypatch.setattr(nb, "solve_l1", counting)
+        assert main(["nearbest", "--audit", "--m", "3", "--p", "3", "--n", "20"]) == 0
+        # dimension 23: one LP for each index but the two extremes
+        assert solved == list(range(1, 22))
+
+    def test_audit_lines_match_audit_command(self, capsys):
+        config = ["--m", "3", "--p", "3", "--n", "20", "--family", "random",
+                  "--seed", "3"]
+        assert main(["nearbest", "--audit", *config]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        assert main(["audit", *config]) == 0
+        assert "".join(lines[2:]) == capsys.readouterr().out
+
 
 class TestRunStudies:
     def test_convergence_third_order(self):
@@ -242,6 +282,42 @@ class TestRunAudit:
             assert rec["certificate"] in ("pass", "fail", "n/a")
 
 
+# extra arguments each command needs to run on a small space
+_STUDY_ARGS = {
+    "norms": [],
+    "quad": [],
+    "convergence": ["--sizes", "8,16"],
+    "diffmat": ["--sizes", "8,16"],
+}
+
+
+class TestOffsetRadiusRule:
+    """Every command maps its config to an operator through one recipe, so
+    every command takes or refuses --p alike."""
+
+    @pytest.mark.parametrize("command", sorted(_STUDY_ARGS))
+    def test_p_with_q2star_refused(self, capsys, command):
+        argv = [command, "--kind", "q2star", "--p", "2", "--m", "3"]
+        assert main(argv + _STUDY_ARGS[command]) == 2
+        assert "does not take an offset radius" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_STUDY_ARGS))
+    def test_qp2star_without_p_refused(self, capsys, command):
+        argv = [command, "--kind", "qp2star", "--m", "3"]
+        assert main(argv + _STUDY_ARGS[command]) == 2
+        assert "requires --p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["nearbest", "audit"])
+    def test_nearbest_commands_without_p_refused(self, capsys, command):
+        assert main([command, "--m", "3"]) == 2
+        assert "requires --p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["norms", "quad"])
+    def test_dqi_refused_where_a_stencil_is_needed(self, capsys, command):
+        assert main([command, "--kind", "dqi", "--m", "3"]) == 2
+        assert "stencil operator" in capsys.readouterr().err
+
+
 class TestMain:
     def test_basic_invocation(self, capsys):
         assert main(["norms", "--m", "2", "--n", "50"]) == 0
@@ -265,6 +341,14 @@ class TestMain:
                 "--a", "0.25", "--b", "1.25", "--n", n]
         assert main(argv) == 2
         assert "cannot be represented in float64" in capsys.readouterr().err
+
+    def test_overflowing_geometric_partition_exit_2(self, capsys):
+        argv = ["norms", "--m", "3", "--family", "geometric", "--ratio", "1e10",
+                "--n", "100"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cannot be represented in float64" in err
+        assert "RuntimeWarning" not in err
 
     def test_repeated_runs_identical(self, capsys):
         argv = ["nearbest", "--m", "2", "--p", "2", "--n", "20",

@@ -117,6 +117,25 @@ class TestGeneratePartition:
         with pytest.raises(ValueError, match="cannot be represented in float64"):
             generate_partition(spec, 3)
 
+    @pytest.mark.parametrize("ratio", [1e10, 1e-10])
+    def test_geometric_powers_beyond_float64_refused(self, ratio):
+        # ratio ** (n - 1) leaves float64: refused before it is computed
+        spec = PartitionSpec("geometric", a=0.0, b=1.0, n=100, ratio=ratio)
+        with pytest.raises(ValueError, match="cannot be represented in float64"):
+            generate_partition(spec, 3)
+
+    def test_geometric_sum_beyond_float64_refused(self):
+        # 2 ** 1023 fits, the sum of 2 ** 0 .. 2 ** 1023 does not
+        spec = PartitionSpec("geometric", a=0.0, b=1.0, n=1024, ratio=2.0)
+        with pytest.raises(ValueError, match="cannot be represented in float64"):
+            generate_partition(spec, 2)
+
+    def test_strongest_representable_geometric_kept(self):
+        # steps from 1e-300 up, all representable near a = 0
+        spec = PartitionSpec("geometric", a=0.0, b=1.0, n=31, ratio=1e10)
+        steps = generate_partition(spec, 2).steps
+        assert (steps > 0).all() and steps[0] == pytest.approx(1e-300 * (1 - 1e-10))
+
     def test_families_constant(self):
         assert set(FAMILIES) == {"uniform", "arithmetic", "geometric", "random"}
 
