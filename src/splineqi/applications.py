@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bspline import SplineFunction, SplineSpace, eval_basis_derivative
+from .bspline import SplineFunction, SplineSpace
 from .knots import KnotVector, PartitionSpec, generate_partition
 from .nearbest import build_nearbest_qi
 from .quasi_interp import (
@@ -101,40 +101,24 @@ class DifferentiationMatrix:
     """Maps samples at the Greville sites to derivative values there,
     by differentiating the spline the operator builds from the samples."""
 
-    matrix: np.ndarray
+    qi: QuasiInterpolant
     nodes: np.ndarray
-    bandwidth: int
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
-        samples = np.asarray(samples, dtype=float)
-        if samples.shape != self.nodes.shape:
-            raise ValueError(
-                f"expected {self.nodes.shape[0]} samples, got {samples.shape}"
-            )
-        return self.matrix @ samples
+        return apply_qi(self.qi, samples)(self.nodes, 1)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense (dim, dim) matrix, O(n^2), built column by column on each access."""
+        return np.stack([self.apply(e) for e in np.eye(len(self.nodes))], axis=1)
 
 
 def differentiation_matrix(qi: QuasiInterpolant) -> DifferentiationMatrix:
-    space = qi.space
-    m = space.degree
-    if m < 2:
+    if qi.space.degree < 2:
         raise ValueError("differentiation needs degree >= 2")
-    dim = space.dimension
-    coeff_map = np.zeros((dim, dim))
-    real = np.arange(qi.weights.shape[1]) < qi.lengths[:, None]
-    coeff_map[np.nonzero(real)[0], qi.sites[real]] = qi.weights[real]
-    basis_prime = np.zeros((dim, dim))
-    for row, x in enumerate(space.greville):
-        first, derivs = eval_basis_derivative(space, float(x))
-        basis_prime[row, first : first + m + 1] = derivs
-    D = basis_prime @ coeff_map
-    tol = 1e-14 * max(1.0, float(np.abs(D).max()))
-    rows, cols = np.nonzero(np.abs(D) > tol)
-    bandwidth = int(np.abs(rows - cols).max()) if rows.size else 0
-    D.flags.writeable = False
-    nodes = space.greville.copy()
+    nodes = qi.space.greville.copy()
     nodes.flags.writeable = False
-    return DifferentiationMatrix(matrix=D, nodes=nodes, bandwidth=bandwidth)
+    return DifferentiationMatrix(qi=qi, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +287,7 @@ def convergence_study(
         space = SplineSpace.from_knots(kv)
         approx = recipe.approximate(space, f)
         grid = evaluation_grid(kv)
-        err = max(abs(approx(float(x)) - f.value(float(x))) for x in grid)
+        err = max(abs(v - f.value(float(x))) for v, x in zip(approx(grid).tolist(), grid))
         h = float(kv.steps.max())
         rows.append(ConvergenceRow(n=n, h_max=h, error=float(err),
                                    order_running=_running_order(prev, h, err)))

@@ -4,7 +4,8 @@ Evaluation uses the standard triangular recurrence on the active knot span;
 the span lookup is right-continuous (half-open spans) except at the right
 endpoint, which belongs to the last span. Derivatives are exact, obtained by
 coefficient differencing down to the requested order, so they are one-sided
-at knots in the same way.
+at knots in the same way. Each routine takes one point (a float) or many
+(an ndarray); the span is then an int or an array of the points' shape.
 """
 
 from __future__ import annotations
@@ -47,24 +48,26 @@ class SplineFunction:
     space: SplineSpace
     coefficients: np.ndarray
 
-    def __call__(self, x: float, derivative_order: int = 0) -> float:
+    def __call__(self, x, derivative_order: int = 0):
         return eval_spline(self, x, derivative_order)
 
 
-def _find_span(kv: KnotVector, x: float) -> int:
+def _find_span(kv: KnotVector, x):
     """Knot array index k with t[k] <= x < t[k+1] (last span at x = b)."""
-    if not (kv.a <= x <= kv.b):
-        raise ValueError(f"x={x} outside [{kv.a}, {kv.b}]")
-    k = int(np.searchsorted(kv.t, x, side="right")) - 1
-    return min(max(k, kv.degree), kv.degree + kv.n - 1)
+    m, t = kv.degree, kv.t
+    many = isinstance(x, np.ndarray)
+    inside = (kv.a <= x) & (x <= kv.b)
+    if not (inside.all() if many else inside):
+        raise ValueError(f"x={x[~inside].flat[0] if many else x} outside [{kv.a}, {kv.b}]")
+    span = m + np.searchsorted(t[m + 1 : m + kv.n], x, side="right")
+    return span if many else int(span)
 
 
-def _basis_values(t: np.ndarray, span: int, deg: int, x: float) -> np.ndarray:
-    """Values of the deg+1 basis functions active on the given span."""
-    values = np.zeros(deg + 1)
-    values[0] = 1.0
-    left = np.zeros(deg + 1)
-    right = np.zeros(deg + 1)
+def _basis_values(t: np.ndarray, span, deg: int, x) -> list:
+    """Values of the deg+1 active basis functions, each a float or like x."""
+    values = [1.0]
+    left = [0.0] * (deg + 1)
+    right = [0.0] * (deg + 1)
     for j in range(1, deg + 1):
         left[j] = x - t[span + 1 - j]
         right[j] = t[span + j] - x
@@ -73,24 +76,32 @@ def _basis_values(t: np.ndarray, span: int, deg: int, x: float) -> np.ndarray:
             tmp = values[r] / (right[r + 1] + left[j - r])
             values[r] = saved + right[r + 1] * tmp
             saved = left[j - r] * tmp
-        values[j] = saved
+        values.append(saved)
     return values
 
 
-def eval_basis(space: SplineSpace, x: float) -> tuple[int, np.ndarray]:
+def _rows(entries: list):
+    """The per-span list as an array with one C-contiguous row per point."""
+    many = isinstance(entries[-1], np.ndarray)
+    return np.stack(entries, axis=-1) if many else np.array(entries)
+
+
+def eval_basis(space: SplineSpace, x) -> tuple:
     """Evaluate all basis functions that are nonzero at x.
 
     Returns (first_active_index, values); values has m+1 entries summing
-    to 1 and covers indices first_active .. first_active + m.
+    to 1 and covers indices first_active .. first_active + m. For an array
+    x both gain its shape as leading axes.
     """
     kv = space.knots
     span = _find_span(kv, x)
-    return span - kv.degree, _basis_values(kv.t, span, kv.degree, x)
+    return span - kv.degree, _rows(_basis_values(kv.t, span, kv.degree, x))
 
 
-def eval_spline(f: SplineFunction, x: float, derivative_order: int = 0) -> float:
+def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
     """Evaluate a spline or one of its derivatives at x.
 
+    Returns a float for a float and an array of x's shape for an array.
     Orders above the degree return exactly 0. At a knot the value is the
     limit from the right (from the left at x = b).
     """
@@ -99,50 +110,44 @@ def eval_spline(f: SplineFunction, x: float, derivative_order: int = 0) -> float
     space = f.space
     kv = space.knots
     m = kv.degree
+    span = _find_span(kv, x)
     if derivative_order > m:
-        _find_span(kv, x)  # still validate the point
-        return 0.0
+        return np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
     coeffs = np.asarray(f.coefficients, dtype=float)
     if coeffs.shape != (space.dimension,):
         raise ValueError(
             f"coefficient vector has length {coeffs.shape}, space needs {space.dimension}"
         )
     t = kv.t
-    span = _find_span(kv, x)
     first = span - m
     # difference only the m+1 coefficients active on the span; entry l of
     # the order-r coefficients belongs to basis index first + l
-    local = coeffs[first : span + 1]
+    local = [coeffs[first + l] for l in range(m + 1)]
     deg = m
     for r in range(1, derivative_order + 1):
-        denom = t[span + 1 : span + m + 2 - r] - t[first + r : span + 1]
-        local = deg * np.diff(local) / denom
+        local = [deg * (local[l + 1] - local[l]) / (t[span + 1 + l] - t[first + r + l])
+                 for l in range(deg)]
         deg -= 1
-    values = _basis_values(t, span, deg, x)
-    return float(np.dot(values, local))
+    out = np.vecdot(_rows(_basis_values(t, span, deg, x)), _rows(local))
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
-def eval_basis_derivative(space: SplineSpace, x: float) -> tuple[int, np.ndarray]:
+def eval_basis_derivative(space: SplineSpace, x) -> tuple:
     """First derivatives of the m+1 active basis functions at x.
 
     Returns (first_active_index, derivative values), consistent in indexing
-    with eval_basis. Uses the degree-lowering identity, so the values are
-    exact one-sided derivatives.
+    and shape with eval_basis. Uses the degree-lowering identity, so the
+    values are exact one-sided derivatives.
     """
     kv = space.knots
     m = kv.degree
     t = kv.t
     span = _find_span(kv, x)
-    first = span - m
-    if m == 0:
-        return first, np.zeros(1)
-    inner = _basis_values(t[1:-1], span - 1, m - 1, x)
-    # inner[idx] is the degree-(m-1) function on knots t[j .. j+m], j = first+1+idx
-    scaled = np.zeros(m + 2)
-    for idx in range(m):
-        j = first + 1 + idx
-        scaled[idx + 1] = m * inner[idx] / (t[j + m] - t[j])
-    return first, scaled[:-1] - scaled[1:]
+    # entry l of the degree-(m-1) values belongs to knots t[j .. j+m], j = span-m+1+l
+    inner = _basis_values(t, span, m - 1, x)
+    scaled = [0.0, *(m * v / (t[span + 1 + l] - t[span - m + 1 + l])
+                     for l, v in enumerate(inner)), 0.0]
+    return span - m, _rows([u - v for u, v in zip(scaled, scaled[1:])])
 
 
 def basis_integral(space: SplineSpace, j: int) -> float:

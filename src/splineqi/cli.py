@@ -49,6 +49,7 @@ DEFAULT_SIZES = (16, 32, 64, 128)
 
 _INT_KEYS = {"m", "p", "q", "n", "seed"}
 _FLOAT_KEYS = {"a", "b", "ratio"}
+_FLOAT_FLAGS = {f"--{key}" for key in _FLOAT_KEYS}
 _BOOL_KEYS = {"audit"}
 
 
@@ -257,9 +258,10 @@ def _operator(cfg: RunConfig):
 
 
 def _bound(cfg: RunConfig) -> float | None:
-    """The kind's interior norm bound. None for near-best with q >= 3: the
-    qp2star weights that prove (m+1)/(m-1) are not exact there."""
-    if cfg.kind == KIND_NEARBEST and cfg.q > 2:
+    """The kind's interior norm bound. None for near-best with q >= 3 or
+    p < m: (m+1)/(m-1) rests on the qp2star weights, which are not exact
+    beyond degree 2 and need p >= m."""
+    if cfg.kind == KIND_NEARBEST and (cfg.q > 2 or cfg.p < cfg.m):
         return None
     return theoretical_bound(cfg.kind, cfg.m)
 
@@ -436,7 +438,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: Iterable[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(None if argv is None else list(argv))
+    tokens: list[str] = []
+    # --a -1e-05 -> --a=-1e-05: argparse takes -1e-05 alone for an option
+    for tok in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in _FLOAT_FLAGS and not tok.startswith("--"):
+            tokens[-1] += f"={tok}"
+        else:
+            tokens.append(tok)
+    args = parser.parse_args(tokens)
     try:
         cfg = _config_from_args(args)
         if cfg.out is not None:

@@ -150,6 +150,13 @@ def _basis_values(t, span, deg, x):
     return values
 
 
+def _span(t, m, x):
+    """Knot index k with t[k] <= x < t[k+1], the last span at x = b."""
+    n = len(t) - 2 * m - 1
+    k = int(np.searchsorted(t, x, side="right")) - 1
+    return min(max(k, m), m + n - 1)
+
+
 def eval_spline_full(t, m, coeffs, x, order):
     """Spline derivative of the given order at x, differencing the whole
     coefficient vector down to that order first (right-continuous at
@@ -157,9 +164,7 @@ def eval_spline_full(t, m, coeffs, x, order):
     if order > m:
         return 0.0
     t = np.asarray(t, dtype=float)
-    n = len(t) - 2 * m - 1
-    k = int(np.searchsorted(t, x, side="right")) - 1
-    span = min(max(k, m), m + n - 1)
+    span = _span(t, m, x)
     coeffs = np.asarray(coeffs, dtype=float)
     view = t
     deg = m
@@ -172,3 +177,27 @@ def eval_spline_full(t, m, coeffs, x, order):
     values = _basis_values(view, span, deg, x)
     first = span - deg
     return float(np.dot(values, coeffs[first : first + deg + 1]))
+
+
+def differentiation_dense(t, m, sites, weights, lengths, nodes):
+    """Dense (dim, dim) differentiation matrix: the map from samples to
+    coefficients, one band row at a time, times the first derivatives of the
+    basis at each node, from the degree-lowering identity
+    B'_j = m B_{j,m-1} / (t[j+m] - t[j]) - m B_{j+1,m-1} / (t[j+m+1] - t[j+1])."""
+    t = np.asarray(t, dtype=float)
+    dim = len(nodes)
+    coeff_map = np.zeros((dim, dim))
+    for i, length in enumerate(lengths):
+        for s, w in zip(sites[i, :length], weights[i, :length]):
+            coeff_map[i, s] = w
+    basis_prime = np.zeros((dim, dim))
+    for row, x in enumerate(nodes):
+        span = _span(t, m, float(x))
+        first = span - m
+        inner = _basis_values(t[1:-1], span - 1, m - 1, float(x))
+        scaled = np.zeros(m + 2)
+        for idx in range(m):
+            j = first + 1 + idx
+            scaled[idx + 1] = m * inner[idx] / (t[j + m] - t[j])
+        basis_prime[row, first : first + m + 1] = scaled[:-1] - scaled[1:]
+    return basis_prime @ coeff_map

@@ -1,15 +1,17 @@
 """Quadrature, differentiation matrices, test functions, convergence studies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 
 from conftest import space_from, spaces
-from oracles import central_diff
+from oracles import central_diff, differentiation_dense
 from splineqi import (
     BUILTIN_FUNCTIONS,
+    FAMILIES,
     PartitionSpec,
     TestFunction as TargetFunction,
     build_nearbest_qi,
@@ -89,8 +91,38 @@ class TestDifferentiationMatrix:
 
     def test_matrix_is_banded(self):
         sp = space_from("uniform", m=2, n=30)
-        D = differentiation_matrix(build_q2star(sp))
-        assert 0 < D.bandwidth <= sp.degree + 3
+        matrix = differentiation_matrix(build_q2star(sp)).matrix
+        rows, cols = np.nonzero(np.abs(matrix) > 1e-14 * max(1.0, np.abs(matrix).max()))
+        assert 0 < np.abs(rows - cols).max() <= sp.degree + 3
+
+    @pytest.mark.parametrize("kind", ["q2star", "qp2star", "nearbest"])
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_matches_dense_oracle(self, kind, m):
+        for family in FAMILIES:
+            sp = space_from(family, m, 14, seed=m, a=-0.4, b=1.1, ratio=1.3)
+            qi = operator_recipe(kind, None if kind == "q2star" else m).build(sp)
+            D = differentiation_matrix(qi)
+            ref = differentiation_dense(sp.knots.t, m, qi.sites, qi.weights, qi.lengths,
+                                        sp.greville)
+            rng = np.random.default_rng(m)
+            for samples in (np.sin(3.0 * sp.greville), rng.standard_normal(sp.dimension)):
+                # relative to the size of the terms each row sums
+                scale = np.abs(ref) @ np.abs(samples)
+                assert np.all(np.abs(D.apply(samples) - ref @ samples) <= 1e-12 * scale)
+            assert np.all(np.abs(D.matrix - ref) <= 1e-12 * np.abs(ref).max())
+
+    def test_memory_is_linear(self):
+        # the dense (dim, dim) matrix alone would take 32 MB here
+        sp = space_from("random", m=3, n=2000, seed=8)
+        qi = build_qp2star(sp, 3)
+        samples = np.sin(sp.greville)
+        tracemalloc.start()
+        try:
+            differentiation_matrix(qi).apply(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_degree_one_rejected(self):
         sp = space_from("uniform", m=1, n=8)

@@ -1,9 +1,9 @@
 """Weight bands against the scalar reference loops in `oracles`.
 
 The vectorized Greville grid, three-point builds, apply, quadrature and
-local derivative evaluation must round exactly as the one-index-at-a-time
-loops do; the only intended difference is the clamp that keeps each
-Greville abscissa inside its knot window.
+local derivative evaluation (one point or an array of points) must round
+exactly as the one-index-at-a-time loops do; the only intended difference
+is the clamp that keeps each Greville abscissa inside its knot window.
 """
 
 import numpy as np
@@ -18,6 +18,8 @@ from splineqi import (
     apply_qi,
     build_nearbest_qi,
     build_qp2star,
+    eval_basis,
+    eval_basis_derivative,
     eval_spline,
     norm_upper_bound,
     quadrature_from_qi,
@@ -150,3 +152,41 @@ def test_local_derivatives_match_full_differencing(m):
             for x in points:
                 got = eval_spline(f, float(x), order)
                 assert got == oracles.eval_spline_full(t, m, coeffs, float(x), order)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("m", range(1, 8))
+def test_array_calls_match_full_differencing(m, family):
+    for sp in battery(m, family):
+        t = sp.knots.t
+        coeffs = np.random.default_rng(sp.dimension).standard_normal(sp.dimension)
+        f = SplineFunction(sp, coeffs)
+        points = np.concatenate([
+            np.random.default_rng(m + 10).uniform(sp.knots.a, sp.knots.b, 25),
+            np.unique(t),
+        ])
+        for order in range(m + 2):
+            want = [oracles.eval_spline_full(t, m, coeffs, float(x), order) for x in points]
+            got = f(points, order)
+            assert isinstance(got, np.ndarray) and got.shape == points.shape
+            np.testing.assert_array_equal(got, want)
+            # any shape, each point rounded as on its own
+            np.testing.assert_array_equal(f(points.reshape(-1, 1), order)[:, 0], want)
+        first, values = eval_basis(sp, points)
+        dfirst, derivs = eval_basis_derivative(sp, points)
+        for k, x in enumerate(points):
+            one_first, one_values = eval_basis(sp, float(x))
+            assert first[k] == dfirst[k] == one_first
+            np.testing.assert_array_equal(values[k], one_values)
+            np.testing.assert_array_equal(derivs[k], eval_basis_derivative(sp, float(x))[1])
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan])
+def test_array_outside_interval_rejected(bad):
+    sp = space_from("random", 3, 10, seed=4)
+    f = SplineFunction(sp, np.ones(sp.dimension))
+    points = np.array([0.0, 0.5, bad, 1.0])
+    for call in (lambda: f(points), lambda: f(points, 1), lambda: f(points, 4),
+                 lambda: eval_basis(sp, points), lambda: eval_basis_derivative(sp, points)):
+        with pytest.raises(ValueError, match="outside"):
+            call()

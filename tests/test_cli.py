@@ -197,6 +197,18 @@ class TestRunNearbest:
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert row["bound"] is None and row["ok"] is None
 
+    @pytest.mark.filterwarnings("ignore:p=1 below degree 3")
+    def test_no_bound_for_p_below_degree(self, capsys):
+        # (m+1)/(m-1) needs p >= m; here nu1 exceeds it (2.104 > 2.0)
+        config = ["--m", "3", "--p", "1", "--q", "2", "--n", "40", "--family", "random",
+                  "--seed", "0"]
+        assert main(["norms", "--kind", "nearbest", *config]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert float(rows[0]["nu1_interior"]) > 2.0
+        assert rows[0]["bound"] == "" and rows[0]["ok"] == ""
+        assert main(["nearbest", *config, "--fmt", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["bound"] is None
+
     def test_audit_solves_each_lp_once(self, capsys, monkeypatch):
         import splineqi.nearbest as nb
 
@@ -334,6 +346,18 @@ class TestMain:
                 "--b=1.372744145131636"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 5
+
+    @pytest.mark.parametrize("value", ["-1e-05", "-2.5E+00", "-7"])
+    def test_negative_float_values(self, capsys, value):
+        # argparse takes "-1e-05" for an option unless it is joined with "="
+        base = ["norms", "--m", "2", "--n", "8", "--b", "1e-3"]
+        assert main([*base, f"--a={value}"]) == 0
+        joined = capsys.readouterr().out
+        assert main([*base, "--a", value]) == 0
+        assert capsys.readouterr().out == joined
+        assert main(["norms", "--m", "2", "--n", "8", "--a", "-9", "--b", value]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert float(rows[0]["b"]) == float(value)
 
     @pytest.mark.parametrize("n", ["55", "60"])
     def test_unrepresentable_partition_exit_2(self, capsys, n):
