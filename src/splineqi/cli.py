@@ -30,7 +30,7 @@ from .applications import (
 )
 from .bspline import SplineSpace
 from .knots import FAMILIES, PartitionSpec, generate_partition
-from .nearbest import _audit_records, watson_certificate
+from .nearbest import iter_lp_audit
 from .quasi_interp import (
     KIND_DQI,
     KIND_NEARBEST,
@@ -252,9 +252,12 @@ def _recipe(cfg: RunConfig):
     return operator_recipe(cfg.kind, cfg.p, cfg.q)
 
 
+def _space(cfg: RunConfig) -> SplineSpace:
+    return SplineSpace.from_knots(generate_partition(_partition(cfg), cfg.m))
+
+
 def _operator(cfg: RunConfig):
-    space = SplineSpace.from_knots(generate_partition(_partition(cfg), cfg.m))
-    return _recipe(cfg).build(space)
+    return _recipe(cfg).build(_space(cfg))
 
 
 def _bound(cfg: RunConfig) -> float | None:
@@ -279,22 +282,14 @@ def _run_norms(cfg: RunConfig, sink: IO[str]) -> None:
 
 
 def _run_nearbest(cfg: RunConfig, sink: IO[str]) -> None:
-    qi = _operator(cfg)
-    space, p = qi.space, qi.p
-    full = range(p, space.dimension - p)
-    if cfg.q == 2 and len(full) > 0:
-        certified: object = all(watson_certificate(space, i, p).passes for i in full)
-    else:
-        certified = "n/a"
+    records = list(iter_lp_audit(_space(cfg), cfg.p, cfg.q))
+    # the build's nu1_star: the largest optimum over interior stencils
+    interior = [r["value"] for r in records if not r["boundary"]]
+    verdicts = [r["certificate"] == "pass" for r in records if r["certificate"] != "n/a"]
     cols, vals = _prefix_columns(cfg, with_n=True)
     cols += ["nu1_star", "bound", "all_certified"]
-    vals += [
-        None if qi.nu1_star is None else float(qi.nu1_star),
-        _bound(cfg),
-        certified,
-    ]
-    audit_records = list(_audit_records(qi)) if cfg.audit else None
-    _emit_table(cfg, sink, cols, [vals], audit_records=audit_records)
+    vals += [max(interior, default=None), _bound(cfg), all(verdicts) if verdicts else "n/a"]
+    _emit_table(cfg, sink, cols, [vals], audit_records=records if cfg.audit else None)
 
 
 def _run_convergence(cfg: RunConfig, sink: IO[str]) -> None:
@@ -345,7 +340,8 @@ def _run_diffmat(cfg: RunConfig, sink: IO[str]) -> None:
 
 
 def _run_audit(cfg: RunConfig, sink: IO[str]) -> None:
-    for record in _audit_records(_operator(cfg)):
+    # collected first: a failed LP leaves stdout empty
+    for record in list(iter_lp_audit(_space(cfg), cfg.p, cfg.q)):
         sink.write(json.dumps(record, sort_keys=True) + "\n")
 
 

@@ -96,7 +96,7 @@ class PartitionSpec:
       random      seeded positive steps, uniform in [0.05, 1] before scaling
 
     The record form (family, a, b, n, ratio, seed) round-trips through
-    ``to_record`` / ``from_record`` and is the CLI config format.
+    ``to_record`` / ``from_record``; CLI configs are ``RunConfig`` key=value lines.
     """
 
     family: str

@@ -172,6 +172,10 @@ def solve_l1(system: ConstraintSystem) -> L1Solution:
             f"l1 solve at index {system.center}: simplex returned {result.status}"
         )
     weights = result.x[:k] - result.x[k:]
+    if (miss := system.residual(weights)) > 1e-9:
+        raise RuntimeError(
+            f"l1 solve at index {system.center}: weights miss the constraints by {miss:.1e}"
+        )
     return L1Solution(
         weights=weights,
         value=float(np.abs(weights).sum()),
@@ -349,6 +353,29 @@ def _certificate(p: int, lam: np.ndarray, coefs: dict) -> Certificate:
     )
 
 
+def _lp_windows(space: SplineSpace, p: int, q: int):
+    """(system, solution) of the l1 LP of each index 1 .. dim-2 on its window
+    -p..p cut to the index range, lazily; p and q are checked at once."""
+    m = space.degree
+    if not isinstance(p, int) or p < 1:
+        raise ValueError(f"offset radius must be an integer >= 1, got {p!r}")
+    if not 0 <= q <= min(m, 2 * p):
+        raise ValueError(f"need 0 <= q <= min(m, 2p) = {min(m, 2 * p)}, got {q}")
+    if p < m:
+        message = f"p={p} below degree {m}: interior norm bound not guaranteed"
+        warnings.warn(message, stacklevel=3)  # at the build's or the audit's caller
+    return (_solve_window(space, i, p, q) for i in range(1, space.dimension - 1))
+
+
+def _solve_window(space: SplineSpace, i: int, p: int, q: int):
+    offsets = tuple(range(max(-p, -i), min(p, space.dimension - 1 - i) + 1))
+    system = assemble_constraints(space, i, p, q, offsets=offsets)
+    try:
+        return system, solve_l1(system)
+    except RuntimeError as exc:
+        raise RuntimeError(f"near-best build failed at index {i}: {exc}") from exc
+
+
 def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolant:
     """Near-best operator: per-index l1-minimal weights on the window -p..p.
 
@@ -357,18 +384,9 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
     interior stencils (all windows on simple knots); per-index values are
     kept in ``lp_values``.
     """
-    m = space.degree
+    windows = _lp_windows(space, p, q)
     dim = space.dimension
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"offset radius must be an integer >= 1, got {p!r}")
-    if not 0 <= q <= min(m, 2 * p):
-        raise ValueError(f"need 0 <= q <= min(m, 2p) = {min(m, 2 * p)}, got {q}")
-    if p < m:
-        warnings.warn(
-            f"p={p} below degree {m}: interior norm bound not guaranteed",
-            stacklevel=2,
-        )
-    lo, hi = _interior_range(m, p, space.knots.n)
+    lo, hi = _interior_range(space.degree, p, space.knots.n)
     i = np.arange(dim)
     lengths = np.minimum(i, p) + np.minimum(dim - 1 - i, p) + 1
     # the two extreme indices evaluate at their own site
@@ -376,14 +394,9 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
     sites, weights = _empty_band(dim, int(lengths.max()))
     weights[[0, -1], 0] = 1.0
     values = [1.0] * dim
-    for i in range(1, dim - 1):
-        offsets = tuple(range(max(-p, -i), min(p, dim - 1 - i) + 1))
-        system = assemble_constraints(space, i, p, q, offsets=offsets)
-        try:
-            solution = solve_l1(system)
-        except RuntimeError as exc:
-            raise RuntimeError(f"near-best build failed at index {i}: {exc}") from exc
-        sites[i, : lengths[i]] = np.arange(i + offsets[0], i + offsets[-1] + 1)
+    for system, solution in windows:
+        i = system.center
+        sites[i, : lengths[i]] = np.add(i, system.offsets)
         weights[i, : lengths[i]] = solution.weights
         values[i] = solution.value
     interior_values = [values[i] for i in range(dim) if lo <= i <= hi]
@@ -403,43 +416,31 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
 
 
 def iter_lp_audit(space: SplineSpace, p: int, q: int = 2):
-    """Yield one audit record per index: the LP, its optimum, and the
-    certificate status. Used by the CLI audit stream."""
-    yield from _audit_records(build_nearbest_qi(space, p, q))
-
-
-def _audit_records(qi: QuasiInterpolant):
-    """The audit records of a built near-best operator, one per index."""
-    space, p, q = qi.space, qi.p, qi.q
-    dim = space.dimension
-    for i in range(dim):
-        st = qi.stencil(i)
-        record = {
-            "i": i,
-            "offsets": list(st.offsets),
-            "weights": [float(w) for w in st.weights],
-            "value": float(qi.lp_values[i]),
-            "support": [int(s) for s, w in zip(st.offsets, st.weights) if abs(w) > 1e-12],
-            "boundary": bool(st.boundary),
-        }
-        if i == 0 or i == dim - 1:
-            record.update(
-                {"V": [[1.0]], "b": [1.0], "knot_condition": None, "certificate": "n/a"}
-            )
-        else:
-            system = assemble_constraints(space, i, p, q, offsets=st.offsets)
-            record["V"] = [[float(v) for v in row] for row in system.matrix]
-            record["b"] = [float(v) for v in system.rhs]
-            full_window = p <= i <= dim - 1 - p
-            if q == 2 and full_window:
-                lam, coefs = _watson_data(space, i, p)
-                cert = _certificate(p, lam, coefs)
-                closed = float(np.abs(lam).sum())
-                record["knot_condition"] = knot_condition(space, i, p)
-                record["certificate"] = "pass" if cert.passes else "fail"
-                record["closed_form_value"] = closed
-                record["gap"] = closed - record["value"]
-            else:
-                record["knot_condition"] = None
-                record["certificate"] = "n/a"
+    """Yield one audit record per index: the LP, its optimum, and the q = 2
+    certificate status, each computed once. Used by the CLI audit stream."""
+    windows = _lp_windows(space, p, q)
+    lo, hi = _interior_range(space.degree, p, space.knots.n)
+    last = space.dimension - 1
+    yield _record(0, (0,), [1.0], 1.0, [[1.0]], [1.0])
+    for system, solution in windows:
+        i = system.center
+        record = _record(i, system.offsets, solution.weights, solution.value,
+                         system.matrix, system.rhs, boundary=not lo <= i <= hi)
+        if q == 2 and p <= i <= last - p:
+            lam, coefs = _watson_data(space, i, p)
+            closed = float(np.abs(lam).sum())
+            record["knot_condition"] = knot_condition(space, i, p)
+            record["certificate"] = "pass" if _certificate(p, lam, coefs).passes else "fail"
+            record["closed_form_value"] = closed
+            record["gap"] = closed - solution.value
         yield record
+    yield _record(last, (0,), [1.0], 1.0, [[1.0]], [1.0])
+
+
+def _record(i, offsets, weights, value, V, b, boundary=True) -> dict:
+    return {
+        "i": i, "offsets": list(offsets), "weights": [float(w) for w in weights],
+        "value": value, "support": [s for s, w in zip(offsets, weights) if abs(w) > 1e-12],
+        "boundary": boundary, "V": [[float(v) for v in row] for row in V],
+        "b": [float(v) for v in b], "knot_condition": None, "certificate": "n/a",
+    }

@@ -110,10 +110,12 @@ def solve_standard_form(
     allowed[cols:] = False  # artificials never (re-)enter
 
     status, count = _iterate(tableau, basis, allowed, pivot_tol, max_iter, 0)
-    if status == "unbounded":  # cannot happen: phase-1 objective >= 0
-        raise RuntimeError("phase-1 objective unbounded; invalid tableau")
     phase1 = -tableau[-1, -1]
-    if phase1 > 1e-8 * max(1.0, float(np.abs(b).max())):
+    tol = 1e-8 * max(1.0, float(np.abs(b).max()))
+    # an exact phase 1 cannot be unbounded; a rounded one can, at objective ~0
+    if status == "unbounded" and abs(phase1) > tol:
+        raise RuntimeError("phase-1 objective unbounded; invalid tableau")
+    if phase1 > tol:
         return SimplexResult(
             x=np.zeros(cols), value=np.inf, status="infeasible", iterations=count
         )

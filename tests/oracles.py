@@ -1,13 +1,14 @@
 """Independent computational oracles that pin expected values in tests.
 
 Deliberately naive implementations: Cramer's rule, exhaustive vertex
-enumeration, central differences. Slow but obviously correct, and sharing no
-code with the package internals they check.
+enumeration (also in mpmath), central differences. Slow but obviously correct,
+and sharing no code with the package internals they check.
 """
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -46,6 +47,54 @@ def l1_min_enumerate(V, b):
         w = np.linalg.solve(sub, b)
         best = min(best, float(np.abs(w).sum()))
     return best
+
+
+def _nearbest_system_mp(t, m, i, offsets, q):
+    """The near-best exactness rows of index i in mpmath, from the knots:
+    the Vandermonde at the Greville sites theta_{i+s}, shifted by theta_i and
+    scaled by the site span L, and the central moment targets
+    e_r(t_{i+1} - theta_i, ..., t_{i+m} - theta_i) / (C(m, r) L^r)."""
+    t = [mpmath.mpf(float(v)) for v in t]
+
+    def theta(j):
+        return mpmath.fsum(t[j + 1 : j + m + 1]) / m
+
+    center = theta(i)
+    sites = [theta(i + s) for s in offsets]
+    scale = max(sites) - min(sites)
+    esp = [mpmath.mpf(1)] + [mpmath.mpf(0)] * m
+    for knot in t[i + 1 : i + m + 1]:
+        for r in range(m, 0, -1):
+            esp[r] += (knot - center) * esp[r - 1]
+    x = [(s - center) / scale for s in sites]
+    V = [[xk**r for xk in x] for r in range(q + 1)]
+    rhs = [esp[r] / math.comb(m, r) / scale**r for r in range(q + 1)]
+    return V, rhs
+
+
+def nearbest_enumerate_mp(t, m, i, offsets, q, dps=40):
+    """Minimal l1 norm of the near-best LP at index i: some optimum is
+    supported on q + 1 sites, and every (q+1)-site Vandermonde minor on
+    distinct sites is nonsingular, so solve them all in mpmath."""
+    with mpmath.workdps(dps):
+        V, rhs = _nearbest_system_mp(t, m, i, offsets, q)
+        best = None
+        for cols in itertools.combinations(range(len(offsets)), q + 1):
+            sub = mpmath.matrix([[row[c] for c in cols] for row in V])
+            w = mpmath.lu_solve(sub, mpmath.matrix(rhs))
+            value = mpmath.fsum(abs(v) for v in w)
+            if best is None or value < best:
+                best = value
+        return float(best)
+
+
+def nearbest_residual_mp(t, m, i, offsets, q, weights, dps=40):
+    """Max absolute residual of the weights in the normalized exactness rows
+    of index i, evaluated in mpmath."""
+    with mpmath.workdps(dps):
+        V, rhs = _nearbest_system_mp(t, m, i, offsets, q)
+        w = [mpmath.mpf(float(v)) for v in weights]
+        return float(max(abs(mpmath.fdot(row, w) - b) for row, b in zip(V, rhs)))
 
 
 def central_diff(fn, x, h=1e-6):

@@ -212,17 +212,28 @@ class TestRunNearbest:
     def test_audit_solves_each_lp_once(self, capsys, monkeypatch):
         import splineqi.nearbest as nb
 
-        solved = []
-        solve_l1 = nb.solve_l1
+        calls = {"assemble_constraints": [], "solve_l1": [], "_watson_data": []}
 
-        def counting(system):
-            solved.append(system.center)
-            return solve_l1(system)
+        def counting(name):
+            inner = getattr(nb, name)
 
-        monkeypatch.setattr(nb, "solve_l1", counting)
-        assert main(["nearbest", "--audit", "--m", "3", "--p", "3", "--n", "20"]) == 0
-        # dimension 23: one LP for each index but the two extremes
-        assert solved == list(range(1, 22))
+            def wrapper(space_or_system, *args, **kwargs):
+                calls[name].append(args[0] if args else space_or_system.center)
+                return inner(space_or_system, *args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nb, name, counting(name))
+        for command in (["nearbest", "--audit"], ["audit"]):
+            for seen in calls.values():
+                seen.clear()
+            assert main([*command, "--m", "3", "--p", "3", "--n", "20"]) == 0
+            # dimension 23: one LP for each index but the two extremes, and
+            # one q = 2 certificate for each full window 3 .. 19
+            assert calls["solve_l1"] == list(range(1, 22)), command
+            assert calls["assemble_constraints"] == list(range(1, 22)), command
+            assert calls["_watson_data"] == list(range(3, 20)), command
 
     def test_audit_lines_match_audit_command(self, capsys):
         config = ["--m", "3", "--p", "3", "--n", "20", "--family", "random",
@@ -231,6 +242,55 @@ class TestRunNearbest:
         lines = capsys.readouterr().out.splitlines(keepends=True)
         assert main(["audit", *config]) == 0
         assert "".join(lines[2:]) == capsys.readouterr().out
+
+
+class TestNearbestSummary:
+    """The summary row reads the audit stream; it must keep the build's
+    interior rule and the certificates' verdicts."""
+
+    @pytest.mark.filterwarnings("ignore:p=")
+    def test_summary_matches_build_and_certificates(self, capsys):
+        from conftest import space_from
+        from splineqi import build_nearbest_qi, watson_certificate
+
+        seen = set()
+        for family, ratio, seed, m, p, q, n in [
+            ("uniform", 1.0, 0, 3, 3, 2, 12),
+            ("arithmetic", 5.0, 0, 3, 2, 2, 16),  # p < m
+            ("geometric", 1.3, 0, 2, 3, 2, 16),  # p > m, failing certificates
+            ("random", 1.0, 3, 4, 4, 0, 14),
+            ("random", 1.0, 4, 3, 5, 1, 12),  # p > m
+            ("geometric", 2.0, 0, 2, 2, 1, 10),
+            ("arithmetic", 3.0, 0, 3, 1, 2, 12),  # p < m
+            ("uniform", 1.0, 0, 3, 4, 2, 4),  # empty interior, no full window
+        ]:
+            argv = ["nearbest", "--m", str(m), "--p", str(p), "--q", str(q), "--n", str(n),
+                    "--family", family, "--ratio", repr(ratio), "--seed", str(seed)]
+            assert main(argv) == 0
+            row = parse_csv(capsys.readouterr().out)[1][0]
+            space = space_from(family, m, n, seed=seed, ratio=ratio)
+            nu1 = build_nearbest_qi(space, p, q).nu1_star
+            assert row["nu1_star"] == ("" if nu1 is None else repr(nu1)), argv
+            full = range(p, space.dimension - p)
+            if q == 2 and len(full) > 0:
+                certified = all(watson_certificate(space, i, p).passes for i in full)
+                assert row["all_certified"] == str(certified).lower(), argv
+            else:
+                assert row["all_certified"] == "n/a", argv
+            seen |= {row["all_certified"], "interior" if row["nu1_star"] else "empty"}
+        assert seen == {"true", "false", "n/a", "interior", "empty"}
+
+    @pytest.mark.parametrize("argv", [
+        ["--m", "4", "--p", "4", "--n", "40", "--family", "geometric", "--ratio", "16"],
+        ["--m", "5", "--p", "5", "--q", "5", "--n", "40", "--family", "random",
+         "--seed", "1"],
+    ])
+    def test_graded_and_high_exactness_builds_succeed(self, capsys, argv):
+        # both once stopped with "phase-1 objective unbounded" at a phase-1
+        # objective of rounding size
+        assert main(["nearbest", *argv]) == 0
+        row = parse_csv(capsys.readouterr().out)[1][0]
+        assert float(row["nu1_star"]) >= 1.0
 
 
 class TestRunStudies:

@@ -311,6 +311,21 @@ class TestBuildNearbest:
             build_nearbest_qi(sp, 2)
 
 
+    def test_infeasible_weights_are_refused(self, monkeypatch):
+        import splineqi.nearbest as nb
+        from splineqi.simplex import SimplexResult
+
+        def off_by_1e6(A, b, c, **kwargs):
+            x = np.zeros(A.shape[1])
+            x[0] = 1.0 + 1e-6  # an "optimal" vertex that misses the sum row
+            return SimplexResult(x=x, value=float(x[0]), status="optimal", iterations=1)
+
+        monkeypatch.setattr(nb, "solve_standard_form", off_by_1e6)
+        sp = space_from("uniform", m=2, n=8)
+        with pytest.raises(RuntimeError, match="miss the constraints by 1.0e-06"):
+            solve_l1(assemble_constraints(sp, 4, 2, 0))
+
+
 class TestAudit:
     def test_records_are_json_serializable(self):
         sp = space_from("uniform", m=2, n=10)

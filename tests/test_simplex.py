@@ -42,6 +42,22 @@ def test_infeasible():
     assert res.status == "infeasible"
 
 
+# column 0 prices below -pivot_tol in phase 1 (its entries sum to 1.2e-11)
+# but has no entry above pivot_tol to pivot on: an "unbounded" phase 1
+_TINY_COLUMN = np.array([[6e-12, 1.0], [6e-12, -1.0]])
+
+
+def test_phase1_unbounded_at_zero_objective_continues():
+    res = solve_standard_form(_TINY_COLUMN, np.zeros(2), np.array([1.0, 1.0]))
+    assert res.status == "optimal"
+    assert res.value == 0.0
+
+
+def test_phase1_unbounded_away_from_zero_raises():
+    with pytest.raises(RuntimeError, match="phase-1 objective unbounded"):
+        solve_standard_form(_TINY_COLUMN, np.ones(2), np.array([1.0, 1.0]))
+
+
 def test_redundant_rows_driven_out():
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     b = np.array([1.0, 2.0])
