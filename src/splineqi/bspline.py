@@ -10,11 +10,12 @@ at knots in the same way. Each routine takes one point (a float) or many
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .knots import GrevilleGrid, KnotVector, greville_grid
+from .knots import GrevilleGrid, KnotVector, central_moment_table, greville_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,6 +40,12 @@ class SplineSpace:
     @property
     def greville(self) -> np.ndarray:
         return self.grid.theta
+
+    @functools.cached_property
+    def central_moments(self) -> np.ndarray:
+        """Row i: the central moment coefficients a_0 .. a_m of index i's
+        knot window, for every index at once, computed on first use."""
+        return central_moment_table(self.knots, self.grid.theta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -162,7 +162,7 @@ def _partition_steps(spec: PartitionSpec) -> np.ndarray:
             log_extreme += math.log(r / (r - 1))
         if log_extreme >= math.log(np.finfo(float).max):
             raise _unrepresentable(spec)
-        weights = r ** np.arange(n)
+        weights = float(r) ** np.arange(n)
         return span * weights / weights.sum()
     if spec.family == "random":
         rng = np.random.default_rng(spec.seed)
@@ -261,3 +261,20 @@ def greville_grid(kv: KnotVector) -> GrevilleGrid:
     moments.setflags(write=False)
     centered.setflags(write=False)
     return GrevilleGrid(theta=theta, moments=moments, centered_second=centered)
+
+
+def central_moment_table(kv: KnotVector, theta: np.ndarray) -> np.ndarray:
+    """Central moment coefficients of every index's knot window.
+
+    Row j holds a_0 .. a_m: the elementary symmetric functions of the window
+    t[j+1 .. j+m] centered at theta[j], each over C(m, s), with a_0 = 1 and
+    a_1 = 0 set exactly. Read-only.
+    """
+    m = kv.degree
+    windows = sliding_window_view(kv.t[1:], m)[: kv.dimension]
+    binom = np.array([math.comb(m, s) for s in range(m + 1)], dtype=float)
+    table = elementary_symmetric(windows - theta[:, None]) / binom
+    table[:, 0] = 1.0
+    table[:, 1] = 0.0
+    table.setflags(write=False)
+    return table

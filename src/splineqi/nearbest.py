@@ -7,8 +7,19 @@ For index i and offset radius p the admissible weight vectors lambda satisfy
 and the near-best choice minimizes the l1 norm, which bounds the operator
 sup norm. The system is solved in shifted/scaled coordinates
 x_s = (theta_{i+s} - theta_i) / L (L = site span), where the right-hand side
-becomes the central moment coefficients a_r(theta_i) / L^r; the weights are
-invariant under that affine change.
+becomes the central moment coefficients a_r(theta_i) / L^r, read from the
+space's `central_moments` table; the weights are invariant under that
+affine change.
+
+Some optimum lies on q + 1 sites, and on distinct sites every square
+Vandermonde system is nonsingular, so `solve_l1` solves all of a window's
+C(k, q+1) square systems at once and takes the smallest l1 value (ties go
+to the lexicographically first support). The simplex then starts from that
+signed support: its pricing is the l1 optimality test |V^T y| <= 1 (Watson,
+Approximation Theory and Numerical Methods, 1980), so an optimal support
+costs no pivots, and the simplex pivots on or runs cold where the support
+is not optimal or cannot be installed. Windows with more than 2^16
+supports go straight to the cold simplex.
 
 The wide three-point weights of `build_qp2star` are optimal whenever a
 verifiable certificate exists: a dual vector v with |v| <= 1 matching the
@@ -20,6 +31,9 @@ theta_i + theta_{i+1} (the `knot_condition`).
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,7 +46,6 @@ from .quasi_interp import (
     _empty_band,
     _interior_range,
     _three_point_weights,
-    dqi_coefficients,
 )
 from .simplex import solve_standard_form
 
@@ -69,25 +82,6 @@ class ConstraintSystem:
             scale = max(1.0, float(np.abs(self.sites).max()) ** r, abs(self.raw_rhs[r]))
             worst = max(worst, abs(lhs - self.raw_rhs[r]) / scale)
         return worst
-
-
-def _rank_by_elimination(mat: np.ndarray, tol: float) -> int:
-    work = np.array(mat, dtype=float)
-    rank = 0
-    rows, cols = work.shape
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivot = rank + int(np.argmax(np.abs(work[rank:, col])))
-        if abs(work[pivot, col]) <= tol:
-            continue
-        work[[rank, pivot]] = work[[pivot, rank]]
-        work[rank] /= work[rank, col]
-        for r in range(rows):
-            if r != rank:
-                work[r] -= work[r, col] * work[rank]
-        rank += 1
-    return rank
 
 
 def assemble_constraints(
@@ -127,12 +121,9 @@ def assemble_constraints(
     scale = float(sites.max() - sites.min())
     x = (sites - shift) / scale
     matrix = np.vstack([x**r for r in range(q + 1)])
-    central = dqi_coefficients(space, i)
+    central = space.central_moments[i]
     rhs = np.array([central[r] / scale**r for r in range(q + 1)])
     raw_rhs = space.grid.moments[i, : q + 1].copy()
-    tol = 1e-12 * max(1.0, float(np.abs(matrix).max()))
-    if _rank_by_elimination(matrix, tol) != q + 1:
-        raise ValueError(f"constraint matrix at i={i} is rank deficient")
     return ConstraintSystem(
         center=i,
         p=p,
@@ -155,18 +146,75 @@ class L1Solution:
     iterations: int
 
 
+# above this many supports a window goes to the cold two-phase simplex
+_MAX_SUPPORTS = 2**16
+
+
+def _support_values(x: np.ndarray, rhs: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Solutions of the square systems on the given supports, one column each.
+
+    Row r of the system on support S is sum_j w_j x_{S_j}^r = rhs_r. All
+    systems are solved at once by the Bjorck-Pereyra recurrence for V z = b
+    (Golub and Van Loan, Alg. 4.6.2), elementwise along the last axis, which
+    runs over the supports.
+    """
+    nodes = x[supports]
+    z = np.repeat(rhs[:, None], supports.shape[1], axis=1)
+    n = len(rhs) - 1
+    for k in range(n):
+        z[k + 1 :] -= nodes[k] * z[k:n]
+    for k in range(n - 1, -1, -1):
+        z[k + 1 :] /= nodes[k + 1 :] - nodes[: n - k]
+        z[k:n] -= z[k + 1 :]
+    return z
+
+
+@functools.cache
+def _supports(k: int, size: int) -> np.ndarray:
+    """Every size-subset of range(k), one per column, in lexicographic order.
+    Cached: one read-only table per window length and exactness degree."""
+    columns = np.array(list(itertools.combinations(range(k), size)), dtype=np.intp)
+    columns = np.ascontiguousarray(columns.reshape(-1, size).T)
+    columns.setflags(write=False)
+    return columns
+
+
+def _optimal_basis(system: ConstraintSystem) -> list[int] | None:
+    """Signed optimal support of the split l1 LP, or None above _MAX_SUPPORTS.
+
+    Some optimum lies on q + 1 sites, and every (q+1)-site Vandermonde minor
+    on distinct sites is nonsingular, so the optimum is the smallest l1 value
+    over all square systems. Values within 1e-12 relative of it count as
+    ties, broken for the lexicographically first support. Site j enters as
+    column j of the split LP (positive weight) or k + j (negative weight).
+    """
+    k, size = len(system.offsets), system.q + 1
+    if math.comb(k, size) > _MAX_SUPPORTS:
+        return None
+    supports = _supports(k, size)
+    # row 1 holds the normalized sites; with q = 0 no site is read
+    z = _support_values(system.matrix[min(1, system.q)], system.rhs, supports)
+    values = np.abs(z).sum(axis=0)
+    best = int(np.argmax(values <= values.min() * (1.0 + 1e-12)))
+    return [j if w >= 0.0 else k + j for j, w in zip(supports[:, best].tolist(), z[:, best])]
+
+
 def solve_l1(system: ConstraintSystem) -> L1Solution:
     """Minimize the l1 norm of the stencil weights under the constraints.
 
-    Split formulation lambda = u - w with u, w >= 0 and cost sum(u + w),
-    solved by the two-phase simplex. Infeasibility cannot occur for valid
-    systems and is raised as an internal error.
+    Split formulation lambda = u - w with u, w >= 0 and cost sum(u + w).
+    The optimal support is found by enumeration, and the simplex certifies
+    it by pricing (0 pivots when it is optimal), pivots on if it is not, and
+    runs cold if it cannot be installed. Infeasibility cannot occur for
+    valid systems and is raised as an internal error.
     """
     k = len(system.offsets)
     A = np.hstack([system.matrix, -system.matrix])
     c = np.ones(2 * k)
     cap = 10 * 2 * k
-    result = solve_standard_form(A, system.rhs, c, pivot_tol=1e-11, max_iter=cap)
+    result = solve_standard_form(
+        A, system.rhs, c, pivot_tol=1e-11, max_iter=cap, basis=_optimal_basis(system)
+    )
     if result.status != "optimal":
         raise RuntimeError(
             f"l1 solve at index {system.center}: simplex returned {result.status}"

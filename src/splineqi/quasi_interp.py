@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bspline import SplineFunction, SplineSpace
-from .knots import elementary_symmetric, make_clamped_knots
+from .knots import make_clamped_knots
 
 KIND_DQI = "dqi"
 KIND_Q2STAR = "q2star"
@@ -198,19 +198,12 @@ def dqi_coefficients(space: SplineSpace, i: int) -> np.ndarray:
     a_s is the s-th elementary symmetric function of the mean-centered knot
     window divided by C(m, s); a_0 = 1 and a_1 = 0 exactly. These are the
     weights of D^s f(theta_i)/s! in the differential quasi-interpolant, and
-    a_2 = -(theta_i^2 - theta_i^(2)).
+    a_2 = -(theta_i^2 - theta_i^(2)). Returns a copy of row i of the space's
+    `central_moments` table.
     """
-    kv = space.knots
-    m = kv.degree
     if not 0 <= i < space.dimension:
         raise ValueError(f"index {i} outside 0..{space.dimension - 1}")
-    window = kv.t[i + 1 : i + m + 1]
-    centered = window - space.grid.theta[i]
-    esp = elementary_symmetric(centered)
-    a = np.array([esp[s] / math.comb(m, s) for s in range(m + 1)])
-    a[0] = 1.0
-    a[1] = 0.0
-    return a
+    return space.central_moments[i].copy()
 
 
 DerivativeOracle = Callable[[float], Sequence[float]]
@@ -227,6 +220,7 @@ def apply_dqi(space: SplineSpace, oracle: DerivativeOracle) -> SplineFunction:
     m = space.degree
     theta = space.greville
     inv_fact = np.array([1.0 / math.factorial(l) for l in range(m + 1)])
+    scaled = space.central_moments * inv_fact
     coeffs = np.empty(space.dimension)
     for i in range(space.dimension):
         derivs = np.asarray(oracle(theta[i]), dtype=float)
@@ -234,8 +228,7 @@ def apply_dqi(space: SplineSpace, oracle: DerivativeOracle) -> SplineFunction:
             raise ValueError(
                 f"oracle must supply {m + 1} derivative values, got shape {derivs.shape}"
             )
-        a = dqi_coefficients(space, i)
-        coeffs[i] = float(np.dot(a * inv_fact, derivs[: m + 1]))
+        coeffs[i] = float(np.dot(scaled[i], derivs[: m + 1]))
     return SplineFunction(space, coeffs)
 
 

@@ -1,12 +1,19 @@
-"""Dense two-phase primal simplex with Bland's anti-cycling rule.
+"""Dense primal simplex that certifies a given basis, with a two-phase
+cold start as its fallback; Bland's anti-cycling rule throughout.
 
 Solves   min c.x   subject to   A x = b,  x >= 0   on small dense problems.
-Phase 1 minimizes the sum of artificial variables from an all-artificial
-basis; phase 2 re-prices the original objective. Bland's rule everywhere:
-the entering column is the lowest index with reduced cost below -tol, the
-leaving row is the minimum-ratio row with ties broken by the lowest basic
-variable index. That guarantees termination without any perturbation.
-Artificial columns are barred from re-entering once they leave the basis.
+A caller that knows a likely optimal basis passes its columns: they are
+pivoted in with partial pivoting over rows, and if the basic solution is
+feasible, phase 2 starts there. Its pricing is then the optimality test,
+so an optimal basis costs 0 iterations, and a feasible but non-optimal one
+pivots on to the optimum. A basis with no usable pivot or an infeasible
+basic solution, or no basis at all, takes the cold path: phase 1 minimizes
+the sum of artificial variables from an all-artificial basis, and phase 2
+re-prices the original objective. Bland's rule everywhere: the entering
+column is the lowest index with reduced cost below -tol, the leaving row is
+the minimum-ratio row with ties broken by the lowest basic variable index.
+That guarantees termination without any perturbation. Artificial columns
+are barred from re-entering once they leave the basis.
 
 This is deliberately self-contained (no scipy): the l1 stencil problems it
 serves have at most a handful of rows, so a dense tableau is the simplest
@@ -16,6 +23,7 @@ trustworthy implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -79,20 +87,49 @@ def _iterate(
         count += 1
 
 
+def _warm_start(
+    tableau: np.ndarray, columns: Sequence[int], pivot_tol: float, tol: float
+) -> tuple[np.ndarray, list[int]] | None:
+    """Pivot the given columns into a copy of the all-artificial tableau,
+    each on the not yet used row with the largest entry. Returns the tableau
+    and its basis, or None if some column has no usable pivot or the basic
+    solution is infeasible by more than ``tol``."""
+    rows = tableau.shape[0] - 1
+    work = tableau.copy()
+    basis = [-1] * rows
+    for j in columns:
+        r = max((r for r in range(rows) if basis[r] < 0), key=lambda r: abs(work[r, j]))
+        if abs(work[r, j]) <= pivot_tol:
+            return None
+        _pivot(work, r, j)
+        basis[r] = j
+    if work[:rows, -1].min() < -tol:
+        return None
+    return work, basis
+
+
 def solve_standard_form(
     A: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
     pivot_tol: float = 1e-11,
     max_iter: int = 1000,
+    basis: Sequence[int] | None = None,
 ) -> SimplexResult:
-    """Two-phase simplex for min c.x s.t. A x = b, x >= 0."""
+    """Simplex for min c.x s.t. A x = b, x >= 0.
+
+    ``basis``, if given, lists one column per row: phase 2 starts from it
+    when it is nonsingular and feasible, and the two-phase cold start runs
+    otherwise. Pivots that install the basis are not counted as iterations.
+    """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     rows, cols = A.shape
     if b.shape != (rows,) or c.shape != (cols,):
         raise ValueError("inconsistent LP dimensions")
+    if basis is not None and (len(basis) != rows or not all(0 <= j < cols for j in basis)):
+        raise ValueError(f"a basis needs {rows} column indices in 0..{cols - 1}, got {basis!r}")
 
     # phase 1 tableau: [A | I | b] with rows flipped so b >= 0
     tableau = np.zeros((rows + 1, cols + rows + 1))
@@ -102,43 +139,47 @@ def solve_standard_form(
         if tableau[r, -1] < 0.0:
             tableau[r] = -tableau[r]
         tableau[r, cols + r] = 1.0
-    # reduced costs of min sum(artificials) with the artificial basis
-    tableau[-1, :cols] = -tableau[:rows, :cols].sum(axis=0)
-    tableau[-1, -1] = -tableau[:rows, -1].sum()
-    basis = [cols + r for r in range(rows)]
-    allowed = np.ones(cols + rows, dtype=bool)
-    allowed[cols:] = False  # artificials never (re-)enter
-
-    status, count = _iterate(tableau, basis, allowed, pivot_tol, max_iter, 0)
-    phase1 = -tableau[-1, -1]
     tol = 1e-8 * max(1.0, float(np.abs(b).max()))
-    # an exact phase 1 cannot be unbounded; a rounded one can, at objective ~0
-    if status == "unbounded" and abs(phase1) > tol:
-        raise RuntimeError("phase-1 objective unbounded; invalid tableau")
-    if phase1 > tol:
-        return SimplexResult(
-            x=np.zeros(cols), value=np.inf, status="infeasible", iterations=count
-        )
+    warm = None if basis is None else _warm_start(tableau, basis, pivot_tol, tol)
+    if warm is not None:
+        (tableau, basis), count = warm, 0
+    else:
+        basis = [cols + r for r in range(rows)]
+        # reduced costs of min sum(artificials) with the artificial basis
+        tableau[-1, :cols] = -tableau[:rows, :cols].sum(axis=0)
+        tableau[-1, -1] = -tableau[:rows, -1].sum()
+        allowed = np.ones(cols + rows, dtype=bool)
+        allowed[cols:] = False  # artificials never (re-)enter
 
-    # drive any zero-valued artificial out of the basis; drop redundant rows
-    keep_rows = []
-    for r in range(rows):
-        if basis[r] >= cols:
-            target = -1
-            for j in range(cols):
-                if abs(tableau[r, j]) > pivot_tol:
-                    target = j
-                    break
-            if target < 0:
-                continue  # redundant constraint
-            _pivot(tableau, r, target)
-            basis[r] = target
-        keep_rows.append(r)
-    if len(keep_rows) < rows:
-        sub = [r for r in keep_rows] + [rows]
-        tableau = tableau[sub]
-        basis = [basis[r] for r in keep_rows]
-        rows = len(keep_rows)
+        status, count = _iterate(tableau, basis, allowed, pivot_tol, max_iter, 0)
+        phase1 = -tableau[-1, -1]
+        # an exact phase 1 cannot be unbounded; a rounded one can, at objective ~0
+        if status == "unbounded" and abs(phase1) > tol:
+            raise RuntimeError("phase-1 objective unbounded; invalid tableau")
+        if phase1 > tol:
+            return SimplexResult(
+                x=np.zeros(cols), value=np.inf, status="infeasible", iterations=count
+            )
+
+        # drive any zero-valued artificial out of the basis; drop redundant rows
+        keep_rows = []
+        for r in range(rows):
+            if basis[r] >= cols:
+                target = -1
+                for j in range(cols):
+                    if abs(tableau[r, j]) > pivot_tol:
+                        target = j
+                        break
+                if target < 0:
+                    continue  # redundant constraint
+                _pivot(tableau, r, target)
+                basis[r] = target
+            keep_rows.append(r)
+        if len(keep_rows) < rows:
+            sub = [r for r in keep_rows] + [rows]
+            tableau = tableau[sub]
+            basis = [basis[r] for r in keep_rows]
+            rows = len(keep_rows)
 
     # phase 2: drop artificial columns, re-price the real objective
     tableau = np.hstack([tableau[:, :cols], tableau[:, -1:]])

@@ -136,6 +136,22 @@ def greville_loop(t, m):
     return theta, moments, centered
 
 
+def central_moments_loop(t, m, theta):
+    """Central moment coefficients a_0 .. a_m of every index, one index at a
+    time: the elementary symmetric functions of the window centered at the
+    given abscissa, each over C(m, s), with a_0 = 1 and a_1 = 0."""
+    table = np.empty((len(theta), m + 1))
+    for j, center in enumerate(theta):
+        esp = [1.0] + [0.0] * m
+        for k, knot in enumerate(t[j + 1 : j + m + 1], start=1):
+            v = float(knot) - float(center)
+            for r in range(k, 0, -1):
+                esp[r] = esp[r] + v * esp[r - 1]
+        table[j] = [e / math.comb(m, s) for s, e in enumerate(esp)]
+        table[j, :2] = 1.0, 0.0
+    return table
+
+
 def three_point_loop(theta, tbar, p):
     """Three-point stencils at offsets {-p, 0, p} (shifted inward at the
     ends), with point evaluation at both extreme indices; a list of

@@ -284,10 +284,15 @@ class TestNearbestSummary:
         ["--m", "4", "--p", "4", "--n", "40", "--family", "geometric", "--ratio", "16"],
         ["--m", "5", "--p", "5", "--q", "5", "--n", "40", "--family", "random",
          "--seed", "1"],
+        ["--m", "5", "--p", "5", "--n", "20", "--family", "geometric", "--ratio", "100"],
+        ["--m", "5", "--p", "10", "--q", "5", "--n", "40", "--family", "random",
+         "--seed", "1"],
     ])
     def test_graded_and_high_exactness_builds_succeed(self, capsys, argv):
-        # both once stopped with "phase-1 objective unbounded" at a phase-1
-        # objective of rounding size
+        # the first two once stopped with "phase-1 objective unbounded" at a
+        # phase-1 objective of rounding size; under a cold two-phase solve the
+        # third's weights missed the constraints by 1.3e-8 and the fourth hit
+        # that phase-1 exit at index 42
         assert main(["nearbest", *argv]) == 0
         row = parse_csv(capsys.readouterr().out)[1][0]
         assert float(row["nu1_star"]) >= 1.0

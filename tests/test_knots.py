@@ -68,6 +68,12 @@ class TestGeneratePartition:
         np.testing.assert_allclose(kv.steps, [1.0, 2.0, 4.0], rtol=1e-14)
         np.testing.assert_allclose(kv.interior, [1.0, 3.0], rtol=1e-14)
 
+    def test_integer_geometric_ratio_matches_float(self):
+        # an integer ratio once raised to integer powers wrapped in int64
+        kv = generate_partition(PartitionSpec("geometric", 0.0, 1.0, 40, 4), 2)
+        kv_float = generate_partition(PartitionSpec("geometric", 0.0, 1.0, 40, 4.0), 2)
+        assert kv.t.tobytes() == kv_float.t.tobytes()
+
     def test_geometric_consecutive_step_ratio(self):
         spec = PartitionSpec(family="geometric", n=9, ratio=1.7)
         kv = generate_partition(spec, 2)

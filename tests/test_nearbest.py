@@ -361,3 +361,17 @@ class TestAudit:
         assert records[0]["certificate"] == "n/a"
         assert records[-1]["certificate"] == "n/a"
         assert records[0]["knot_condition"] is None
+
+
+@pytest.mark.parametrize("family, ratio, seed, m, q", [
+    ("geometric", 16.0, 0, 3, 2),
+    ("random", 1.0, 1, 5, 5),
+])
+def test_builds_and_audits_write_nothing(capfd, family, ratio, seed, m, q):
+    # at the file descriptors: output written below Python's sys.stdout
+    # would interleave with the CLI's result lines
+    sp = space_from(family, m, n=40, seed=seed, ratio=ratio)
+    build_nearbest_qi(sp, m, q)
+    for _ in iter_lp_audit(sp, m, q):
+        pass
+    assert capfd.readouterr() == ("", "")

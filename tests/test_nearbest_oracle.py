@@ -17,6 +17,7 @@ GRADED = (
     ("geometric", 4.0),
     ("geometric", 8.0),
     ("geometric", 16.0),
+    ("geometric", 100.0),
     ("arithmetic", 5.0),
     ("arithmetic", 20.0),
 )
@@ -62,6 +63,12 @@ def test_high_exactness_builds_reach_oracle(m, q, seed):
 @pytest.mark.parametrize("m, q", [(m, q) for m in (6, 7) for q in range(3, m + 1)])
 def test_high_degree_builds_are_exact(m, q):
     qi = build_nearbest_qi(space_from("random", m, n=40, seed=0), m, q)
+    _check_rows(qi, sampled=())
+
+
+def test_wide_high_exactness_build_is_exact():
+    # 54 264 supports per full window: too many for the mpmath oracle
+    qi = build_nearbest_qi(space_from("random", 5, n=40, seed=1), 10, 5)
     _check_rows(qi, sampled=())
 
 

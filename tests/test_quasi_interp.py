@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from conftest import space_from, spaces
-from oracles import vandermonde_solve_3
+from oracles import central_moments_loop, vandermonde_solve_3
 from splineqi import (
     PartitionSpec,
     QuasiInterpolant,
@@ -89,6 +89,19 @@ class TestDqiCoefficients:
         sp = space_from("uniform", m=2, n=4)
         with pytest.raises(ValueError):
             dqi_coefficients(sp, sp.dimension)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("family, ratio", [
+        ("uniform", 1.0), ("arithmetic", 5.0), ("geometric", 1.5), ("random", 1.0),
+    ])
+    def test_table_matches_per_index_loop_exactly(self, m, family, ratio):
+        sp = space_from(family, m, n=17, seed=3, ratio=ratio)
+        expected = central_moments_loop(sp.knots.t, m, sp.grid.theta)
+        assert sp.central_moments.tobytes() == expected.tobytes()
+        a = dqi_coefficients(sp, 5)
+        assert a.tobytes() == expected[5].tobytes()
+        a[0] = 7.0  # a copy: the table stays as it was
+        assert sp.central_moments[5, 0] == 1.0
 
 
 class TestApplyDqi:

@@ -1,10 +1,15 @@
-"""Dense two-phase simplex: classic stress cases plus randomized feasibility."""
+"""Dense simplex: classic stress cases, randomized feasibility, and warm
+starts from a given basis."""
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import space_from
+from splineqi.nearbest import assemble_constraints, solve_l1
 from splineqi.simplex import solve_standard_form
 
 
@@ -117,3 +122,74 @@ def test_random_feasible_problems(seed):
     np.testing.assert_allclose(A @ res.x, b, atol=1e-8)
     assert (res.x >= -1e-9).all()
     assert res.value <= c @ x0 + 1e-9
+
+
+# split l1 LP min |w|_1 s.t. V w = rhs on sites -1, -0.5, 0, 0.5, 1 with
+# quadratic exactness: columns j = w_j >= 0 and 5 + j = -w_j >= 0
+_X = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+_V = np.vstack([_X**r for r in range(3)])
+_L1 = (np.hstack([_V, -_V]), np.array([1.0, 0.1, -0.2]), np.ones(10))
+
+
+def _same_optimum(res, cold):
+    assert res.status == cold.status == "optimal"
+    assert res.value == pytest.approx(cold.value, rel=1e-14)
+    np.testing.assert_allclose(res.x, cold.x, atol=1e-14)
+
+
+def test_optimal_basis_takes_no_iterations():
+    cold = solve_standard_form(*_L1)
+    assert cold.iterations > 0
+    basis = [int(j) for j in np.flatnonzero(cold.x > 1e-12)]
+    assert len(basis) == 3
+    res = solve_standard_form(*_L1, basis=basis)
+    assert res.iterations == 0
+    _same_optimum(res, cold)
+
+
+def test_feasible_basis_pivots_on_to_the_optimum():
+    cold = solve_standard_form(*_L1)
+    # sites -1, -0.5, 0 with the signs of their square system's solution
+    w = np.linalg.solve(_V[:, :3], _L1[1])
+    basis = [j if w[j] >= 0 else 5 + j for j in range(3)]
+    assert float(np.abs(w).sum()) > cold.value + 1e-3
+    res = solve_standard_form(*_L1, basis=basis)
+    assert res.iterations > 0
+    _same_optimum(res, cold)
+
+
+@pytest.mark.parametrize("basis", [
+    [0, 1, 2],  # the wrong signs: the basic solution is infeasible
+    [0, 0, 4],  # a repeated column: no pivot for the second
+    [0, 5, 4],  # a column and its negative: singular
+])
+def test_unusable_basis_falls_back_to_two_phase(basis):
+    cold = solve_standard_form(*_L1)
+    res = solve_standard_form(*_L1, basis=basis)
+    assert res.iterations == cold.iterations
+    np.testing.assert_array_equal(res.x, cold.x)
+
+
+def test_basis_of_wrong_shape_refused():
+    with pytest.raises(ValueError, match="basis"):
+        solve_standard_form(*_L1, basis=[0, 1])
+    with pytest.raises(ValueError, match="basis"):
+        solve_standard_form(*_L1, basis=[0, 1, 10])
+
+
+@pytest.mark.parametrize("p, i", [(2, 2), (2, 12), (3, 3), (3, 11), (4, 4), (4, 10)])
+def test_tied_optima_take_the_lexicographically_first_support(p, i):
+    # uniform cubic rows where two supports reach the optimum with different
+    # weights; the solver keeps the first in lexicographic order
+    sp = space_from("uniform", 3, n=12)
+    offsets = tuple(range(max(-p, -i), min(p, sp.dimension - 1 - i) + 1))
+    system = assemble_constraints(sp, i, p, 2, offsets=offsets)
+    solutions = []
+    for cols in itertools.combinations(range(len(offsets)), 3):
+        w = np.zeros(len(offsets))
+        w[list(cols)] = np.linalg.solve(system.matrix[:, cols], system.rhs)
+        solutions.append(w)
+    best = min(np.abs(w).sum() for w in solutions)
+    tied = [w for w in solutions if np.abs(w).sum() <= best * (1 + 1e-12)]
+    assert len(tied) >= 2 and np.abs(tied[0] - tied[1]).max() > 0.1
+    np.testing.assert_allclose(solve_l1(system).weights, tied[0], atol=1e-14)
