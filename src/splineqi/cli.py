@@ -14,6 +14,7 @@ failure (simplex breakdown or singular linear algebra).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -410,6 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: parsing leaves it as
+    it was, and building it costs milliseconds per call."""
+    return build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     entries: dict = {}
     if args.config is not None:
@@ -433,7 +441,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Iterable[str] | None = None) -> int:
-    parser = build_parser()
     tokens: list[str] = []
     # --a -1e-05 -> --a=-1e-05: argparse takes -1e-05 alone for an option
     for tok in sys.argv[1:] if argv is None else argv:
@@ -441,7 +448,7 @@ def main(argv: Iterable[str] | None = None) -> int:
             tokens[-1] += f"={tok}"
         else:
             tokens.append(tok)
-    args = parser.parse_args(tokens)
+    args = _parser().parse_args(tokens)
     try:
         cfg = _config_from_args(args)
         if cfg.out is not None:

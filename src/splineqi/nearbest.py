@@ -12,14 +12,22 @@ space's `central_moments` table; the weights are invariant under that
 affine change.
 
 Some optimum lies on q + 1 sites, and on distinct sites every square
-Vandermonde system is nonsingular, so `solve_l1` solves all of a window's
-C(k, q+1) square systems at once and takes the smallest l1 value (ties go
-to the lexicographically first support). The simplex then starts from that
-signed support: its pricing is the l1 optimality test |V^T y| <= 1 (Watson,
-Approximation Theory and Numerical Methods, 1980), so an optimal support
-costs no pivots, and the simplex pivots on or runs cold where the support
-is not optimal or cannot be installed. Windows with more than 2^16
-supports go straight to the cold simplex.
+Vandermonde system is nonsingular, so a window's C(k, q+1) square systems
+are all solved at once (Bjorck-Pereyra) and the smallest l1 value picks the
+support (ties go to the lexicographically first). Its optimality test is
+the dual one, |V^T y| <= 1 for V_S^T y = sign(w_S) (Watson, Approximation
+Theory and Numerical Methods, 1980).
+
+An operator's full windows (offsets -p..p) are solved together: one
+Bjorck-Pereyra pass over all windows and supports, in chunks of bounded
+size, and one batched solve for the duals. A row whose dual or exactness
+residual fails the test is solved again on the per-window path, which also
+takes the truncated windows at the two ends: `assemble_constraints` builds
+the system and `solve_l1` hands the enumerated support to the simplex,
+whose pricing is the same test, so an optimal support costs no pivots and
+the simplex pivots on or runs cold where the support is not optimal or
+cannot be installed. Windows with more than 2^16 supports are neither
+enumerated nor batched: they go straight to the cold simplex.
 
 The wide three-point weights of `build_qp2star` are optimal whenever a
 verifiable certificate exists: a dual vector v with |v| <= 1 matching the
@@ -84,6 +92,18 @@ class ConstraintSystem:
         return worst
 
 
+def _vandermonde(x: np.ndarray, q: int) -> np.ndarray:
+    """Rows x**0 .. x**q of the sites along the last axis, stacked before it."""
+    return np.stack([x**r for r in range(q + 1)], axis=-2)
+
+
+def _normalized_rhs(central: np.ndarray, scales: list[float]) -> np.ndarray:
+    """Rows of central moments a_0 .. a_q scaled to a_r / L**r, one window
+    span L per row. The powers are Python floats, so a window rounds alike
+    whether it is assembled alone or with others."""
+    return central / np.array([[L**r for r in range(central.shape[1])] for L in scales])
+
+
 def assemble_constraints(
     space: SplineSpace,
     i: int,
@@ -120,9 +140,8 @@ def assemble_constraints(
     shift = float(theta[i])
     scale = float(sites.max() - sites.min())
     x = (sites - shift) / scale
-    matrix = np.vstack([x**r for r in range(q + 1)])
-    central = space.central_moments[i]
-    rhs = np.array([central[r] / scale**r for r in range(q + 1)])
+    matrix = _vandermonde(x, q)
+    rhs = _normalized_rhs(space.central_moments[i : i + 1, : q + 1], [scale])[0]
     raw_rhs = space.grid.moments[i, : q + 1].copy()
     return ConstraintSystem(
         center=i,
@@ -148,24 +167,32 @@ class L1Solution:
 
 # above this many supports a window goes to the cold two-phase simplex
 _MAX_SUPPORTS = 2**16
+# full windows are solved together in chunks of at most this many
+# Bjorck-Pereyra entries (rows x (q+1) x supports), and at least one row
+_BATCH_ENTRIES = 2**16
+# the simplex's pricing tolerance, and how far accepted weights may miss
+# the normalized constraints; both paths test `not x <= tol`, so NaN fails
+_PRICING_TOL = 1e-11
+_MISS_TOL = 1e-9
 
 
-def _support_values(x: np.ndarray, rhs: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Solutions of the square systems on the given supports, one column each.
+def _support_values(nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions of square Vandermonde systems, one per column of ``nodes``.
 
-    Row r of the system on support S is sum_j w_j x_{S_j}^r = rhs_r. All
-    systems are solved at once by the Bjorck-Pereyra recurrence for V z = b
-    (Golub and Van Loan, Alg. 4.6.2), elementwise along the last axis, which
-    runs over the supports.
+    ``nodes`` (..., q+1, C) holds the sites of C supports, one support per
+    column, and ``rhs`` (..., q+1) the right-hand side of each window. Row r
+    of the system on the sites s is sum_j w_j s_j^r = rhs_r. All systems are
+    solved at once by the Bjorck-Pereyra recurrence for V z = b (Golub and
+    Van Loan, Alg. 4.6.2), elementwise: a column rounds alike whatever else
+    is solved with it. The result has the shape of ``nodes``.
     """
-    nodes = x[supports]
-    z = np.repeat(rhs[:, None], supports.shape[1], axis=1)
-    n = len(rhs) - 1
+    z = np.repeat(rhs[..., None], nodes.shape[-1], axis=-1)
+    n = rhs.shape[-1] - 1
     for k in range(n):
-        z[k + 1 :] -= nodes[k] * z[k:n]
+        z[..., k + 1 :, :] -= nodes[..., k : k + 1, :] * z[..., k:n, :]
     for k in range(n - 1, -1, -1):
-        z[k + 1 :] /= nodes[k + 1 :] - nodes[: n - k]
-        z[k:n] -= z[k + 1 :]
+        z[..., k + 1 :, :] /= nodes[..., k + 1 :, :] - nodes[..., : n - k, :]
+        z[..., k:n, :] -= z[..., k + 1 :, :]
     return z
 
 
@@ -173,30 +200,52 @@ def _support_values(x: np.ndarray, rhs: np.ndarray, supports: np.ndarray) -> np.
 def _supports(k: int, size: int) -> np.ndarray:
     """Every size-subset of range(k), one per column, in lexicographic order.
     Cached: one read-only table per window length and exactness degree."""
-    columns = np.array(list(itertools.combinations(range(k), size)), dtype=np.intp)
-    columns = np.ascontiguousarray(columns.reshape(-1, size).T)
+    count = math.comb(k, size)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), size))
+    columns = np.fromiter(flat, dtype=np.intp, count=count * size).reshape(count, size)
+    columns = np.ascontiguousarray(columns.T)
     columns.setflags(write=False)
     return columns
 
 
-def _optimal_basis(system: ConstraintSystem) -> list[int] | None:
-    """Signed optimal support of the split l1 LP, or None above _MAX_SUPPORTS.
+def _cheapest_supports(x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal support of each window's l1 LP and the weights on it.
 
-    Some optimum lies on q + 1 sites, and every (q+1)-site Vandermonde minor
-    on distinct sites is nonsingular, so the optimum is the smallest l1 value
-    over all square systems. Values within 1e-12 relative of it count as
-    ties, broken for the lexicographically first support. Site j enters as
-    column j of the split LP (positive weight) or k + j (negative weight).
+    ``x`` (W, k) holds the normalized sites of W windows and ``rhs``
+    (W, q+1) their right-hand sides. Some optimum lies on q + 1 sites, and
+    every (q+1)-site Vandermonde minor on distinct sites is nonsingular, so
+    the optimum is the smallest l1 value over all square systems. Values
+    within 1e-12 relative of it count as ties, broken for the
+    lexicographically first support. The supports are solved in blocks of
+    at most _BATCH_ENTRIES entries. Returns the site indices (W, q+1) of
+    each optimal support and the weights on them.
     """
-    k, size = len(system.offsets), system.q + 1
-    if math.comb(k, size) > _MAX_SUPPORTS:
+    rows, size = rhs.shape
+    supports = _supports(x.shape[1], size)
+    step = max(1, _BATCH_ENTRIES // (rows * size))
+    values = np.empty((rows, supports.shape[1]))
+    for start in range(0, supports.shape[1], step):
+        columns = supports[:, start : start + step]
+        # numpy gathers from a 1-D row about 3x faster than along axis 1
+        nodes = x[0][columns][None] if rows == 1 else x[:, columns]
+        z = _support_values(nodes, rhs)
+        values[:, start : start + step] = np.abs(z).sum(axis=1)
+    best = np.argmax(values <= values.min(axis=1, keepdims=True) * (1.0 + 1e-12), axis=1)
+    support = supports[:, best].T
+    weights = _support_values(np.take_along_axis(x, support, axis=1)[:, :, None], rhs)
+    return support, weights[:, :, 0]
+
+
+def _optimal_basis(system: ConstraintSystem) -> list[int] | None:
+    """Signed optimal support of the split l1 LP (`_cheapest_supports`), or
+    None above _MAX_SUPPORTS. Site j enters as column j of the split LP
+    (positive weight) or k + j (negative weight)."""
+    k = len(system.offsets)
+    if math.comb(k, system.q + 1) > _MAX_SUPPORTS:
         return None
-    supports = _supports(k, size)
     # row 1 holds the normalized sites; with q = 0 no site is read
-    z = _support_values(system.matrix[min(1, system.q)], system.rhs, supports)
-    values = np.abs(z).sum(axis=0)
-    best = int(np.argmax(values <= values.min() * (1.0 + 1e-12)))
-    return [j if w >= 0.0 else k + j for j, w in zip(supports[:, best].tolist(), z[:, best])]
+    support, weights = _cheapest_supports(system.matrix[None, min(1, system.q)], system.rhs[None])
+    return [j if w >= 0.0 else k + j for j, w in zip(support[0].tolist(), weights[0])]
 
 
 def solve_l1(system: ConstraintSystem) -> L1Solution:
@@ -213,14 +262,14 @@ def solve_l1(system: ConstraintSystem) -> L1Solution:
     c = np.ones(2 * k)
     cap = 10 * 2 * k
     result = solve_standard_form(
-        A, system.rhs, c, pivot_tol=1e-11, max_iter=cap, basis=_optimal_basis(system)
+        A, system.rhs, c, pivot_tol=_PRICING_TOL, max_iter=cap, basis=_optimal_basis(system)
     )
     if result.status != "optimal":
         raise RuntimeError(
             f"l1 solve at index {system.center}: simplex returned {result.status}"
         )
     weights = result.x[:k] - result.x[k:]
-    if (miss := system.residual(weights)) > 1e-9:
+    if not (miss := system.residual(weights)) <= _MISS_TOL:
         raise RuntimeError(
             f"l1 solve at index {system.center}: weights miss the constraints by {miss:.1e}"
         )
@@ -403,7 +452,12 @@ def _certificate(p: int, lam: np.ndarray, coefs: dict) -> Certificate:
 
 def _lp_windows(space: SplineSpace, p: int, q: int):
     """(system, solution) of the l1 LP of each index 1 .. dim-2 on its window
-    -p..p cut to the index range, lazily; p and q are checked at once."""
+    -p..p cut to the index range, lazily; p and q are checked at once.
+
+    The full windows are solved together, chunk by chunk
+    (`_solve_full_windows`); the truncated windows at the two ends, and the
+    full ones when a window has more than _MAX_SUPPORTS supports, take the
+    per-window path (`_solve_window`)."""
     m = space.degree
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"offset radius must be an integer >= 1, got {p!r}")
@@ -412,7 +466,21 @@ def _lp_windows(space: SplineSpace, p: int, q: int):
     if p < m:
         message = f"p={p} below degree {m}: interior norm bound not guaranteed"
         warnings.warn(message, stacklevel=3)  # at the build's or the audit's caller
-    return (_solve_window(space, i, p, q) for i in range(1, space.dimension - 1))
+    return _windows(space, p, q)
+
+
+def _windows(space: SplineSpace, p: int, q: int):
+    last = space.dimension - 1
+    count = math.comb(2 * p + 1, q + 1)
+    # the full windows p .. last-p, or none, are batched
+    lo, hi = (p, last - p + 1) if count <= _MAX_SUPPORTS and p <= last - p else (last, last)
+    for i in range(1, lo):
+        yield _solve_window(space, i, p, q)
+    rows = max(1, _BATCH_ENTRIES // ((q + 1) * count))
+    for start in range(lo, hi, rows):
+        yield from _solve_full_windows(space, p, q, np.arange(start, min(start + rows, hi)))
+    for i in range(hi, last):
+        yield _solve_window(space, i, p, q)
 
 
 def _solve_window(space: SplineSpace, i: int, p: int, q: int):
@@ -422,6 +490,55 @@ def _solve_window(space: SplineSpace, i: int, p: int, q: int):
         return system, solve_l1(system)
     except RuntimeError as exc:
         raise RuntimeError(f"near-best build failed at index {i}: {exc}") from exc
+
+
+def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray):
+    """(system, solution) of the full windows at the given centers, solved
+    together: the systems as `assemble_constraints` builds them, the
+    supports as `_optimal_basis` picks them, the weights from Bjorck-Pereyra.
+
+    A row is accepted when its weights meet the constraints within
+    _MISS_TOL and the dual y of V_S^T y = sign(w_S) on its support S
+    satisfies |V^T y| <= 1 + _PRICING_TOL, the simplex's pricing test
+    (Watson, Approximation Theory and Numerical Methods, 1980); every other
+    row is solved again on the per-window path.
+    """
+    k, size = 2 * p + 1, q + 1
+    offsets = tuple(range(-p, p + 1))
+    sites = space.grid.theta[centers[:, None] + np.arange(-p, p + 1)]
+    shift = space.grid.theta[centers]
+    scale = sites.max(axis=1) - sites.min(axis=1)
+    raw_rhs = space.grid.moments[centers, :size]
+    # a row that meets a non-finite value fails the acceptance test below,
+    # and the per-window path solves it again and reports what it meets
+    with np.errstate(all="ignore"):
+        x = (sites - shift[:, None]) / scale[:, None]
+        matrix = _vandermonde(x, q)
+        rhs = _normalized_rhs(space.central_moments[centers, :size], scale.tolist())
+        support, on_support = _cheapest_supports(x, rhs)
+        weights = np.zeros((len(centers), k))
+        np.put_along_axis(weights, support, on_support, axis=1)
+        signs = np.where(on_support >= 0.0, 1.0, -1.0)
+        V_S = np.take_along_axis(matrix, support[:, None, :], axis=2)
+        try:
+            y = np.linalg.solve(np.swapaxes(V_S, 1, 2), signs[:, :, None])
+        except np.linalg.LinAlgError:  # some V_S of the chunk is exactly singular
+            y = np.full((len(centers), size, 1), np.nan)
+        dual = np.abs(np.swapaxes(matrix, 1, 2) @ y).max(axis=(1, 2))
+        miss = np.abs(matrix @ weights[:, :, None] - rhs[:, :, None]).max(axis=(1, 2))
+        accepted = (dual <= 1.0 + _PRICING_TOL) & (miss <= _MISS_TOL)
+        values = np.abs(weights).sum(axis=1)
+    for row, i in enumerate(centers.tolist()):
+        if not accepted[row]:
+            yield _solve_window(space, i, p, q)
+            continue
+        system = ConstraintSystem(
+            center=i, p=p, q=q, offsets=offsets, sites=sites[row], shift=float(shift[row]),
+            scale=float(scale[row]), matrix=matrix[row], rhs=rhs[row], raw_rhs=raw_rhs[row],
+        )
+        yield system, L1Solution(
+            weights=weights[row], value=float(values[row]), status="optimal", iterations=0
+        )
 
 
 def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolant:

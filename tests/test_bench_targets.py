@@ -1,18 +1,26 @@
-"""Every function the benchmark's tracer wraps must exist in the package.
+"""The benchmark's contract with the package.
 
 `perfbench/spans.py` names the layer functions it times as (module,
 attribute) pairs; a rename or deletion in the package would otherwise only
 show when a traced benchmark run fails. The module is loaded by path: it
-imports only the standard library.
+imports only the standard library. A package change can also stop calling
+a wrapped function on some workload, which empties the figures built on it:
+a tiny traced run of each workload that calls the LP layer must report a
+finite number for every per-layer figure.
 """
 
 import importlib
 import importlib.util
+import json
+import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _targets():
@@ -28,3 +36,17 @@ def test_target_resolves(modname, attr):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+@pytest.mark.parametrize("workload", ["nearbest_graded", "cli_studies"])
+def test_traced_smoke_run_fills_every_figure(workload):
+    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", "3", "--seconds", "1", "--trace", "1", "--smoke"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    empty = [name for name, figure in result["metrics"].items()
+             if not isinstance(figure["value"], (int, float)) or not math.isfinite(figure["value"])]
+    assert not empty

@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,14 +216,18 @@ class TestRunNearbest:
     def test_audit_solves_each_lp_once(self, capsys, monkeypatch):
         import splineqi.nearbest as nb
 
-        calls = {"assemble_constraints": [], "solve_l1": [], "_watson_data": []}
+        calls = {"assemble_constraints": [], "solve_l1": [], "_watson_data": [],
+                 "_solve_full_windows": []}
 
         def counting(name):
             inner = getattr(nb, name)
 
-            def wrapper(space_or_system, *args, **kwargs):
-                calls[name].append(args[0] if args else space_or_system.center)
-                return inner(space_or_system, *args, **kwargs)
+            def wrapper(*args, **kwargs):
+                if name == "_solve_full_windows":
+                    calls[name] += args[3].tolist()  # the batch's centers
+                else:
+                    calls[name].append(args[1] if len(args) > 1 else args[0].center)
+                return inner(*args, **kwargs)
 
             return wrapper
 
@@ -229,10 +237,12 @@ class TestRunNearbest:
             for seen in calls.values():
                 seen.clear()
             assert main([*command, "--m", "3", "--p", "3", "--n", "20"]) == 0
-            # dimension 23: one LP for each index but the two extremes, and
-            # one q = 2 certificate for each full window 3 .. 19
-            assert calls["solve_l1"] == list(range(1, 22)), command
-            assert calls["assemble_constraints"] == list(range(1, 22)), command
+            # dimension 23: one LP for each index but the two extremes; the
+            # truncated windows 1, 2, 20, 21 one by one, the full windows
+            # 3 .. 19 in the batch, and one q = 2 certificate for each of them
+            assert calls["solve_l1"] == [1, 2, 20, 21], command
+            assert calls["assemble_constraints"] == [1, 2, 20, 21], command
+            assert calls["_solve_full_windows"] == list(range(3, 20)), command
             assert calls["_watson_data"] == list(range(3, 20)), command
 
     def test_audit_lines_match_audit_command(self, capsys):
@@ -296,6 +306,22 @@ class TestNearbestSummary:
         assert main(["nearbest", *argv]) == 0
         row = parse_csv(capsys.readouterr().out)[1][0]
         assert float(row["nu1_star"]) >= 1.0
+
+    def test_nan_constraints_exit_3(self):
+        # window span 2e-69 at index 1: central[5] / scale**5 is 0/0, and the
+        # NaN row passed the residual guard `miss > 1e-9` (exit 0). Run in a
+        # subprocess: the 0/0 RuntimeWarning is an error under pytest.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        argv = ["nearbest", "--m", "5", "--p", "5", "--q", "5", "--n", "40",
+                "--family", "geometric", "--ratio", "100"]
+        code = "import sys; from splineqi.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "index 1: weights miss the constraints by nan" in proc.stderr
 
 
 class TestRunStudies:
@@ -499,6 +525,34 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:")
         assert "index 1" in err
+
+    def test_cached_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        import splineqi.cli as cli
+
+        commands = [
+            ["norms", "--m", "3", "--n", "20", "--family", "geometric", "--ratio", "2"],
+            ["nearbest", "--audit", "--m", "2", "--p", "2", "--n", "12"],
+            ["norms", "--kind", "bogus"],
+            ["quad", "--m", "2", "--n", "16", "--f", "runge"],
+            ["norms", "--m", "3", "--n", "20", "--family", "geometric", "--ratio", "2"],
+        ]
+
+        def run_all():
+            seen = []
+            for argv in commands:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                out = capsys.readouterr()
+                seen.append((code, out.out, out.err))
+            return seen
+
+        cached = run_all()
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert run_all() == cached
+        assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0]
 
     def test_unknown_choice_exits_via_argparse(self):
         with pytest.raises(SystemExit):

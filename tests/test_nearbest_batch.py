@@ -1,0 +1,141 @@
+"""The batched solve of the full windows against the per-window LP path.
+
+`_lp_windows` solves every full window (offsets -p..p) of an operator in
+one batch and hands each row it cannot certify, and every truncated
+window, to `assemble_constraints` -> `solve_l1`. Each batched row must be
+the LP optimum that path finds.
+"""
+
+import math
+import tracemalloc
+
+import mpmath
+import numpy as np
+import pytest
+
+import splineqi.nearbest as nb
+from conftest import space_from
+from splineqi import assemble_constraints, build_nearbest_qi, iter_lp_audit, solve_l1
+
+FAMILIES = [("uniform", 1.0, 0), ("geometric", 1.2, 0), ("geometric", 100.0, 0),
+            ("arithmetic", 20.0, 0), ("random", 1.0, 1)]
+
+
+def _batched_cases(m):
+    """(p, q) for p in {1, m, m+1} and q = 0 .. min(m, 2p) whose full
+    windows are batched."""
+    return [(p, q) for p in sorted({1, m, m + 1}) for q in range(min(m, 2 * p) + 1)
+            if math.comb(2 * p + 1, q + 1) <= nb._MAX_SUPPORTS]
+
+
+def _batch(space, p, q, monkeypatch):
+    """The batch's rows, with None for each row it leaves to the path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(nb, "_solve_window", lambda *args: (None, None))
+        centers = np.arange(p, space.dimension - p)
+        return list(nb._solve_full_windows(space, p, q, centers))
+
+
+def _exact_on_support(system, support):
+    """Weights on the support, solved in 40 digits from the float system."""
+    with mpmath.workdps(40):
+        V = mpmath.matrix([[mpmath.mpf(float(system.matrix[r, j])) for j in support]
+                           for r in range(system.q + 1)])
+        b = mpmath.matrix([mpmath.mpf(float(v)) for v in system.rhs])
+        return np.array([float(w) for w in mpmath.lu_solve(V, b)])
+
+
+@pytest.mark.parametrize("family, ratio, seed", FAMILIES)
+@pytest.mark.parametrize("m", range(1, 8))
+def test_batch_matches_per_window_path(monkeypatch, family, ratio, seed, m):
+    compared = 0
+    for p, q in _batched_cases(m):
+        space = space_from(family, m, n=2 * p + 4, seed=seed, ratio=ratio)
+        for system, solution in _batch(space, p, q, monkeypatch):
+            if system is None:
+                continue
+            path = solve_l1(assemble_constraints(space, system.center, p, q))
+            case = (family, m, p, q, system.center)
+            assert solution.value <= path.value * (1 + 1e-12), case
+            if path.iterations:
+                # the path's simplex could not install the enumerated
+                # support (a pivot under its absolute 1e-11 on sites ~1e-12
+                # apart) and ran cold to a tied optimum; the batch keeps the
+                # enumerated support, certified and no worse
+                continue
+            support = np.flatnonzero(solution.weights)
+            np.testing.assert_array_equal(support, np.flatnonzero(path.weights), str(case))
+            assert abs(solution.value - path.value) <= 1e-12 * path.value, case
+            tol = 1e-13 * path.value
+            gap = np.abs(solution.weights - path.weights).max()
+            if gap > tol:
+                # on an ill-conditioned support the simplex tableau rounds
+                # worse than Bjorck-Pereyra: the batch must still be exact
+                exact = _exact_on_support(system, support)
+                assert np.abs(solution.weights[support] - exact).max() <= tol, case
+            compared += 1
+    assert compared
+
+
+@pytest.mark.parametrize("m, p, q, budget", [
+    (3, 3, 2, 64),      # one row per chunk, the supports in two blocks
+    (3, 3, 2, 4096),    # 39 rows per chunk
+    (5, 5, 5, 1000),    # one row per chunk, three blocks
+])
+def test_chunking_leaves_every_row_unchanged(monkeypatch, m, p, q, budget):
+    space = space_from("random", m, n=60, seed=2)
+    whole = build_nearbest_qi(space, p, q)
+    monkeypatch.setattr(nb, "_BATCH_ENTRIES", budget)
+    chunked = build_nearbest_qi(space, p, q)
+    np.testing.assert_array_equal(chunked.weights, whole.weights)
+    assert chunked.lp_values == whole.lp_values
+
+
+def test_rows_the_batch_cannot_certify_take_the_path(monkeypatch):
+    # offer the lexicographically first support, which is not optimal on
+    # these windows: the batch refuses every full window, and the path's
+    # simplex pivots on from the same support to the optimum
+    space = space_from("uniform", 3, n=16)
+    best = build_nearbest_qi(space, 3)
+
+    def first_support(x, rhs):
+        support = np.broadcast_to(np.arange(rhs.shape[1]), rhs.shape)
+        weights = nb._support_values(np.take_along_axis(x, support, axis=1)[:, :, None], rhs)
+        return support, weights[:, :, 0]
+
+    solved = []
+    window = nb._solve_window
+    monkeypatch.setattr(nb, "_cheapest_supports", first_support)
+    monkeypatch.setattr(nb, "_solve_window", lambda s, i, p, q: (solved.append(i), window(s, i, p, q))[1])
+    qi = build_nearbest_qi(space, 3)
+    assert solved == list(range(1, space.dimension - 1))
+    np.testing.assert_allclose(qi.lp_values, best.lp_values, rtol=1e-12)
+
+
+def test_audit_records_match_the_build():
+    space = space_from("geometric", 4, n=30, ratio=1.2)
+    qi = build_nearbest_qi(space, 4, 3)
+    for record in iter_lp_audit(space, 4, 3):
+        i = record["i"]
+        assert record["value"] == qi.lp_values[i]
+        assert record["weights"] == qi.weights[i, : qi.lengths[i]].tolist()
+        if 0 < i < space.dimension - 1:
+            system = assemble_constraints(space, i, 4, 3, offsets=record["offsets"])
+            assert record["V"] == system.matrix.tolist()
+            assert record["b"] == system.rhs.tolist()
+
+
+@pytest.mark.parametrize("family, ratio, seed, m, p, q, n, limit_mb", [
+    ("geometric", 1.02, 0, 7, 7, 7, 200, 4.0),
+    ("random", 1.0, 1, 5, 10, 5, 40, 20.0),
+])
+def test_build_memory_stays_bounded(family, ratio, seed, m, p, q, n, limit_mb):
+    space = space_from(family, m, n=n, seed=seed, ratio=ratio)
+    nb._supports.cache_clear()  # count the support table too
+    tracemalloc.start()
+    try:
+        build_nearbest_qi(space, p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6
