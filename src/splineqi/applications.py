@@ -71,7 +71,7 @@ class QuadratureRule:
         return float(np.dot(self.weights, samples))
 
     def integrate_fn(self, fn: Callable[[float], float]) -> float:
-        return self.integrate(np.array([float(fn(x)) for x in self.nodes]))
+        return self.integrate(np.array([float(fn(x)) for x in self.nodes.tolist()]))
 
 
 def quadrature_from_qi(qi: QuasiInterpolant) -> QuadratureRule:
@@ -331,7 +331,7 @@ def differentiation_study(
         qi = recipe.build(space)
         D = differentiation_matrix(qi)
         samples = greville_samples(space, f.value)
-        exact = np.array([f.derivatives(float(x), 1)[1] for x in space.greville])
+        exact = np.array([f.derivatives(x, 1)[1] for x in space.greville.tolist()])
         diff = np.abs(D.apply(samples) - exact)
         lo, hi = degree + 1, space.dimension - degree - 2
         err_int = float(diff[lo : hi + 1].max()) if hi >= lo else float(diff.max())

@@ -6,10 +6,15 @@ endpoint, which belongs to the last span. Derivatives are exact, obtained by
 coefficient differencing down to the requested order, so they are one-sided
 at knots in the same way. Each routine takes one point (a float) or many
 (an ndarray); the span is then an int or an array of the points' shape.
+One point is evaluated in Python floats: the knots come from the space's
+cached tuple and the span from `bisect`, while the recurrence, the
+differencing and the final `np.vecdot` are the ones an array takes, so a
+point gives the same bits as a float or inside an array.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -47,6 +52,12 @@ class SplineSpace:
         knot window, for every index at once, computed on first use."""
         return central_moment_table(self.knots, self.grid.theta)
 
+    @functools.cached_property
+    def knot_tuple(self) -> tuple:
+        """The knots as a tuple of Python floats, built on first use: what
+        one-point evaluation reads instead of the array."""
+        return tuple(self.knots.t.tolist())
+
 
 @dataclass(frozen=True, eq=False)
 class SplineFunction:
@@ -59,18 +70,24 @@ class SplineFunction:
         return eval_spline(self, x, derivative_order)
 
 
-def _find_span(kv: KnotVector, x):
-    """Knot array index k with t[k] <= x < t[k+1] (last span at x = b)."""
-    m, t = kv.degree, kv.t
-    many = isinstance(x, np.ndarray)
-    inside = (kv.a <= x) & (x <= kv.b)
-    if not (inside.all() if many else inside):
-        raise ValueError(f"x={x[~inside].flat[0] if many else x} outside [{kv.a}, {kv.b}]")
-    span = m + np.searchsorted(t[m + 1 : m + kv.n], x, side="right")
-    return span if many else int(span)
+def _find_span(space: SplineSpace, x) -> tuple:
+    """The knots to read and the index k with t[k] <= x < t[k+1] (last span
+    at x = b): the array and an array of spans for an array x, the cached
+    tuple and an int for a point."""
+    kv = space.knots
+    m = kv.degree
+    if isinstance(x, np.ndarray):
+        inside = (kv.a <= x) & (x <= kv.b)
+        if not inside.all():
+            raise ValueError(f"x={x[~inside].flat[0]} outside [{kv.a}, {kv.b}]")
+        return kv.t, m + np.searchsorted(kv.t[m + 1 : m + kv.n], x, side="right")
+    t = space.knot_tuple
+    if not t[0] <= x <= t[-1]:
+        raise ValueError(f"x={x} outside [{kv.a}, {kv.b}]")
+    return t, bisect.bisect_right(t, x, m + 1, m + kv.n) - 1
 
 
-def _basis_values(t: np.ndarray, span, deg: int, x) -> list:
+def _basis_values(t, span, deg: int, x) -> list:
     """Values of the deg+1 active basis functions, each a float or like x."""
     values = [1.0]
     left = [0.0] * (deg + 1)
@@ -100,9 +117,9 @@ def eval_basis(space: SplineSpace, x) -> tuple:
     to 1 and covers indices first_active .. first_active + m. For an array
     x both gain its shape as leading axes.
     """
-    kv = space.knots
-    span = _find_span(kv, x)
-    return span - kv.degree, _rows(_basis_values(kv.t, span, kv.degree, x))
+    m = space.degree
+    t, span = _find_span(space, x)
+    return span - m, _rows(_basis_values(t, span, m, x))
 
 
 def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
@@ -115,28 +132,33 @@ def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
     if derivative_order < 0:
         raise ValueError("derivative order must be >= 0")
     space = f.space
-    kv = space.knots
-    m = kv.degree
-    span = _find_span(kv, x)
+    m = space.degree
+    t, span = _find_span(space, x)
+    many = isinstance(x, np.ndarray)
     if derivative_order > m:
-        return np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
+        return np.zeros(x.shape) if many else 0.0
     coeffs = np.asarray(f.coefficients, dtype=float)
     if coeffs.shape != (space.dimension,):
         raise ValueError(
             f"coefficient vector has length {coeffs.shape}, space needs {space.dimension}"
         )
-    t = kv.t
     first = span - m
     # difference only the m+1 coefficients active on the span; entry l of
     # the order-r coefficients belongs to basis index first + l
-    local = [coeffs[first + l] for l in range(m + 1)]
+    if many:
+        local = [coeffs[first + l] for l in range(m + 1)]
+    else:
+        local = coeffs[first : first + m + 1].tolist()
     deg = m
     for r in range(1, derivative_order + 1):
         local = [deg * (local[l + 1] - local[l]) / (t[span + 1 + l] - t[first + r + l])
                  for l in range(deg)]
         deg -= 1
-    out = np.vecdot(_rows(_basis_values(t, span, deg, x)), _rows(local))
-    return out if isinstance(x, np.ndarray) else float(out)
+    values = _basis_values(t, span, deg, x)
+    if many:
+        return np.vecdot(_rows(values), _rows(local))
+    # numpy reads the two lists as the rows _rows would stack
+    return float(np.vecdot(values, local))
 
 
 def eval_basis_derivative(space: SplineSpace, x) -> tuple:
@@ -146,10 +168,8 @@ def eval_basis_derivative(space: SplineSpace, x) -> tuple:
     and shape with eval_basis. Uses the degree-lowering identity, so the
     values are exact one-sided derivatives.
     """
-    kv = space.knots
-    m = kv.degree
-    t = kv.t
-    span = _find_span(kv, x)
+    m = space.degree
+    t, span = _find_span(space, x)
     # entry l of the degree-(m-1) values belongs to knots t[j .. j+m], j = span-m+1+l
     inner = _basis_values(t, span, m - 1, x)
     scaled = [0.0, *(m * v / (t[span + 1 + l] - t[span - m + 1 + l])

@@ -25,8 +25,8 @@ residual fails the test is solved again on the per-window path, which also
 takes the truncated windows at the two ends: `assemble_constraints` builds
 the system and `solve_l1` hands the enumerated support to the simplex,
 whose pricing is the same test, so an optimal support costs no pivots and
-the simplex pivots on or runs cold where the support is not optimal or
-cannot be installed. Windows with more than 2^16 supports are neither
+keeps its Bjorck-Pereyra weights, and the simplex pivots on or runs cold
+where the support is not optimal or cannot be installed. Windows with more than 2^16 supports are neither
 enumerated nor batched: they go straight to the cold simplex.
 
 The wide three-point weights of `build_qp2star` are optimal whenever a
@@ -236,16 +236,20 @@ def _cheapest_supports(x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.n
     return support, weights[:, :, 0]
 
 
-def _optimal_basis(system: ConstraintSystem) -> list[int] | None:
-    """Signed optimal support of the split l1 LP (`_cheapest_supports`), or
-    None above _MAX_SUPPORTS. Site j enters as column j of the split LP
-    (positive weight) or k + j (negative weight)."""
+def _optimal_basis(system: ConstraintSystem) -> tuple[list[int], np.ndarray] | None:
+    """Signed optimal support of the split l1 LP (`_cheapest_supports`) and
+    its Bjorck-Pereyra weights on all k sites, or None above _MAX_SUPPORTS.
+    Site j enters as column j of the split LP (positive weight) or k + j
+    (negative weight)."""
     k = len(system.offsets)
     if math.comb(k, system.q + 1) > _MAX_SUPPORTS:
         return None
     # row 1 holds the normalized sites; with q = 0 no site is read
-    support, weights = _cheapest_supports(system.matrix[None, min(1, system.q)], system.rhs[None])
-    return [j if w >= 0.0 else k + j for j, w in zip(support[0].tolist(), weights[0])]
+    x = system.matrix[None, min(1, system.q)]
+    (support,), (on_support,) = _cheapest_supports(x, system.rhs[None])
+    weights = np.zeros(k)
+    weights[support] = on_support
+    return [j if w >= 0.0 else k + j for j, w in zip(support.tolist(), on_support)], weights
 
 
 def solve_l1(system: ConstraintSystem) -> L1Solution:
@@ -254,21 +258,30 @@ def solve_l1(system: ConstraintSystem) -> L1Solution:
     Split formulation lambda = u - w with u, w >= 0 and cost sum(u + w).
     The optimal support is found by enumeration, and the simplex certifies
     it by pricing (0 pivots when it is optimal), pivots on if it is not, and
-    runs cold if it cannot be installed. Infeasibility cannot occur for
-    valid systems and is raised as an internal error.
+    runs cold if it cannot be installed. A certified support keeps its
+    Bjorck-Pereyra weights, which round better than the tableau's on
+    ill-conditioned supports; otherwise the weights are the simplex's.
+    Infeasibility cannot occur for valid systems and is raised as an
+    internal error.
     """
     k = len(system.offsets)
     A = np.hstack([system.matrix, -system.matrix])
     c = np.ones(2 * k)
     cap = 10 * 2 * k
+    basis, enumerated = _optimal_basis(system) or (None, None)
     result = solve_standard_form(
-        A, system.rhs, c, pivot_tol=_PRICING_TOL, max_iter=cap, basis=_optimal_basis(system)
+        A, system.rhs, c, pivot_tol=_PRICING_TOL, max_iter=cap, basis=basis
     )
     if result.status != "optimal":
         raise RuntimeError(
             f"l1 solve at index {system.center}: simplex returned {result.status}"
         )
-    weights = result.x[:k] - result.x[k:]
+    # a cold start pivots at least once (rhs[0] = 1), so 0 pivots means the
+    # enumerated support was installed and priced optimal
+    if basis is not None and result.iterations == 0:
+        weights = enumerated
+    else:
+        weights = result.x[:k] - result.x[k:]
     if not (miss := system.residual(weights)) <= _MISS_TOL:
         raise RuntimeError(
             f"l1 solve at index {system.center}: weights miss the constraints by {miss:.1e}"

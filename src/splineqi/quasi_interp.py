@@ -218,12 +218,11 @@ def apply_dqi(space: SplineSpace, oracle: DerivativeOracle) -> SplineFunction:
     spline in the space exactly.
     """
     m = space.degree
-    theta = space.greville
     inv_fact = np.array([1.0 / math.factorial(l) for l in range(m + 1)])
     scaled = space.central_moments * inv_fact
     coeffs = np.empty(space.dimension)
-    for i in range(space.dimension):
-        derivs = np.asarray(oracle(theta[i]), dtype=float)
+    for i, x in enumerate(space.greville.tolist()):
+        derivs = np.asarray(oracle(x), dtype=float)
         if derivs.ndim != 1 or derivs.size < m + 1:
             raise ValueError(
                 f"oracle must supply {m + 1} derivative values, got shape {derivs.shape}"
@@ -309,7 +308,7 @@ def build_qp2star(
 
 def greville_samples(space: SplineSpace, fn: Callable[[float], float]) -> np.ndarray:
     """Sample a function at all Greville abscissae."""
-    return np.array([fn(float(x)) for x in space.greville])
+    return np.array([fn(x) for x in space.greville.tolist()])
 
 
 def apply_qi(qi: QuasiInterpolant, samples: np.ndarray) -> SplineFunction:

@@ -14,6 +14,7 @@ from splineqi import (
     FAMILIES,
     PartitionSpec,
     TestFunction as TargetFunction,
+    apply_dqi,
     build_nearbest_qi,
     build_q2star,
     build_qp2star,
@@ -21,6 +22,7 @@ from splineqi import (
     differentiation_matrix,
     differentiation_study,
     evaluation_grid,
+    greville_samples,
     norm_upper_bound,
     operator_recipe,
     quadrature_from_qi,
@@ -285,3 +287,24 @@ class TestDifferentiationStudy:
         for row in report.rows:
             assert row.err_all >= row.err_interior - 1e-15
             assert row.h_max > 0
+
+
+def test_user_functions_receive_python_floats():
+    seen = set()
+
+    def value(x):
+        seen.add(type(x))
+        return math.sin(x)
+
+    def derivatives(x, k):
+        seen.add(type(x))
+        return np.sin(x + np.arange(k + 1) * (np.pi / 2.0))
+
+    target = TargetFunction(name="sin", value=value, derivatives=derivatives)
+    sp = space_from("random", 3, 12, seed=1)
+    greville_samples(sp, value)
+    quadrature_from_qi(build_q2star(sp)).integrate_fn(value)
+    apply_dqi(sp, lambda x: derivatives(x, 3))
+    differentiation_study(operator_recipe("q2star"), target, (8, 16),
+                          PartitionSpec(family="uniform", n=8), 2)
+    assert seen == {float}

@@ -1,5 +1,7 @@
 """Basis evaluation, spline evaluation/derivatives, integrals."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -219,3 +221,112 @@ class TestBasisIntegral:
             basis_integral(sp, -1)
         with pytest.raises(ValueError):
             basis_integral(sp, sp.dimension)
+
+
+# ---------------------------------------------------------------------------
+# one point in Python floats against the same points in an array
+
+SWEEP_FAMILIES = [("uniform", 1.0), ("arithmetic", 5.0), ("geometric", 1.3), ("random", 1.0)]
+
+
+def sweep_spaces(m):
+    for family, ratio in SWEEP_FAMILIES:
+        for n in (1, 2, 3, 40):
+            yield space_from(family, m, n, seed=m + n, a=-0.7, b=2.3, ratio=ratio)
+
+
+def sweep_points(space):
+    """Random points, every knot, and a and b themselves."""
+    rng = np.random.default_rng(space.dimension)
+    kv = space.knots
+    return [*rng.uniform(kv.a, kv.b, 20).tolist(), *kv.t.tolist(), kv.a, kv.b]
+
+
+def assert_same_bits(floats, array):
+    assert np.asarray(floats).tobytes() == np.asarray(array).tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+class TestFloatPath:
+    def test_spline_values_and_derivatives_match_array(self, m):
+        for sp in sweep_spaces(m):
+            pts = sweep_points(sp)
+            f = SplineFunction(sp, np.random.default_rng(m).standard_normal(sp.dimension))
+            for order in range(m + 2):
+                floats = [eval_spline(f, x, order) for x in pts]
+                assert all(type(v) is float for v in floats)
+                assert_same_bits(floats, eval_spline(f, np.array(pts), order))
+
+    def test_basis_and_basis_derivative_match_array(self, m):
+        for sp in sweep_spaces(m):
+            pts = sweep_points(sp)
+            for evaluate in (eval_basis, eval_basis_derivative):
+                points = [evaluate(sp, x) for x in pts]
+                assert all(type(first) is int for first, _ in points)
+                assert all(vals.shape == (m + 1,) for _, vals in points)
+                first, vals = evaluate(sp, np.array(pts))
+                np.testing.assert_array_equal([p[0] for p in points], first)
+                assert_same_bits(np.stack([p[1] for p in points]), vals)
+
+    def test_numpy_scalar_takes_the_float_path(self, m):
+        sp = space_from("random", m, 9, seed=m)
+        f = SplineFunction(sp, np.cos(np.arange(sp.dimension)))
+        for x in sweep_points(sp):
+            scalar, zero_d = np.float64(x), np.array(x)
+            for order in range(m + 2):
+                value = eval_spline(f, scalar, order)
+                assert type(value) is float
+                assert value == eval_spline(f, x, order) == eval_spline(f, zero_d, order)
+            for evaluate in (eval_basis, eval_basis_derivative):
+                first, vals = evaluate(sp, scalar)
+                assert type(first) is int
+                zero_first, zero_vals = evaluate(sp, zero_d)
+                assert type(zero_first) is not int  # the array path's index
+                assert first == zero_first
+                assert_same_bits(vals, zero_vals)
+                assert_same_bits(vals, evaluate(sp, x)[1])
+
+
+class TestFloatPathErrors:
+    @pytest.mark.parametrize("family", ["uniform", "random"])
+    @pytest.mark.parametrize("x", [-0.701, 2.301, math.nan, math.inf, -math.inf])
+    def test_outside_interval_message(self, family, x):
+        sp = space_from(family, 3, 7, seed=4, a=-0.7, b=2.3)
+        f = SplineFunction(sp, np.ones(sp.dimension))
+        message = f"x={x} outside [-0.7, 2.3]"
+        calls = [lambda z: eval_basis(sp, z), lambda z: eval_basis_derivative(sp, z)]
+        calls += [lambda z, k=k: eval_spline(f, z, k) for k in range(5)]
+        for call in calls:
+            for z in (x, np.float64(x), np.array([0.5, x])):
+                with pytest.raises(ValueError) as exc:
+                    call(z)
+                assert str(exc.value) == message
+
+    def test_negative_order_message(self):
+        sp = space_from("uniform", 2, 5)
+        f = SplineFunction(sp, np.ones(sp.dimension))
+        for x in (0.5, np.float64(0.5), 7.0, np.array([0.5])):
+            with pytest.raises(ValueError, match=r"^derivative order must be >= 0$"):
+                eval_spline(f, x, -1)
+
+    def test_coefficient_length_message(self):
+        sp = space_from("uniform", 2, 5)
+        f = SplineFunction(sp, np.ones(3))
+        message = r"^coefficient vector has length \(3,\), space needs 7$"
+        for x in (0.5, np.float64(0.5), np.array([0.5])):
+            for order in (0, 1, 2):
+                with pytest.raises(ValueError, match=message):
+                    eval_spline(f, x, order)
+
+    def test_knot_tuple_built_once(self):
+        sp = space_from("random", 3, 12, seed=5)
+        assert "knot_tuple" not in vars(sp)
+        f = SplineFunction(sp, np.ones(sp.dimension))
+        f(0.3)
+        knots = sp.knot_tuple
+        f(0.6, 1)
+        eval_basis(sp, 0.1)
+        eval_basis_derivative(sp, 0.9)
+        assert sp.knot_tuple is knots
+        assert knots == tuple(sp.knots.t)
+        assert all(type(k) is float for k in knots)
