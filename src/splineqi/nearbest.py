@@ -29,12 +29,17 @@ keeps its Bjorck-Pereyra weights, and the simplex pivots on or runs cold
 where the support is not optimal or cannot be installed. Windows with more than 2^16 supports are neither
 enumerated nor batched: they go straight to the cold simplex.
 
-The wide three-point weights of `build_qp2star` are optimal whenever a
-verifiable certificate exists: a dual vector v with |v| <= 1 matching the
-signs of the nonzero weights and lying in the orthogonal complement of the
-feasible directions. For q = 2 that certificate is explicit, and it is valid
-precisely when theta_{i-1} + theta_i <= theta_{i-p} + theta_{i+p} <=
-theta_i + theta_{i+1} (the `knot_condition`).
+The wide three-point weights of `build_qp2star` are optimal iff a dual
+vector v with |v| <= 1 matches the signs of the nonzero weights and is
+orthogonal to the feasible directions. For q = 2 it is explicit: on the
+normalized sites x_s = (theta_{i+s} - theta_i) / (theta_{i+p} - theta_{i-p}),
+with a = x_{-p} and b = x_p, the direction of free offset k holds the
+Lagrange values of the support {a, 0, b} at x_k, and v(x) = 1 + 2 x (x - a -
+b) / (a b) is the quadratic through (a, -1), (0, +1), (b, -1). As v <= 1
+exactly outside the interval between 0 and a + b, v certifies the weights iff
+x_{-1} <= a + b <= x_1 (the `knot_condition`), at any scale. Both are
+computed for all full windows of a (space, p) on first use and kept while
+the space lives.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import functools
 import itertools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,97 +323,104 @@ class WatsonForm:
         return self.lambda_star - self.matrix @ np.asarray(free, dtype=float)
 
 
-def _vdet(x: float, y: float, z: float) -> float:
-    return (y - x) * (z - y) * (z - x)
+@dataclass(frozen=True, eq=False)
+class _ThreePointTable:
+    """The wide three-point weights and their q = 2 certificate, one row per
+    full window p .. dim-1-p; ``lagrange`` holds L_{-p}, L_0, L_p at each
+    site, ``closed`` the weights' l1 norm and ``knot`` the knot condition."""
+
+    lagrange: np.ndarray
+    weights: np.ndarray
+    vector: np.ndarray
+    max_abs: np.ndarray
+    residual: np.ndarray
+    sign_ok: np.ndarray
+    passes: np.ndarray
+    closed: np.ndarray
+    knot: np.ndarray
 
 
-def _watson_data(space: SplineSpace, i: int, p: int):
-    """lambda_star plus per-free-offset (alpha, beta, gamma) coefficients."""
-    dim = space.dimension
+def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
+    """Every full window's three-point weights and certificate at once, on
+    the normalized sites (see the module docstring), read-only. A window
+    whose sites coincide in floating point gets NaN, which fails every test."""
+    theta = space.grid.theta
+    centers = np.arange(p, space.dimension - p)
+    sites = theta[centers[:, None] + np.arange(-p, p + 1)]
+    with np.errstate(all="ignore"):
+        x = (sites - theta[centers, None]) / (sites[:, -1:] - sites[:, :1])
+        a, b = x[:, :1], x[:, -1:]
+        lagrange = np.stack([
+            x * (x - b) / (a * (a - b)), (x - a) * (x - b) / (a * b), x * (x - a) / (b * (b - a)),
+        ], axis=-1)
+        vector = 1.0 + 2.0 * x * (x - (a + b)) / (a * b)
+        vector[:, [0, p, 2 * p]] = (-1.0, 1.0, -1.0)
+        residual = np.abs(lagrange @ np.array([-1.0, 1.0, -1.0]) - vector).max(axis=1)
+        scale = np.maximum(1.0, np.abs(lagrange).max(axis=(1, 2)))
+        weights = _three_point_weights(
+            theta, space.grid.centered_second[centers], centers, centers - p, centers + p
+        )
+        sign_ok = weights * np.array([-1.0, 1.0, -1.0]) >= 0.0
+        max_abs = np.abs(vector).max(axis=1)
+        passes = (max_abs <= 1.0 + 1e-12) & (residual <= 1e-10 * scale) & sign_ok.all(axis=1)
+        size = np.abs(weights)
+        mid = a[:, 0] + b[:, 0]
+        knot = (x[:, p - 1] <= mid + 1e-12) & (mid <= x[:, p + 1] + 1e-12)
+    table = _ThreePointTable(
+        lagrange=lagrange, weights=weights, vector=vector, max_abs=max_abs,
+        residual=residual, sign_ok=sign_ok, passes=passes,
+        closed=size[:, 0] + size[:, 1] + size[:, 2], knot=knot,
+    )
+    for array in vars(table).values():
+        array.setflags(write=False)
+    return table
+
+
+# the three-point tables of each space, by p, dropped with the space; the
+# arrays are read-only and the public functions hand out copies of rows
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _three_point_row(space: SplineSpace, i: int, p: int) -> tuple[_ThreePointTable, int]:
+    """The table of (space, p), built on first use, and index i's row."""
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"offset radius must be an integer >= 1, got {p!r}")
-    if not p <= i <= dim - 1 - p:
+    if not p <= i <= space.dimension - 1 - p:
         raise ValueError(f"index {i} has no full window of radius {p}")
-    theta = space.grid.theta
-    tm, t0, tp = theta[i - p], theta[i], theta[i + p]
-    vol = _vdet(tm, t0, tp)
-    lam = np.zeros(2 * p + 1)
-    lam[[0, p, 2 * p]] = _three_point_weights(
-        theta, space.grid.centered_second[i], i, i - p, i + p
-    )
-    coefs = {}
-    for k in range(-p + 1, p):
-        if k == 0:
-            continue
-        tk = theta[i + k]
-        if k < 0:
-            coefs[k] = (
-                _vdet(tk, t0, tp) / vol,
-                _vdet(tm, tk, tp) / vol,
-                _vdet(tm, tk, t0) / vol,
-            )
-        else:
-            coefs[k] = (
-                _vdet(t0, tk, tp) / vol,
-                _vdet(tm, tk, tp) / vol,
-                _vdet(tm, t0, tk) / vol,
-            )
-    return lam, coefs
-
-
-def _watson_matrix(p: int, coefs: dict) -> np.ndarray:
-    """Null-space columns of the q=2 constraints, one per free offset."""
-    free = sorted(coefs)
-    A = np.zeros((2 * p + 1, len(free)))
-    for col, k in enumerate(free):
-        alpha, beta, gamma = coefs[k]
-        if k < 0:
-            A[0, col] = alpha
-            A[p, col] = beta
-            A[2 * p, col] = -gamma
-        else:
-            A[0, col] = -alpha
-            A[p, col] = beta
-            A[2 * p, col] = gamma
-        A[p + k, col] = -1.0
-    return A
+    tables = _TABLES.setdefault(space, {})
+    if p not in tables:
+        tables[p] = _build_three_point_table(space, p)
+    return tables[p], i - p
 
 
 def build_watson_form(space: SplineSpace, i: int, p: int) -> WatsonForm:
-    """Explicit null-space parametrization of the q=2 constraints.
-
-    For p = 1 the feasible point is unique and the matrix is empty.
-    """
-    lam, coefs = _watson_data(space, i, p)
-    return WatsonForm(
-        center=i,
-        p=p,
-        offsets=tuple(range(-p, p + 1)),
-        free_offsets=tuple(sorted(coefs)),
-        matrix=_watson_matrix(p, coefs),
-        lambda_star=lam,
-    )
+    """Explicit null-space parametrization of the q=2 constraints: column k
+    is the support's Lagrange values at site k, with -1 at k. For p = 1 the
+    feasible point is unique and the matrix is empty."""
+    table, row = _three_point_row(space, i, p)
+    free = [k for k in range(-p + 1, p) if k != 0]
+    sites = p + np.array(free, dtype=np.intp)
+    matrix = np.zeros((2 * p + 1, len(free)))
+    matrix[[0, p, 2 * p]] = table.lagrange[row, sites].T
+    matrix[sites, np.arange(len(free))] = -1.0
+    lam = np.zeros(2 * p + 1)
+    lam[[0, p, 2 * p]] = table.weights[row]
+    return WatsonForm(center=i, p=p, offsets=tuple(range(-p, p + 1)),
+                      free_offsets=tuple(free), matrix=matrix, lambda_star=lam)
 
 
 def knot_condition(space: SplineSpace, i: int, p: int) -> bool:
-    """Sufficient optimality condition for the wide three-point weights:
+    """Optimality condition for the wide three-point weights:
 
         theta_{i-1} + theta_i <= theta_{i-p} + theta_{i+p}
-                              <= theta_i + theta_{i+1}.
+                              <= theta_i + theta_{i+1},
 
-    Always true for p = 1 and on uniform partitions; can fail on strongly
-    graded ones.
+    tested on the normalized sites as x_{-1} <= x_{-p} + x_p <= x_1 within
+    1e-12, so it agrees with `watson_certificate` at any scale. Always true
+    for p = 1 and on uniform partitions; can fail on strongly graded ones.
     """
-    dim = space.dimension
-    if not p <= i <= dim - 1 - p:
-        raise ValueError(f"index {i} has no full window of radius {p}")
-    theta = space.grid.theta
-    mid = theta[i - p] + theta[i + p]
-    scale = max(1.0, abs(theta[i - p]), abs(theta[i + p]), abs(theta[i]))
-    tol = 1e-12 * scale
-    return bool(
-        theta[i - 1] + theta[i] <= mid + tol and mid <= theta[i] + theta[i + 1] + tol
-    )
+    table, row = _three_point_row(space, i, p)
+    return bool(table.knot[row])
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,38 +441,19 @@ class Certificate:
 
 
 def watson_certificate(space: SplineSpace, i: int, p: int) -> Certificate:
-    """Construct the explicit dual vector for the weights at offsets {-p,0,p}.
-
-    Entries at the support are (-1, +1, -1); at a free offset k the entry is
-    -alpha+beta+gamma (k < 0) or alpha+beta-gamma (k > 0), which makes the
-    vector exactly orthogonal to the null-space columns. The certificate
+    """The explicit dual vector for the weights at offsets {-p, 0, p}: the
+    quadratic through (-1, +1, -1) at the support, at every normalized site,
+    which makes it orthogonal to the columns of `build_watson_form`. It
     passes iff all entries are bounded by 1 in absolute value, which is
-    equivalent to `knot_condition`.
+    equivalent to `knot_condition` at any scale.
     """
-    return _certificate(p, *_watson_data(space, i, p))
-
-
-def _certificate(p: int, lam: np.ndarray, coefs: dict) -> Certificate:
-    """`watson_certificate` from the window's `_watson_data`."""
-    v = np.zeros(2 * p + 1)
-    v[0], v[p], v[2 * p] = -1.0, 1.0, -1.0
-    for k, (alpha, beta, gamma) in coefs.items():
-        v[p + k] = (-alpha + beta + gamma) if k < 0 else (alpha + beta - gamma)
-    A = _watson_matrix(p, coefs)
-    residual = float(np.abs(A.T @ v).max()) if A.size else 0.0
-    scale = max(1.0, float(np.abs(A).max()) if A.size else 1.0)
-    sign_ok = tuple(
-        lam[p + s] == 0.0 or np.sign(v[p + s]) == np.sign(lam[p + s])
-        for s in (-p, 0, p)
-    )
-    max_abs = float(np.abs(v).max())
-    passes = max_abs <= 1.0 + 1e-12 and residual <= 1e-10 * scale and all(sign_ok)
+    table, row = _three_point_row(space, i, p)
     return Certificate(
-        vector=v,
-        max_abs=max_abs,
-        residual=residual,
-        sign_ok=sign_ok,  # type: ignore[arg-type]
-        passes=passes,
+        vector=table.vector[row].copy(),
+        max_abs=float(table.max_abs[row]),
+        residual=float(table.residual[row]),
+        sign_ok=tuple(table.sign_ok[row].tolist()),  # type: ignore[arg-type]
+        passes=bool(table.passes[row]),
     )
 
 
@@ -605,10 +599,10 @@ def iter_lp_audit(space: SplineSpace, p: int, q: int = 2):
         record = _record(i, system.offsets, solution.weights, solution.value,
                          system.matrix, system.rhs, boundary=not lo <= i <= hi)
         if q == 2 and p <= i <= last - p:
-            lam, coefs = _watson_data(space, i, p)
-            closed = float(np.abs(lam).sum())
-            record["knot_condition"] = knot_condition(space, i, p)
-            record["certificate"] = "pass" if _certificate(p, lam, coefs).passes else "fail"
+            table, row = _three_point_row(space, i, p)
+            closed = float(table.closed[row])
+            record["knot_condition"] = bool(table.knot[row])
+            record["certificate"] = "pass" if table.passes[row] else "fail"
             record["closed_form_value"] = closed
             record["gap"] = closed - solution.value
         yield record

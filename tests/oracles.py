@@ -97,6 +97,32 @@ def nearbest_residual_mp(t, m, i, offsets, q, weights, dps=40):
         return float(max(abs(mpmath.fdot(row, w) - b) for row, b in zip(V, rhs)))
 
 
+def three_point_certificate_mp(theta, i, p, dps=40):
+    """Watson's dual vector for the weights at offsets {-p, 0, p} of index i,
+    in mpmath on the raw sites theta_{i-p} .. theta_{i+p}: the quadratic
+    through (-1, +1, -1) at theta_{i-p}, theta_i, theta_{i+p}, in Lagrange
+    form, at every site. Returns the vector as floats and the largest |v|
+    off the support (0 for p = 1), which decides: optimal iff it is <= 1."""
+    with mpmath.workdps(dps):
+        sites = [mpmath.mpf(float(theta[i + s])) for s in range(-p, p + 1)]
+        nodes = (sites[0], sites[p], sites[-1])
+        signs = (-1, 1, -1)
+
+        def quadratic(x):
+            total = mpmath.mpf(0)
+            for j, (node, sign) in enumerate(zip(nodes, signs)):
+                basis = mpmath.mpf(1)
+                for k, other in enumerate(nodes):
+                    if k != j:
+                        basis *= (x - other) / (node - other)
+                total += sign * basis
+            return total
+
+        v = [quadratic(x) for x in sites]
+        free = [abs(e) for k, e in enumerate(v) if k not in (0, p, 2 * p)]
+        return [float(e) for e in v], float(max(free, default=0))
+
+
 def central_diff(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 

@@ -216,18 +216,22 @@ class TestRunNearbest:
     def test_audit_solves_each_lp_once(self, capsys, monkeypatch):
         import splineqi.nearbest as nb
 
-        calls = {"assemble_constraints": [], "solve_l1": [], "_watson_data": [],
+        calls = {"assemble_constraints": [], "solve_l1": [], "_build_three_point_table": [],
                  "_solve_full_windows": []}
 
         def counting(name):
             inner = getattr(nb, name)
 
             def wrapper(*args, **kwargs):
+                result = inner(*args, **kwargs)
                 if name == "_solve_full_windows":
                     calls[name] += args[3].tolist()  # the batch's centers
+                elif name == "_build_three_point_table":
+                    p = args[1]  # the table's rows are the full windows p, p+1, ...
+                    calls[name].append(list(range(p, p + len(result.passes))))
                 else:
                     calls[name].append(args[1] if len(args) > 1 else args[0].center)
-                return inner(*args, **kwargs)
+                return result
 
             return wrapper
 
@@ -239,11 +243,12 @@ class TestRunNearbest:
             assert main([*command, "--m", "3", "--p", "3", "--n", "20"]) == 0
             # dimension 23: one LP for each index but the two extremes; the
             # truncated windows 1, 2, 20, 21 one by one, the full windows
-            # 3 .. 19 in the batch, and one q = 2 certificate for each of them
+            # 3 .. 19 in the batch, and the q = 2 certificates of all of them
+            # in one table, built once
             assert calls["solve_l1"] == [1, 2, 20, 21], command
             assert calls["assemble_constraints"] == [1, 2, 20, 21], command
             assert calls["_solve_full_windows"] == list(range(3, 20)), command
-            assert calls["_watson_data"] == list(range(3, 20)), command
+            assert calls["_build_three_point_table"] == [list(range(3, 20))], command
 
     def test_audit_lines_match_audit_command(self, capsys):
         config = ["--m", "3", "--p", "3", "--n", "20", "--family", "random",
@@ -322,6 +327,24 @@ class TestNearbestSummary:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "index 1: weights miss the constraints by nan" in proc.stderr
+
+
+    @pytest.mark.parametrize("command", [["nearbest", "--audit"], ["audit"]])
+    def test_tiny_windows_audit_without_warnings(self, command):
+        # windows down to about 1e-150 wide: the certificate's raw Vandermonde
+        # determinants underflowed to 0/0 there. Run in a subprocess under
+        # -W error::RuntimeWarning, so any warning fails the command.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        argv = [*command, "--m", "5", "--p", "5", "--n", "80", "--family", "geometric",
+                "--ratio", "100"]
+        code = "import sys; from splineqi.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+                               *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert len(proc.stdout.splitlines()) >= 84
 
 
 class TestRunStudies:

@@ -20,12 +20,12 @@ from splineqi import (
     solve_l1,
     watson_certificate,
 )
-from splineqi.nearbest import _watson_data
 
 
 def closed_form_l1(space, i, p):
-    lam, _ = _watson_data(space, i, p)
-    return float(np.abs(lam).sum())
+    """l1 norm of the wide three-point weights of index i."""
+    qi = build_qp2star(space, p, allow_uncertified=True)
+    return float(np.abs(qi.weights[i]).sum())
 
 
 class TestAssembleConstraints:
@@ -118,14 +118,12 @@ class TestSolveL1:
 class TestWatsonForm:
     @given(spaces(m_lo=2, n_lo=6))
     def test_row_coefficient_identities(self, sp):
+        # the r = 0 row: the Lagrange values at a free site sum to 1, so
+        # beta = 1 - alpha + gamma (k < 0) or 1 + alpha - gamma (k > 0)
         i = sp.dimension // 2
-        _, coefs = _watson_data(sp, i, 3)
-        for k, (alpha, beta, gamma) in coefs.items():
-            if k < 0:
-                expected = 1.0 - alpha + gamma
-            else:
-                expected = 1.0 + alpha - gamma
-            assert abs(beta - expected) <= 1e-10 * max(1.0, abs(beta))
+        form = build_watson_form(sp, i, 3)
+        sums = form.matrix.sum(axis=0)
+        assert np.all(np.abs(sums) <= 1e-10 * np.maximum(1.0, np.abs(form.matrix).max(axis=0)))
 
     @given(spaces(m_lo=2, n_lo=6))
     def test_columns_span_feasible_directions(self, sp):
@@ -187,6 +185,18 @@ class TestKnotCondition:
         with pytest.raises(ValueError):
             knot_condition(sp, 1, 2)
 
+    @pytest.mark.parametrize("n", [20, 40, 80])
+    def test_agrees_with_certificate_on_tiny_windows(self, n):
+        # steps grow by 100 per interval, so the left windows span down to
+        # about 1e-150; an absolute 1e-12 tolerance on the raw sites held the
+        # condition on 5, 25 and 65 rows whose certificate fails
+        sp = space_from("geometric", m=5, n=n, ratio=100.0)
+        rows = [r for r in iter_lp_audit(sp, 5) if 5 <= r["i"] <= sp.dimension - 6]
+        assert len(rows) == sp.dimension - 10
+        for rec in rows:
+            assert rec["knot_condition"] == (rec["certificate"] == "pass"), rec["i"]
+            assert rec["knot_condition"] == knot_condition(sp, rec["i"], 5)
+
 
 class TestCertificate:
     def test_uniform_certificate_passes(self):
@@ -242,6 +252,59 @@ class TestCertificate:
             assert dual_value <= np.abs(lam).sum() + 1e-8
         if cert.passes:
             assert dual_value == pytest.approx(closed_form_l1(sp, i, 2), abs=1e-8)
+
+
+class TestThreePointTable:
+    """The certificates of a (space, p) are computed in one table, on first
+    use, and kept only while the space lives."""
+
+    def test_built_once_per_space_and_radius(self, monkeypatch):
+        import splineqi.nearbest as nb
+
+        built = []
+        inner = nb._build_three_point_table
+
+        def counting(space, p):
+            built.append(p)
+            return inner(space, p)
+
+        monkeypatch.setattr(nb, "_build_three_point_table", counting)
+        sp = space_from("random", m=3, n=16, seed=4)
+        for i in range(3, sp.dimension - 3):
+            watson_certificate(sp, i, 3)
+            knot_condition(sp, i, 3)
+            build_watson_form(sp, i, 3)
+        records = list(iter_lp_audit(sp, 3))
+        assert sum(r["certificate"] != "n/a" for r in records) == sp.dimension - 6
+        assert built == [3]
+        watson_certificate(sp, 4, 2)
+        assert built == [3, 2]
+
+    def test_rows_cannot_be_corrupted(self):
+        sp = space_from("geometric", m=3, n=16, ratio=2.0)
+        first = watson_certificate(sp, 5, 3)
+        kept = first.vector.copy()
+        first.vector[:] = 0.0
+        np.testing.assert_array_equal(watson_certificate(sp, 5, 3).vector, kept)
+        form = build_watson_form(sp, 5, 3)
+        form.matrix[:] = 0.0
+        form.lambda_star[:] = 0.0
+        again = build_watson_form(sp, 5, 3)
+        assert np.abs(again.matrix).max() > 0.0 and np.abs(again.lambda_star).max() > 0.0
+
+    def test_table_goes_with_its_space(self):
+        import gc
+        import weakref
+
+        import splineqi.nearbest as nb
+
+        sp = space_from("random", m=3, n=16, seed=5)
+        watson_certificate(sp, 4, 3)
+        table = weakref.ref(nb._TABLES[sp][3])
+        assert table() is not None
+        del sp
+        gc.collect()
+        assert table() is None
 
 
 class TestBuildNearbest:

@@ -6,11 +6,12 @@ must reach the oracle's optimum. The oracle shares no code with the package:
 it builds the Greville sites and central moments from the knots itself.
 """
 
+import numpy as np
 import pytest
 
 import oracles
 from conftest import space_from
-from splineqi import build_nearbest_qi
+from splineqi import build_nearbest_qi, knot_condition, watson_certificate
 
 GRADED = (
     ("geometric", 1.5),
@@ -79,3 +80,26 @@ def test_oracle_low_exactness_is_a_convex_combination(q):
     sp = space_from("random", 3, n=20, seed=2)
     best = oracles.nearbest_enumerate_mp(sp.knots.t, 3, 10, range(-3, 4), q)
     assert best == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("family, ratio", [
+    ("uniform", 1.0), ("random", 1.0), ("arithmetic", 20.0), ("geometric", 1.5),
+    ("geometric", 100.0),
+])
+def test_three_point_certificate_matches_oracle(m, family, ratio):
+    # the dual vector within 1e-12 relative, and the verdict (the
+    # certificate's and the knot condition's) wherever the oracle's largest
+    # |v| off the support is clear of 1
+    for n in (20, 40):
+        sp = space_from(family, m, n=n, seed=1, ratio=ratio)
+        theta = sp.grid.theta
+        for p in range(1, m + 2):
+            for i in range(p, sp.dimension - p):
+                vector, largest = oracles.three_point_certificate_mp(theta, i, p)
+                cert = watson_certificate(sp, i, p)
+                err = np.abs(cert.vector - vector) / np.maximum(1.0, np.abs(vector))
+                assert err.max() <= 1e-12, (n, p, i, err.max())
+                if abs(largest - 1.0) > 1e-9:
+                    assert cert.passes == (largest <= 1.0), (n, p, i, largest)
+                    assert knot_condition(sp, i, p) == (largest <= 1.0), (n, p, i, largest)
