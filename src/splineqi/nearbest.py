@@ -9,7 +9,9 @@ sup norm. The system is solved in shifted/scaled coordinates
 x_s = (theta_{i+s} - theta_i) / L (L = site span), where the right-hand side
 becomes the central moment coefficients a_r(theta_i) / L^r, read from the
 space's `central_moments` table; the weights are invariant under that
-affine change.
+affine change. One function (`_assemble`) builds these normalized systems
+for every caller: one window, a chunk of full windows, or the three-point
+table below.
 
 Some optimum lies on q + 1 sites, and on distinct sites every square
 Vandermonde system is nonsingular, so a window's C(k, q+1) square systems
@@ -21,13 +23,15 @@ Theory and Numerical Methods, 1980).
 An operator's full windows (offsets -p..p) are solved together: one
 Bjorck-Pereyra pass over all windows and supports, in chunks of bounded
 size, and one batched solve for the duals. A row whose dual or exactness
-residual fails the test is solved again on the per-window path, which also
-takes the truncated windows at the two ends: `assemble_constraints` builds
-the system and `solve_l1` hands the enumerated support to the simplex,
-whose pricing is the same test, so an optimal support costs no pivots and
-keeps its Bjorck-Pereyra weights, and the simplex pivots on or runs cold
-where the support is not optimal or cannot be installed. Windows with more than 2^16 supports are neither
-enumerated nor batched: they go straight to the cold simplex.
+residual fails the test goes, with the system the batch built, to the
+per-window path, which also takes the truncated windows at the two ends
+(built by `assemble_constraints`): `solve_l1` hands the enumerated support
+to the simplex, whose pricing is the same test, so an optimal support costs
+no pivots and keeps its Bjorck-Pereyra weights, and the simplex pivots on
+or runs cold where the support is not optimal or cannot be installed. Warm
+weights that miss the constraints are solved again cold before the row is
+refused. Windows with more than 2^16 supports are neither enumerated nor
+batched: they go straight to the cold simplex.
 
 The wide three-point weights of `build_qp2star` are optimal iff a dual
 vector v with |v| <= 1 matches the signs of the nonzero weights and is
@@ -79,7 +83,6 @@ class ConstraintSystem:
     q: int
     offsets: tuple[int, ...]
     sites: np.ndarray
-    shift: float
     scale: float
     matrix: np.ndarray
     rhs: np.ndarray
@@ -103,11 +106,33 @@ def _vandermonde(x: np.ndarray, q: int) -> np.ndarray:
     return np.stack([x**r for r in range(q + 1)], axis=-2)
 
 
-def _normalized_rhs(central: np.ndarray, scales: list[float]) -> np.ndarray:
-    """Rows of central moments a_0 .. a_q scaled to a_r / L**r, one window
-    span L per row. The powers are Python floats, so a window rounds alike
-    whether it is assembled alone or with others."""
-    return central / np.array([[L**r for r in range(central.shape[1])] for L in scales])
+def _check_radius(space: SplineSpace, p, q: int | None = None) -> None:
+    """Refuse an offset radius p, and an exactness degree q if given."""
+    if not isinstance(p, int) or p < 1:
+        raise ValueError(f"offset radius must be an integer >= 1, got {p!r}")
+    top = min(space.degree, 2 * p)
+    if q is not None and not 0 <= q <= top:
+        raise ValueError(f"need 0 <= q <= min(m, 2p) = {top}, got {q}")
+
+
+def _assemble(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...], q: int):
+    """Raw sites (W, k), spans L (W,), normalized sites (W, k), Vandermonde
+    rows (W, q+1, k) and right-hand sides a_r / L**r (W, q+1) of the windows
+    ``offsets`` around the W ``centers``. The powers of L are Python floats
+    and the rest is elementwise, so a window rounds alike alone or in a
+    chunk; a span that underflows gives non-finite rows, without a warning,
+    which the residual tests refuse."""
+    theta = space.grid.theta
+    sites = theta[centers[:, None] + np.array(offsets)]
+    # theta increases, so the outermost offsets hold the largest and smallest site
+    scale = theta[centers + max(offsets)] - theta[centers + min(offsets)]
+    spans = scale.tolist()
+    powers = np.array([[L**r for L in spans] for r in range(q + 1)])
+    with np.errstate(all="ignore"):
+        x = (sites - theta[centers, None]) / scale[:, None]
+        matrix = _vandermonde(x, q)
+        rhs = space.central_moments[centers, : q + 1] / powers.T
+    return sites, scale, x, matrix, rhs
 
 
 def assemble_constraints(
@@ -122,14 +147,10 @@ def assemble_constraints(
     Default offsets are the full window -p .. p; callers near the boundary
     pass the truncated window themselves. All sites must be valid indices.
     """
-    m = space.degree
     dim = space.dimension
     if not 0 <= i < dim:
         raise ValueError(f"index {i} outside 0..{dim - 1}")
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"offset radius must be an integer >= 1, got {p!r}")
-    if not 0 <= q <= min(m, 2 * p):
-        raise ValueError(f"need 0 <= q <= min(m, 2p) = {min(m, 2 * p)}, got {q}")
+    _check_radius(space, p, q)
     if offsets is None:
         offsets = tuple(range(-p, p + 1))
     else:
@@ -141,25 +162,10 @@ def assemble_constraints(
     if len(offsets) < q + 1:
         raise ValueError(f"need at least {q + 1} sites for exactness degree {q}")
 
-    theta = space.grid.theta
-    sites = theta[[i + s for s in offsets]]
-    shift = float(theta[i])
-    scale = float(sites.max() - sites.min())
-    x = (sites - shift) / scale
-    matrix = _vandermonde(x, q)
-    rhs = _normalized_rhs(space.central_moments[i : i + 1, : q + 1], [scale])[0]
-    raw_rhs = space.grid.moments[i, : q + 1].copy()
+    sites, scale, _, matrix, rhs = _assemble(space, np.array([i]), offsets, q)
     return ConstraintSystem(
-        center=i,
-        p=p,
-        q=q,
-        offsets=offsets,
-        sites=sites,
-        shift=shift,
-        scale=scale,
-        matrix=matrix,
-        rhs=rhs,
-        raw_rhs=raw_rhs,
+        center=i, p=p, q=q, offsets=offsets, sites=sites[0], scale=float(scale[0]),
+        matrix=matrix[0], rhs=rhs[0], raw_rhs=space.grid.moments[i, : q + 1].copy(),
     )
 
 
@@ -242,53 +248,52 @@ def _cheapest_supports(x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.n
     return support, weights[:, :, 0]
 
 
-def _optimal_basis(system: ConstraintSystem) -> tuple[list[int], np.ndarray] | None:
-    """Signed optimal support of the split l1 LP (`_cheapest_supports`) and
-    its Bjorck-Pereyra weights on all k sites, or None above _MAX_SUPPORTS.
-    Site j enters as column j of the split LP (positive weight) or k + j
-    (negative weight)."""
-    k = len(system.offsets)
-    if math.comb(k, system.q + 1) > _MAX_SUPPORTS:
-        return None
-    # row 1 holds the normalized sites; with q = 0 no site is read
-    x = system.matrix[None, min(1, system.q)]
-    (support,), (on_support,) = _cheapest_supports(x, system.rhs[None])
-    weights = np.zeros(k)
-    weights[support] = on_support
-    return [j if w >= 0.0 else k + j for j, w in zip(support.tolist(), on_support)], weights
-
-
 def solve_l1(system: ConstraintSystem) -> L1Solution:
     """Minimize the l1 norm of the stencil weights under the constraints.
 
     Split formulation lambda = u - w with u, w >= 0 and cost sum(u + w).
-    The optimal support is found by enumeration, and the simplex certifies
-    it by pricing (0 pivots when it is optimal), pivots on if it is not, and
-    runs cold if it cannot be installed. A certified support keeps its
-    Bjorck-Pereyra weights, which round better than the tableau's on
-    ill-conditioned supports; otherwise the weights are the simplex's.
-    Infeasibility cannot occur for valid systems and is raised as an
-    internal error.
+    The optimal support is found by enumeration (`_cheapest_supports`, up to
+    _MAX_SUPPORTS supports), and the simplex certifies it by pricing (0
+    pivots when it is optimal), pivots on if it is not, and runs cold if it
+    cannot be installed. A certified support keeps its Bjorck-Pereyra
+    weights, which round better than the tableau's on ill-conditioned
+    supports; otherwise the weights are the simplex's. Warm weights that
+    miss the constraints (the pivots can drift on nearly coincident sites)
+    are solved again cold before the row is refused. Infeasibility cannot
+    occur for valid systems and is raised as an internal error.
     """
     k = len(system.offsets)
+    basis = enumerated = None
+    if math.comb(k, system.q + 1) <= _MAX_SUPPORTS:
+        # row 1 holds the normalized sites; with q = 0 no site is read
+        x = system.matrix[None, min(1, system.q)]
+        (support,), (on_support,) = _cheapest_supports(x, system.rhs[None])
+        enumerated = np.zeros(k)
+        enumerated[support] = on_support
+        # site j enters as column j (positive weight) or k + j (negative)
+        basis = [j if w >= 0.0 else k + j for j, w in zip(support.tolist(), on_support)]
+
     A = np.hstack([system.matrix, -system.matrix])
     c = np.ones(2 * k)
     cap = 10 * 2 * k
-    basis, enumerated = _optimal_basis(system) or (None, None)
-    result = solve_standard_form(
-        A, system.rhs, c, pivot_tol=_PRICING_TOL, max_iter=cap, basis=basis
-    )
-    if result.status != "optimal":
-        raise RuntimeError(
-            f"l1 solve at index {system.center}: simplex returned {result.status}"
+    # warm weights that miss the constraints get a cold solve of the same LP
+    for start in (basis, None) if basis else (None,):
+        result = solve_standard_form(
+            A, system.rhs, c, pivot_tol=_PRICING_TOL, max_iter=cap, basis=start
         )
-    # a cold start pivots at least once (rhs[0] = 1), so 0 pivots means the
-    # enumerated support was installed and priced optimal
-    if basis is not None and result.iterations == 0:
-        weights = enumerated
+        if result.status != "optimal":
+            raise RuntimeError(
+                f"l1 solve at index {system.center}: simplex returned {result.status}"
+            )
+        # a cold start pivots at least once (rhs[0] = 1), so 0 pivots means
+        # the enumerated support was installed and priced optimal
+        if start is not None and result.iterations == 0:
+            weights = enumerated
+        else:
+            weights = result.x[:k] - result.x[k:]
+        if (miss := system.residual(weights)) <= _MISS_TOL:
+            break
     else:
-        weights = result.x[:k] - result.x[k:]
-    if not (miss := system.residual(weights)) <= _MISS_TOL:
         raise RuntimeError(
             f"l1 solve at index {system.center}: weights miss the constraints by {miss:.1e}"
         )
@@ -346,9 +351,8 @@ def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
     whose sites coincide in floating point gets NaN, which fails every test."""
     theta = space.grid.theta
     centers = np.arange(p, space.dimension - p)
-    sites = theta[centers[:, None] + np.arange(-p, p + 1)]
+    _, _, x, _, _ = _assemble(space, centers, tuple(range(-p, p + 1)), 0)
     with np.errstate(all="ignore"):
-        x = (sites - theta[centers, None]) / (sites[:, -1:] - sites[:, :1])
         a, b = x[:, :1], x[:, -1:]
         lagrange = np.stack([
             x * (x - b) / (a * (a - b)), (x - a) * (x - b) / (a * b), x * (x - a) / (b * (b - a)),
@@ -383,8 +387,7 @@ _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _three_point_row(space: SplineSpace, i: int, p: int) -> tuple[_ThreePointTable, int]:
     """The table of (space, p), built on first use, and index i's row."""
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"offset radius must be an integer >= 1, got {p!r}")
+    _check_radius(space, p)
     if not p <= i <= space.dimension - 1 - p:
         raise ValueError(f"index {i} has no full window of radius {p}")
     tables = _TABLES.setdefault(space, {})
@@ -464,12 +467,9 @@ def _lp_windows(space: SplineSpace, p: int, q: int):
     The full windows are solved together, chunk by chunk
     (`_solve_full_windows`); the truncated windows at the two ends, and the
     full ones when a window has more than _MAX_SUPPORTS supports, take the
-    per-window path (`_solve_window`)."""
+    per-window path (`assemble_constraints`, then `_solve_window`)."""
     m = space.degree
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"offset radius must be an integer >= 1, got {p!r}")
-    if not 0 <= q <= min(m, 2 * p):
-        raise ValueError(f"need 0 <= q <= min(m, 2p) = {min(m, 2 * p)}, got {q}")
+    _check_radius(space, p, q)
     if p < m:
         message = f"p={p} below degree {m}: interior norm bound not guaranteed"
         warnings.warn(message, stacklevel=3)  # at the build's or the audit's caller
@@ -481,47 +481,44 @@ def _windows(space: SplineSpace, p: int, q: int):
     count = math.comb(2 * p + 1, q + 1)
     # the full windows p .. last-p, or none, are batched
     lo, hi = (p, last - p + 1) if count <= _MAX_SUPPORTS and p <= last - p else (last, last)
-    for i in range(1, lo):
-        yield _solve_window(space, i, p, q)
+
+    def window(i):
+        offsets = tuple(range(max(-p, -i), min(p, last - i) + 1))
+        return _solve_window(assemble_constraints(space, i, p, q, offsets=offsets))
+
+    yield from map(window, range(1, lo))
     rows = max(1, _BATCH_ENTRIES // ((q + 1) * count))
     for start in range(lo, hi, rows):
         yield from _solve_full_windows(space, p, q, np.arange(start, min(start + rows, hi)))
-    for i in range(hi, last):
-        yield _solve_window(space, i, p, q)
+    yield from map(window, range(hi, last))
 
 
-def _solve_window(space: SplineSpace, i: int, p: int, q: int):
-    offsets = tuple(range(max(-p, -i), min(p, space.dimension - 1 - i) + 1))
-    system = assemble_constraints(space, i, p, q, offsets=offsets)
+def _solve_window(system: ConstraintSystem):
+    """(system, solution) of one window on the per-window path."""
     try:
         return system, solve_l1(system)
     except RuntimeError as exc:
-        raise RuntimeError(f"near-best build failed at index {i}: {exc}") from exc
+        raise RuntimeError(f"near-best build failed at index {system.center}: {exc}") from exc
 
 
 def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray):
     """(system, solution) of the full windows at the given centers, solved
     together: the systems as `assemble_constraints` builds them, the
-    supports as `_optimal_basis` picks them, the weights from Bjorck-Pereyra.
+    supports as `solve_l1` picks them, the weights from Bjorck-Pereyra.
 
     A row is accepted when its weights meet the constraints within
     _MISS_TOL and the dual y of V_S^T y = sign(w_S) on its support S
     satisfies |V^T y| <= 1 + _PRICING_TOL, the simplex's pricing test
     (Watson, Approximation Theory and Numerical Methods, 1980); every other
-    row is solved again on the per-window path.
+    row's system goes to the per-window path as it is.
     """
     k, size = 2 * p + 1, q + 1
     offsets = tuple(range(-p, p + 1))
-    sites = space.grid.theta[centers[:, None] + np.arange(-p, p + 1)]
-    shift = space.grid.theta[centers]
-    scale = sites.max(axis=1) - sites.min(axis=1)
+    sites, scale, x, matrix, rhs = _assemble(space, centers, offsets, q)
     raw_rhs = space.grid.moments[centers, :size]
     # a row that meets a non-finite value fails the acceptance test below,
     # and the per-window path solves it again and reports what it meets
     with np.errstate(all="ignore"):
-        x = (sites - shift[:, None]) / scale[:, None]
-        matrix = _vandermonde(x, q)
-        rhs = _normalized_rhs(space.central_moments[centers, :size], scale.tolist())
         support, on_support = _cheapest_supports(x, rhs)
         weights = np.zeros((len(centers), k))
         np.put_along_axis(weights, support, on_support, axis=1)
@@ -536,13 +533,13 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
         accepted = (dual <= 1.0 + _PRICING_TOL) & (miss <= _MISS_TOL)
         values = np.abs(weights).sum(axis=1)
     for row, i in enumerate(centers.tolist()):
-        if not accepted[row]:
-            yield _solve_window(space, i, p, q)
-            continue
         system = ConstraintSystem(
-            center=i, p=p, q=q, offsets=offsets, sites=sites[row], shift=float(shift[row]),
-            scale=float(scale[row]), matrix=matrix[row], rhs=rhs[row], raw_rhs=raw_rhs[row],
+            center=i, p=p, q=q, offsets=offsets, sites=sites[row], scale=float(scale[row]),
+            matrix=matrix[row], rhs=rhs[row], raw_rhs=raw_rhs[row],
         )
+        if not accepted[row]:
+            yield _solve_window(system)
+            continue
         yield system, L1Solution(
             weights=weights[row], value=float(values[row]), status="optimal", iterations=0
         )

@@ -1,9 +1,10 @@
 """The batched solve of the full windows against the per-window LP path.
 
 `_lp_windows` solves every full window (offsets -p..p) of an operator in
-one batch and hands each row it cannot certify, and every truncated
-window, to `assemble_constraints` -> `solve_l1`. Each batched row must be
-the LP optimum that path finds.
+one batch and hands each row it cannot certify, with the system the batch
+assembled, to `solve_l1`; every truncated window goes through
+`assemble_constraints` -> `solve_l1`. Each batched row must be the LP
+optimum that path finds.
 """
 
 import math
@@ -101,33 +102,49 @@ def test_chunking_leaves_every_row_unchanged(monkeypatch, m, p, q, budget):
 def test_rows_the_batch_cannot_certify_take_the_path(monkeypatch):
     # offer the lexicographically first support, which is not optimal on
     # these windows: the batch refuses every full window, and the path's
-    # simplex pivots on from the same support to the optimum
+    # simplex pivots on from the same support to the optimum. A refused row
+    # keeps the system the batch assembled: only the truncated windows at
+    # the two ends are assembled one by one.
     space = space_from("uniform", 3, n=16)
     best = build_nearbest_qi(space, 3)
+    last = space.dimension - 1
 
     def first_support(x, rhs):
         support = np.broadcast_to(np.arange(rhs.shape[1]), rhs.shape)
         weights = nb._support_values(np.take_along_axis(x, support, axis=1)[:, :, None], rhs)
         return support, weights[:, :, 0]
 
-    solved = []
-    window = nb._solve_window
+    solved, assembled = [], []
+    window, assemble = nb._solve_window, nb.assemble_constraints
     monkeypatch.setattr(nb, "_cheapest_supports", first_support)
-    monkeypatch.setattr(nb, "_solve_window", lambda s, i, p, q: (solved.append(i), window(s, i, p, q))[1])
+    monkeypatch.setattr(nb, "_solve_window", lambda s: (solved.append(s.center), window(s))[1])
+    monkeypatch.setattr(nb, "assemble_constraints",
+                        lambda s, i, *a, **k: (assembled.append(i), assemble(s, i, *a, **k))[1])
     qi = build_nearbest_qi(space, 3)
-    assert solved == list(range(1, space.dimension - 1))
+    assert solved == list(range(1, last))
+    assert assembled == [1, 2, last - 2, last - 1]
     np.testing.assert_allclose(qi.lp_values, best.lp_values, rtol=1e-12)
 
 
-def test_audit_records_match_the_build():
-    space = space_from("geometric", 4, n=30, ratio=1.2)
-    qi = build_nearbest_qi(space, 4, 3)
-    for record in iter_lp_audit(space, 4, 3):
+@pytest.mark.parametrize("family, ratio, seed, m, p, q, n", [
+    ("geometric", 1.2, 0, 4, 4, 3, 30),
+    ("uniform", 1.0, 0, 3, 3, 2, 30),
+    ("geometric", 100.0, 0, 5, 5, 2, 40),   # windows down to about 1e-69 wide
+    ("random", 1.0, 1, 5, 10, 5, 40),       # 54 264 supports, in blocks
+    ("arithmetic", 20.0, 0, 2, 1, 0, 30),
+])
+@pytest.mark.filterwarnings("ignore:p=1 below degree 2")
+def test_audit_records_match_the_build(family, ratio, seed, m, p, q, n):
+    # every window, batched or not, has the one assembly of
+    # `assemble_constraints`: the audit's V and b are its bits
+    space = space_from(family, m, n=n, seed=seed, ratio=ratio)
+    qi = build_nearbest_qi(space, p, q)
+    for record in iter_lp_audit(space, p, q):
         i = record["i"]
         assert record["value"] == qi.lp_values[i]
         assert record["weights"] == qi.weights[i, : qi.lengths[i]].tolist()
         if 0 < i < space.dimension - 1:
-            system = assemble_constraints(space, i, 4, 3, offsets=record["offsets"])
+            system = assemble_constraints(space, i, p, q, offsets=record["offsets"])
             assert record["V"] == system.matrix.tolist()
             assert record["b"] == system.rhs.tolist()
 
