@@ -270,11 +270,18 @@ def central_moment_table(kv: KnotVector, theta: np.ndarray) -> np.ndarray:
     t[j+1 .. j+m] centered at theta[j], each over C(m, s), with a_0 = 1 and
     a_1 = 0 set exactly. Read-only.
     """
-    m = kv.degree
-    windows = sliding_window_view(kv.t[1:], m)[: kv.dimension]
-    binom = np.array([math.comb(m, s) for s in range(m + 1)], dtype=float)
-    table = elementary_symmetric(windows - theta[:, None]) / binom
-    table[:, 0] = 1.0
-    table[:, 1] = 0.0
+    windows = sliding_window_view(kv.t[1:], kv.degree)[: kv.dimension]
+    table = central_coefficients(windows - theta[:, None])
     table.setflags(write=False)
+    return table
+
+
+def central_coefficients(differences: np.ndarray) -> np.ndarray:
+    """a_0 .. a_m from knot differences (..., m): their elementary symmetric
+    functions over C(m, s), with a_0 = 1 and a_1 = 0 set exactly."""
+    m = differences.shape[-1]
+    binom = np.array([math.comb(m, s) for s in range(m + 1)], dtype=float)
+    table = elementary_symmetric(differences) / binom
+    table[..., 0] = 1.0
+    table[..., 1] = 0.0
     return table

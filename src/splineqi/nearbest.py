@@ -9,9 +9,11 @@ sup norm. The system is solved in shifted/scaled coordinates
 x_s = (theta_{i+s} - theta_i) / L (L = site span), where the right-hand side
 becomes the central moment coefficients a_r(theta_i) / L^r, read from the
 space's `central_moments` table; the weights are invariant under that
-affine change. One function (`_assemble`) builds these normalized systems
-for every caller: one window, a chunk of full windows, or the three-point
-table below.
+affine change. Where a_r and L^r both underflow (windows about 1e-69 wide),
+the row is taken from the knot differences divided by L before their
+symmetric functions are formed. One function (`_assemble`) builds these
+normalized systems for every caller: one window, a chunk of full windows, or
+the three-point table below.
 
 Some optimum lies on q + 1 sites, and on distinct sites every square
 Vandermonde system is nonsingular, so a window's C(k, q+1) square systems
@@ -22,16 +24,20 @@ Theory and Numerical Methods, 1980).
 
 An operator's full windows (offsets -p..p) are solved together: one
 Bjorck-Pereyra pass over all windows and supports, in chunks of bounded
-size, and one batched solve for the duals. A row whose dual or exactness
-residual fails the test goes, with the system the batch built, to the
-per-window path, which also takes the truncated windows at the two ends
-(built by `assemble_constraints`): `solve_l1` hands the enumerated support
-to the simplex, whose pricing is the same test, so an optimal support costs
-no pivots and keeps its Bjorck-Pereyra weights, and the simplex pivots on
-or runs cold where the support is not optimal or cannot be installed. Warm
-weights that miss the constraints are solved again cold before the row is
-refused. Windows with more than 2^16 supports are neither enumerated nor
-batched: they go straight to the cold simplex.
+size, and one batched solve for the duals. Each chunk is handed on as
+arrays (`_Rows`: centers, weights, values, matrices, right-hand sides), from
+which the build fills its band and the audit formats its records. A row
+whose dual or exactness residual fails the test goes, as a `ConstraintSystem`
+built from the chunk's arrays, to the per-window path, and its weights and
+value are written back into the chunk. That path also takes the truncated
+windows at the two ends (built by `assemble_constraints`, one row each):
+`solve_l1` hands the enumerated support to the simplex, whose pricing is the
+same test, so an optimal support costs no pivots and keeps its
+Bjorck-Pereyra weights, and the simplex pivots on or runs cold where the
+support is not optimal or cannot be installed. Warm weights that miss the
+constraints are solved again cold before the row is refused. Windows with
+more than 2^16 supports are neither enumerated nor batched: they go straight
+to the cold simplex.
 
 The wide three-point weights of `build_qp2star` are optimal iff a dual
 vector v with |v| <= 1 matches the signs of the nonzero weights and is
@@ -54,10 +60,12 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bspline import SplineSpace
+from .knots import central_coefficients
 from .quasi_interp import (
     KIND_NEARBEST,
     QuasiInterpolant,
@@ -120,8 +128,8 @@ def _assemble(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...],
     rows (W, q+1, k) and right-hand sides a_r / L**r (W, q+1) of the windows
     ``offsets`` around the W ``centers``. The powers of L are Python floats
     and the rest is elementwise, so a window rounds alike alone or in a
-    chunk; a span that underflows gives non-finite rows, without a warning,
-    which the residual tests refuse."""
+    chunk; a span of 0 gives non-finite rows, without a warning, which the
+    residual tests refuse."""
     theta = space.grid.theta
     sites = theta[centers[:, None] + np.array(offsets)]
     # theta increases, so the outermost offsets hold the largest and smallest site
@@ -132,6 +140,15 @@ def _assemble(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...],
         x = (sites - theta[centers, None]) / scale[:, None]
         matrix = _vandermonde(x, q)
         rhs = space.central_moments[centers, : q + 1] / powers.T
+        # on a span so small that a_r and L**r both underflow, a_r / L**r is
+        # 0/0: form a_r from the knot differences t_{i+1..i+m} - theta_i
+        # divided by L instead
+        lost = np.flatnonzero(~np.isfinite(rhs).all(axis=1))
+        if lost.size:
+            near = centers[lost]
+            knots = space.knots.t[near[:, None] + np.arange(1, space.degree + 1)]
+            scaled = (knots - theta[near, None]) / scale[lost, None]
+            rhs[lost] = central_coefficients(scaled)[:, : q + 1]
     return sites, scale, x, matrix, rhs
 
 
@@ -385,15 +402,20 @@ def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _three_point_row(space: SplineSpace, i: int, p: int) -> tuple[_ThreePointTable, int]:
-    """The table of (space, p), built on first use, and index i's row."""
-    _check_radius(space, p)
-    if not p <= i <= space.dimension - 1 - p:
-        raise ValueError(f"index {i} has no full window of radius {p}")
+def _three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
+    """The table of (space, p), built on first use; p is checked already."""
     tables = _TABLES.setdefault(space, {})
     if p not in tables:
         tables[p] = _build_three_point_table(space, p)
-    return tables[p], i - p
+    return tables[p]
+
+
+def _three_point_row(space: SplineSpace, i: int, p: int) -> tuple[_ThreePointTable, int]:
+    """The table of (space, p) and index i's row."""
+    _check_radius(space, p)
+    if not p <= i <= space.dimension - 1 - p:
+        raise ValueError(f"index {i} has no full window of radius {p}")
+    return _three_point_table(space, p), i - p
 
 
 def build_watson_form(space: SplineSpace, i: int, p: int) -> WatsonForm:
@@ -460,14 +482,29 @@ def watson_certificate(space: SplineSpace, i: int, p: int) -> Certificate:
     )
 
 
-def _lp_windows(space: SplineSpace, p: int, q: int):
-    """(system, solution) of the l1 LP of each index 1 .. dim-2 on its window
-    -p..p cut to the index range, lazily; p and q are checked at once.
+class _Rows(NamedTuple):
+    """Solved LP rows of the windows ``offsets`` around W ``centers``: the
+    weights (W, k), their l1 values (W,), and the normalized constraint
+    matrices (W, q+1, k) and right-hand sides (W, q+1)."""
 
-    The full windows are solved together, chunk by chunk
+    centers: np.ndarray
+    offsets: tuple[int, ...]
+    weights: np.ndarray
+    values: np.ndarray
+    matrix: np.ndarray
+    rhs: np.ndarray
+
+
+def _lp_windows(space: SplineSpace, p: int, q: int):
+    """The l1 LPs of the indices 1 .. dim-2 on their windows -p..p cut to the
+    index range, as `_Rows` in index order, lazily; p and q are checked at
+    once.
+
+    The full windows are solved together, a chunk of rows at a time
     (`_solve_full_windows`); the truncated windows at the two ends, and the
     full ones when a window has more than _MAX_SUPPORTS supports, take the
-    per-window path (`assemble_constraints`, then `_solve_window`)."""
+    per-window path (`assemble_constraints`, then `_solve_window`) and come
+    as one row each."""
     m = space.degree
     _check_radius(space, p, q)
     if p < m:
@@ -484,38 +521,41 @@ def _windows(space: SplineSpace, p: int, q: int):
 
     def window(i):
         offsets = tuple(range(max(-p, -i), min(p, last - i) + 1))
-        return _solve_window(assemble_constraints(space, i, p, q, offsets=offsets))
+        system = assemble_constraints(space, i, p, q, offsets=offsets)
+        solution = _solve_window(system)
+        return _Rows(np.array([i]), offsets, solution.weights[None],
+                     np.array([solution.value]), system.matrix[None], system.rhs[None])
 
     yield from map(window, range(1, lo))
     rows = max(1, _BATCH_ENTRIES // ((q + 1) * count))
     for start in range(lo, hi, rows):
-        yield from _solve_full_windows(space, p, q, np.arange(start, min(start + rows, hi)))
+        yield _solve_full_windows(space, p, q, np.arange(start, min(start + rows, hi)))
     yield from map(window, range(hi, last))
 
 
-def _solve_window(system: ConstraintSystem):
-    """(system, solution) of one window on the per-window path."""
+def _solve_window(system: ConstraintSystem) -> L1Solution:
+    """The solution of one window on the per-window path."""
     try:
-        return system, solve_l1(system)
+        return solve_l1(system)
     except RuntimeError as exc:
         raise RuntimeError(f"near-best build failed at index {system.center}: {exc}") from exc
 
 
-def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray):
-    """(system, solution) of the full windows at the given centers, solved
-    together: the systems as `assemble_constraints` builds them, the
-    supports as `solve_l1` picks them, the weights from Bjorck-Pereyra.
+def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray) -> _Rows:
+    """The full windows at the given centers, solved together: the systems
+    as `assemble_constraints` builds them, the supports as `solve_l1` picks
+    them, the weights from Bjorck-Pereyra.
 
     A row is accepted when its weights meet the constraints within
     _MISS_TOL and the dual y of V_S^T y = sign(w_S) on its support S
     satisfies |V^T y| <= 1 + _PRICING_TOL, the simplex's pricing test
-    (Watson, Approximation Theory and Numerical Methods, 1980); every other
-    row's system goes to the per-window path as it is.
+    (Watson, Approximation Theory and Numerical Methods, 1980). Every other
+    row's system, as the batch built it, goes to the per-window path, whose
+    weights and value replace the row's.
     """
     k, size = 2 * p + 1, q + 1
     offsets = tuple(range(-p, p + 1))
     sites, scale, x, matrix, rhs = _assemble(space, centers, offsets, q)
-    raw_rhs = space.grid.moments[centers, :size]
     # a row that meets a non-finite value fails the acceptance test below,
     # and the per-window path solves it again and reports what it meets
     with np.errstate(all="ignore"):
@@ -532,17 +572,15 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
         miss = np.abs(matrix @ weights[:, :, None] - rhs[:, :, None]).max(axis=(1, 2))
         accepted = (dual <= 1.0 + _PRICING_TOL) & (miss <= _MISS_TOL)
         values = np.abs(weights).sum(axis=1)
-    for row, i in enumerate(centers.tolist()):
-        system = ConstraintSystem(
+    for row in np.flatnonzero(~accepted).tolist():
+        i = int(centers[row])
+        solution = _solve_window(ConstraintSystem(
             center=i, p=p, q=q, offsets=offsets, sites=sites[row], scale=float(scale[row]),
-            matrix=matrix[row], rhs=rhs[row], raw_rhs=raw_rhs[row],
-        )
-        if not accepted[row]:
-            yield _solve_window(system)
-            continue
-        yield system, L1Solution(
-            weights=weights[row], value=float(values[row]), status="optimal", iterations=0
-        )
+            matrix=matrix[row], rhs=rhs[row], raw_rhs=space.grid.moments[i, :size],
+        ))
+        weights[row] = solution.weights
+        values[row] = solution.value
+    return _Rows(centers, offsets, weights, values, matrix, rhs)
 
 
 def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolant:
@@ -562,13 +600,14 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
     lengths[[0, -1]] = 1
     sites, weights = _empty_band(dim, int(lengths.max()))
     weights[[0, -1], 0] = 1.0
-    values = [1.0] * dim
-    for system, solution in windows:
-        i = system.center
-        sites[i, : lengths[i]] = np.add(i, system.offsets)
-        weights[i, : lengths[i]] = solution.weights
-        values[i] = solution.value
-    interior_values = [values[i] for i in range(dim) if lo <= i <= hi]
+    values = np.ones(dim)
+    for rows in windows:
+        centers, k = rows.centers, len(rows.offsets)
+        sites[centers, :k] = centers[:, None] + np.array(rows.offsets)
+        weights[centers, :k] = rows.weights
+        values[centers] = rows.values
+    lp_values = values.tolist()
+    interior_values = lp_values[lo : hi + 1] if lo <= hi else []
     return QuasiInterpolant(
         space=space,
         kind=KIND_NEARBEST,
@@ -579,7 +618,7 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
         lengths=lengths,
         interior_lo=lo,
         interior_hi=hi,
-        lp_values=tuple(values),
+        lp_values=tuple(lp_values),
         nu1_star=max(interior_values) if interior_values else None,
     )
 
@@ -589,27 +628,34 @@ def iter_lp_audit(space: SplineSpace, p: int, q: int = 2):
     certificate status, each computed once. Used by the CLI audit stream."""
     windows = _lp_windows(space, p, q)
     lo, hi = _interior_range(space.degree, p, space.knots.n)
-    last = space.dimension - 1
     yield _record(0, (0,), [1.0], 1.0, [[1.0]], [1.0])
-    for system, solution in windows:
-        i = system.center
-        record = _record(i, system.offsets, solution.weights, solution.value,
-                         system.matrix, system.rhs, boundary=not lo <= i <= hi)
-        if q == 2 and p <= i <= last - p:
-            table, row = _three_point_row(space, i, p)
-            closed = float(table.closed[row])
-            record["knot_condition"] = bool(table.knot[row])
-            record["certificate"] = "pass" if table.passes[row] else "fail"
-            record["closed_form_value"] = closed
-            record["gap"] = closed - solution.value
-        yield record
+    for rows in windows:
+        centers = rows.centers.tolist()
+        fields = zip(centers, rows.weights.tolist(), rows.values.tolist(),
+                     rows.matrix.tolist(), rows.rhs.tolist())
+        # the q = 2 certificate of each full window, from the three-point table
+        checks = itertools.repeat(None)
+        if q == 2 and len(rows.offsets) == 2 * p + 1:
+            table, at = _three_point_table(space, p), rows.centers - p
+            checks = zip(table.knot[at].tolist(), table.passes[at].tolist(),
+                         table.closed[at].tolist())
+        for (i, weights, value, V, b), check in zip(fields, checks):
+            record = _record(i, rows.offsets, weights, value, V, b, boundary=not lo <= i <= hi)
+            if check:
+                knot, passes, closed = check
+                record["knot_condition"] = knot
+                record["certificate"] = "pass" if passes else "fail"
+                record["closed_form_value"] = closed
+                record["gap"] = closed - value
+            yield record
+    last = space.dimension - 1
     yield _record(last, (0,), [1.0], 1.0, [[1.0]], [1.0])
 
 
 def _record(i, offsets, weights, value, V, b, boundary=True) -> dict:
+    """One audit record; ``weights``, ``V`` and ``b`` are lists of floats."""
     return {
-        "i": i, "offsets": list(offsets), "weights": [float(w) for w in weights],
-        "value": value, "support": [s for s, w in zip(offsets, weights) if abs(w) > 1e-12],
-        "boundary": boundary, "V": [[float(v) for v in row] for row in V],
-        "b": [float(v) for v in b], "knot_condition": None, "certificate": "n/a",
+        "i": i, "offsets": list(offsets), "weights": weights, "value": value,
+        "support": [s for s, w in zip(offsets, weights) if abs(w) > 1e-12],
+        "boundary": boundary, "V": V, "b": b, "knot_condition": None, "certificate": "n/a",
     }

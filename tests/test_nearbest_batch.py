@@ -30,11 +30,20 @@ def _batched_cases(m):
 
 
 def _batch(space, p, q, monkeypatch):
-    """The batch's rows, with None for each row it leaves to the path."""
+    """(center, weights, value) of each row the batch certifies itself, read
+    from the chunk's arrays; the rows it leaves to the path are left out."""
+    refused = set()
+
+    def path(system):
+        refused.add(system.center)
+        return nb.L1Solution(np.zeros(len(system.offsets)), 0.0, "optimal", 0)
+
     with monkeypatch.context() as patch:
-        patch.setattr(nb, "_solve_window", lambda *args: (None, None))
-        centers = np.arange(p, space.dimension - p)
-        return list(nb._solve_full_windows(space, p, q, centers))
+        patch.setattr(nb, "_solve_window", path)
+        rows = nb._solve_full_windows(space, p, q, np.arange(p, space.dimension - p))
+    return [(i, weights, value)
+            for i, weights, value in zip(rows.centers.tolist(), rows.weights, rows.values.tolist())
+            if i not in refused]
 
 
 def _exact_on_support(system, support):
@@ -52,12 +61,10 @@ def test_batch_matches_per_window_path(monkeypatch, family, ratio, seed, m):
     compared = 0
     for p, q in _batched_cases(m):
         space = space_from(family, m, n=2 * p + 4, seed=seed, ratio=ratio)
-        for system, solution in _batch(space, p, q, monkeypatch):
-            if system is None:
-                continue
-            path = solve_l1(assemble_constraints(space, system.center, p, q))
-            case = (family, m, p, q, system.center)
-            assert solution.value <= path.value * (1 + 1e-12), case
+        for i, weights, value in _batch(space, p, q, monkeypatch):
+            path = solve_l1(assemble_constraints(space, i, p, q))
+            case = (family, m, p, q, i)
+            assert value <= path.value * (1 + 1e-12), case
             if path.iterations:
                 # the path's simplex could not install the enumerated
                 # support (a pivot under its absolute 1e-11 on sites ~1e-12
@@ -66,8 +73,8 @@ def test_batch_matches_per_window_path(monkeypatch, family, ratio, seed, m):
                 continue
             # the simplex certified the enumerated support, and both paths
             # keep its Bjorck-Pereyra weights, bit for bit
-            assert solution.weights.tobytes() == path.weights.tobytes(), case
-            assert solution.value == path.value, case
+            assert weights.tobytes() == path.weights.tobytes(), case
+            assert value == path.value, case
             compared += 1
     assert compared
 
@@ -99,24 +106,25 @@ def test_chunking_leaves_every_row_unchanged(monkeypatch, m, p, q, budget):
     assert chunked.lp_values == whole.lp_values
 
 
+def _first_support(x, rhs):
+    """The lexicographically first support of each window, which is not
+    optimal on uniform cubic windows of radius 3: the batch refuses them."""
+    support = np.broadcast_to(np.arange(rhs.shape[1]), rhs.shape)
+    weights = nb._support_values(np.take_along_axis(x, support, axis=1)[:, :, None], rhs)
+    return support, weights[:, :, 0]
+
+
 def test_rows_the_batch_cannot_certify_take_the_path(monkeypatch):
-    # offer the lexicographically first support, which is not optimal on
-    # these windows: the batch refuses every full window, and the path's
-    # simplex pivots on from the same support to the optimum. A refused row
-    # keeps the system the batch assembled: only the truncated windows at
-    # the two ends are assembled one by one.
+    # offer the lexicographically first support: the batch refuses every
+    # full window, and the path's simplex pivots on from the same support to
+    # the optimum. A refused row keeps the system the batch assembled: only
+    # the truncated windows at the two ends are assembled one by one.
     space = space_from("uniform", 3, n=16)
     best = build_nearbest_qi(space, 3)
     last = space.dimension - 1
-
-    def first_support(x, rhs):
-        support = np.broadcast_to(np.arange(rhs.shape[1]), rhs.shape)
-        weights = nb._support_values(np.take_along_axis(x, support, axis=1)[:, :, None], rhs)
-        return support, weights[:, :, 0]
-
     solved, assembled = [], []
     window, assemble = nb._solve_window, nb.assemble_constraints
-    monkeypatch.setattr(nb, "_cheapest_supports", first_support)
+    monkeypatch.setattr(nb, "_cheapest_supports", _first_support)
     monkeypatch.setattr(nb, "_solve_window", lambda s: (solved.append(s.center), window(s))[1])
     monkeypatch.setattr(nb, "assemble_constraints",
                         lambda s, i, *a, **k: (assembled.append(i), assemble(s, i, *a, **k))[1])
@@ -124,6 +132,28 @@ def test_rows_the_batch_cannot_certify_take_the_path(monkeypatch):
     assert solved == list(range(1, last))
     assert assembled == [1, 2, last - 2, last - 1]
     np.testing.assert_allclose(qi.lp_values, best.lp_values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("refuse", [False, True])
+def test_lp_objects_only_for_the_path(monkeypatch, refuse):
+    # the batch hands its rows on as arrays: a ConstraintSystem and an
+    # L1Solution are made only for a window on the per-window path, the 4
+    # truncated windows here, or every row when the batch refuses them all
+    space = space_from("uniform", 3, n=16)
+    if refuse:
+        monkeypatch.setattr(nb, "_cheapest_supports", _first_support)
+    made = {"ConstraintSystem": 0, "L1Solution": 0}
+    for name in made:
+        cls = getattr(nb, name)
+
+        def counted(*args, cls=cls, name=name, **kwargs):
+            made[name] += 1
+            return cls(*args, **kwargs)
+
+        monkeypatch.setattr(nb, name, counted)
+    build_nearbest_qi(space, 3)
+    path = space.dimension - 2 if refuse else 4
+    assert made == {"ConstraintSystem": path, "L1Solution": path}
 
 
 @pytest.mark.parametrize("family, ratio, seed, m, p, q, n", [

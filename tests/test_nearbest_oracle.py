@@ -72,13 +72,18 @@ HIGH_CASES.append(("random", 1.0, 6, 5, 4))
 ])
 def test_high_exactness_builds_reach_oracle(family, ratio, seed, m, q):
     space = space_from(family, m, n=40, seed=seed, ratio=ratio)
-    if (family, ratio, m, q) == ("geometric", 100.0, 5, 5):
-        # known refusal (ROADMAP item 1): window 1 spans about 2e-69, so
-        # central[5] / L**5 is 0/0 and the residual test refuses the NaN row
-        with pytest.raises(RuntimeError, match="nan"):
-            build_nearbest_qi(space, m, q)
-        return
     qi = build_nearbest_qi(space, m, q)
+    if (family, ratio, m, q) == ("geometric", 100.0, 5, 5):
+        # window 1 spans about 2e-69: central[5] and L**5 both underflow, and
+        # its right-hand side comes from the knot differences scaled by 1/L.
+        # Every row meets the exactness rows in mpmath, but on windows 1..3
+        # the simplex's absolute 1e-11 pivot tolerance treats the q = 5 row
+        # (entries 1e-50 .. 1, target 3.6e-50) as redundant, so their value
+        # sits 2e-8 below the optimum (ROADMAP item 1, scale-aware pivots)
+        _check_rows(qi, sampled=(_worst_full_window(qi),))
+        best = oracles.nearbest_enumerate_mp(space.knots.t, m, 1, qi.stencil(1).offsets, q)
+        assert best * (1 - 1e-7) < qi.lp_values[1] < best, (qi.lp_values[1], best)
+        return
     _check_rows(qi, sampled=(1, _worst_full_window(qi)))
 
 
