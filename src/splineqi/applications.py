@@ -4,13 +4,18 @@ Integrating or differentiating the spline approximation S f instead of f
 itself turns each operator into a quadrature rule / differentiation matrix
 on the Greville sites. The convergence studies drive an operator across a
 family of refined partitions and fit the observed order.
+
+The table of operator kinds next to `OperatorRecipe` is the one place a
+kind is mapped: to its builder, to whether it takes an offset radius p, to
+the p and q its rows report, and, through `OperatorRecipe.bound`, to its
+norm bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +33,7 @@ from .quasi_interp import (
     build_q2star,
     build_qp2star,
     greville_samples,
+    theoretical_bound,
 )
 
 __all__ = [
@@ -37,6 +43,7 @@ __all__ = [
     "differentiation_matrix",
     "TestFunction",
     "BUILTIN_FUNCTIONS",
+    "KINDS",
     "OperatorRecipe",
     "operator_recipe",
     "evaluation_grid",
@@ -186,6 +193,24 @@ BUILTIN_FUNCTIONS = {
 # operator recipes
 
 
+class _Kind(NamedTuple):
+    builder: Callable | None  # (space, p, q) -> operator; None: no stencil operator
+    takes_p: bool
+    reports: Callable  # the recipe's (p, q) -> the p and q its rows report
+
+
+# The builders are called through this module's names, so a wrapper
+# installed on them (a tracer, a test's monkeypatch) sees every build.
+_KINDS = {
+    KIND_DQI: _Kind(None, False, lambda p, q: ("", "")),
+    KIND_Q2STAR: _Kind(lambda space, p, q: build_q2star(space), False, lambda p, q: (1, 2)),
+    KIND_QP2STAR: _Kind(lambda space, p, q: build_qp2star(space, p), True, lambda p, q: (p, 2)),
+    KIND_NEARBEST: _Kind(lambda space, p, q: build_nearbest_qi(space, p, q), True,
+                         lambda p, q: (p, q)),
+}
+KINDS = tuple(_KINDS)
+
+
 @dataclass(frozen=True)
 class OperatorRecipe:
     """Deferred operator construction, reusable across partition sizes."""
@@ -194,34 +219,46 @@ class OperatorRecipe:
     p: int | None = None
     q: int = 2
 
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if _KINDS[self.kind].takes_p:
+            if self.p is None:
+                raise ValueError(f"kind {self.kind!r} requires an offset radius p")
+        elif self.p is not None:
+            raise ValueError(f"kind {self.kind!r} does not take an offset radius")
+
     def build(self, space: SplineSpace) -> QuasiInterpolant:
-        if self.kind == KIND_Q2STAR:
-            return build_q2star(space)
-        if self.kind == KIND_QP2STAR:
-            assert self.p is not None
-            return build_qp2star(space, self.p)
-        if self.kind == KIND_NEARBEST:
-            assert self.p is not None
-            return build_nearbest_qi(space, self.p, self.q)
-        raise ValueError(f"kind {self.kind!r} has no stencil operator")
+        builder = _KINDS[self.kind].builder
+        if builder is None:
+            raise ValueError(f"kind {self.kind!r} has no stencil operator")
+        return builder(space, self.p, self.q)
 
     def approximate(self, space: SplineSpace, f: TestFunction) -> SplineFunction:
-        if self.kind == KIND_DQI:
+        if _KINDS[self.kind].builder is None:
             m = space.degree
             return apply_dqi(space, lambda x: f.derivatives(x, m))
         qi = self.build(space)
         return apply_qi(qi, greville_samples(space, f.value))
 
+    @property
+    def reported_pq(self) -> tuple:
+        """The p and q the operator's rows report: the stencil radius and
+        exactness degree it is built with ("" for dqi, which has neither)."""
+        return _KINDS[self.kind].reports(self.p, self.q)
+
+    def bound(self, m: int) -> float | None:
+        """The kind's interior norm bound on degree m, or None where none is
+        proven: near-best inherits (m+1)/(m-1) from the qp2star weights, which
+        are exact only to degree 2, need p >= m and have no bound for m = 1."""
+        if self.kind == KIND_NEARBEST and (self.q > 2 or self.p < m or m < 2):
+            return None
+        return theoretical_bound(self.kind, m)
+
 
 def operator_recipe(kind: str, p: int | None = None, q: int = 2) -> OperatorRecipe:
-    kinds = (KIND_DQI, KIND_Q2STAR, KIND_QP2STAR, KIND_NEARBEST)
-    if kind not in kinds:
-        raise ValueError(f"kind must be one of {kinds}, got {kind!r}")
-    if kind in (KIND_QP2STAR, KIND_NEARBEST):
-        if p is None:
-            raise ValueError(f"kind {kind!r} requires an offset radius p")
-    elif p is not None:
-        raise ValueError(f"kind {kind!r} does not take an offset radius")
+    """The recipe of one kind; refuses an unknown kind, and a radius p the
+    kind needs but lacks or does not take."""
     return OperatorRecipe(kind=kind, p=p, q=q)
 
 

@@ -23,7 +23,10 @@ from typing import IO, Iterable
 import numpy as np
 
 from .applications import (
+    _KINDS,
     BUILTIN_FUNCTIONS,
+    KINDS,
+    OperatorRecipe,
     convergence_study,
     differentiation_study,
     operator_recipe,
@@ -32,19 +35,11 @@ from .applications import (
 from .bspline import SplineSpace
 from .knots import FAMILIES, PartitionSpec, generate_partition
 from .nearbest import iter_lp_audit
-from .quasi_interp import (
-    KIND_DQI,
-    KIND_NEARBEST,
-    KIND_Q2STAR,
-    KIND_QP2STAR,
-    norm_upper_bound,
-    theoretical_bound,
-)
+from .quasi_interp import KIND_NEARBEST, norm_upper_bound
 
 COMMANDS = ("norms", "nearbest", "convergence", "quad", "diffmat", "audit")
 # commands defined by p and q alone: they always build the near-best operator
 _NEARBEST_COMMANDS = ("nearbest", "audit")
-KINDS = (KIND_DQI, KIND_Q2STAR, KIND_QP2STAR, KIND_NEARBEST)
 FORMATS = ("csv", "json")
 DEFAULT_SIZES = (16, 32, 64, 128)
 
@@ -112,9 +107,7 @@ class RunConfig:
             raise ValueError(f"exactness degree must be >= 0, got {self.q}")
         if self.p is not None and self.p < 1:
             raise ValueError(f"offset radius must be >= 1, got {self.p}")
-        if self.p is None and (
-            self.kind in (KIND_QP2STAR, KIND_NEARBEST) or self.command in _NEARBEST_COMMANDS
-        ):
+        if self.p is None and (_KINDS[self.kind].takes_p or self.command in _NEARBEST_COMMANDS):
             raise ValueError(f"{self.command} with kind {self.kind!r} requires --p")
         if not self.sizes or any(s < 2 for s in self.sizes):
             raise ValueError(f"sizes must be integers >= 2, got {self.sizes}")
@@ -216,18 +209,10 @@ def _emit_table(
             sink.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _effective_pq(cfg: RunConfig):
-    if cfg.kind == KIND_DQI:
-        return "", ""
-    if cfg.kind == KIND_Q2STAR:
-        return 1, 2
-    if cfg.kind == KIND_QP2STAR:
-        return cfg.p, 2
-    return cfg.p, cfg.q
-
-
-def _prefix_columns(cfg: RunConfig, with_n: bool) -> tuple[list[str], list]:
-    p_out, q_out = _effective_pq(cfg)
+def _prefix_columns(
+    cfg: RunConfig, recipe: OperatorRecipe, with_n: bool
+) -> tuple[list[str], list]:
+    p_out, q_out = recipe.reported_pq
     cols = ["kind", "m", "p", "q", "family", "a", "b"]
     vals: list = [cfg.kind, cfg.m, p_out, q_out, cfg.family, cfg.a, cfg.b]
     if with_n:
@@ -249,7 +234,7 @@ def _partition(cfg: RunConfig) -> PartitionSpec:
     )
 
 
-def _recipe(cfg: RunConfig):
+def _recipe(cfg: RunConfig) -> OperatorRecipe:
     return operator_recipe(cfg.kind, cfg.p, cfg.q)
 
 
@@ -257,46 +242,37 @@ def _space(cfg: RunConfig) -> SplineSpace:
     return SplineSpace.from_knots(generate_partition(_partition(cfg), cfg.m))
 
 
-def _operator(cfg: RunConfig):
-    return _recipe(cfg).build(_space(cfg))
-
-
-def _bound(cfg: RunConfig) -> float | None:
-    """The kind's interior norm bound. None for near-best with q >= 3 or
-    p < m: (m+1)/(m-1) rests on the qp2star weights, which are not exact
-    beyond degree 2 and need p >= m."""
-    if cfg.kind == KIND_NEARBEST and (cfg.q > 2 or cfg.p < cfg.m):
-        return None
-    return theoretical_bound(cfg.kind, cfg.m)
-
-
 def _run_norms(cfg: RunConfig, sink: IO[str]) -> None:
-    qi = _operator(cfg)
+    recipe = _recipe(cfg)
+    qi = recipe.build(_space(cfg))
     nu_interior = norm_upper_bound(qi, interior_only=True)
     nu_all = norm_upper_bound(qi)
-    bound = _bound(cfg)
+    bound = recipe.bound(cfg.m)
     ok = None if bound is None else bool(nu_interior <= bound + 1e-12)
-    cols, vals = _prefix_columns(cfg, with_n=True)
+    cols, vals = _prefix_columns(cfg, recipe, with_n=True)
     cols += ["nu1_interior", "nu1_all", "bound", "ok"]
     vals += [float(nu_interior), float(nu_all), bound, ok]
     _emit_table(cfg, sink, cols, [vals])
 
 
 def _run_nearbest(cfg: RunConfig, sink: IO[str]) -> None:
+    recipe = _recipe(cfg)
     records = list(iter_lp_audit(_space(cfg), cfg.p, cfg.q))
     # the build's nu1_star: the largest optimum over interior stencils
     interior = [r["value"] for r in records if not r["boundary"]]
     verdicts = [r["certificate"] == "pass" for r in records if r["certificate"] != "n/a"]
-    cols, vals = _prefix_columns(cfg, with_n=True)
+    cols, vals = _prefix_columns(cfg, recipe, with_n=True)
     cols += ["nu1_star", "bound", "all_certified"]
-    vals += [max(interior, default=None), _bound(cfg), all(verdicts) if verdicts else "n/a"]
+    vals += [max(interior, default=None), recipe.bound(cfg.m),
+             all(verdicts) if verdicts else "n/a"]
     _emit_table(cfg, sink, cols, [vals], audit_records=records if cfg.audit else None)
 
 
 def _run_convergence(cfg: RunConfig, sink: IO[str]) -> None:
     f = BUILTIN_FUNCTIONS[cfg.f or "sin"]
-    report = convergence_study(_recipe(cfg), f, cfg.sizes, _partition(cfg), cfg.m)
-    prefix_cols, prefix_vals = _prefix_columns(cfg, with_n=False)
+    recipe = _recipe(cfg)
+    report = convergence_study(recipe, f, cfg.sizes, _partition(cfg), cfg.m)
+    prefix_cols, prefix_vals = _prefix_columns(cfg, recipe, with_n=False)
     cols = prefix_cols + ["f", "n", "h_max", "error", "order_running", "fitted_order"]
     rows = [
         prefix_vals
@@ -307,7 +283,8 @@ def _run_convergence(cfg: RunConfig, sink: IO[str]) -> None:
 
 
 def _run_quad(cfg: RunConfig, sink: IO[str]) -> None:
-    rule = quadrature_from_qi(_operator(cfg))
+    recipe = _recipe(cfg)
+    rule = quadrature_from_qi(recipe.build(_space(cfg)))
     if cfg.f is None:
         cols = ["j", "theta", "weight"]
         rows = [[j, float(x), float(w)]
@@ -318,7 +295,7 @@ def _run_quad(cfg: RunConfig, sink: IO[str]) -> None:
     assert f.integral is not None
     estimate = rule.integrate_fn(f.value)
     exact = float(f.integral(cfg.a, cfg.b))
-    cols, vals = _prefix_columns(cfg, with_n=True)
+    cols, vals = _prefix_columns(cfg, recipe, with_n=True)
     cols += ["f", "integral", "exact", "abs_error"]
     vals += [f.name, float(estimate), exact, abs(estimate - exact)]
     _emit_table(cfg, sink, cols, [vals])
@@ -326,8 +303,9 @@ def _run_quad(cfg: RunConfig, sink: IO[str]) -> None:
 
 def _run_diffmat(cfg: RunConfig, sink: IO[str]) -> None:
     f = BUILTIN_FUNCTIONS[cfg.f or "sin"]
-    report = differentiation_study(_recipe(cfg), f, cfg.sizes, _partition(cfg), cfg.m)
-    prefix_cols, prefix_vals = _prefix_columns(cfg, with_n=False)
+    recipe = _recipe(cfg)
+    report = differentiation_study(recipe, f, cfg.sizes, _partition(cfg), cfg.m)
+    prefix_cols, prefix_vals = _prefix_columns(cfg, recipe, with_n=False)
     cols = prefix_cols + [
         "f", "n", "h_max", "err_interior", "err_all", "order_running", "fitted_order",
     ]

@@ -143,17 +143,11 @@ def _unrepresentable(spec: PartitionSpec) -> ValueError:
 
 
 def _partition_steps(spec: PartitionSpec) -> np.ndarray:
-    span = spec.b - spec.a
+    """Steps of a graded or random partition; uniform ones come from linspace."""
     n = spec.n
-    if spec.family == "uniform":
-        return np.full(n, span / n)
     if spec.family == "arithmetic":
-        if n == 1:
-            return np.array([span])
-        rho = spec.ratio
-        weights = 1.0 + (rho - 1.0) * np.arange(n) / (n - 1)
-        return span * weights / weights.sum()
-    if spec.family == "geometric":
+        weights = 1.0 + (spec.ratio - 1.0) * np.arange(n) / max(n - 1, 1)
+    elif spec.family == "geometric":
         r = spec.ratio
         # the largest or smallest weight r ** (n - 1) and, for r > 1, the
         # weights' sum (below r ** (n - 1) * r / (r - 1)) must fit in float64
@@ -163,12 +157,16 @@ def _partition_steps(spec: PartitionSpec) -> np.ndarray:
         if log_extreme >= math.log(np.finfo(float).max):
             raise _unrepresentable(spec)
         weights = float(r) ** np.arange(n)
-        return span * weights / weights.sum()
-    if spec.family == "random":
-        rng = np.random.default_rng(spec.seed)
-        weights = rng.uniform(0.05, 1.0, size=n)
-        return span * weights / weights.sum()
-    raise ValueError(f"unknown partition family {spec.family!r}")
+    else:
+        weights = np.random.default_rng(spec.seed).uniform(0.05, 1.0, size=n)
+    span, total = spec.b - spec.a, weights.sum()
+    with np.errstate(over="ignore"):
+        steps = span * weights / total
+    # on a long interval span * weights can overflow although the step fits:
+    # divide first there, and keep the bits of every finite entry
+    lost = ~np.isfinite(steps)
+    steps[lost] = weights[lost] / total * span
+    return steps
 
 
 def generate_partition(spec: PartitionSpec, m: int) -> KnotVector:

@@ -82,8 +82,7 @@ class ConstraintSystem:
 
     ``matrix`` is the (q+1) x (#offsets) Vandermonde at the normalized sites,
     ``rhs`` the normalized moment targets. ``sites`` holds the raw Greville
-    values and ``raw_rhs`` the raw targets theta_i^(r) so residuals can be
-    checked in either coordinate system.
+    values and ``scale`` the window span that normalizes them.
     """
 
     center: int
@@ -94,19 +93,9 @@ class ConstraintSystem:
     scale: float
     matrix: np.ndarray
     rhs: np.ndarray
-    raw_rhs: np.ndarray
 
     def residual(self, weights: np.ndarray) -> float:
         return float(np.abs(self.matrix @ weights - self.rhs).max())
-
-    def raw_residual(self, weights: np.ndarray) -> float:
-        """Max scaled residual of the un-normalized exactness rows."""
-        worst = 0.0
-        for r in range(self.q + 1):
-            lhs = float(np.dot(weights, self.sites**r))
-            scale = max(1.0, float(np.abs(self.sites).max()) ** r, abs(self.raw_rhs[r]))
-            worst = max(worst, abs(lhs - self.raw_rhs[r]) / scale)
-        return worst
 
 
 def _vandermonde(x: np.ndarray, q: int) -> np.ndarray:
@@ -182,15 +171,13 @@ def assemble_constraints(
     sites, scale, _, matrix, rhs = _assemble(space, np.array([i]), offsets, q)
     return ConstraintSystem(
         center=i, p=p, q=q, offsets=offsets, sites=sites[0], scale=float(scale[0]),
-        matrix=matrix[0], rhs=rhs[0], raw_rhs=space.grid.moments[i, : q + 1].copy(),
-    )
+        matrix=matrix[0], rhs=rhs[0])
 
 
 @dataclass(frozen=True, eq=False)
 class L1Solution:
     weights: np.ndarray
     value: float
-    status: str
     iterations: int
 
 
@@ -317,7 +304,6 @@ def solve_l1(system: ConstraintSystem) -> L1Solution:
     return L1Solution(
         weights=weights,
         value=float(np.abs(weights).sum()),
-        status="optimal",
         iterations=result.iterations,
     )
 
@@ -573,10 +559,9 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
         accepted = (dual <= 1.0 + _PRICING_TOL) & (miss <= _MISS_TOL)
         values = np.abs(weights).sum(axis=1)
     for row in np.flatnonzero(~accepted).tolist():
-        i = int(centers[row])
         solution = _solve_window(ConstraintSystem(
-            center=i, p=p, q=q, offsets=offsets, sites=sites[row], scale=float(scale[row]),
-            matrix=matrix[row], rhs=rhs[row], raw_rhs=space.grid.moments[i, :size],
+            center=int(centers[row]), p=p, q=q, offsets=offsets, sites=sites[row],
+            scale=float(scale[row]), matrix=matrix[row], rhs=rhs[row],
         ))
         weights[row] = solution.weights
         values[row] = solution.value

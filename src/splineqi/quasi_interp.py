@@ -357,7 +357,8 @@ def theoretical_bound(kind: str, m: int) -> float:
 
     The near-best bound is the qp2star one, (m+1)/(m-1), which the near-best
     weights inherit only where the qp2star weights are feasible: for q <= 2
-    and p >= m.
+    and p >= m. `OperatorRecipe.bound` applies that precondition, and gives
+    None where it fails.
     """
     if kind == KIND_Q2STAR:
         if m < 1:

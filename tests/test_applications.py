@@ -12,6 +12,7 @@ from oracles import central_diff, differentiation_dense
 from splineqi import (
     BUILTIN_FUNCTIONS,
     FAMILIES,
+    OperatorRecipe,
     PartitionSpec,
     TestFunction as TargetFunction,
     apply_dqi,
@@ -190,6 +191,11 @@ class TestOperatorRecipe:
             operator_recipe("q2star", p=2)
         with pytest.raises(ValueError):
             operator_recipe("dqi", p=1)
+        # a recipe made directly is checked alike
+        with pytest.raises(ValueError, match="kind must be one of"):
+            OperatorRecipe("spline")
+        with pytest.raises(ValueError, match="requires an offset radius"):
+            OperatorRecipe("nearbest", q=1)
 
     def test_derivative_based_recipe_has_no_stencils(self):
         recipe = operator_recipe("dqi")

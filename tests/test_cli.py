@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from splineqi.applications import KINDS
 from splineqi.cli import RunConfig, main, parse_config_file, run
 
 
@@ -203,14 +204,25 @@ class TestRunNearbest:
         assert row["bound"] is None and row["ok"] is None
 
     @pytest.mark.filterwarnings("ignore:p=1 below degree 3")
-    def test_no_bound_for_p_below_degree(self, capsys):
+    @pytest.mark.parametrize("config,nu1_above", [
         # (m+1)/(m-1) needs p >= m; here nu1 exceeds it (2.104 > 2.0)
-        config = ["--m", "3", "--p", "1", "--q", "2", "--n", "40", "--family", "random",
-                  "--seed", "0"]
+        pytest.param(["--m", "3", "--p", "1", "--q", "2", "--n", "40", "--family", "random",
+                      "--seed", "0"], 2.0, id="m3-p1-q2"),
+        # and m >= 2: for m = 1 it has no value, although the operator builds
+        *[pytest.param(["--m", "1", "--p", str(p), "--q", str(q), "--n", "8"], None,
+                       id=f"m1-p{p}-q{q}") for p in (1, 2) for q in (0, 1)],
+    ])
+    def test_no_bound_below_proven_range(self, capsys, config, nu1_above):
         assert main(["norms", "--kind", "nearbest", *config]) == 0
         _, rows = parse_csv(capsys.readouterr().out)
-        assert float(rows[0]["nu1_interior"]) > 2.0
+        if nu1_above is not None:
+            assert float(rows[0]["nu1_interior"]) > nu1_above
         assert rows[0]["bound"] == "" and rows[0]["ok"] == ""
+        assert main(["norms", "--kind", "nearbest", *config, "--fmt", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["bound"] is None and row["ok"] is None
+        assert main(["nearbest", *config]) == 0
+        assert parse_csv(capsys.readouterr().out)[1][0]["bound"] == ""
         assert main(["nearbest", *config, "--fmt", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["rows"][0]["bound"] is None
 
@@ -385,6 +397,16 @@ class TestRunStudies:
         fitted = float(rows[-1]["fitted_order"])
         assert 2.5 <= fitted <= 3.5
         assert rows[0]["order_running"] == "nan"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_convergence_reports_each_kinds_p_and_q(self, kind):
+        # the p and q a row reports are those the operator is built with
+        p = None if kind in ("dqi", "q2star") else 2
+        cfg = RunConfig(command="convergence", kind=kind, m=2, p=p, q=1, sizes=(8, 16))
+        _, rows = parse_csv(run_to_text(cfg))
+        want = {"dqi": ("", ""), "q2star": ("1", "2"), "qp2star": ("2", "2"),
+                "nearbest": ("2", "1")}[kind]
+        assert all((row["p"], row["q"]) == want for row in rows)
 
     def test_convergence_defaults_to_sin(self):
         cfg = RunConfig(command="convergence", m=2, sizes=(8, 16))

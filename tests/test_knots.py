@@ -142,6 +142,16 @@ class TestGeneratePartition:
         steps = generate_partition(spec, 2).steps
         assert (steps > 0).all() and steps[0] == pytest.approx(1e-300 * (1 - 1e-10))
 
+    @pytest.mark.parametrize("spec", [
+        PartitionSpec("geometric", a=0.0, b=1e300, n=300, ratio=10.0),
+        PartitionSpec("arithmetic", a=0.0, b=1e308, n=50, ratio=10.0),
+    ])
+    def test_long_interval_steps_fit(self, spec):
+        # span * weight overflows here, although every step fits in float64
+        kv = generate_partition(spec, 2)
+        assert np.isfinite(kv.steps).all() and (kv.steps > 0).all()
+        assert np.all(np.diff(kv.t[2:-2]) > 0) and kv.t[-1] == spec.b
+
     def test_families_constant(self):
         assert set(FAMILIES) == {"uniform", "arithmetic", "geometric", "random"}
 

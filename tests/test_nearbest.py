@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import oracles
 from conftest import space_from, spaces
 from splineqi import (
     SplineSpace,
@@ -80,7 +81,6 @@ class TestSolveL1:
     def test_uniform_wide_window_optimum(self):
         sp = space_from("uniform", m=2, n=12)
         sol = solve_l1(assemble_constraints(sp, 6, 2, 2))
-        assert sol.status == "optimal"
         assert sol.value == pytest.approx(9.0 / 8.0, abs=1e-10)
         np.testing.assert_allclose(
             sol.weights, [-1 / 32, 0.0, 17 / 16, 0.0, -1 / 32], atol=1e-9
@@ -103,7 +103,8 @@ class TestSolveL1:
         system = assemble_constraints(sp, i, 2, 2)
         sol = solve_l1(system)
         assert system.residual(sol.weights) <= 1e-9
-        assert system.raw_residual(sol.weights) <= 1e-9
+        t, m = sp.knots.t, sp.degree
+        assert oracles.nearbest_residual_mp(t, m, i, system.offsets, 2, sol.weights) <= 1e-9
 
     def test_value_non_increasing_in_radius(self):
         sp = space_from("random", m=2, n=14, seed=4)
@@ -143,7 +144,9 @@ class TestWatsonForm:
         rng = np.random.default_rng(0)
         for _ in range(4):
             lam = form.feasible_point(rng.uniform(-2.0, 2.0, len(form.free_offsets)))
-            assert system.raw_residual(lam) <= 1e-9
+            residual = oracles.nearbest_residual_mp(
+                sp.knots.t, sp.degree, i, system.offsets, 2, lam)
+            assert residual <= 1e-9
 
     def test_radius_one_is_parameter_free(self):
         sp = space_from("random", m=2, n=8, seed=9)
@@ -354,8 +357,8 @@ class TestBuildNearbest:
         st = qi.stencils[1]
         assert st.offsets == (-1, 0, 1, 2, 3)
         assert st.boundary
-        system = assemble_constraints(sp, 1, 3, 2, offsets=st.offsets)
-        assert system.raw_residual(st.weights) <= 1e-9
+        t, m = sp.knots.t, sp.degree
+        assert oracles.nearbest_residual_mp(t, m, 1, st.offsets, 2, st.weights) <= 1e-9
 
     def test_exactness_degree_validation(self):
         sp = space_from("uniform", m=2, n=8)

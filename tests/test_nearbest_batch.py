@@ -36,7 +36,7 @@ def _batch(space, p, q, monkeypatch):
 
     def path(system):
         refused.add(system.center)
-        return nb.L1Solution(np.zeros(len(system.offsets)), 0.0, "optimal", 0)
+        return nb.L1Solution(np.zeros(len(system.offsets)), 0.0, 0)
 
     with monkeypatch.context() as patch:
         patch.setattr(nb, "_solve_window", path)
