@@ -268,9 +268,8 @@ def operator_recipe(kind: str, p: int | None = None, q: int = 2) -> OperatorReci
 
 def evaluation_grid(kv: KnotVector) -> np.ndarray:
     """11 points per knot span, deduplicated; dense enough for sup norms."""
-    m = kv.degree
-    pieces = [np.linspace(kv.t[k], kv.t[k + 1], 11) for k in range(m, m + kv.n)]
-    return np.unique(np.concatenate(pieces))
+    m, n = kv.degree, kv.n
+    return np.unique(np.linspace(kv.t[m : m + n], kv.t[m + 1 : m + n + 1], 11, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,7 +323,7 @@ def convergence_study(
         space = SplineSpace.from_knots(kv)
         approx = recipe.approximate(space, f)
         grid = evaluation_grid(kv)
-        err = max(abs(v - f.value(float(x))) for v, x in zip(approx(grid).tolist(), grid))
+        err = max(abs(v - f.value(x)) for v, x in zip(approx(grid).tolist(), grid.tolist()))
         h = float(kv.steps.max())
         rows.append(ConvergenceRow(n=n, h_max=h, error=float(err),
                                    order_running=_running_order(prev, h, err)))

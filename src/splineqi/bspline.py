@@ -7,9 +7,12 @@ coefficient differencing down to the requested order, so they are one-sided
 at knots in the same way. Each routine takes one point (a float) or many
 (an ndarray); the span is then an int or an array of the points' shape.
 One point is evaluated in Python floats: the knots come from the space's
-cached tuple and the span from `bisect`, while the recurrence, the
-differencing and the final `np.vecdot` are the ones an array takes, so a
-point gives the same bits as a float or inside an array.
+cached tuple and the span from `bisect`, while the recurrence and the
+differencing are the ones an array takes. Its final dot is BLAS `ddot` on a
+unit-stride slice of the active coefficients, the kernel `np.vecdot` runs
+on an array's rows, so a point gives the same bits as a float or inside an
+array. A strided slice can round differently, so a point reads a
+contiguous copy of such a slice.
 """
 
 from __future__ import annotations
@@ -90,16 +93,18 @@ def _find_span(space: SplineSpace, x) -> tuple:
 def _basis_values(t, span, deg: int, x) -> list:
     """Values of the deg+1 active basis functions, each a float or like x."""
     values = [1.0]
-    left = [0.0] * (deg + 1)
-    right = [0.0] * (deg + 1)
+    left = [0.0]
+    right = [0.0]
     for j in range(1, deg + 1):
-        left[j] = x - t[span + 1 - j]
-        right[j] = t[span + j] - x
+        left.append(x - t[span + 1 - j])
+        right.append(t[span + j] - x)
         saved = 0.0
         for r in range(j):
-            tmp = values[r] / (right[r + 1] + left[j - r])
-            values[r] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
+            right_r = right[r + 1]
+            left_r = left[j - r]
+            tmp = values[r] / (right_r + left_r)
+            values[r] = saved + right_r * tmp
+            saved = left_r * tmp
         values.append(saved)
     return values
 
@@ -131,16 +136,16 @@ def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
     """
     if derivative_order < 0:
         raise ValueError("derivative order must be >= 0")
-    space = f.space
-    m = space.degree
-    t, span = _find_span(space, x)
+    kv = f.space.knots
+    m = kv.degree
+    t, span = _find_span(f.space, x)
     many = isinstance(x, np.ndarray)
     if derivative_order > m:
         return np.zeros(x.shape) if many else 0.0
     coeffs = np.asarray(f.coefficients, dtype=float)
-    if coeffs.shape != (space.dimension,):
+    if coeffs.shape != (kv.n + m,):
         raise ValueError(
-            f"coefficient vector has length {coeffs.shape}, space needs {space.dimension}"
+            f"coefficient vector has length {coeffs.shape}, space needs {kv.n + m}"
         )
     first = span - m
     # difference only the m+1 coefficients active on the span; entry l of
@@ -148,7 +153,10 @@ def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
     if many:
         local = [coeffs[first + l] for l in range(m + 1)]
     else:
-        local = coeffs[first : first + m + 1].tolist()
+        # ddot rounds a unit-stride slice as vecdot rounds an array's row
+        local = np.ascontiguousarray(coeffs[first : first + m + 1])
+        if derivative_order:
+            local = local.tolist()
     deg = m
     for r in range(1, derivative_order + 1):
         local = [deg * (local[l + 1] - local[l]) / (t[span + 1 + l] - t[first + r + l])
@@ -157,8 +165,9 @@ def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
     values = _basis_values(t, span, deg, x)
     if many:
         return np.vecdot(_rows(values), _rows(local))
-    # numpy reads the two lists as the rows _rows would stack
-    return float(np.vecdot(values, local))
+    if derivative_order:
+        local = np.array(local)
+    return float(local.dot(values))
 
 
 def eval_basis_derivative(space: SplineSpace, x) -> tuple:

@@ -225,6 +225,17 @@ class TestEvaluationGrid:
         for k in range(sp.degree, sp.degree + 9 + 1):
             assert np.isclose(grid, sp.knots.t[k]).any()
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("family, ratio",
+                             [("uniform", 1.0), ("arithmetic", 5.0),
+                              ("geometric", 1.01), ("random", 1.0)])
+    def test_grid_bits_match_per_span_linspace(self, family, ratio, m):
+        for n in (1, 2, 16, 128, 1000):
+            kv = space_from(family, m, n, seed=n, a=-0.7, b=2.3, ratio=ratio).knots
+            pieces = [np.linspace(kv.t[k], kv.t[k + 1], 11) for k in range(m, m + n)]
+            expected = np.unique(np.concatenate(pieces))
+            assert evaluation_grid(kv).tobytes() == expected.tobytes()
+
 
 class TestConvergence:
     def test_quadratics_reproduce_at_machine_precision(self):

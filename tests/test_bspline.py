@@ -257,6 +257,30 @@ class TestFloatPath:
                 assert all(type(v) is float for v in floats)
                 assert_same_bits(floats, eval_spline(f, np.array(pts), order))
 
+    def test_coefficient_layouts_match_array(self, m):
+        """A strided view, a list and an int array: a point gives the array
+        call's bits (ddot on a strided slice can round differently), and a
+        wrong length keeps its message."""
+        rng = np.random.default_rng(m)
+        for sp in sweep_spaces(m):
+            dim = sp.dimension
+            pts = sweep_points(sp)
+            layouts = [rng.standard_normal((dim, 2))[:, 1],
+                       rng.standard_normal(dim).tolist(),
+                       rng.integers(-9, 10, dim)]
+            for coeffs in layouts:
+                f = SplineFunction(sp, coeffs)
+                for order in range(m + 2):
+                    floats = [eval_spline(f, x, order) for x in pts]
+                    assert all(type(v) is float for v in floats)
+                    assert_same_bits(floats, eval_spline(f, np.array(pts), order))
+            message = rf"^coefficient vector has length \({dim - 1},\), space needs {dim}$"
+            for coeffs in (layouts[0][1:], layouts[1][1:], layouts[2][1:]):
+                f = SplineFunction(sp, coeffs)
+                for order in range(m + 1):
+                    with pytest.raises(ValueError, match=message):
+                        eval_spline(f, pts[0], order)
+
     def test_basis_and_basis_derivative_match_array(self, m):
         for sp in sweep_spaces(m):
             pts = sweep_points(sp)
@@ -317,6 +341,13 @@ class TestFloatPathErrors:
             for order in (0, 1, 2):
                 with pytest.raises(ValueError, match=message):
                     eval_spline(f, x, order)
+
+    def test_scalar_coefficients_message(self):
+        sp = space_from("uniform", 2, 5)
+        f = SplineFunction(sp, 1.0)
+        for x in (0.5, np.array([0.5])):
+            with pytest.raises(ValueError, match=r"^coefficient vector has length \(\), space needs 7$"):
+                eval_spline(f, x)
 
     def test_knot_tuple_built_once(self):
         sp = space_from("random", 3, 12, seed=5)
