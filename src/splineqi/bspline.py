@@ -140,13 +140,13 @@ def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
     m = kv.degree
     t, span = _find_span(f.space, x)
     many = isinstance(x, np.ndarray)
-    if derivative_order > m:
-        return np.zeros(x.shape) if many else 0.0
     coeffs = np.asarray(f.coefficients, dtype=float)
     if coeffs.shape != (kv.n + m,):
         raise ValueError(
             f"coefficient vector has length {coeffs.shape}, space needs {kv.n + m}"
         )
+    if derivative_order > m:
+        return np.zeros(x.shape) if many else 0.0
     first = span - m
     # difference only the m+1 coefficients active on the span; entry l of
     # the order-r coefficients belongs to basis index first + l

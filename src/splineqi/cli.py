@@ -37,16 +37,10 @@ from .knots import FAMILIES, PartitionSpec, generate_partition
 from .nearbest import iter_lp_audit
 from .quasi_interp import KIND_NEARBEST, norm_upper_bound
 
-COMMANDS = ("norms", "nearbest", "convergence", "quad", "diffmat", "audit")
 # commands defined by p and q alone: they always build the near-best operator
 _NEARBEST_COMMANDS = ("nearbest", "audit")
 FORMATS = ("csv", "json")
 DEFAULT_SIZES = (16, 32, 64, 128)
-
-_INT_KEYS = {"m", "p", "q", "n", "seed"}
-_FLOAT_KEYS = {"a", "b", "ratio"}
-_FLOAT_FLAGS = {f"--{key}" for key in _FLOAT_KEYS}
-_BOOL_KEYS = {"audit"}
 
 
 @dataclass(frozen=True)
@@ -91,14 +85,10 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.command not in COMMANDS:
-            raise ValueError(f"command must be one of {COMMANDS}, got {self.command!r}")
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"fmt must be one of {FORMATS}, got {self.fmt!r}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        for key, allowed in {"command": COMMANDS, **_CHOICES}.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValueError(f"{key} must be one of {allowed}, got {value!r}")
         if self.m < 1:
             raise ValueError(f"degree must be >= 1, got {self.m}")
         if self.n < 2:
@@ -124,12 +114,43 @@ class RunConfig:
             raise ValueError("the audit flag only applies to the nearbest command")
 
 
+# every RunConfig key but the command: a --key option and a config-file key
+_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "command")
+# the allowed values of the keys that have a fixed set, in validate's order
+_CHOICES = {"kind": KINDS, "fmt": FORMATS, "family": FAMILIES}
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    return tuple(int(tok.strip()) for tok in text.split(","))
+
+
+def _flag(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
+
+
+# how a key's text is read, from the command line or a config file; str for the rest
+_READERS = {
+    "m": int, "p": int, "q": int, "n": int, "seed": int,
+    "a": float, "b": float, "ratio": float,
+    "sizes": _sizes, "audit": _flag,
+}
+_FLOAT_FLAGS = {f"--{key}" for key, reader in _READERS.items() if reader is float}
+
+
+def _read(where: str, key: str, text: str):
+    try:
+        return _READERS.get(key, str)(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad value for {key!r}: {exc}") from exc
+
+
 def parse_config_file(path: str) -> dict:
     """key=value lines; '#' starts a comment; keys must be RunConfig fields.
 
     The command itself always comes from the command line.
     """
-    names = {f.name for f in fields(RunConfig)}
     entries: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -146,27 +167,10 @@ def parse_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key == "command":
             raise ValueError(f"{path}:{lineno}: the command comes from the CLI")
-        if key not in names:
+        if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        entries[key] = _coerce(path, lineno, key, value)
+        entries[key] = _read(f"{path}:{lineno}", key, value)
     return entries
-
-
-def _coerce(path: str, lineno: int, key: str, value: str):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            if value.lower() not in ("true", "false"):
-                raise ValueError("expected true or false")
-            return value.lower() == "true"
-        if key == "sizes":
-            return tuple(int(tok.strip()) for tok in value.split(","))
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +272,6 @@ def _run_nearbest(cfg: RunConfig, sink: IO[str]) -> None:
     _emit_table(cfg, sink, cols, [vals], audit_records=records if cfg.audit else None)
 
 
-def _run_convergence(cfg: RunConfig, sink: IO[str]) -> None:
-    f = BUILTIN_FUNCTIONS[cfg.f or "sin"]
-    recipe = _recipe(cfg)
-    report = convergence_study(recipe, f, cfg.sizes, _partition(cfg), cfg.m)
-    prefix_cols, prefix_vals = _prefix_columns(cfg, recipe, with_n=False)
-    cols = prefix_cols + ["f", "n", "h_max", "error", "order_running", "fitted_order"]
-    rows = [
-        prefix_vals
-        + [f.name, r.n, r.h_max, r.error, r.order_running, report.fitted_order]
-        for r in report.rows
-    ]
-    _emit_table(cfg, sink, cols, rows)
-
-
 def _run_quad(cfg: RunConfig, sink: IO[str]) -> None:
     recipe = _recipe(cfg)
     rule = quadrature_from_qi(recipe.build(_space(cfg)))
@@ -301,17 +291,24 @@ def _run_quad(cfg: RunConfig, sink: IO[str]) -> None:
     _emit_table(cfg, sink, cols, [vals])
 
 
-def _run_diffmat(cfg: RunConfig, sink: IO[str]) -> None:
+# each study, called through this module's name so that a wrapper set on it
+# is seen, and the error columns of its rows
+_STUDIES = {
+    "convergence": (lambda *args: convergence_study(*args), ("error",)),
+    "diffmat": (lambda *args: differentiation_study(*args), ("err_interior", "err_all")),
+}
+
+
+def _run_study(cfg: RunConfig, sink: IO[str]) -> None:
+    study, errors = _STUDIES[cfg.command]
     f = BUILTIN_FUNCTIONS[cfg.f or "sin"]
     recipe = _recipe(cfg)
-    report = differentiation_study(recipe, f, cfg.sizes, _partition(cfg), cfg.m)
+    report = study(recipe, f, cfg.sizes, _partition(cfg), cfg.m)
     prefix_cols, prefix_vals = _prefix_columns(cfg, recipe, with_n=False)
-    cols = prefix_cols + [
-        "f", "n", "h_max", "err_interior", "err_all", "order_running", "fitted_order",
-    ]
+    cols = prefix_cols + ["f", "n", "h_max", *errors, "order_running", "fitted_order"]
     rows = [
         prefix_vals
-        + [f.name, r.n, r.h_max, r.err_interior, r.err_all, r.order_running,
+        + [f.name, r.n, r.h_max, *(getattr(r, e) for e in errors), r.order_running,
            report.fitted_order]
         for r in report.rows
     ]
@@ -324,21 +321,22 @@ def _run_audit(cfg: RunConfig, sink: IO[str]) -> None:
         sink.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-_HANDLERS = {
-    "norms": _run_norms,
-    "nearbest": _run_nearbest,
-    "convergence": _run_convergence,
-    "quad": _run_quad,
-    "diffmat": _run_diffmat,
-    "audit": _run_audit,
+_COMMANDS = {
+    "norms": (_run_norms, "operator norm upper bound vs the theoretical bound"),
+    "nearbest": (_run_nearbest, "near-best LP sweep summary"),
+    "convergence": (_run_study, "error decay study across partition sizes"),
+    "quad": (_run_quad, "quadrature weights or an integral estimate"),
+    "diffmat": (_run_study, "differentiation matrix error study"),
+    "audit": (_run_audit, "per-index LP audit records as JSON lines"),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(cfg: RunConfig, sink: IO[str]) -> int:
     cfg.validate()
     if cfg.command in _NEARBEST_COMMANDS:
         cfg = replace(cfg, kind=KIND_NEARBEST)
-    _HANDLERS[cfg.command](cfg, sink)
+    _COMMANDS[cfg.command][0](cfg, sink)
     return 0
 
 
@@ -346,46 +344,35 @@ def run(cfg: RunConfig, sink: IO[str]) -> int:
 # argument parsing
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", default=None, help="key=value config file")
-    sp.add_argument("--kind", choices=KINDS, default=None)
-    sp.add_argument("--m", type=int, default=None, help="spline degree")
-    sp.add_argument("--p", type=int, default=None, help="stencil offset radius")
-    sp.add_argument("--q", type=int, default=None, help="polynomial exactness degree")
-    sp.add_argument("--family", choices=FAMILIES, default=None)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--b", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None, help="number of subintervals")
-    sp.add_argument("--ratio", type=float, default=None,
-                    help="grading ratio for arithmetic/geometric families")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--f", default=None, help="test function name")
-    sp.add_argument("--sizes", default=None,
-                    help="comma-separated subinterval counts for studies")
-    sp.add_argument("--out", default=None, help="write output to this file")
-    sp.add_argument("--fmt", choices=FORMATS, default=None)
+_HELP = {
+    "m": "spline degree",
+    "p": "stencil offset radius",
+    "q": "polynomial exactness degree",
+    "n": "number of subintervals",
+    "ratio": "grading ratio for arithmetic/geometric families",
+    "f": "test function name",
+    "sizes": "comma-separated subinterval counts for studies",
+    "out": "write output to this file",
+    "audit": "append per-index JSONL audit records",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; its options are the keys, as text for `_read`."""
     parser = argparse.ArgumentParser(
         prog="splineqi",
         description="spline quasi-interpolant studies on non-uniform partitions",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "norms": "operator norm upper bound vs the theoretical bound",
-        "nearbest": "near-best LP sweep summary",
-        "convergence": "error decay study across partition sizes",
-        "quad": "quadrature weights or an integral estimate",
-        "diffmat": "differentiation matrix error study",
-        "audit": "per-index LP audit records as JSON lines",
-    }
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
-        _add_common(sp)
-        if name == "nearbest":
-            sp.add_argument("--audit", action="store_true", default=None,
-                            help="append per-index JSONL audit records")
+    for name, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", help="key=value config file")
+        for key in _KEYS:
+            if _READERS.get(key) is not _flag:
+                sp.add_argument(f"--{key}", choices=_CHOICES.get(key), help=_HELP.get(key))
+            elif name == "nearbest":
+                sp.add_argument(f"--{key}", action="store_const", const="true",
+                                help=_HELP[key])
     return parser
 
 
@@ -397,24 +384,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    entries: dict = {}
-    if args.config is not None:
-        entries = parse_config_file(args.config)
-    for name in ("kind", "m", "p", "q", "family", "a", "b", "n", "ratio",
-                 "seed", "f", "out", "fmt"):
-        value = getattr(args, name)
-        if value is not None:
-            entries[name] = value
-    if args.sizes is not None:
-        try:
-            entries["sizes"] = tuple(int(tok.strip()) for tok in args.sizes.split(","))
-        except ValueError:
-            raise ValueError(
-                f"invalid sizes {args.sizes!r}: expected comma-separated integers"
-            ) from None
-    audit = getattr(args, "audit", None)
-    if audit is not None:
-        entries["audit"] = bool(audit)
+    entries = {} if args.config is None else parse_config_file(args.config)
+    for key in _KEYS:
+        text = getattr(args, key, None)
+        if text is not None:
+            entries[key] = _read(f"--{key}", key, text)
     return RunConfig.from_record({"command": args.command, **entries})
 
 

@@ -151,16 +151,25 @@ class QuasiInterpolant:
             record["a"], record["b"], record["interior"], int(record["degree"])
         )
         space = SplineSpace.from_knots(kv)
+        dim = kv.dimension
         items = record["stencils"]
+        if sorted(int(item["i"]) for item in items) != list(range(dim)):
+            raise ValueError(f"stencil indices must be 0..{dim - 1}, each once")
         width = max(len(item["offsets"]) for item in items)
-        sites, weights = _empty_band(kv.dimension, width)
-        lengths = np.zeros(kv.dimension, dtype=int)
+        sites, weights = _empty_band(dim, width)
+        lengths = np.zeros(dim, dtype=int)
         for item in items:
             i = int(item["i"])
-            offsets = [int(s) for s in item["offsets"]]
-            sites[i, : len(offsets)] = [i + s for s in offsets]
-            weights[i, : len(offsets)] = item["weights"]
-            lengths[i] = len(offsets)
+            row = [i + int(s) for s in item["offsets"]]
+            if len(item["weights"]) != len(row):
+                raise ValueError(
+                    f"stencil {i}: {len(item['weights'])} weights for {len(row)} offsets"
+                )
+            if not all(0 <= site < dim for site in row):
+                raise ValueError(f"stencil {i}: sites {row} leave 0..{dim - 1}")
+            sites[i, : len(row)] = row
+            weights[i, : len(row)] = item["weights"]
+            lengths[i] = len(row)
         p = int(record["p"])
         lo, hi = _interior_range(kv.degree, p, kv.n)
         lp_values = record.get("lp_values")

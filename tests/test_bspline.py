@@ -260,7 +260,7 @@ class TestFloatPath:
     def test_coefficient_layouts_match_array(self, m):
         """A strided view, a list and an int array: a point gives the array
         call's bits (ddot on a strided slice can round differently), and a
-        wrong length keeps its message."""
+        wrong length keeps its message at every order, above m too."""
         rng = np.random.default_rng(m)
         for sp in sweep_spaces(m):
             dim = sp.dimension
@@ -277,7 +277,7 @@ class TestFloatPath:
             message = rf"^coefficient vector has length \({dim - 1},\), space needs {dim}$"
             for coeffs in (layouts[0][1:], layouts[1][1:], layouts[2][1:]):
                 f = SplineFunction(sp, coeffs)
-                for order in range(m + 1):
+                for order in range(m + 3):
                     with pytest.raises(ValueError, match=message):
                         eval_spline(f, pts[0], order)
 

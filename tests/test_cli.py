@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from splineqi.applications import KINDS
-from splineqi.cli import RunConfig, main, parse_config_file, run
+from splineqi import cli
+from splineqi.cli import COMMANDS, RunConfig, main, parse_config_file, run
 
 
 def run_to_text(cfg):
@@ -121,6 +123,54 @@ class TestConfigFile:
     def test_missing_file(self):
         with pytest.raises(ValueError, match="cannot read config file"):
             parse_config_file("/nonexistent/run.cfg")
+
+
+class TestKeySchema:
+    """Every RunConfig key but the command is a --key option of each command
+    and a config-file key, and one text reads to one value through both."""
+
+    KEYS = [f.name for f in fields(RunConfig) if f.name != "command"]
+    # a text for each key and the value it reads to, none of them a default
+    VALUES = {
+        "kind": ("qp2star", "qp2star"),
+        "m": ("3", 3),
+        "p": ("4", 4),
+        "q": ("1", 1),
+        "family": ("geometric", "geometric"),
+        "a": ("-0.5", -0.5),
+        "b": ("2.5", 2.5),
+        "n": ("20", 20),
+        "ratio": ("1.5", 1.5),
+        "seed": ("7", 7),
+        "f": ("runge", "runge"),
+        "sizes": ("8, 16", (8, 16)),
+        "out": ("x.csv", "x.csv"),
+        "fmt": ("json", "json"),
+        "audit": ("true", True),
+    }
+
+    def test_every_key_has_a_value(self):
+        assert sorted(self.VALUES) == sorted(self.KEYS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("key", KEYS)
+    def test_option_and_config_key_read_alike(self, key, command, tmp_path, capsys):
+        text, value = self.VALUES[key]
+        parser = cli.build_parser()
+        option = ["--audit"] if key == "audit" else [f"--{key}", text]
+        if key == "audit" and command != "nearbest":
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, *option])
+            assert "unrecognized arguments: --audit" in capsys.readouterr().err
+            return
+        # p = 2 lets every command validate, the near-best ones included
+        from_option = cli._config_from_args(parser.parse_args([command, "--p", "2", *option]))
+        path = tmp_path / "run.cfg"
+        path.write_text(f"p = 2\n{key} = {text}\n")
+        assert parse_config_file(str(path))[key] == value
+        from_file = cli._config_from_args(parser.parse_args([command, "--config", str(path)]))
+        assert getattr(from_option, key) == value != getattr(RunConfig(command), key)
+        assert from_option == from_file
 
 
 class TestRunNorms:
@@ -583,6 +633,21 @@ class TestMain:
         assert main(["convergence", "--sizes", "8,big"]) == 2
         err = capsys.readouterr().err
         assert "sizes" in err
+
+    @pytest.mark.parametrize(
+        "key, text", [("m", "three"), ("a", "zero"), ("seed", "1.5"), ("sizes", "8,big")]
+    )
+    def test_malformed_value_names_its_key(self, capsys, tmp_path, key, text):
+        # the command line and a config file read a key's text alike and
+        # refuse it alike, through main's exit-2 path
+        assert main(["norms", f"--{key}", text]) == 2
+        from_option = capsys.readouterr().err
+        assert from_option.startswith(f"error: --{key}: bad value for {key!r}: ")
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {text}\n")
+        assert main(["norms", "--config", str(path)]) == 2
+        from_file = capsys.readouterr().err
+        assert from_file == from_option.replace(f"--{key}:", f"{path}:1:")
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.csv"

@@ -347,3 +347,28 @@ class TestSerialization:
         clone = QuasiInterpolant.from_record(record)
         assert clone.lp_values is None and clone.nu1_star is None
         np.testing.assert_array_equal(clone.weights, qi.weights)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            # offsets [-2, 0, 1] at row 1 put a site at -1, which a gather wraps
+            (lambda st: st[1].update(offsets=[-2, 0, 1]), r"stencil 1: sites \[-1, 1, 2\]"),
+            (lambda st: st[-1].update(offsets=[0, 1], weights=[1.0, 0.0]),
+             r"stencil 9: sites \[9, 10\]"),
+            (lambda st: st.pop(4), r"indices must be 0\.\.9, each once"),
+            (lambda st: st[4].update(i=5), r"indices must be 0\.\.9, each once"),
+            (lambda st: st.append(dict(st[0], i=10)), r"indices must be 0\.\.9, each once"),
+            (lambda st: st[3].update(weights=st[3]["weights"][:1]),
+             r"stencil 3: 1 weights for 3 offsets"),
+            (lambda st: st[0].update(weights=[1.0, 0.0]), r"stencil 0: 2 weights for 1 offsets"),
+        ],
+        ids=["site_below_0", "site_above_last", "index_missing", "index_repeated",
+             "index_beyond_last", "weights_short", "weights_long"],
+    )
+    def test_malformed_record_refused(self, corrupt, message):
+        record = build_q2star(space_from("uniform", m=2, n=8)).to_record()
+        assert len(record["stencils"]) == 10
+        QuasiInterpolant.from_record(record)
+        corrupt(record["stencils"])
+        with pytest.raises(ValueError, match=message):
+            QuasiInterpolant.from_record(record)
