@@ -28,7 +28,8 @@ from .quasi_interp import (
     KIND_Q2STAR,
     KIND_QP2STAR,
     QuasiInterpolant,
-    apply_dqi,
+    _dqi_spline,
+    _oracle_table,
     apply_qi,
     build_q2star,
     build_qp2star,
@@ -136,7 +137,10 @@ def differentiation_matrix(qi: QuasiInterpolant) -> DifferentiationMatrix:
 class TestFunction:
     """Closed-form target with derivatives and (optionally) an antiderivative.
 
-    ``derivatives(x, k)`` returns the array f(x), f'(x), ..., f^(k)(x).
+    ``value(x)`` returns f(x) and ``derivatives(x, k)`` the array f(x), f'(x),
+    ..., f^(k)(x); the studies call both with Python floats, one point at a
+    time. The built-in sin and exp are the exception: their ``derivatives``
+    also take an array of points, and `derivative_table` makes one call.
     """
 
     name: str
@@ -144,13 +148,28 @@ class TestFunction:
     derivatives: Callable[[float, int], np.ndarray]
     integral: Callable[[float, float], float] | None = None
 
+    def derivative_table(self, xs, k: int) -> np.ndarray:
+        """Rows f(x), f'(x), ..., f^(k)(x) for the points xs, shape
+        xs.shape + (k+1,): one ``derivatives`` call per point, or one call
+        in all for the built-in sin and exp."""
+        xs = np.asarray(xs, dtype=float)
+        if self.derivatives in _ARRAY_DERIVATIVES:
+            return self.derivatives(xs, k)
+        table = _oracle_table(xs.ravel(), lambda x: self.derivatives(x, k), k)
+        return table.reshape(xs.shape + (k + 1,))
 
-def _sin_derivs(x: float, k: int) -> np.ndarray:
-    return np.sin(x + np.arange(k + 1) * (np.pi / 2.0))
+
+def _sin_derivs(x, k: int) -> np.ndarray:
+    return np.sin(np.asarray(x)[..., None] + np.arange(k + 1) * (np.pi / 2.0))
 
 
-def _exp_derivs(x: float, k: int) -> np.ndarray:
-    return np.full(k + 1, np.exp(x))
+def _exp_derivs(x, k: int) -> np.ndarray:
+    return np.repeat(np.exp(np.asarray(x))[..., None], k + 1, axis=-1)
+
+
+# derivatives that take a float or an array and round each point alike;
+# runge stays per point, since numpy's complex division rounds differently
+_ARRAY_DERIVATIVES = (_sin_derivs, _exp_derivs)
 
 
 def _runge_derivs(x: float, k: int) -> np.ndarray:
@@ -236,8 +255,7 @@ class OperatorRecipe:
 
     def approximate(self, space: SplineSpace, f: TestFunction) -> SplineFunction:
         if _KINDS[self.kind].builder is None:
-            m = space.degree
-            return apply_dqi(space, lambda x: f.derivatives(x, m))
+            return _dqi_spline(space, f.derivative_table(space.greville, space.degree))
         qi = self.build(space)
         return apply_qi(qi, greville_samples(space, f.value))
 
@@ -323,11 +341,12 @@ def convergence_study(
         space = SplineSpace.from_knots(kv)
         approx = recipe.approximate(space, f)
         grid = evaluation_grid(kv)
-        err = max(abs(v - f.value(x)) for v, x in zip(approx(grid).tolist(), grid.tolist()))
+        exact = np.fromiter(map(f.value, grid.tolist()), float, len(grid))
+        err = float(np.abs(approx(grid) - exact).max())
         h = float(kv.steps.max())
-        rows.append(ConvergenceRow(n=n, h_max=h, error=float(err),
+        rows.append(ConvergenceRow(n=n, h_max=h, error=err,
                                    order_running=_running_order(prev, h, err)))
-        prev = (h, float(err))
+        prev = (h, err)
     fitted, constant = _fit_order([(r.h_max, r.error) for r in rows])
     return ConvergenceReport(rows=tuple(rows), fitted_order=fitted, constant=constant)
 
@@ -367,7 +386,7 @@ def differentiation_study(
         qi = recipe.build(space)
         D = differentiation_matrix(qi)
         samples = greville_samples(space, f.value)
-        exact = np.array([f.derivatives(x, 1)[1] for x in space.greville.tolist()])
+        exact = f.derivative_table(space.greville, 1)[:, 1]
         diff = np.abs(D.apply(samples) - exact)
         lo, hi = degree + 1, space.dimension - degree - 2
         err_int = float(diff[lo : hi + 1].max()) if hi >= lo else float(diff.max())

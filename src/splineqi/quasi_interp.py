@@ -218,6 +218,27 @@ def dqi_coefficients(space: SplineSpace, i: int) -> np.ndarray:
 DerivativeOracle = Callable[[float], Sequence[float]]
 
 
+def _oracle_table(points: np.ndarray, oracle: DerivativeOracle, k: int) -> np.ndarray:
+    """Rows f(x), f'(x), ..., f^(k)(x), one per point of a 1-D array, from
+    an oracle called once per point with a Python float."""
+    table = np.empty((len(points), k + 1))
+    for i, x in enumerate(points.tolist()):
+        derivs = np.asarray(oracle(x), dtype=float)
+        if derivs.ndim != 1 or derivs.size < k + 1:
+            raise ValueError(
+                f"oracle must supply {k + 1} derivative values, got shape {derivs.shape}"
+            )
+        table[i] = derivs[: k + 1]
+    return table
+
+
+def _dqi_spline(space: SplineSpace, table: np.ndarray) -> SplineFunction:
+    """The differential quasi-interpolant of the (dim, m+1) table of
+    f, f', ..., f^(m) at the Greville sites."""
+    inv_fact = np.array([1.0 / math.factorial(l) for l in range(space.degree + 1)])
+    return SplineFunction(space, np.vecdot(space.central_moments * inv_fact, table))
+
+
 def apply_dqi(space: SplineSpace, oracle: DerivativeOracle) -> SplineFunction:
     """Differential quasi-interpolant from a derivative oracle.
 
@@ -226,18 +247,7 @@ def apply_dqi(space: SplineSpace, oracle: DerivativeOracle) -> SplineFunction:
     convention as `eval_spline`, which makes the operator reproduce every
     spline in the space exactly.
     """
-    m = space.degree
-    inv_fact = np.array([1.0 / math.factorial(l) for l in range(m + 1)])
-    scaled = space.central_moments * inv_fact
-    coeffs = np.empty(space.dimension)
-    for i, x in enumerate(space.greville.tolist()):
-        derivs = np.asarray(oracle(x), dtype=float)
-        if derivs.ndim != 1 or derivs.size < m + 1:
-            raise ValueError(
-                f"oracle must supply {m + 1} derivative values, got shape {derivs.shape}"
-            )
-        coeffs[i] = float(np.dot(scaled[i], derivs[: m + 1]))
-    return SplineFunction(space, coeffs)
+    return _dqi_spline(space, _oracle_table(space.greville, oracle, space.degree))
 
 
 def _three_point_weights(theta: np.ndarray, tbar, i, jm, jp) -> np.ndarray:

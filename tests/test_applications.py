@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -173,6 +174,28 @@ class TestBuiltinFunctions:
             fd = central_diff(lambda y: f.integral(0.0, y), b)
             assert abs(fd - f.value(b)) <= 1e-8 * max(1.0, abs(f.value(b)))
 
+    @pytest.mark.parametrize("name", ["sin", "exp", "runge"])
+    @pytest.mark.parametrize("k", range(8))
+    def test_derivative_table_matches_per_point_calls(self, name, k):
+        f = BUILTIN_FUNCTIONS[name]
+        rng = np.random.default_rng(k)
+        xs = np.concatenate([[-1.5, 2.5, 0.0], rng.uniform(-1.5, 2.5, 997)])
+        rows = np.stack([f.derivatives(x, k) for x in xs.tolist()])
+        np.testing.assert_array_equal(f.derivative_table(xs, k), rows)
+        assert f.derivatives(0.3, k).shape == (k + 1,)
+        assert f.derivative_table(0.3, k).shape == (k + 1,)
+        # a float keeps the bits of the per-point formulas the array ones replace
+        scalar = {"sin": lambda x: np.sin(x + np.arange(k + 1) * (np.pi / 2.0)),
+                  "exp": lambda x: np.full(k + 1, np.exp(x))}.get(name)
+        if scalar is not None:
+            np.testing.assert_array_equal(np.stack([scalar(x) for x in xs.tolist()]), rows)
+
+    def test_derivative_table_refuses_short_rows(self):
+        short = TargetFunction(name="short", value=math.sin,
+                               derivatives=lambda x, k: np.zeros(2))
+        with pytest.raises(ValueError, match="oracle must supply 4 derivative values"):
+            short.derivative_table(np.linspace(0.0, 1.0, 5), 3)
+
     def test_value_matches_zeroth_derivative(self):
         for f in BUILTIN_FUNCTIONS.values():
             for x in (0.0, 0.5, 1.0):
@@ -275,6 +298,52 @@ class TestConvergence:
         assert [row.n for row in report.rows] == [8, 16, 32]
         assert report.rows[-1].error < report.rows[0].error
 
+    def test_nan_error_is_reported(self):
+        # NaN samples past x = 0.7 make the approximation NaN there; the
+        # sup error must say so rather than skip those points
+        target = TargetFunction(
+            name="nan_tail",
+            value=lambda x: math.nan if x > 0.7 else math.sin(x),
+            derivatives=lambda x, k: np.zeros(k + 1),
+        )
+        report = convergence_study(operator_recipe("q2star"), target, (8, 16),
+                                   PartitionSpec(family="uniform", n=8), 2)
+        assert all(math.isnan(row.error) for row in report.rows)
+
+
+def _per_point(f):
+    """The same function without the catalog's array path: its derivatives
+    behind a wrapper, which the studies call once per point."""
+    return TargetFunction(f.name, f.value, lambda x, k: f.derivatives(x, k), f.integral)
+
+
+class TestArrayStudies:
+    """The built-in functions' array evaluation keeps every study's bits."""
+
+    TEMPLATE = PartitionSpec(family="random", a=-0.6, b=1.3, n=8, seed=5)
+
+    @pytest.mark.parametrize("kind", ["dqi", "q2star", "qp2star", "nearbest"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_convergence_rows_match_per_point(self, kind, m):
+        recipe = operator_recipe(kind, m if kind in ("qp2star", "nearbest") else None)
+        for f in BUILTIN_FUNCTIONS.values():
+            array, per_point = (convergence_study(recipe, g, (9, 18), self.TEMPLATE, m)
+                                for g in (f, _per_point(f)))
+            assert _row_bytes(array) == _row_bytes(per_point)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_differentiation_rows_match_per_point(self, m):
+        recipe = operator_recipe("qp2star", m)
+        for f in BUILTIN_FUNCTIONS.values():
+            array, per_point = (differentiation_study(recipe, g, (12, 24), self.TEMPLATE, m)
+                                for g in (f, _per_point(f)))
+            assert _row_bytes(array) == _row_bytes(per_point)
+
+
+def _row_bytes(report) -> bytes:
+    """Every field of every row, bit for bit (NaN matches NaN)."""
+    return np.array([astuple(row) for row in report.rows], dtype=float).tobytes()
+
 
 class TestStability:
     @given(spaces(m_lo=2, n_lo=5))
@@ -322,6 +391,9 @@ def test_user_functions_receive_python_floats():
     greville_samples(sp, value)
     quadrature_from_qi(build_q2star(sp)).integrate_fn(value)
     apply_dqi(sp, lambda x: derivatives(x, 3))
+    for kind in ("q2star", "dqi"):
+        convergence_study(operator_recipe(kind), target, (8, 16),
+                          PartitionSpec(family="uniform", n=8), 3)
     differentiation_study(operator_recipe("q2star"), target, (8, 16),
                           PartitionSpec(family="uniform", n=8), 2)
     assert seen == {float}

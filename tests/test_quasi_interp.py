@@ -140,6 +140,17 @@ class TestApplyDqi:
         f = apply_dqi(sp, lambda x: [4.5, 0.0, 0.0, 0.0])
         np.testing.assert_allclose(f.coefficients, 4.5, rtol=1e-14)
 
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_coefficients_match_per_index_dot(self, m):
+        # one vecdot over the rows rounds each row as np.dot on that row alone
+        sp = space_from("random", m, n=40, seed=m)
+        derivs = np.sin(sp.greville[:, None] + np.arange(m + 1) * 0.7)
+        scaled = sp.central_moments * np.array([1.0 / math.factorial(l) for l in range(m + 1)])
+        expected = [float(np.dot(scaled[i], row)) for i, row in enumerate(derivs)]
+        rows = iter(derivs)  # the oracle is called once per site, in index order
+        got = apply_dqi(sp, lambda x: next(rows))
+        assert got.coefficients.tobytes() == np.array(expected).tobytes()
+
     def test_short_oracle_rejected(self):
         sp = space_from("uniform", m=3, n=5)
         with pytest.raises(ValueError):
