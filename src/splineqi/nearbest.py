@@ -25,19 +25,20 @@ Theory and Numerical Methods, 1980).
 An operator's full windows (offsets -p..p) are solved together: one
 Bjorck-Pereyra pass over all windows and supports, in chunks of bounded
 size, and one batched solve for the duals. Each chunk is handed on as
-arrays (`_Rows`: centers, weights, values, matrices, right-hand sides), from
-which the build fills its band and the audit formats its records. A row
-whose dual or exactness residual fails the test goes, as a `ConstraintSystem`
-built from the chunk's arrays, to the per-window path, and its weights and
-value are written back into the chunk. That path also takes the truncated
-windows at the two ends (built by `assemble_constraints`, one row each):
-`solve_l1` hands the enumerated support to the simplex, whose pricing is the
-same test, so an optimal support costs no pivots and keeps its
-Bjorck-Pereyra weights, and the simplex pivots on or runs cold where the
-support is not optimal or cannot be installed. Warm weights that miss the
-constraints are solved again cold before the row is refused. Windows with
-more than 2^16 supports are neither enumerated nor batched: they go straight
-to the cold simplex.
+arrays (`_Rows`: centers, offsets, weights, values), from which the build
+fills its band and the audit formats its records, with the matrices and
+right-hand sides assembled again by `_assemble`, bit for bit the ones
+solved. A row whose dual or exactness residual fails the test goes, as a
+`ConstraintSystem` built from the chunk's arrays, to the per-window path,
+and its weights and value are written back into the chunk. That path also
+takes the truncated windows at the two ends (built by
+`assemble_constraints`, one row each): `solve_l1` hands the enumerated
+support to the simplex, whose pricing is the same test, so an optimal
+support costs no pivots and keeps its Bjorck-Pereyra weights, and the
+simplex pivots on or runs cold where the support is not optimal or cannot
+be installed. Warm weights that miss the constraints are solved again cold
+before the row is refused. Windows with more than 2^16 supports are neither
+enumerated nor batched: they go straight to the cold simplex.
 
 The wide three-point weights of `build_qp2star` are optimal iff a dual
 vector v with |v| <= 1 matches the signs of the nonzero weights and is
@@ -50,6 +51,10 @@ exactly outside the interval between 0 and a + b, v certifies the weights iff
 x_{-1} <= a + b <= x_1 (the `knot_condition`), at any scale. Both are
 computed for all full windows of a (space, p) on first use and kept while
 the space lives.
+
+The solved LP rows of a (space, p, q) are kept too, read-only, once the last
+one has been produced: a later build or audit on that space reads them and
+solves nothing. They hold less than the operator's band (no matrices).
 """
 
 from __future__ import annotations
@@ -383,8 +388,9 @@ def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
     return table
 
 
-# the three-point tables of each space, by p, dropped with the space; the
-# arrays are read-only and the public functions hand out copies of rows
+# what is kept of each space, dropped with it: the three-point table of each
+# p (key p) and the solved LP rows of each (p, q) (key (p, q)); the arrays
+# are read-only and the public functions hand out copies
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -470,33 +476,47 @@ def watson_certificate(space: SplineSpace, i: int, p: int) -> Certificate:
 
 class _Rows(NamedTuple):
     """Solved LP rows of the windows ``offsets`` around W ``centers``: the
-    weights (W, k), their l1 values (W,), and the normalized constraint
-    matrices (W, q+1, k) and right-hand sides (W, q+1)."""
+    weights (W, k) and their l1 values (W,)."""
 
     centers: np.ndarray
     offsets: tuple[int, ...]
     weights: np.ndarray
     values: np.ndarray
-    matrix: np.ndarray
-    rhs: np.ndarray
 
 
 def _lp_windows(space: SplineSpace, p: int, q: int):
     """The l1 LPs of the indices 1 .. dim-2 on their windows -p..p cut to the
-    index range, as `_Rows` in index order, lazily; p and q are checked at
-    once.
+    index range, as read-only `_Rows` in index order, lazily; p and q are
+    checked, and p < m warned about, on every call.
 
     The full windows are solved together, a chunk of rows at a time
     (`_solve_full_windows`); the truncated windows at the two ends, and the
     full ones when a window has more than _MAX_SUPPORTS supports, take the
     per-window path (`assemble_constraints`, then `_solve_window`) and come
-    as one row each."""
+    as one row each. The rows are kept per (space, p, q) while the space
+    lives, once the last one has been produced, and a later call reads them."""
     m = space.degree
     _check_radius(space, p, q)
     if p < m:
         message = f"p={p} below degree {m}: interior norm bound not guaranteed"
         warnings.warn(message, stacklevel=3)  # at the build's or the audit's caller
-    return _windows(space, p, q)
+    kept = _TABLES.setdefault(space, {})
+    if (p, q) in kept:
+        return iter(kept[p, q])
+    return _keep(kept, (p, q), _windows(space, p, q))
+
+
+def _keep(kept: dict, key, windows):
+    """Hand on each of ``windows``' rows read-only, and keep them all under
+    ``key`` once the last one is out; nothing is kept if a window raises or
+    the consumer stops early."""
+    rows = []
+    for chunk in windows:
+        for array in (chunk.centers, chunk.weights, chunk.values):
+            array.setflags(write=False)
+        rows.append(chunk)
+        yield chunk
+    kept[key] = tuple(rows)
 
 
 def _windows(space: SplineSpace, p: int, q: int):
@@ -509,8 +529,7 @@ def _windows(space: SplineSpace, p: int, q: int):
         offsets = tuple(range(max(-p, -i), min(p, last - i) + 1))
         system = assemble_constraints(space, i, p, q, offsets=offsets)
         solution = _solve_window(system)
-        return _Rows(np.array([i]), offsets, solution.weights[None],
-                     np.array([solution.value]), system.matrix[None], system.rhs[None])
+        return _Rows(np.array([i]), offsets, solution.weights[None], np.array([solution.value]))
 
     yield from map(window, range(1, lo))
     rows = max(1, _BATCH_ENTRIES // ((q + 1) * count))
@@ -565,7 +584,7 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
         ))
         weights[row] = solution.weights
         values[row] = solution.value
-    return _Rows(centers, offsets, weights, values, matrix, rhs)
+    return _Rows(centers, offsets, weights, values)
 
 
 def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolant:
@@ -574,7 +593,8 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
     Extreme indices use point evaluation; windows are truncated to the index
     range near the boundary. ``nu1_star`` is the max optimal value over
     interior stencils (all windows on simple knots); per-index values are
-    kept in ``lp_values``.
+    kept in ``lp_values``. The LP rows of an earlier build or audit of
+    (p, q) on this space are read, not solved again.
     """
     windows = _lp_windows(space, p, q)
     dim = space.dimension
@@ -610,14 +630,17 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
 
 def iter_lp_audit(space: SplineSpace, p: int, q: int = 2):
     """Yield one audit record per index: the LP, its optimum, and the q = 2
-    certificate status, each computed once. Used by the CLI audit stream."""
+    certificate status, each computed once. The rows of an operator already
+    built (or audited) on this space are read, not solved again; each
+    record's V and b are assembled again, bit for bit the system solved.
+    Used by the CLI audit stream."""
     windows = _lp_windows(space, p, q)
     lo, hi = _interior_range(space.degree, p, space.knots.n)
     yield _record(0, (0,), [1.0], 1.0, [[1.0]], [1.0])
     for rows in windows:
-        centers = rows.centers.tolist()
-        fields = zip(centers, rows.weights.tolist(), rows.values.tolist(),
-                     rows.matrix.tolist(), rows.rhs.tolist())
+        *_, matrix, rhs = _assemble(space, rows.centers, rows.offsets, q)
+        fields = zip(rows.centers.tolist(), rows.weights.tolist(), rows.values.tolist(),
+                     matrix.tolist(), rhs.tolist())
         # the q = 2 certificate of each full window, from the three-point table
         checks = itertools.repeat(None)
         if q == 2 and len(rows.offsets) == 2 * p + 1:

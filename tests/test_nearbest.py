@@ -303,11 +303,15 @@ class TestThreePointTable:
 
         sp = space_from("random", m=3, n=16, seed=5)
         watson_certificate(sp, 4, 3)
+        build_nearbest_qi(sp, 3)
+        # the store holds the three-point table by p and the LP rows by (p, q)
         table = weakref.ref(nb._TABLES[sp][3])
-        assert table() is not None
+        rows = [weakref.ref(array) for chunk in nb._TABLES[sp][3, 2]
+                for array in (chunk.centers, chunk.weights, chunk.values)]
+        assert table() is not None and all(row() is not None for row in rows)
         del sp
         gc.collect()
-        assert table() is None
+        assert table() is None and all(row() is None for row in rows)
 
 
 class TestBuildNearbest:

@@ -16,7 +16,7 @@ import pytest
 
 import splineqi.nearbest as nb
 from conftest import space_from
-from splineqi import assemble_constraints, build_nearbest_qi, iter_lp_audit, solve_l1
+from splineqi import SplineSpace, assemble_constraints, build_nearbest_qi, iter_lp_audit, solve_l1
 
 FAMILIES = [("uniform", 1.0, 0), ("geometric", 1.2, 0), ("geometric", 100.0, 0),
             ("arithmetic", 20.0, 0), ("random", 1.0, 1)]
@@ -101,7 +101,8 @@ def test_chunking_leaves_every_row_unchanged(monkeypatch, m, p, q, budget):
     space = space_from("random", m, n=60, seed=2)
     whole = build_nearbest_qi(space, p, q)
     monkeypatch.setattr(nb, "_BATCH_ENTRIES", budget)
-    chunked = build_nearbest_qi(space, p, q)
+    # a fresh space: the first one keeps its rows and would not solve again
+    chunked = build_nearbest_qi(SplineSpace.from_knots(space.knots), p, q)
     np.testing.assert_array_equal(chunked.weights, whole.weights)
     assert chunked.lp_values == whole.lp_values
 
@@ -128,7 +129,8 @@ def test_rows_the_batch_cannot_certify_take_the_path(monkeypatch):
     monkeypatch.setattr(nb, "_solve_window", lambda s: (solved.append(s.center), window(s))[1])
     monkeypatch.setattr(nb, "assemble_constraints",
                         lambda s, i, *a, **k: (assembled.append(i), assemble(s, i, *a, **k))[1])
-    qi = build_nearbest_qi(space, 3)
+    # a fresh space: the first one keeps its rows and would not solve again
+    qi = build_nearbest_qi(SplineSpace.from_knots(space.knots), 3)
     assert solved == list(range(1, last))
     assert assembled == [1, 2, last - 2, last - 1]
     np.testing.assert_allclose(qi.lp_values, best.lp_values, rtol=1e-12)
