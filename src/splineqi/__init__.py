@@ -71,7 +71,6 @@ from .quasi_interp import (
     dqi_coefficients,
     greville_samples,
     norm_upper_bound,
-    theoretical_bound,
 )
 from .simplex import SimplexResult, solve_standard_form
 
@@ -108,7 +107,6 @@ __all__ = [
     "greville_samples",
     "apply_qi",
     "norm_upper_bound",
-    "theoretical_bound",
     # near-best
     "ConstraintSystem",
     "assemble_constraints",

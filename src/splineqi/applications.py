@@ -7,8 +7,7 @@ family of refined partitions and fit the observed order.
 
 The table of operator kinds next to `OperatorRecipe` is the one place a
 kind is mapped: to its builder, to whether it takes an offset radius p, to
-the p and q its rows report, and, through `OperatorRecipe.bound`, to its
-norm bound.
+the p and q its rows report, and to its interior norm bound.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .quasi_interp import (
     build_q2star,
     build_qp2star,
     greville_samples,
-    theoretical_bound,
 )
 
 __all__ = [
@@ -216,16 +214,25 @@ class _Kind(NamedTuple):
     builder: Callable | None  # (space, p, q) -> operator; None: no stencil operator
     takes_p: bool
     reports: Callable  # the recipe's (p, q) -> the p and q its rows report
+    bound: Callable  # (m, p, q) -> the interior norm bound, None where none is proven
+
+
+def _wide_bound(m: int, p: int, q: int) -> float | None:
+    # the qp2star bound (m+1)/(m-1), proven for m >= 2
+    return None if m < 2 else (m + 1) / (m - 1)
 
 
 # The builders are called through this module's names, so a wrapper
 # installed on them (a tracer, a test's monkeypatch) sees every build.
 _KINDS = {
-    KIND_DQI: _Kind(None, False, lambda p, q: ("", "")),
-    KIND_Q2STAR: _Kind(lambda space, p, q: build_q2star(space), False, lambda p, q: (1, 2)),
-    KIND_QP2STAR: _Kind(lambda space, p, q: build_qp2star(space, p), True, lambda p, q: (p, 2)),
+    KIND_DQI: _Kind(None, False, lambda p, q: ("", ""), lambda m, p, q: None),
+    KIND_Q2STAR: _Kind(lambda space, p, q: build_q2star(space), False, lambda p, q: (1, 2),
+                       lambda m, p, q: float((m + 4) // 2)),
+    KIND_QP2STAR: _Kind(lambda space, p, q: build_qp2star(space, p), True, lambda p, q: (p, 2),
+                        _wide_bound),
     KIND_NEARBEST: _Kind(lambda space, p, q: build_nearbest_qi(space, p, q), True,
-                         lambda p, q: (p, q)),
+                         lambda p, q: (p, q),
+                         lambda m, p, q: None if q > 2 or p < m else _wide_bound(m, p, q)),
 }
 KINDS = tuple(_KINDS)
 
@@ -266,12 +273,11 @@ class OperatorRecipe:
         return _KINDS[self.kind].reports(self.p, self.q)
 
     def bound(self, m: int) -> float | None:
-        """The kind's interior norm bound on degree m, or None where none is
-        proven: near-best inherits (m+1)/(m-1) from the qp2star weights, which
-        are exact only to degree 2, need p >= m and have no bound for m = 1."""
-        if self.kind == KIND_NEARBEST and (self.q > 2 or self.p < m or m < 2):
-            return None
-        return theoretical_bound(self.kind, m)
+        """The kind's partition-independent interior norm bound on degree m,
+        or None where none is proven: dqi has no stencil, and near-best
+        inherits (m+1)/(m-1) from the qp2star weights, which are exact only
+        to degree 2, need p >= m and have no bound for m = 1."""
+        return _KINDS[self.kind].bound(m, self.p, self.q)
 
 
 def operator_recipe(kind: str, p: int | None = None, q: int = 2) -> OperatorRecipe:

@@ -17,7 +17,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, Iterable
 
 import numpy as np
@@ -45,7 +45,7 @@ DEFAULT_SIZES = (16, 32, 64, 128)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run, fully specified; round-trips through a plain dict."""
+    """One run, fully specified."""
 
     command: str
     kind: str = "q2star"
@@ -63,11 +63,6 @@ class RunConfig:
     out: str | None = None
     fmt: str = "csv"
     audit: bool = False
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["sizes"] = list(self.sizes)
-        return record
 
     @classmethod
     def from_record(cls, record: dict) -> "RunConfig":

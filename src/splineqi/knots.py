@@ -94,9 +94,6 @@ class PartitionSpec:
       arithmetic  steps in arithmetic progression; ``ratio`` = h_n / h_1
       geometric   steps with constant ratio; ``ratio`` = h_{k+1} / h_k
       random      seeded positive steps, uniform in [0.05, 1] before scaling
-
-    The record form (family, a, b, n, ratio, seed) round-trips through
-    ``to_record`` / ``from_record``; CLI configs are ``RunConfig`` key=value lines.
     """
 
     family: str
@@ -105,33 +102,6 @@ class PartitionSpec:
     n: int = 8
     ratio: float = 1.0
     seed: int = 0
-
-    def to_record(self) -> dict:
-        return {
-            "family": self.family,
-            "a": float(self.a),
-            "b": float(self.b),
-            "n": int(self.n),
-            "ratio": float(self.ratio),
-            "seed": int(self.seed),
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "PartitionSpec":
-        allowed = {"family", "a", "b", "n", "ratio", "seed"}
-        unknown = set(record) - allowed
-        if unknown:
-            raise ValueError(f"unknown partition keys: {sorted(unknown)}")
-        if "family" not in record:
-            raise ValueError("partition record needs a 'family' entry")
-        return cls(
-            family=str(record["family"]),
-            a=float(record.get("a", 0.0)),
-            b=float(record.get("b", 1.0)),
-            n=int(record.get("n", 8)),
-            ratio=float(record.get("ratio", 1.0)),
-            seed=int(record.get("seed", 0)),
-        )
 
 
 def _unrepresentable(spec: PartitionSpec) -> ValueError:

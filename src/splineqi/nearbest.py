@@ -25,13 +25,12 @@ Theory and Numerical Methods, 1980).
 An operator's full windows (offsets -p..p) are solved together: one
 Bjorck-Pereyra pass over all windows and supports, in chunks of bounded
 size, and one batched solve for the duals. Each chunk is handed on as
-arrays (`_Rows`: centers, offsets, weights, values), from which the build
-fills its band and the audit formats its records, with the matrices and
-right-hand sides assembled again by `_assemble`, bit for bit the ones
-solved. A row whose dual or exactness residual fails the test goes, as a
-`ConstraintSystem` built from the chunk's arrays, to the per-window path,
-and its weights and value are written back into the chunk. That path also
-takes the truncated windows at the two ends (built by
+arrays (`_Rows`: centers, offsets, weights, values, and the matrices and
+right-hand sides that were solved), from which the build fills its band and
+the audit formats its records. A row whose dual or exactness residual fails
+the test goes, as a `ConstraintSystem` built from the chunk's arrays, to the
+per-window path, and its weights and value are written back into the chunk.
+That path also takes the truncated windows at the two ends (built by
 `assemble_constraints`, one row each): `solve_l1` hands the enumerated
 support to the simplex, whose pricing is the same test, so an optimal
 support costs no pivots and keeps its Bjorck-Pereyra weights, and the
@@ -54,7 +53,7 @@ the space lives.
 
 The solved LP rows of a (space, p, q) are kept too, read-only, once the last
 one has been produced: a later build or audit on that space reads them and
-solves nothing. They hold less than the operator's band (no matrices).
+assembles and solves nothing.
 """
 
 from __future__ import annotations
@@ -476,12 +475,15 @@ def watson_certificate(space: SplineSpace, i: int, p: int) -> Certificate:
 
 class _Rows(NamedTuple):
     """Solved LP rows of the windows ``offsets`` around W ``centers``: the
-    weights (W, k) and their l1 values (W,)."""
+    weights (W, k), their l1 values (W,), and the normalized systems they
+    solve, Vandermonde rows (W, q+1, k) and right-hand sides (W, q+1)."""
 
     centers: np.ndarray
     offsets: tuple[int, ...]
     weights: np.ndarray
     values: np.ndarray
+    matrix: np.ndarray
+    rhs: np.ndarray
 
 
 def _lp_windows(space: SplineSpace, p: int, q: int):
@@ -512,7 +514,7 @@ def _keep(kept: dict, key, windows):
     the consumer stops early."""
     rows = []
     for chunk in windows:
-        for array in (chunk.centers, chunk.weights, chunk.values):
+        for array in (chunk.centers, chunk.weights, chunk.values, chunk.matrix, chunk.rhs):
             array.setflags(write=False)
         rows.append(chunk)
         yield chunk
@@ -529,7 +531,8 @@ def _windows(space: SplineSpace, p: int, q: int):
         offsets = tuple(range(max(-p, -i), min(p, last - i) + 1))
         system = assemble_constraints(space, i, p, q, offsets=offsets)
         solution = _solve_window(system)
-        return _Rows(np.array([i]), offsets, solution.weights[None], np.array([solution.value]))
+        return _Rows(np.array([i]), offsets, solution.weights[None], np.array([solution.value]),
+                     system.matrix[None], system.rhs[None])
 
     yield from map(window, range(1, lo))
     rows = max(1, _BATCH_ENTRIES // ((q + 1) * count))
@@ -584,7 +587,7 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
         ))
         weights[row] = solution.weights
         values[row] = solution.value
-    return _Rows(centers, offsets, weights, values)
+    return _Rows(centers, offsets, weights, values, matrix, rhs)
 
 
 def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolant:
@@ -632,15 +635,14 @@ def iter_lp_audit(space: SplineSpace, p: int, q: int = 2):
     """Yield one audit record per index: the LP, its optimum, and the q = 2
     certificate status, each computed once. The rows of an operator already
     built (or audited) on this space are read, not solved again; each
-    record's V and b are assembled again, bit for bit the system solved.
-    Used by the CLI audit stream."""
+    record's V and b are the system its row solved. Used by the CLI audit
+    stream."""
     windows = _lp_windows(space, p, q)
     lo, hi = _interior_range(space.degree, p, space.knots.n)
     yield _record(0, (0,), [1.0], 1.0, [[1.0]], [1.0])
     for rows in windows:
-        *_, matrix, rhs = _assemble(space, rows.centers, rows.offsets, q)
         fields = zip(rows.centers.tolist(), rows.weights.tolist(), rows.values.tolist(),
-                     matrix.tolist(), rhs.tolist())
+                     rows.matrix.tolist(), rows.rhs.tolist())
         # the q = 2 certificate of each full window, from the three-point table
         checks = itertools.repeat(None)
         if q == 2 and len(rows.offsets) == 2 * p + 1:

@@ -26,7 +26,6 @@ only on that range, and `norm_upper_bound` can restrict to it.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,7 +33,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bspline import SplineFunction, SplineSpace
-from .knots import make_clamped_knots
 
 KIND_DQI = "dqi"
 KIND_Q2STAR = "q2star"
@@ -118,82 +116,6 @@ class QuasiInterpolant:
     def stencils(self) -> tuple[Stencil, ...]:
         """Every row as a Stencil, built on first access."""
         return tuple(self.stencil(i) for i in range(self.space.dimension))
-
-    def to_record(self) -> dict:
-        kv = self.space.knots
-        record = {
-            "kind": self.kind,
-            "degree": kv.degree,
-            "q": self.q,
-            "p": self.p,
-            "a": kv.a,
-            "b": kv.b,
-            "interior": [float(x) for x in kv.interior],
-            "stencils": [
-                {
-                    "i": st.i,
-                    "offsets": list(st.offsets),
-                    "weights": [float(w) for w in st.weights],
-                    "boundary": st.boundary,
-                }
-                for st in map(self.stencil, range(kv.dimension))
-            ],
-        }
-        if self.lp_values is not None:
-            record["lp_values"] = [float(v) for v in self.lp_values]
-        if self.nu1_star is not None:
-            record["nu1_star"] = float(self.nu1_star)
-        return record
-
-    @classmethod
-    def from_record(cls, record: dict) -> "QuasiInterpolant":
-        kv = make_clamped_knots(
-            record["a"], record["b"], record["interior"], int(record["degree"])
-        )
-        space = SplineSpace.from_knots(kv)
-        dim = kv.dimension
-        items = record["stencils"]
-        if sorted(int(item["i"]) for item in items) != list(range(dim)):
-            raise ValueError(f"stencil indices must be 0..{dim - 1}, each once")
-        width = max(len(item["offsets"]) for item in items)
-        sites, weights = _empty_band(dim, width)
-        lengths = np.zeros(dim, dtype=int)
-        for item in items:
-            i = int(item["i"])
-            row = [i + int(s) for s in item["offsets"]]
-            if len(item["weights"]) != len(row):
-                raise ValueError(
-                    f"stencil {i}: {len(item['weights'])} weights for {len(row)} offsets"
-                )
-            if not all(0 <= site < dim for site in row):
-                raise ValueError(f"stencil {i}: sites {row} leave 0..{dim - 1}")
-            sites[i, : len(row)] = row
-            weights[i, : len(row)] = item["weights"]
-            lengths[i] = len(row)
-        p = int(record["p"])
-        lo, hi = _interior_range(kv.degree, p, kv.n)
-        lp_values = record.get("lp_values")
-        nu1_star = record.get("nu1_star")
-        return cls(
-            space=space,
-            kind=str(record["kind"]),
-            q=int(record["q"]),
-            p=p,
-            sites=sites,
-            weights=weights,
-            lengths=lengths,
-            interior_lo=lo,
-            interior_hi=hi,
-            lp_values=None if lp_values is None else tuple(float(v) for v in lp_values),
-            nu1_star=None if nu1_star is None else float(nu1_star),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuasiInterpolant":
-        return cls.from_record(json.loads(text))
 
 
 def _interior_range(m: int, p: int, n: int) -> tuple[int, int]:
@@ -369,22 +291,3 @@ def norm_upper_bound(qi: QuasiInterpolant, interior_only: bool = False) -> float
             )
         l1 = l1[qi.interior_lo : qi.interior_hi + 1]
     return float(l1.max())
-
-
-def theoretical_bound(kind: str, m: int) -> float:
-    """Partition-independent interior norm bound for a stencil family.
-
-    The near-best bound is the qp2star one, (m+1)/(m-1), which the near-best
-    weights inherit only where the qp2star weights are feasible: for q <= 2
-    and p >= m. `OperatorRecipe.bound` applies that precondition, and gives
-    None where it fails.
-    """
-    if kind == KIND_Q2STAR:
-        if m < 1:
-            raise ValueError("degree must be >= 1")
-        return float((m + 4) // 2)
-    if kind in (KIND_QP2STAR, KIND_NEARBEST):
-        if m < 2:
-            raise ValueError("bound (m+1)/(m-1) needs degree >= 2")
-        return (m + 1) / (m - 1)
-    raise ValueError(f"no norm bound known for kind {kind!r}")

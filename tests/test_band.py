@@ -13,7 +13,6 @@ import oracles
 from conftest import space_from
 from splineqi import (
     FAMILIES,
-    QuasiInterpolant,
     SplineFunction,
     apply_qi,
     build_nearbest_qi,
@@ -127,14 +126,6 @@ class TestStencilView:
         assert not qi.weights.flags.writeable and not qi.sites.flags.writeable
         assert st.sites == tuple(int(s) for s in qi.sites[4])
         assert qi.stencils[0].offsets == (0,) and qi.stencils[0].boundary
-
-    def test_view_survives_serialization(self):
-        qi = build_nearbest_qi(space_from("arithmetic", 3, 14, ratio=3.0), 4)
-        clone = QuasiInterpolant.from_json(qi.to_json())
-        np.testing.assert_array_equal(clone.sites, qi.sites)
-        np.testing.assert_array_equal(clone.weights, qi.weights)
-        np.testing.assert_array_equal(clone.lengths, qi.lengths)
-        assert clone.to_json() == qi.to_json()
 
 
 @pytest.mark.parametrize("m", range(1, 6))

@@ -31,9 +31,12 @@ def parse_csv(text):
 
 class TestRunConfig:
     def test_record_round_trip(self):
-        cfg = RunConfig(command="convergence", kind="dqi", m=3, f="exp",
-                        sizes=(8, 16), family="geometric", ratio=1.5)
-        assert RunConfig.from_record(cfg.to_record()) == cfg
+        record = {"command": "convergence", "kind": "dqi", "m": 3, "f": "exp",
+                  "sizes": [8, 16], "family": "geometric", "ratio": 1.5}
+        cfg = RunConfig.from_record(record)
+        assert cfg == RunConfig(command="convergence", kind="dqi", m=3, f="exp",
+                                sizes=(8, 16), family="geometric", ratio=1.5)
+        assert {key: getattr(cfg, key) for key in record} == {**record, "sizes": (8, 16)}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -63,10 +66,8 @@ class TestRunConfig:
         ],
     )
     def test_validation_failures(self, overrides):
-        base = RunConfig(command="norms").to_record()
-        base.update(overrides)
         with pytest.raises(ValueError):
-            RunConfig.from_record(base)
+            RunConfig.from_record({"command": "norms", **overrides})
 
 
 class TestConfigFile:
@@ -280,7 +281,7 @@ class TestRunNearbest:
         import splineqi.nearbest as nb
 
         calls = {"assemble_constraints": [], "solve_l1": [], "_build_three_point_table": [],
-                 "_solve_full_windows": []}
+                 "_solve_full_windows": [], "_assemble": []}
 
         def counting(name):
             inner = getattr(nb, name)
@@ -289,6 +290,8 @@ class TestRunNearbest:
                 result = inner(*args, **kwargs)
                 if name == "_solve_full_windows":
                     calls[name] += args[3].tolist()  # the batch's centers
+                elif name == "_assemble":
+                    calls[name].append(args[1].tolist())  # the windows' centers
                 elif name == "_build_three_point_table":
                     p = args[1]  # the table's rows are the full windows p, p+1, ...
                     calls[name].append(list(range(p, p + len(result.passes))))
@@ -307,11 +310,14 @@ class TestRunNearbest:
             # dimension 23: one LP for each index but the two extremes; the
             # truncated windows 1, 2, 20, 21 one by one, the full windows
             # 3 .. 19 in the batch, and the q = 2 certificates of all of them
-            # in one table, built once
+            # in one table, built once; each system is assembled once, and
+            # the audit prints the V and b that were solved
             assert calls["solve_l1"] == [1, 2, 20, 21], command
             assert calls["assemble_constraints"] == [1, 2, 20, 21], command
             assert calls["_solve_full_windows"] == list(range(3, 20)), command
             assert calls["_build_three_point_table"] == [list(range(3, 20))], command
+            full = list(range(3, 20))
+            assert calls["_assemble"] == [[1], [2], full, full, [20], [21]], command
 
     def test_audit_lines_match_audit_command(self, capsys):
         config = ["--m", "3", "--p", "3", "--n", "20", "--family", "random",

@@ -156,20 +156,6 @@ class TestGeneratePartition:
         assert set(FAMILIES) == {"uniform", "arithmetic", "geometric", "random"}
 
 
-class TestPartitionSpecRecord:
-    def test_round_trip(self):
-        spec = PartitionSpec(family="geometric", a=0.5, b=2.5, n=9, ratio=4.0, seed=11)
-        assert PartitionSpec.from_record(spec.to_record()) == spec
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionSpec.from_record({"family": "uniform", "colour": "red"})
-
-    def test_family_required(self):
-        with pytest.raises(ValueError):
-            PartitionSpec.from_record({"n": 4})
-
-
 class TestGrevilleGrid:
     def test_unit_window_centered_moment(self):
         # window (0, 1) for degree 2: mean 1/2, centered second moment 1/4

@@ -9,12 +9,14 @@ from hypothesis import given
 import oracles
 from conftest import space_from, spaces
 from splineqi import (
+    PartitionSpec,
     SplineSpace,
     assemble_constraints,
     build_nearbest_qi,
     build_q2star,
     build_qp2star,
     build_watson_form,
+    generate_partition,
     iter_lp_audit,
     knot_condition,
     make_clamped_knots,
@@ -324,6 +326,11 @@ class TestBuildNearbest:
         for s, w in zip(st.offsets, st.weights):
             dense[2 + s] = w
         np.testing.assert_allclose(dense, [-1 / 32, 0, 17 / 16, 0, -1 / 32], atol=1e-9)
+
+    def test_random_norm_value(self):
+        spec = PartitionSpec("random", 0, 1, 30, 1.0, 0)
+        qi = build_nearbest_qi(SplineSpace.from_knots(generate_partition(spec, 3)), 3)
+        assert qi.nu1_star == pytest.approx(1.17390, abs=1e-5)
 
     def test_interpolation_only_norm_is_one(self):
         sp = space_from("random", m=2, n=10, seed=3)

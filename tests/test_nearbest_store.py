@@ -141,7 +141,7 @@ def test_kept_rows_cannot_be_written():
     kept = list(nb._lp_windows(space, 3, 2))
     assert len(kept) > 1
     for rows in kept:
-        for array in (rows.centers, rows.weights, rows.values):
+        for array in (rows.centers, rows.weights, rows.values, rows.matrix, rows.rhs):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0

@@ -9,21 +9,17 @@ from hypothesis import given
 from conftest import space_from, spaces
 from oracles import central_moments_loop, vandermonde_solve_3
 from splineqi import (
-    PartitionSpec,
-    QuasiInterpolant,
     SplineFunction,
     SplineSpace,
     apply_dqi,
     apply_qi,
-    build_nearbest_qi,
     build_q2star,
     build_qp2star,
     dqi_coefficients,
-    generate_partition,
     greville_samples,
     make_clamped_knots,
     norm_upper_bound,
-    theoretical_bound,
+    operator_recipe,
 )
 from splineqi.quasi_interp import _three_point_weights
 
@@ -310,76 +306,17 @@ class TestNorms:
         assert norm_upper_bound(qi) >= 1.0
 
     def test_theoretical_bounds(self):
-        assert theoretical_bound("q2star", 2) == 3.0
-        assert theoretical_bound("q2star", 3) == 3.0
-        assert theoretical_bound("q2star", 4) == 4.0
-        assert theoretical_bound("qp2star", 3) == pytest.approx(2.0)
-        assert theoretical_bound("nearbest", 2) == pytest.approx(3.0)
+        assert operator_recipe("q2star").bound(2) == 3.0
+        assert operator_recipe("q2star").bound(3) == 3.0
+        assert operator_recipe("q2star").bound(4) == 4.0
+        assert operator_recipe("qp2star", 3).bound(3) == pytest.approx(2.0)
+        assert operator_recipe("qp2star", 3).bound(1) is None
+        assert operator_recipe("nearbest", 2).bound(2) == pytest.approx(3.0)
+        assert operator_recipe("nearbest", 3, 2).bound(3) == pytest.approx(2.0)
+        assert operator_recipe("dqi").bound(3) is None
+        # near-best inherits the qp2star bound only for q <= 2, p >= m, m >= 2
+        assert operator_recipe("nearbest", 3, 3).bound(3) is None
+        assert operator_recipe("nearbest", 2, 2).bound(3) is None
+        assert operator_recipe("nearbest", 1, 1).bound(1) is None
         with pytest.raises(ValueError):
-            theoretical_bound("qp2star", 1)
-        with pytest.raises(ValueError):
-            theoretical_bound("unknown", 3)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self):
-        sp = space_from("random", m=3, n=9, seed=77)
-        qi = build_qp2star(sp, 3)
-        clone = QuasiInterpolant.from_json(qi.to_json())
-        assert clone.kind == qi.kind
-        assert clone.q == qi.q and clone.p == qi.p
-        assert (clone.interior_lo, clone.interior_hi) == (qi.interior_lo, qi.interior_hi)
-        np.testing.assert_array_equal(clone.space.knots.t, sp.knots.t)
-        for st_a, st_b in zip(clone.stencils, qi.stencils):
-            assert st_a.offsets == st_b.offsets
-            np.testing.assert_array_equal(st_a.weights, st_b.weights)
-            assert st_a.boundary == st_b.boundary
-
-    def test_round_trip_preserves_exactness(self):
-        sp = space_from("geometric", m=2, n=8, ratio=2.0)
-        qi = build_q2star(sp)
-        clone = QuasiInterpolant.from_json(qi.to_json())
-        f = apply_qi(clone, clone.space.grid.theta**2)
-        np.testing.assert_allclose(
-            f.coefficients, clone.space.grid.moments[:, 2], atol=1e-12
-        )
-
-    def test_round_trip_keeps_lp_certificate(self):
-        spec = PartitionSpec("random", 0, 1, 30, 1.0, 0)
-        qi = build_nearbest_qi(SplineSpace.from_knots(generate_partition(spec, 3)), 3)
-        clone = QuasiInterpolant.from_json(qi.to_json())
-        assert clone.nu1_star == qi.nu1_star == pytest.approx(1.17390, abs=1e-5)
-        assert clone.lp_values == qi.lp_values
-
-    def test_record_without_lp_keys_loads(self):
-        qi = build_nearbest_qi(space_from("random", m=2, n=10, seed=4), 2)
-        record = qi.to_record()
-        del record["lp_values"], record["nu1_star"]
-        clone = QuasiInterpolant.from_record(record)
-        assert clone.lp_values is None and clone.nu1_star is None
-        np.testing.assert_array_equal(clone.weights, qi.weights)
-
-    @pytest.mark.parametrize(
-        "corrupt, message",
-        [
-            # offsets [-2, 0, 1] at row 1 put a site at -1, which a gather wraps
-            (lambda st: st[1].update(offsets=[-2, 0, 1]), r"stencil 1: sites \[-1, 1, 2\]"),
-            (lambda st: st[-1].update(offsets=[0, 1], weights=[1.0, 0.0]),
-             r"stencil 9: sites \[9, 10\]"),
-            (lambda st: st.pop(4), r"indices must be 0\.\.9, each once"),
-            (lambda st: st[4].update(i=5), r"indices must be 0\.\.9, each once"),
-            (lambda st: st.append(dict(st[0], i=10)), r"indices must be 0\.\.9, each once"),
-            (lambda st: st[3].update(weights=st[3]["weights"][:1]),
-             r"stencil 3: 1 weights for 3 offsets"),
-            (lambda st: st[0].update(weights=[1.0, 0.0]), r"stencil 0: 2 weights for 1 offsets"),
-        ],
-        ids=["site_below_0", "site_above_last", "index_missing", "index_repeated",
-             "index_beyond_last", "weights_short", "weights_long"],
-    )
-    def test_malformed_record_refused(self, corrupt, message):
-        record = build_q2star(space_from("uniform", m=2, n=8)).to_record()
-        assert len(record["stencils"]) == 10
-        QuasiInterpolant.from_record(record)
-        corrupt(record["stencils"])
-        with pytest.raises(ValueError, match=message):
-            QuasiInterpolant.from_record(record)
+            operator_recipe("unknown")
