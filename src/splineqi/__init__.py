@@ -28,7 +28,6 @@ from .applications import (
 from .bspline import (
     SplineFunction,
     SplineSpace,
-    basis_integral,
     eval_basis,
     eval_basis_derivative,
     eval_spline,
@@ -68,7 +67,6 @@ from .quasi_interp import (
     apply_qi,
     build_q2star,
     build_qp2star,
-    dqi_coefficients,
     greville_samples,
     norm_upper_bound,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "eval_basis",
     "eval_spline",
     "eval_basis_derivative",
-    "basis_integral",
     # operators
     "KIND_DQI",
     "KIND_Q2STAR",
@@ -100,7 +97,6 @@ __all__ = [
     "KIND_NEARBEST",
     "Stencil",
     "QuasiInterpolant",
-    "dqi_coefficients",
     "apply_dqi",
     "build_q2star",
     "build_qp2star",

@@ -113,11 +113,6 @@ class DifferentiationMatrix:
     def apply(self, samples: np.ndarray) -> np.ndarray:
         return apply_qi(self.qi, samples)(self.nodes, 1)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense (dim, dim) matrix, O(n^2), built column by column on each access."""
-        return np.stack([self.apply(e) for e in np.eye(len(self.nodes))], axis=1)
-
 
 def differentiation_matrix(qi: QuasiInterpolant) -> DifferentiationMatrix:
     if qi.space.degree < 2:

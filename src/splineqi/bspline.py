@@ -1,4 +1,4 @@
-"""B-spline basis evaluation, spline evaluation with derivatives, integrals.
+"""B-spline basis evaluation and spline evaluation with derivatives.
 
 Evaluation uses the standard triangular recurrence on the active knot span;
 the span lookup is right-continuous (half-open spans) except at the right
@@ -52,7 +52,8 @@ class SplineSpace:
     @functools.cached_property
     def central_moments(self) -> np.ndarray:
         """Row i: the central moment coefficients a_0 .. a_m of index i's
-        knot window, for every index at once, computed on first use."""
+        knot window, the weights of D^s f(theta_i) / s! in the differential
+        quasi-interpolant, for every index at once, computed on first use."""
         return central_moment_table(self.knots, self.grid.theta)
 
     @functools.cached_property
@@ -184,12 +185,3 @@ def eval_basis_derivative(space: SplineSpace, x) -> tuple:
     scaled = [0.0, *(m * v / (t[span + 1 + l] - t[span - m + 1 + l])
                      for l, v in enumerate(inner)), 0.0]
     return span - m, _rows([u - v for u, v in zip(scaled, scaled[1:])])
-
-
-def basis_integral(space: SplineSpace, j: int) -> float:
-    """Integral of basis function j over [a, b]: (t[j+m+1] - t[j]) / (m+1)."""
-    if not 0 <= j < space.dimension:
-        raise ValueError(f"basis index {j} outside 0..{space.dimension - 1}")
-    m = space.degree
-    t = space.knots.t
-    return float(t[j + m + 1] - t[j]) / (m + 1)

@@ -43,11 +43,6 @@ class KnotVector:
         return float(self.t[-1])
 
     @property
-    def interior(self) -> np.ndarray:
-        """Strictly increasing interior knots (may be empty for n = 1)."""
-        return self.t[self.degree + 1 : self.degree + self.n]
-
-    @property
     def steps(self) -> np.ndarray:
         """Subinterval lengths h_1 .. h_n."""
         brk = self.t[self.degree : self.degree + self.n + 1]

@@ -73,6 +73,7 @@ from .knots import central_coefficients
 from .quasi_interp import (
     KIND_NEARBEST,
     QuasiInterpolant,
+    _check_radius,
     _empty_band,
     _interior_range,
     _three_point_weights,
@@ -86,7 +87,7 @@ class ConstraintSystem:
 
     ``matrix`` is the (q+1) x (#offsets) Vandermonde at the normalized sites,
     ``rhs`` the normalized moment targets. ``sites`` holds the raw Greville
-    values and ``scale`` the window span that normalizes them.
+    values.
     """
 
     center: int
@@ -94,7 +95,6 @@ class ConstraintSystem:
     q: int
     offsets: tuple[int, ...]
     sites: np.ndarray
-    scale: float
     matrix: np.ndarray
     rhs: np.ndarray
 
@@ -107,22 +107,13 @@ def _vandermonde(x: np.ndarray, q: int) -> np.ndarray:
     return np.stack([x**r for r in range(q + 1)], axis=-2)
 
 
-def _check_radius(space: SplineSpace, p, q: int | None = None) -> None:
-    """Refuse an offset radius p, and an exactness degree q if given."""
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"offset radius must be an integer >= 1, got {p!r}")
-    top = min(space.degree, 2 * p)
-    if q is not None and not 0 <= q <= top:
-        raise ValueError(f"need 0 <= q <= min(m, 2p) = {top}, got {q}")
-
-
 def _assemble(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...], q: int):
-    """Raw sites (W, k), spans L (W,), normalized sites (W, k), Vandermonde
-    rows (W, q+1, k) and right-hand sides a_r / L**r (W, q+1) of the windows
-    ``offsets`` around the W ``centers``. The powers of L are Python floats
-    and the rest is elementwise, so a window rounds alike alone or in a
-    chunk; a span of 0 gives non-finite rows, without a warning, which the
-    residual tests refuse."""
+    """Raw sites (W, k), normalized sites (W, k), Vandermonde rows
+    (W, q+1, k) and right-hand sides a_r / L**r (W, q+1) of the windows
+    ``offsets`` around the W ``centers``, L the span of each window. The
+    powers of L are Python floats and the rest is elementwise, so a window
+    rounds alike alone or in a chunk; a span of 0 gives non-finite rows,
+    without a warning, which the residual tests refuse."""
     theta = space.grid.theta
     sites = theta[centers[:, None] + np.array(offsets)]
     # theta increases, so the outermost offsets hold the largest and smallest site
@@ -142,7 +133,7 @@ def _assemble(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...],
             knots = space.knots.t[near[:, None] + np.arange(1, space.degree + 1)]
             scaled = (knots - theta[near, None]) / scale[lost, None]
             rhs[lost] = central_coefficients(scaled)[:, : q + 1]
-    return sites, scale, x, matrix, rhs
+    return sites, x, matrix, rhs
 
 
 def assemble_constraints(
@@ -172,10 +163,9 @@ def assemble_constraints(
     if len(offsets) < q + 1:
         raise ValueError(f"need at least {q + 1} sites for exactness degree {q}")
 
-    sites, scale, _, matrix, rhs = _assemble(space, np.array([i]), offsets, q)
+    sites, _, matrix, rhs = _assemble(space, np.array([i]), offsets, q)
     return ConstraintSystem(
-        center=i, p=p, q=q, offsets=offsets, sites=sites[0], scale=float(scale[0]),
-        matrix=matrix[0], rhs=rhs[0])
+        center=i, p=p, q=q, offsets=offsets, sites=sites[0], matrix=matrix[0], rhs=rhs[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,11 +319,6 @@ class WatsonForm:
     matrix: np.ndarray
     lambda_star: np.ndarray
 
-    def feasible_point(self, free: np.ndarray) -> np.ndarray:
-        if self.matrix.shape[1] == 0:
-            return self.lambda_star.copy()
-        return self.lambda_star - self.matrix @ np.asarray(free, dtype=float)
-
 
 @dataclass(frozen=True, eq=False)
 class _ThreePointTable:
@@ -358,7 +343,7 @@ def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
     whose sites coincide in floating point gets NaN, which fails every test."""
     theta = space.grid.theta
     centers = np.arange(p, space.dimension - p)
-    _, _, x, _, _ = _assemble(space, centers, tuple(range(-p, p + 1)), 0)
+    _, x, _, _ = _assemble(space, centers, tuple(range(-p, p + 1)), 0)
     with np.errstate(all="ignore"):
         a, b = x[:, :1], x[:, -1:]
         lagrange = np.stack([
@@ -563,7 +548,7 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
     """
     k, size = 2 * p + 1, q + 1
     offsets = tuple(range(-p, p + 1))
-    sites, scale, x, matrix, rhs = _assemble(space, centers, offsets, q)
+    sites, x, matrix, rhs = _assemble(space, centers, offsets, q)
     # a row that meets a non-finite value fails the acceptance test below,
     # and the per-window path solves it again and reports what it meets
     with np.errstate(all="ignore"):
@@ -583,7 +568,7 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
     for row in np.flatnonzero(~accepted).tolist():
         solution = _solve_window(ConstraintSystem(
             center=int(centers[row]), p=p, q=q, offsets=offsets, sites=sites[row],
-            scale=float(scale[row]), matrix=matrix[row], rhs=rhs[row],
+            matrix=matrix[row], rhs=rhs[row],
         ))
         weights[row] = solution.weights
         values[row] = solution.value

@@ -55,13 +55,6 @@ class Stencil:
     weights: np.ndarray
     boundary: bool = False
 
-    @property
-    def sites(self) -> tuple[int, ...]:
-        return tuple(self.i + s for s in self.offsets)
-
-    def l1(self) -> float:
-        return float(np.abs(self.weights).sum())
-
 
 def _empty_band(dim: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Band arrays of the given width whose entries are all padding: each
@@ -118,23 +111,19 @@ class QuasiInterpolant:
         return tuple(self.stencil(i) for i in range(self.space.dimension))
 
 
+def _check_radius(space: SplineSpace, p, q: int | None = None) -> None:
+    """Refuse an offset radius p, and an exactness degree q if given, that
+    is not an int (a bool is not one here) or lies outside its range."""
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
+        raise ValueError(f"offset radius must be an integer >= 1, got {p!r}")
+    top = min(space.degree, 2 * p)
+    if q is not None and (isinstance(q, bool) or not isinstance(q, int) or not 0 <= q <= top):
+        raise ValueError(f"need 0 <= q <= min(m, 2p) = {top}, got {q!r}")
+
+
 def _interior_range(m: int, p: int, n: int) -> tuple[int, int]:
     # all knots touched by the stencil windows are simple exactly here
     return p + m - 1, n - p
-
-
-def dqi_coefficients(space: SplineSpace, i: int) -> np.ndarray:
-    """Central moment coefficients a_0 .. a_m of the window at index i.
-
-    a_s is the s-th elementary symmetric function of the mean-centered knot
-    window divided by C(m, s); a_0 = 1 and a_1 = 0 exactly. These are the
-    weights of D^s f(theta_i)/s! in the differential quasi-interpolant, and
-    a_2 = -(theta_i^2 - theta_i^(2)). Returns a copy of row i of the space's
-    `central_moments` table.
-    """
-    if not 0 <= i < space.dimension:
-        raise ValueError(f"index {i} outside 0..{space.dimension - 1}")
-    return space.central_moments[i].copy()
 
 
 DerivativeOracle = Callable[[float], Sequence[float]]
@@ -226,24 +215,18 @@ def build_q2star(space: SplineSpace) -> QuasiInterpolant:
     return _build_radius_p(space, 1, KIND_Q2STAR)
 
 
-def build_qp2star(
-    space: SplineSpace, p: int, allow_uncertified: bool = False
-) -> QuasiInterpolant:
+def build_qp2star(space: SplineSpace, p: int) -> QuasiInterpolant:
     """Wide three-point operator at offsets {-p, 0, p}, quadratically exact.
 
     For p >= m the interior operator norm is bounded by (m+1)/(m-1)
-    independently of the partition. Smaller p is rejected unless
-    ``allow_uncertified`` is set (no norm guarantee then).
+    independently of the partition; smaller p is refused, since no norm
+    bound is guaranteed there.
     """
     if space.degree < 2:
         raise ValueError("quadratic exactness needs degree >= 2")
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"offset radius must be an integer >= 1, got {p!r}")
-    if p < space.degree and not allow_uncertified:
-        raise ValueError(
-            f"p={p} below degree {space.degree}: norm bound not guaranteed "
-            "(pass allow_uncertified=True to build anyway)"
-        )
+    _check_radius(space, p)
+    if p < space.degree:
+        raise ValueError(f"p={p} below degree {space.degree}: norm bound not guaranteed")
     return _build_radius_p(space, p, KIND_QP2STAR)
 
 

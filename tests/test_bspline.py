@@ -9,13 +9,14 @@ from hypothesis import given
 from conftest import space_from, spaces
 from oracles import central_diff
 from splineqi import (
+    QuasiInterpolant,
     SplineFunction,
     SplineSpace,
-    basis_integral,
     eval_basis,
     eval_basis_derivative,
     eval_spline,
     make_clamped_knots,
+    quadrature_from_qi,
 )
 
 
@@ -196,31 +197,38 @@ class TestBasisDerivative:
         np.testing.assert_allclose(derivs, [-1.0, 1.0], rtol=1e-15)
 
 
+def basis_integrals(space):
+    """Integral of every basis function, from `quadrature_from_qi`, the
+    formula's one home: the rule of the operator that samples f at theta_i
+    alone (Schoenberg's) puts basis function i's integral on node i."""
+    dim = space.dimension
+    point = QuasiInterpolant(
+        space=space, kind="schoenberg", q=1, p=0, sites=np.arange(dim)[:, None],
+        weights=np.ones((dim, 1)), lengths=np.ones(dim, dtype=int),
+        interior_lo=0, interior_hi=dim - 1,
+    )
+    return quadrature_from_qi(point).weights
+
+
 class TestBasisIntegral:
     def test_quadratic_interior_three_step_mean(self):
         sp = space_from("random", m=2, n=8, seed=6)
         h = sp.knots.steps
+        integrals = basis_integrals(sp)
         # interior index j has support spanning steps j-2, j-1, j
         for j in range(2, sp.dimension - 2):
             expected = (h[j - 2] + h[j - 1] + h[j]) / 3.0
-            assert basis_integral(sp, j) == pytest.approx(expected, rel=1e-14)
+            assert integrals[j] == pytest.approx(expected, rel=1e-14)
 
     def test_first_basis_function(self):
         sp = space_from("random", m=2, n=8, seed=6)
-        assert basis_integral(sp, 0) == pytest.approx(sp.knots.steps[0] / 3.0, rel=1e-14)
+        assert basis_integrals(sp)[0] == pytest.approx(sp.knots.steps[0] / 3.0, rel=1e-14)
 
     @given(spaces())
     def test_integrals_sum_to_interval_length(self, sp):
-        total = sum(basis_integral(sp, j) for j in range(sp.dimension))
+        total = basis_integrals(sp).sum()
         length = sp.knots.b - sp.knots.a
         assert total == pytest.approx(length, rel=1e-12)
-
-    def test_index_out_of_range(self):
-        sp = space_from("uniform", m=2, n=4)
-        with pytest.raises(ValueError):
-            basis_integral(sp, -1)
-        with pytest.raises(ValueError):
-            basis_integral(sp, sp.dimension)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ class TestMakeClampedKnots:
     def test_accessors(self):
         kv = make_clamped_knots(-1.0, 2.0, (0.0, 1.0), 3)
         assert kv.a == -1.0 and kv.b == 2.0
-        np.testing.assert_array_equal(kv.interior, [0.0, 1.0])
+        np.testing.assert_array_equal(kv.t, [-1.0] * 4 + [0.0, 1.0] + [2.0] * 4)
         np.testing.assert_array_equal(kv.steps, [1.0, 1.0, 1.0])
         assert not kv.t.flags.writeable
 
@@ -60,13 +60,13 @@ class TestMakeClampedKnots:
 class TestGeneratePartition:
     def test_uniform(self):
         kv = generate_partition(PartitionSpec(family="uniform", b=4.0, n=4), 2)
-        np.testing.assert_allclose(kv.interior, [1.0, 2.0, 3.0], rtol=0, atol=0)
+        np.testing.assert_array_equal(kv.t, [0.0] * 3 + [1.0, 2.0, 3.0] + [4.0] * 3)
 
     def test_geometric_ratio_two(self):
         spec = PartitionSpec(family="geometric", a=0.0, b=7.0, n=3, ratio=2.0)
         kv = generate_partition(spec, 2)
         np.testing.assert_allclose(kv.steps, [1.0, 2.0, 4.0], rtol=1e-14)
-        np.testing.assert_allclose(kv.interior, [1.0, 3.0], rtol=1e-14)
+        np.testing.assert_allclose(kv.t[3:5], [1.0, 3.0], rtol=1e-14)
 
     def test_integer_geometric_ratio_matches_float(self):
         # an integer ratio once raised to integer powers wrapped in int64

@@ -23,11 +23,12 @@ from splineqi import (
     solve_l1,
     watson_certificate,
 )
+from splineqi.quasi_interp import KIND_QP2STAR, _build_radius_p
 
 
 def closed_form_l1(space, i, p):
     """l1 norm of the wide three-point weights of index i."""
-    qi = build_qp2star(space, p, allow_uncertified=True)
+    qi = _build_radius_p(space, p, KIND_QP2STAR)
     return float(np.abs(qi.weights[i]).sum())
 
 
@@ -50,7 +51,7 @@ class TestAssembleConstraints:
         i = sp.dimension // 2
         system = assemble_constraints(sp, i, 2, 2)
         assert np.abs(system.matrix).max() <= 1.0 + 1e-14
-        assert system.scale > 0.0
+        assert system.sites[-1] > system.sites[0]
 
     def test_validation_errors(self):
         sp = space_from("uniform", m=2, n=8)
@@ -145,7 +146,7 @@ class TestWatsonForm:
         system = assemble_constraints(sp, i, 3, 2)
         rng = np.random.default_rng(0)
         for _ in range(4):
-            lam = form.feasible_point(rng.uniform(-2.0, 2.0, len(form.free_offsets)))
+            lam = form.lambda_star - form.matrix @ rng.uniform(-2.0, 2.0, len(form.free_offsets))
             residual = oracles.nearbest_residual_mp(
                 sp.knots.t, sp.degree, i, system.offsets, 2, lam)
             assert residual <= 1e-9
@@ -155,7 +156,8 @@ class TestWatsonForm:
         form = build_watson_form(sp, 4, 1)
         assert form.matrix.shape == (3, 0)
         assert form.free_offsets == ()
-        np.testing.assert_array_equal(form.feasible_point(np.zeros(0)), form.lambda_star)
+        # the one feasible point
+        assert assemble_constraints(sp, 4, 1, 2).residual(form.lambda_star) <= 1e-12
 
     def test_lambda_star_matches_wide_stencil(self):
         sp = space_from("random", m=2, n=12, seed=2)
@@ -253,7 +255,7 @@ class TestCertificate:
         form = build_watson_form(sp, i, 2)
         rng = np.random.default_rng(7)
         for _ in range(6):
-            lam = form.feasible_point(rng.uniform(-1.0, 1.0, len(form.free_offsets)))
+            lam = form.lambda_star - form.matrix @ rng.uniform(-1.0, 1.0, len(form.free_offsets))
             assert dual_value <= np.abs(lam).sum() + 1e-8
         if cert.passes:
             assert dual_value == pytest.approx(closed_form_l1(sp, i, 2), abs=1e-8)
@@ -353,7 +355,7 @@ class TestBuildNearbest:
         assert near.nu1_star <= (m + 1) / (m - 1) + 1e-12
         for i in range(sp.dimension):
             if near.interior_lo <= i <= near.interior_hi:
-                assert near.lp_values[i] <= wide.stencils[i].l1() + 1e-9
+                assert near.lp_values[i] <= np.abs(wide.stencils[i].weights).sum() + 1e-9
 
     def test_extremes_are_point_evaluation(self):
         sp = space_from("uniform", m=2, n=8)
@@ -438,6 +440,34 @@ class TestAudit:
         assert records[0]["certificate"] == "n/a"
         assert records[-1]["certificate"] == "n/a"
         assert records[0]["knot_condition"] is None
+
+
+class TestIntegerArguments:
+    """p and q are refused unless they are ints, and a bool is not one: on a
+    fresh space, and on one that keeps the rows of the ints they equal (the
+    key (2, 2) of the kept rows equals (2, 2.0))."""
+
+    @pytest.mark.parametrize("m, p, q, refusal", [
+        (2, 2, 2.0, "need 0 <= q"),
+        (2, 2, "2", "need 0 <= q"),
+        (2, 2, True, "need 0 <= q"),
+        (1, True, 1, "offset radius must be an integer"),
+        (2, 2.0, 2, "offset radius must be an integer"),
+    ])
+    @pytest.mark.parametrize("kept", [False, True])
+    @pytest.mark.parametrize("call", [build_nearbest_qi, lambda *a: list(iter_lp_audit(*a))],
+                             ids=["build", "audit"])
+    def test_refused_with_value_error(self, m, p, q, refusal, kept, call):
+        sp = space_from("uniform", m=m, n=10)
+        if kept:
+            build_nearbest_qi(sp, int(p), int(q))
+        with pytest.raises(ValueError, match=refusal):
+            call(sp, p, q)
+
+    def test_qp2star_refuses_a_bool_radius(self):
+        sp = space_from("uniform", m=2, n=10)
+        with pytest.raises(ValueError, match="offset radius must be an integer"):
+            build_qp2star(sp, True)
 
 
 @pytest.mark.parametrize("family, ratio, seed, m, q", [

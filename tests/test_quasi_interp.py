@@ -15,13 +15,12 @@ from splineqi import (
     apply_qi,
     build_q2star,
     build_qp2star,
-    dqi_coefficients,
     greville_samples,
     make_clamped_knots,
     norm_upper_bound,
     operator_recipe,
 )
-from splineqi.quasi_interp import _three_point_weights
+from splineqi.quasi_interp import KIND_QP2STAR, _build_radius_p, _three_point_weights
 
 
 def stencil_moment(space, stencil, r):
@@ -34,10 +33,13 @@ def stencil_moment(space, stencil, r):
 
 
 class TestDqiCoefficients:
+    """Rows of `SplineSpace.central_moments`, the weights of D^s f / s! at
+    theta_i in the differential quasi-interpolant."""
+
     @given(spaces())
     def test_first_two_coefficients_fixed(self, sp):
         for i in range(sp.dimension):
-            a = dqi_coefficients(sp, i)
+            a = sp.central_moments[i]
             assert a[0] == 1.0
             assert a[1] == 0.0
 
@@ -47,7 +49,7 @@ class TestDqiCoefficients:
         moments = sp.grid.moments
         theta = sp.grid.theta
         for i in range(sp.dimension):
-            a = dqi_coefficients(sp, i)
+            a = sp.central_moments[i]
             for s in range(sp.degree + 1):
                 raw = sum(
                     (-1) ** (s - l) * math.comb(s, l) * theta[i] ** (s - l) * moments[i, l]
@@ -59,7 +61,7 @@ class TestDqiCoefficients:
         # window of length h: second-derivative weight a_2/2! = -h^2/8
         kv = make_clamped_knots(0.0, 2.0, (0.75,), 2)
         sp = SplineSpace.from_knots(kv)
-        a = dqi_coefficients(sp, 1)  # window (0, 0.75)
+        a = sp.central_moments[1]  # window (0, 0.75)
         assert a[2] == pytest.approx(-(0.75**2) / 4.0, rel=1e-14)
         assert a[2] / 2.0 == pytest.approx(-(0.75**2) / 8.0, rel=1e-14)
 
@@ -67,7 +69,7 @@ class TestDqiCoefficients:
         # window (0, 1, 3): steps 1 and 2 around the center knot
         kv = make_clamped_knots(-1.0, 4.0, (0.0, 1.0, 3.0), 3)
         sp = SplineSpace.from_knots(kv)
-        a = dqi_coefficients(sp, 3)  # window t[4:7] = (0, 1, 3)
+        a = sp.central_moments[3]  # window t[4:7] = (0, 1, 3)
         h1, h2 = 1.0, 2.0
         assert a[2] == pytest.approx(-(h1 * h1 + h1 * h2 + h2 * h2) / 9.0, rel=1e-13)
         assert a[3] == pytest.approx(
@@ -78,13 +80,8 @@ class TestDqiCoefficients:
     def test_cubic_uniform_window_odd_coefficient_vanishes(self):
         sp = space_from("uniform", m=3, n=10)
         mid = sp.dimension // 2
-        a = dqi_coefficients(sp, mid)
+        a = sp.central_moments[mid]
         assert a[3] == pytest.approx(0.0, abs=1e-15)
-
-    def test_index_out_of_range(self):
-        sp = space_from("uniform", m=2, n=4)
-        with pytest.raises(ValueError):
-            dqi_coefficients(sp, sp.dimension)
 
     @pytest.mark.parametrize("m", range(1, 8))
     @pytest.mark.parametrize("family, ratio", [
@@ -94,10 +91,7 @@ class TestDqiCoefficients:
         sp = space_from(family, m, n=17, seed=3, ratio=ratio)
         expected = central_moments_loop(sp.knots.t, m, sp.grid.theta)
         assert sp.central_moments.tobytes() == expected.tobytes()
-        a = dqi_coefficients(sp, 5)
-        assert a.tobytes() == expected[5].tobytes()
-        a[0] = 7.0  # a copy: the table stays as it was
-        assert sp.central_moments[5, 0] == 1.0
+        assert not sp.central_moments.flags.writeable
 
 
 class TestApplyDqi:
@@ -214,7 +208,7 @@ class TestBuildQp2Star:
         qi = build_qp2star(sp, 2)
         st = qi.stencils[6]
         np.testing.assert_allclose(st.weights, [-1 / 32, 17 / 16, -1 / 32], rtol=1e-13)
-        assert st.l1() == pytest.approx(9.0 / 8.0, rel=1e-13)
+        assert np.abs(st.weights).sum() == pytest.approx(9.0 / 8.0, rel=1e-13)
         assert st.offsets == (-2, 0, 2)
 
     @given(spaces(m_lo=2, m_hi=4))
@@ -235,23 +229,21 @@ class TestBuildQp2Star:
 
     def test_radius_one_reduces_to_q2star(self):
         sp = space_from("random", m=2, n=9, seed=12)
-        narrow = build_qp2star(sp, 1, allow_uncertified=True)
+        narrow = _build_radius_p(sp, 1, KIND_QP2STAR)
         base = build_q2star(sp)
         for st_a, st_b in zip(narrow.stencils, base.stencils):
             np.testing.assert_allclose(st_a.weights, st_b.weights, rtol=1e-14)
 
     def test_small_radius_rejected_without_flag(self):
         sp = space_from("uniform", m=3, n=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p=2 below degree 3: norm bound not guaranteed$"):
             build_qp2star(sp, 2)
-        qi = build_qp2star(sp, 2, allow_uncertified=True)
-        assert qi.p == 2
 
     def test_radius_larger_than_space_clamps(self):
         sp = space_from("uniform", m=2, n=6)
         qi = build_qp2star(sp, 50)
         st = qi.stencils[3]
-        assert st.sites[0] == 0 and st.sites[-1] == sp.dimension - 1
+        assert st.i + st.offsets[0] == 0 and st.i + st.offsets[-1] == sp.dimension - 1
         for r in range(3):
             target = sp.grid.moments[3, r]
             assert abs(stencil_moment(sp, st, r) - target) <= 1e-10
