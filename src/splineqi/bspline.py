@@ -25,6 +25,11 @@ import numpy as np
 
 from .knots import GrevilleGrid, KnotVector, central_moment_table, greville_grid
 
+__all__ = [
+    "SplineSpace", "SplineFunction", "eval_basis", "eval_spline",
+    "eval_basis_derivative",
+]
+
 
 @dataclass(frozen=True, eq=False)
 class SplineSpace:

@@ -37,6 +37,8 @@ from .knots import FAMILIES, PartitionSpec, generate_partition
 from .nearbest import iter_lp_audit
 from .quasi_interp import KIND_NEARBEST, norm_upper_bound
 
+__all__ = ["RunConfig", "parse_config_file", "run", "main"]
+
 # commands defined by p and q alone: they always build the near-best operator
 _NEARBEST_COMMANDS = ("nearbest", "audit")
 FORMATS = ("csv", "json")

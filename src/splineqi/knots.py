@@ -19,6 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+__all__ = [
+    "FAMILIES", "KnotVector", "PartitionSpec", "GrevilleGrid", "make_clamped_knots",
+    "generate_partition", "greville_grid", "elementary_symmetric",
+]
+
 FAMILIES = ("uniform", "arithmetic", "geometric", "random")
 
 
@@ -54,6 +59,17 @@ class KnotVector:
         return self.n + self.degree
 
 
+def _check_interval(a, b) -> None:
+    """Refuse ends that are out of order, not finite, or too far apart for
+    float64 to hold b - a."""
+    if not a < b:
+        raise ValueError(f"need a < b, got a={a}, b={b}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"need finite interval ends, got a={a}, b={b}")
+    if not math.isfinite(b - a):
+        raise ValueError(f"the length b - a of [{a}, {b}] overflows float64")
+
+
 def make_clamped_knots(a: float, b: float, interior, m: int) -> KnotVector:
     """Build a clamped knot vector from interval ends and interior knots.
 
@@ -64,8 +80,7 @@ def make_clamped_knots(a: float, b: float, interior, m: int) -> KnotVector:
         raise ValueError(f"degree must be an integer >= 1, got {m!r}")
     a = float(a)
     b = float(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
+    _check_interval(a, b)
     inner = np.asarray(interior, dtype=float)
     if inner.ndim != 1:
         raise ValueError("interior knots must be a flat sequence")
@@ -111,7 +126,14 @@ def _partition_steps(spec: PartitionSpec) -> np.ndarray:
     """Steps of a graded or random partition; uniform ones come from linspace."""
     n = spec.n
     if spec.family == "arithmetic":
-        weights = 1.0 + (spec.ratio - 1.0) * np.arange(n) / max(n - 1, 1)
+        with np.errstate(over="ignore"):
+            weights = 1.0 + (spec.ratio - 1.0) * np.arange(n) / max(n - 1, 1)
+            if not np.isfinite(weights.sum()):
+                raise ValueError(
+                    f"the arithmetic partition with ratio {spec.ratio} and {n} "
+                    "subintervals cannot be represented in float64: the sum of "
+                    "its step weights overflows"
+                )
     elif spec.family == "geometric":
         r = spec.ratio
         # the largest or smallest weight r ** (n - 1) and, for r > 1, the
@@ -145,10 +167,11 @@ def generate_partition(spec: PartitionSpec, m: int) -> KnotVector:
         raise ValueError(f"unknown partition family {spec.family!r}")
     if not isinstance(spec.n, int) or spec.n < 1:
         raise ValueError(f"need n >= 1 subintervals, got {spec.n!r}")
-    if not spec.a < spec.b:
-        raise ValueError(f"need a < b, got a={spec.a}, b={spec.b}")
-    if spec.family in ("arithmetic", "geometric") and not spec.ratio > 0:
-        raise ValueError(f"need ratio > 0, got {spec.ratio}")
+    _check_interval(spec.a, spec.b)
+    if spec.family in ("arithmetic", "geometric") and not 0 < spec.ratio < math.inf:
+        raise ValueError(f"need a finite ratio > 0, got {spec.ratio}")
+    if spec.family == "random" and spec.seed < 0:
+        raise ValueError(f"the random family needs a seed >= 0, got {spec.seed}")
     if spec.family == "uniform":
         # exact endpoints and evenly rounded interior
         interior = np.linspace(spec.a, spec.b, spec.n + 1)[1:-1]

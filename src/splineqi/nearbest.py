@@ -80,6 +80,12 @@ from .quasi_interp import (
 )
 from .simplex import solve_standard_form
 
+__all__ = [
+    "ConstraintSystem", "assemble_constraints", "L1Solution", "solve_l1", "WatsonForm",
+    "build_watson_form", "knot_condition", "Certificate", "watson_certificate",
+    "build_nearbest_qi", "iter_lp_audit",
+]
+
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:

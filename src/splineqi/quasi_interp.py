@@ -34,6 +34,12 @@ import numpy as np
 
 from .bspline import SplineFunction, SplineSpace
 
+__all__ = [
+    "KIND_DQI", "KIND_Q2STAR", "KIND_QP2STAR", "KIND_NEARBEST", "Stencil",
+    "QuasiInterpolant", "apply_dqi", "build_q2star", "build_qp2star",
+    "greville_samples", "apply_qi", "norm_upper_bound",
+]
+
 KIND_DQI = "dqi"
 KIND_Q2STAR = "q2star"
 KIND_QP2STAR = "qp2star"

@@ -27,6 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
+__all__ = ["SimplexResult", "solve_standard_form"]
+
 
 @dataclass(frozen=True, eq=False)
 class SimplexResult:

@@ -99,6 +99,14 @@ REFUSALS = [
     ["norms", "--config", "/nonexistent/run.cfg"],
     ["norms", "--family", "geometric", "--ratio", "2.0", "--a", "0.25", "--b", "1.25",
      "--n", "55"],
+    ["norms", "--b", "inf"],
+    ["norms", "--a", "-inf"],
+    ["norms", "--a", "-1.7e308", "--b", "1.7e308"],
+    ["norms", "--a", "-1.7e308", "--b", "1.7e308", "--family", "random"],
+    ["norms", "--family", "arithmetic", "--ratio", "inf"],
+    ["norms", "--family", "arithmetic", "--ratio", "1e308"],
+    ["norms", "--family", "geometric", "--ratio", "inf"],
+    ["norms", "--family", "random", "--seed", "-1"],
     ["unknown-command"],
     # exit 3: a numerical failure
     ["nearbest", "--m", "7", "--p", "10", "--q", "7", "--n", "60"],

@@ -17,6 +17,11 @@ from splineqi import cli
 from splineqi.cli import COMMANDS, RunConfig, main, parse_config_file, run
 
 
+# the environment of a subprocess that imports the package from this checkout
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
+
+
 def run_to_text(cfg):
     sink = io.StringIO()
     assert run(cfg, sink) == 0
@@ -395,14 +400,11 @@ class TestNearbestSummary:
         # miss the constraints by nan". The window's right-hand side is now
         # taken from its knot differences scaled by 1/L. Run in a subprocess
         # under -W error::RuntimeWarning, so any warning fails the command.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         argv = ["nearbest", "--m", "5", "--p", "5", "--q", "5", "--n", "40",
                 "--family", "geometric", "--ratio", "100"]
         code = "import sys; from splineqi.cli import main; sys.exit(main(sys.argv[1:]))"
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
-                               *argv], capture_output=True, text=True, env=env, timeout=120)
+                               *argv], capture_output=True, text=True, env=SRC_ENV, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         row = parse_csv(proc.stdout)[1][0]
@@ -413,14 +415,11 @@ class TestNearbestSummary:
         # windows down to about 1e-150 wide: the certificate's raw Vandermonde
         # determinants underflowed to 0/0 there. Run in a subprocess under
         # -W error::RuntimeWarning, so any warning fails the command.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         argv = [*command, "--m", "5", "--p", "5", "--n", "80", "--family", "geometric",
                 "--ratio", "100"]
         code = "import sys; from splineqi.cli import main; sys.exit(main(sys.argv[1:]))"
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
-                               *argv], capture_output=True, text=True, env=env, timeout=120)
+                               *argv], capture_output=True, text=True, env=SRC_ENV, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert len(proc.stdout.splitlines()) >= 84
@@ -546,7 +545,7 @@ class TestOffsetRadiusRule:
         assert main([command, "--m", "3"]) == 2
         assert "requires --p" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["norms", "quad"])
+    @pytest.mark.parametrize("command", ["norms", "quad", "diffmat"])
     def test_dqi_refused_where_a_stencil_is_needed(self, capsys, command):
         assert main([command, "--kind", "dqi", "--m", "3"]) == 2
         assert "stencil operator" in capsys.readouterr().err
@@ -595,6 +594,33 @@ class TestMain:
         err = capsys.readouterr().err
         assert "cannot be represented in float64" in err
         assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["--b", "inf"], "need finite interval ends, got a=0.0, b=inf"),
+        (["--a", "-1.7e308", "--b", "1.7e308", "--family", "random"],
+         "the length b - a of [-1.7e+308, 1.7e+308] overflows float64"),
+        (["--family", "arithmetic", "--ratio", "1e308"], "the sum of its step weights overflows"),
+        (["--family", "geometric", "--ratio", "inf"], "need a finite ratio > 0, got inf"),
+        (["--family", "random", "--seed", "-1"], "the random family needs a seed >= 0, got -1"),
+    ])
+    def test_unbuildable_partition_exit_2_with_its_cause(self, capsys, argv, cause):
+        assert main(["norms", *argv]) == 2
+        err = capsys.readouterr().err
+        assert cause in err
+        assert "RuntimeWarning" not in err and "resolution" not in err
+
+    def test_module_run_without_warnings(self):
+        # the package once imported the CLI, so runpy warned that
+        # splineqi.cli was in sys.modules before `-m splineqi.cli` ran it
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "splineqi.cli", "norms", "--m", "3", "--n", "8"],
+                              capture_output=True, text=True, env=SRC_ENV, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        code = "import sys, splineqi; print('splineqi.cli' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=SRC_ENV, timeout=120)
+        assert proc.stdout == "False\n", proc.stderr
 
     def test_repeated_runs_identical(self, capsys):
         argv = ["nearbest", "--m", "2", "--p", "2", "--n", "20",

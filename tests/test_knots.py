@@ -1,6 +1,8 @@
 """Knot construction, partition families, Greville grids, moment arrays."""
 
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +50,11 @@ class TestMakeClampedKnots:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
             make_clamped_knots(1.0, 0.0, (), 2)
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0)])
+    def test_infinite_end_rejected(self, a, b):
+        with pytest.raises(ValueError, match="need finite interval ends"):
+            make_clamped_knots(a, b, (), 2)
 
     def test_accessors(self):
         kv = make_clamped_knots(-1.0, 2.0, (0.0, 1.0), 3)
@@ -151,6 +158,33 @@ class TestGeneratePartition:
         kv = generate_partition(spec, 2)
         assert np.isfinite(kv.steps).all() and (kv.steps > 0).all()
         assert np.all(np.diff(kv.t[2:-2]) > 0) and kv.t[-1] == spec.b
+
+    @pytest.mark.parametrize("spec, match", [
+        (PartitionSpec("uniform", b=math.inf), r"finite interval ends, got a=0.0, b=inf"),
+        (PartitionSpec("geometric", a=-math.inf, ratio=1.5),
+         r"finite interval ends, got a=-inf, b=1.0"),
+        (PartitionSpec("uniform", a=-1.7e308, b=1.7e308),
+         r"length b - a of \[-1.7e\+308, 1.7e\+308\] overflows float64"),
+        (PartitionSpec("random", a=-1.7e308, b=1.7e308),
+         r"length b - a of \[-1.7e\+308, 1.7e\+308\] overflows float64"),
+        (PartitionSpec("arithmetic", ratio=math.inf), r"finite ratio > 0, got inf"),
+        (PartitionSpec("arithmetic", ratio=1e308),
+         r"ratio 1e\+308 and 8 subintervals .* step weights overflows"),
+        (PartitionSpec("geometric", ratio=math.inf), r"finite ratio > 0, got inf"),
+        (PartitionSpec("random", seed=-1), r"seed >= 0, got -1"),
+    ])
+    def test_unbuildable_partition_refused_without_warnings(self, spec, match):
+        # numpy once warned on these and, with warnings as errors, raised the
+        # warning; a negative seed got numpy's message, which names no key
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                generate_partition(spec, 2)
+
+    def test_largest_arithmetic_ratio_kept(self):
+        # the weights 1 and 1e308 and their sum fit in float64
+        kv = generate_partition(PartitionSpec("arithmetic", n=2, ratio=1e308), 2)
+        assert kv.t[3] == 1e-308
 
     def test_families_constant(self):
         assert set(FAMILIES) == {"uniform", "arithmetic", "geometric", "random"}
