@@ -62,11 +62,10 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Weights over the Greville sites; integrates whatever the underlying
-    operator reproduces exactly (polynomials up to ``exactness_degree``)."""
+    operator reproduces exactly (polynomials up to its degree q)."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    exactness_degree: int
 
     def integrate(self, samples: np.ndarray) -> float:
         samples = np.asarray(samples, dtype=float)
@@ -95,7 +94,7 @@ def quadrature_from_qi(qi: QuasiInterpolant) -> QuadratureRule:
     nodes = space.greville.copy()
     nodes.flags.writeable = False
     w.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=w, exactness_degree=qi.q)
+    return QuadratureRule(nodes=nodes, weights=w)
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +302,18 @@ class ConvergenceRow:
 class ConvergenceReport:
     rows: tuple[ConvergenceRow, ...]
     fitted_order: float
-    constant: float
 
 
-def _fit_order(points: list[tuple[float, float]]) -> tuple[float, float]:
+def _fit_order(points: list[tuple[float, float]]) -> float:
     """Least-squares slope of log err against log h over the finest half."""
     valid = [(h, e) for h, e in points if e > 0.0]
     tail = valid[len(valid) // 2 :]
     if len(tail) < 2 or len({h for h, _ in tail}) < 2:
-        return float("nan"), float("nan")
+        return float("nan")
     logs_h = np.log([h for h, _ in tail])
     logs_e = np.log([e for _, e in tail])
-    slope, intercept = np.polyfit(logs_h, logs_e, 1)
-    return float(slope), float(np.exp(intercept))
+    slope, _ = np.polyfit(logs_h, logs_e, 1)
+    return float(slope)
 
 
 def _running_order(prev: tuple[float, float] | None, h: float, err: float) -> float:
@@ -348,8 +346,8 @@ def convergence_study(
         rows.append(ConvergenceRow(n=n, h_max=h, error=err,
                                    order_running=_running_order(prev, h, err)))
         prev = (h, err)
-    fitted, constant = _fit_order([(r.h_max, r.error) for r in rows])
-    return ConvergenceReport(rows=tuple(rows), fitted_order=fitted, constant=constant)
+    fitted = _fit_order([(r.h_max, r.error) for r in rows])
+    return ConvergenceReport(rows=tuple(rows), fitted_order=fitted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,5 +394,5 @@ def differentiation_study(
         rows.append(DiffRow(n=n, h_max=h, err_interior=err_int, err_all=err_all,
                             order_running=_running_order(prev, h, err_int)))
         prev = (h, err_int)
-    fitted, _ = _fit_order([(r.h_max, r.err_interior) for r in rows])
+    fitted = _fit_order([(r.h_max, r.err_interior) for r in rows])
     return DiffReport(rows=tuple(rows), fitted_order=fitted)

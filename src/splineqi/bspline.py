@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knots import GrevilleGrid, KnotVector, central_moment_table, greville_grid
+from .knots import KnotVector, central_coefficients, greville_grid
 
 __all__ = [
     "SplineSpace", "SplineFunction", "eval_basis", "eval_spline",
@@ -33,14 +33,17 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SplineSpace:
-    """Knot vector plus its cached Greville grid. Immutable, safe to share."""
+    """Knot vector plus its Greville abscissae ``greville`` and their
+    centered second moments ``centered_second`` (both read-only, see
+    `greville_grid`). Immutable, safe to share."""
 
     knots: KnotVector
-    grid: GrevilleGrid
+    greville: np.ndarray
+    centered_second: np.ndarray
 
     @classmethod
     def from_knots(cls, kv: KnotVector) -> "SplineSpace":
-        return cls(knots=kv, grid=greville_grid(kv))
+        return cls(kv, *greville_grid(kv))
 
     @property
     def degree(self) -> int:
@@ -50,16 +53,19 @@ class SplineSpace:
     def dimension(self) -> int:
         return self.knots.dimension
 
-    @property
-    def greville(self) -> np.ndarray:
-        return self.grid.theta
-
     @functools.cached_property
     def central_moments(self) -> np.ndarray:
         """Row i: the central moment coefficients a_0 .. a_m of index i's
         knot window, the weights of D^s f(theta_i) / s! in the differential
-        quasi-interpolant, for every index at once, computed on first use."""
-        return central_moment_table(self.knots, self.grid.theta)
+        quasi-interpolant, for every index at once, computed on first use and
+        read-only. An entry that overflows float64 is left non-finite, without
+        a warning, for the reader to replace or refuse."""
+        kv = self.knots
+        windows = kv.t[np.arange(1, kv.dimension + 1)[:, None] + np.arange(kv.degree)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = central_coefficients(windows - self.greville[:, None])
+        table.setflags(write=False)
+        return table
 
     @functools.cached_property
     def knot_tuple(self) -> tuple:

@@ -1,4 +1,4 @@
-"""Clamped knot sequences, partition generators, and Greville moment grids.
+"""Clamped knot sequences, partition generators, and Greville abscissae.
 
 Index conventions used throughout the package: a degree-m spline space on
 [a, b] with n subintervals has the clamped knot array
@@ -7,8 +7,10 @@ Index conventions used throughout the package: a degree-m spline space on
 
 stored as a flat numpy array of length n + 2m + 1. Basis function j
 (j = 0 .. n+m-1) lives on knots t[j .. j+m+1]. The Greville abscissa of
-index j is the mean of the m knots t[j+1 .. j+m], and the moment of order l
-is the l-th elementary symmetric function of that window divided by C(m, l).
+index j is the mean theta_j of the m knots t[j+1 .. j+m]. With e_s the
+elementary symmetric functions, its centered second moment is
+theta_j^2 - e_2(window) / C(m, 2), and its central moments a_0 .. a_m are
+e_s(t[j+1] - theta_j, ..., t[j+m] - theta_j) / C(m, s).
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "FAMILIES", "KnotVector", "PartitionSpec", "GrevilleGrid", "make_clamped_knots",
-    "generate_partition", "greville_grid", "elementary_symmetric",
+    "FAMILIES", "KnotVector", "PartitionSpec", "make_clamped_knots", "generate_partition",
+    "greville_grid",
 ]
 
 FAMILIES = ("uniform", "arithmetic", "geometric", "random")
@@ -202,64 +204,41 @@ def elementary_symmetric(values: np.ndarray) -> np.ndarray:
     return esp.T
 
 
-@dataclass(frozen=True, eq=False)
-class GrevilleGrid:
-    """Greville abscissae with their symmetric-function moments.
+def greville_grid(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    """Greville abscissae theta and centered second moments tbar, read-only.
 
-    ``theta[j]`` is the mean of the m knots supporting index j;
-    ``moments[j, l]`` is the order-l moment (elementary symmetric function of
-    the window over C(m, l), with moments[:, 0] = 1);
-    ``centered_second[j]`` is theta_j^2 - moments[j, 2], computed by the
-    cancellation-free pairwise double sum, and is >= 0 with equality exactly
-    when the whole window is one repeated knot.
-    """
-
-    theta: np.ndarray
-    moments: np.ndarray
-    centered_second: np.ndarray
-
-
-def greville_grid(kv: KnotVector) -> GrevilleGrid:
-    """Compute Greville abscissae, moments, and centered second moments.
-
-    Each abscissa is clamped into its knot window [t_{j+1}, t_{j+m}], so
-    the end abscissae are exactly a and b. Raises ValueError if the
-    abscissae fail to be strictly increasing (they always are for simple
-    interior knots; the check guards malformed input).
+    theta_j is the sum of its window's knots, added left to right, over m,
+    clamped into the window [t_{j+1}, t_{j+m}], so the end abscissae are
+    exactly a and b. tbar_j = theta_j^2 - e_2(window) / C(m, 2), computed by
+    the cancellation-free pairwise double sum, is >= 0 with equality exactly
+    when the whole window is one repeated knot. Raises ValueError if a sum
+    overflows float64 or the abscissae fail to be strictly increasing
+    (they always are for simple interior knots; the check guards malformed
+    input).
     """
     m = kv.degree
     windows = sliding_window_view(kv.t[1:], m)[: kv.dimension]
-    binom = np.array([math.comb(m, l) for l in range(m + 1)], dtype=float)
-    moments = elementary_symmetric(windows) / binom
-    moments[:, 1] = np.clip(moments[:, 1], windows[:, 0], windows[:, -1])
-    theta = moments[:, 1].copy()
+    total = np.zeros(kv.dimension)
     centered = np.zeros(kv.dimension)
-    # pairwise double sum, one knot r against the later ones; the batched
-    # matmul rounds each row like np.dot on that row
-    for r in range(m - 1):
-        d = windows[:, r : r + 1] - windows[:, r + 1 :]
-        centered += (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    with np.errstate(over="ignore"):
+        for r in range(m):
+            total += windows[:, r]
+        # pairwise double sum, one knot r against the later ones; the batched
+        # matmul rounds each row like np.dot on that row
+        for r in range(m - 1):
+            d = windows[:, r : r + 1] - windows[:, r + 1 :]
+            centered += (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    for name, sums in (("Greville abscissae", total), ("centered second moments", centered)):
+        if not np.isfinite(sums).all():
+            raise ValueError(f"the {name} of [{kv.a}, {kv.b}] overflow float64")
+    theta = np.clip(total / m, windows[:, 0], windows[:, -1])
     if m >= 2:
         centered /= m * m * (m - 1)
     if not np.all(np.diff(theta) > 0):
         raise ValueError("Greville abscissae are not strictly increasing")
     theta.setflags(write=False)
-    moments.setflags(write=False)
     centered.setflags(write=False)
-    return GrevilleGrid(theta=theta, moments=moments, centered_second=centered)
-
-
-def central_moment_table(kv: KnotVector, theta: np.ndarray) -> np.ndarray:
-    """Central moment coefficients of every index's knot window.
-
-    Row j holds a_0 .. a_m: the elementary symmetric functions of the window
-    t[j+1 .. j+m] centered at theta[j], each over C(m, s), with a_0 = 1 and
-    a_1 = 0 set exactly. Read-only.
-    """
-    windows = sliding_window_view(kv.t[1:], kv.degree)[: kv.dimension]
-    table = central_coefficients(windows - theta[:, None])
-    table.setflags(write=False)
-    return table
+    return theta, centered
 
 
 def central_coefficients(differences: np.ndarray) -> np.ndarray:

@@ -10,10 +10,10 @@ x_s = (theta_{i+s} - theta_i) / L (L = site span), where the right-hand side
 becomes the central moment coefficients a_r(theta_i) / L^r, read from the
 space's `central_moments` table; the weights are invariant under that
 affine change. Where a_r and L^r both underflow (windows about 1e-69 wide),
-the row is taken from the knot differences divided by L before their
-symmetric functions are formed. One function (`_assemble`) builds these
-normalized systems for every caller: one window, a chunk of full windows, or
-the three-point table below.
+or L^r overflows, the row is taken from the knot differences divided by L
+before their symmetric functions are formed. One function (`_assemble`)
+builds these normalized systems for every caller: one window, a chunk of
+full windows, or the three-point table below.
 
 Some optimum lies on q + 1 sites, and on distinct sites every square
 Vandermonde system is nonsingular, so a window's C(k, q+1) square systems
@@ -113,6 +113,14 @@ def _vandermonde(x: np.ndarray, q: int) -> np.ndarray:
     return np.stack([x**r for r in range(q + 1)], axis=-2)
 
 
+def _power(L: float, r: int) -> float:
+    """L**r as a Python float, inf where it overflows float64."""
+    try:
+        return L**r
+    except OverflowError:
+        return math.inf
+
+
 def _assemble(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...], q: int):
     """Raw sites (W, k), normalized sites (W, k), Vandermonde rows
     (W, q+1, k) and right-hand sides a_r / L**r (W, q+1) of the windows
@@ -120,20 +128,20 @@ def _assemble(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...],
     powers of L are Python floats and the rest is elementwise, so a window
     rounds alike alone or in a chunk; a span of 0 gives non-finite rows,
     without a warning, which the residual tests refuse."""
-    theta = space.grid.theta
+    theta = space.greville
     sites = theta[centers[:, None] + np.array(offsets)]
     # theta increases, so the outermost offsets hold the largest and smallest site
     scale = theta[centers + max(offsets)] - theta[centers + min(offsets)]
     spans = scale.tolist()
-    powers = np.array([[L**r for L in spans] for r in range(q + 1)])
+    powers = np.array([[_power(L, r) for L in spans] for r in range(q + 1)])
     with np.errstate(all="ignore"):
         x = (sites - theta[centers, None]) / scale[:, None]
         matrix = _vandermonde(x, q)
         rhs = space.central_moments[centers, : q + 1] / powers.T
         # on a span so small that a_r and L**r both underflow, a_r / L**r is
-        # 0/0: form a_r from the knot differences t_{i+1..i+m} - theta_i
-        # divided by L instead
-        lost = np.flatnonzero(~np.isfinite(rhs).all(axis=1))
+        # 0/0, and on one so long that L**r overflows it loses a_r: form a_r
+        # from the knot differences t_{i+1..i+m} - theta_i divided by L instead
+        lost = np.flatnonzero(~np.isfinite(rhs).all(axis=1) | np.isinf(powers).any(axis=0))
         if lost.size:
             near = centers[lost]
             knots = space.knots.t[near[:, None] + np.arange(1, space.degree + 1)]
@@ -347,7 +355,6 @@ def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
     """Every full window's three-point weights and certificate at once, on
     the normalized sites (see the module docstring), read-only. A window
     whose sites coincide in floating point gets NaN, which fails every test."""
-    theta = space.grid.theta
     centers = np.arange(p, space.dimension - p)
     _, x, _, _ = _assemble(space, centers, tuple(range(-p, p + 1)), 0)
     with np.errstate(all="ignore"):
@@ -360,7 +367,7 @@ def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
         residual = np.abs(lagrange @ np.array([-1.0, 1.0, -1.0]) - vector).max(axis=1)
         scale = np.maximum(1.0, np.abs(lagrange).max(axis=(1, 2)))
         weights = _three_point_weights(
-            theta, space.grid.centered_second[centers], centers, centers - p, centers + p
+            space.greville, space.centered_second[centers], centers, centers - p, centers + p
         )
         sign_ok = weights * np.array([-1.0, 1.0, -1.0]) >= 0.0
         max_abs = np.abs(vector).max(axis=1)

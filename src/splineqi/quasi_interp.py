@@ -151,7 +151,11 @@ def _oracle_table(points: np.ndarray, oracle: DerivativeOracle, k: int) -> np.nd
 
 def _dqi_spline(space: SplineSpace, table: np.ndarray) -> SplineFunction:
     """The differential quasi-interpolant of the (dim, m+1) table of
-    f, f', ..., f^(m) at the Greville sites."""
+    f, f', ..., f^(m) at the Greville sites. Refuses a space whose central
+    moments overflow float64."""
+    if not np.isfinite(space.central_moments).all():
+        raise ValueError(f"the central moments of the degree-{space.degree} knot windows "
+                         f"of [{space.knots.a}, {space.knots.b}] overflow float64")
     inv_fact = np.array([1.0 / math.factorial(l) for l in range(space.degree + 1)])
     return SplineFunction(space, np.vecdot(space.central_moments * inv_fact, table))
 
@@ -176,6 +180,9 @@ def _three_point_weights(theta: np.ndarray, tbar, i, jm, jp) -> np.ndarray:
     dm = theta[i] - theta[jm]
     dp = theta[jp] - theta[i]
     dd = theta[jp] - theta[jm]
+    if np.max(dd, initial=0.0) > 1e154:
+        # a product of two gaps could overflow: divide by one gap at a time
+        return np.array([-tbar / dd / dm, 1.0 + tbar / dp / dm, -tbar / dd / dp]).T
     return np.array([-tbar / (dd * dm), 1.0 + tbar / (dp * dm), -tbar / (dd * dp)]).T
 
 
@@ -193,9 +200,7 @@ def _build_radius_p(space: SplineSpace, p: int, kind: str) -> QuasiInterpolant:
     jp = np.minimum(dim - 1, i + p)
     sites[1:-1, 0] = jm
     sites[1:-1, 2] = jp
-    weights[1:-1] = _three_point_weights(
-        space.grid.theta, space.grid.centered_second[i], i, jm, jp
-    )
+    weights[1:-1] = _three_point_weights(space.greville, space.centered_second[i], i, jm, jp)
     return QuasiInterpolant(
         space=space,
         kind=kind,

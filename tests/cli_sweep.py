@@ -13,7 +13,9 @@ this process through `cli.main`. The commands are:
   `perfbench/workloads.py`, which is loaded without writing bytecode;
 - every command x kind x degree m = 1..5 x radius p in {1, m, m+1} x every
   q the near-best LP accepts (0 .. min(m, 2p)), in CSV and JSON;
-- refusals: configuration errors (exit 2) and numerical failures (exit 3).
+- refusals: configuration errors (exit 2) and numerical failures (exit 3);
+- scale: commands on intervals from 1e60 to 1.7e308 long, which either
+  print what they print on [0, 1] or refuse with exit 2.
 
 Warnings are written as "Category: message", without the file and line a
 default warning names, so two checkouts in different directories agree.
@@ -113,6 +115,20 @@ REFUSALS = [
     ["nearbest", "--m", "5", "--p", "12", "--q", "5", "--n", "60"],
 ]
 
+SCALE = [
+    ["norms", "--m", "3", "--b", "1e110"],
+    ["norms", "--b", "1.8e155"],
+    ["norms", "--a", "0", "--b", "1e200"],
+    ["norms", "--a", "0", "--b", "1.7e308"],
+    ["nearbest", "--m", "3", "--p", "3", "--n", "20", "--b", "1e150"],
+    ["nearbest", "--m", "3", "--p", "3", "--n", "20", "--a", "0", "--b", "1e200"],
+    ["nearbest", "--m", "3", "--p", "3", "--q", "3", "--n", "30", "--a", "0", "--b", "1e110"],
+    ["nearbest", "--m", "7", "--p", "7", "--q", "7", "--n", "20", "--a", "0", "--b", "1e60"],
+    ["nearbest", "--m", "2", "--p", "10", "--n", "40", "--b", "4e154"],
+    ["audit", "--m", "2", "--p", "2", "--n", "20", "--a", "0", "--b", "1e200"],
+    ["convergence", "--kind", "dqi", "--m", "7", "--a", "0", "--b", "1e60", "--sizes", "8,16"],
+]
+
 
 def sweep_line(cli, argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
@@ -137,7 +153,7 @@ def main() -> None:
     from splineqi import cli
 
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
-    for argv in benchmark_commands() + grid_commands(cli) + REFUSALS:
+    for argv in benchmark_commands() + grid_commands(cli) + REFUSALS + SCALE:
         print(sweep_line(cli, argv), flush=True)
 
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from conftest import ACCEPTANCE_LINES, partition_battery, space_from
-from oracles import l1_min_enumerate
+from oracles import greville_loop, l1_min_enumerate
 from splineqi import (
     BUILTIN_FUNCTIONS,
     PartitionSpec,
@@ -38,7 +38,7 @@ def _check(name: str, ok: bool, detail: str = "") -> None:
 
 
 def _stencil_moment(space, st, r):
-    sites = space.grid.theta[[st.i + s for s in st.offsets]]
+    sites = space.greville[[st.i + s for s in st.offsets]]
     return float(st.weights @ sites**r)
 
 
@@ -51,8 +51,8 @@ def test_ac01_polynomial_exactness():
             n = int(rng.integers(6, 16))
             sp = space_from("random", m=m, n=n, seed=int(rng.integers(2**31 - 1)),
                             a=0.25, b=1.75)
-            moments = sp.grid.moments
-            theta = sp.grid.theta
+            moments = greville_loop(sp.knots.t, m)[1]
+            theta = sp.greville
             for qi in (build_q2star(sp), build_qp2star(sp, m)):
                 for st in qi.stencils:
                     for r in range(3):
@@ -242,7 +242,7 @@ def test_ac09_basis_substrate():
     for m in range(2, 7):
         for sp in partition_battery(m, random_count=200):
             kv = sp.knots
-            moments = sp.grid.moments
+            moments = greville_loop(kv.t, m)[1]
             pts = np.unique(np.concatenate([
                 np.linspace(kv.a, kv.b, 25),
                 kv.t[m : m + kv.n + 1],

@@ -46,7 +46,6 @@ class TestQuadrature:
         rule = quadrature_from_qi(build_q2star(sp))
         got = rule.integrate_fn(lambda x: x * x)
         assert got == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert rule.exactness_degree == 2
 
     def test_uniform_cubic_superconvergence(self):
         sp = space_from("uniform", m=2, n=16)
@@ -286,7 +285,6 @@ class TestConvergence:
             2,
         )
         assert 2.5 <= report.fitted_order <= 3.5
-        assert report.constant > 0.0
         errs = [row.error for row in report.rows]
         assert errs == sorted(errs, reverse=True)
         assert math.isnan(report.rows[0].order_running)

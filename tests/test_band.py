@@ -1,6 +1,6 @@
 """Weight bands against the scalar reference loops in `oracles`.
 
-The vectorized Greville grid, three-point builds, apply, quadrature and
+The vectorized Greville abscissae, three-point builds, apply, quadrature and
 local derivative evaluation (one point or an array of points) must round
 exactly as the one-index-at-a-time loops do; the only intended difference
 is the clamp that keeps each Greville abscissa inside its knot window.
@@ -53,14 +53,11 @@ def band_rows(qi):
 def test_greville_grid_matches_loop(m, family):
     for sp in battery(m, family):
         t = sp.knots.t
-        theta, moments, centered = oracles.greville_loop(t, m)
+        theta, _, centered = oracles.greville_loop(t, m)
         windows = np.array([t[j + 1 : j + m + 1] for j in range(sp.dimension)])
         clamped = np.clip(theta, windows[:, 0], windows[:, -1])
-        np.testing.assert_array_equal(sp.grid.theta, clamped)
-        np.testing.assert_array_equal(sp.grid.moments[:, 1], clamped)
-        np.testing.assert_array_equal(sp.grid.moments[:, [0, *range(2, m + 1)]],
-                                      moments[:, [0, *range(2, m + 1)]])
-        np.testing.assert_array_equal(sp.grid.centered_second, centered)
+        np.testing.assert_array_equal(sp.greville, clamped)
+        np.testing.assert_array_equal(sp.centered_second, centered)
         # the clamp only ever moves an abscissa back onto its window
         moved = np.nonzero(clamped != theta)[0]
         assert np.all((windows[moved, 0] == windows[moved, -1]))
@@ -75,7 +72,7 @@ def test_three_point_band_matches_loop(m, family):
         samples = rng.standard_normal(dim)
         for p in (1, m, m + 2, dim + 1):
             qi = _build_radius_p(sp, p, KIND_QP2STAR)
-            ref = oracles.three_point_loop(sp.grid.theta, sp.grid.centered_second, p)
+            ref = oracles.three_point_loop(sp.greville, sp.centered_second, p)
             assert qi.weights.shape == (dim, 3)
             for (offsets, weights), (ref_offsets, ref_weights), st in zip(
                 band_rows(qi), ref, qi.stencils
@@ -103,7 +100,7 @@ def test_wide_nearbest_band(m, p):
     qi = build_nearbest_qi(sp, p)
     assert qi.weights.shape == (sp.dimension, 2 * p + 1)
     rows = band_rows(qi)
-    samples = np.cos(3.0 * sp.grid.theta)
+    samples = np.cos(3.0 * sp.greville)
     np.testing.assert_array_equal(
         apply_qi(qi, samples).coefficients, oracles.apply_loop(rows, samples)
     )

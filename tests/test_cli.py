@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from cli_sweep import SCALE
 from splineqi.applications import KINDS
 from splineqi import cli
 from splineqi.cli import COMMANDS, RunConfig, main, parse_config_file, run
@@ -608,6 +609,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert cause in err
         assert "RuntimeWarning" not in err and "resolution" not in err
+
+    @pytest.mark.parametrize("argv", SCALE, ids=" ".join)
+    def test_long_interval_matches_unit_interval_or_refuses(self, capsys, argv):
+        # the weights depend only on ratios of site differences, so on a long
+        # interval a command prints the nu1 it prints on [0, 1] or refuses the
+        # overflow; any warning, uncaught error or numerical failure fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2), err
+        assert "nan" not in out
+        if code == 2:
+            assert "overflow float64" in err
+        elif argv[0] in ("norms", "nearbest"):
+            ends = {"--a": "0", "--b": "1"}
+            assert main([ends.get(key, value) for key, value in zip(["", *argv], argv)]) == 0
+            header, (row,) = parse_csv(out)
+            _, (unit,) = parse_csv(capsys.readouterr().out)
+            for key in (key for key in header if key.startswith("nu1")):
+                assert float(row[key]) == pytest.approx(float(unit[key]), rel=1e-12, abs=0)
 
     def test_module_run_without_warnings(self):
         # the package once imported the CLI, so runpy warned that

@@ -1,4 +1,4 @@
-"""Knot construction, partition families, Greville grids, moment arrays."""
+"""Knot construction, partition families, Greville abscissae and moments."""
 
 import itertools
 import math
@@ -10,14 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import space_from, spaces
+from oracles import greville_loop
 from splineqi import (
     FAMILIES,
     PartitionSpec,
-    elementary_symmetric,
     generate_partition,
     greville_grid,
     make_clamped_knots,
 )
+from splineqi.knots import elementary_symmetric
 
 
 class TestMakeClampedKnots:
@@ -194,25 +195,25 @@ class TestGrevilleGrid:
     def test_unit_window_centered_moment(self):
         # window (0, 1) for degree 2: mean 1/2, centered second moment 1/4
         kv = make_clamped_knots(0.0, 2.0, (1.0,), 2)
-        grid = greville_grid(kv)
+        theta, centered = greville_grid(kv)
         j = 1  # window t[2:4] = (0, 1)
-        assert grid.theta[j] == pytest.approx(0.5)
-        assert grid.centered_second[j] == pytest.approx(0.25)
+        assert theta[j] == pytest.approx(0.5)
+        assert centered[j] == pytest.approx(0.25)
 
     def test_cubic_window_012(self):
         kv = make_clamped_knots(0.0, 3.0, (1.0, 2.0), 3)
-        grid = greville_grid(kv)
+        theta, centered = greville_grid(kv)
         j = 2  # window t[3:6] = (0, 1, 2)
-        assert grid.theta[j] == pytest.approx(1.0)
-        assert grid.moments[j, 2] == pytest.approx(2.0 / 3.0)
-        assert grid.centered_second[j] == pytest.approx(1.0 / 3.0)
+        assert theta[j] == pytest.approx(1.0)
+        assert greville_loop(kv.t, 3)[1][j, 2] == pytest.approx(2.0 / 3.0)
+        assert centered[j] == pytest.approx(1.0 / 3.0)
 
     def test_boundary_window_degenerate(self):
         kv = make_clamped_knots(0.0, 1.0, (0.5,), 3)
-        grid = greville_grid(kv)
-        assert grid.centered_second[0] == 0.0
-        assert grid.centered_second[-1] == 0.0
-        assert grid.theta[0] == 0.0 and grid.theta[-1] == 1.0
+        theta, centered = greville_grid(kv)
+        assert centered[0] == 0.0
+        assert centered[-1] == 0.0
+        assert theta[0] == 0.0 and theta[-1] == 1.0
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_abscissae_inside_interval(self, m):
@@ -224,38 +225,44 @@ class TestGrevilleGrid:
                 n = int(rng.integers(1, 60))
                 sp = space_from(family, m, n, seed=int(rng.integers(2**31)), a=a, b=b,
                                 ratio=float(rng.uniform(1.0, 4.0)) ** (1.0 / n))
-                theta = sp.grid.theta
+                theta = sp.greville
                 assert theta[0] == a and theta[-1] == b
                 assert np.all((theta >= a) & (theta <= b))
 
     def test_degree_one_centered_moments_vanish(self):
         sp = space_from("random", m=1, n=9, seed=3)
-        assert np.all(sp.grid.centered_second == 0.0)
+        assert np.all(sp.centered_second == 0.0)
 
     def test_zeroth_moment_is_one(self):
+        # the raw moment of the reference loop and the central one the space stores
         sp = space_from("random", m=3, n=8, seed=9)
-        np.testing.assert_array_equal(sp.grid.moments[:, 0], 1.0)
+        np.testing.assert_array_equal(greville_loop(sp.knots.t, 3)[1][:, 0], 1.0)
+        np.testing.assert_array_equal(sp.central_moments[:, 0], 1.0)
 
     @given(spaces())
     def test_mean_identity(self, sp):
-        kv, grid = sp.knots, sp.grid
+        kv = sp.knots
         m = kv.degree
         for j in range(sp.dimension):
             window = kv.t[j + 1 : j + m + 1]
             ref = window.mean()
-            assert abs(grid.theta[j] - ref) <= 1e-14 * max(1.0, abs(ref))
+            assert abs(sp.greville[j] - ref) <= 1e-14 * max(1.0, abs(ref))
 
     @given(spaces())
     def test_first_moment_equals_theta(self, sp):
-        np.testing.assert_array_equal(sp.grid.moments[:, 1], sp.grid.theta)
+        # the reference loop's first moment, clamped into its window
+        t, m = sp.knots.t, sp.degree
+        windows = np.array([t[j + 1 : j + m + 1] for j in range(sp.dimension)])
+        first = greville_loop(t, m)[1][:, 1]
+        np.testing.assert_array_equal(np.clip(first, windows[:, 0], windows[:, -1]), sp.greville)
 
     @given(spaces(m_lo=2))
     def test_centered_second_nonnegative_zero_iff_degenerate(self, sp):
-        kv, grid = sp.knots, sp.grid
+        kv = sp.knots
         m = kv.degree
         for j in range(sp.dimension):
             window = kv.t[j + 1 : j + m + 1]
-            tbar = grid.centered_second[j]
+            tbar = sp.centered_second[j]
             assert tbar >= 0.0
             if window.max() == window.min():
                 assert tbar == 0.0
@@ -264,22 +271,20 @@ class TestGrevilleGrid:
 
     @given(spaces(m_lo=2))
     def test_centered_second_matches_difference_form(self, sp):
-        grid = sp.grid
-        theta, second = grid.theta, grid.moments[:, 2]
+        theta, second = sp.greville, greville_loop(sp.knots.t, sp.degree)[1][:, 2]
         direct = theta**2 - second
         for j in range(sp.dimension):
             tol = 1e-10 * max(1.0, theta[j] ** 2)
-            assert abs(grid.centered_second[j] - direct[j]) <= tol
+            assert abs(sp.centered_second[j] - direct[j]) <= tol
 
     @given(spaces())
     def test_theta_strictly_increasing(self, sp):
-        assert np.all(np.diff(sp.grid.theta) > 0)
+        assert np.all(np.diff(sp.greville) > 0)
 
     @given(spaces())
     def test_arrays_read_only(self, sp):
-        assert not sp.grid.theta.flags.writeable
-        assert not sp.grid.moments.flags.writeable
-        assert not sp.grid.centered_second.flags.writeable
+        assert not sp.greville.flags.writeable
+        assert not sp.centered_second.flags.writeable
 
 
 class TestElementarySymmetric:

@@ -119,7 +119,7 @@ def test_three_point_certificate_matches_oracle(m, family, ratio):
     # |v| off the support is clear of 1
     for n in (20, 40):
         sp = space_from(family, m, n=n, seed=1, ratio=ratio)
-        theta = sp.grid.theta
+        theta = sp.greville
         for p in range(1, m + 2):
             for i in range(p, sp.dimension - p):
                 vector, largest = oracles.three_point_certificate_mp(theta, i, p)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from conftest import space_from, spaces
-from oracles import central_moments_loop, vandermonde_solve_3
+from oracles import central_moments_loop, greville_loop, vandermonde_solve_3
 from splineqi import (
     SplineFunction,
     SplineSpace,
@@ -23,9 +23,14 @@ from splineqi import (
 from splineqi.quasi_interp import KIND_QP2STAR, _build_radius_p, _three_point_weights
 
 
+def moments(space):
+    """The raw Greville moments of every index, from the reference loop."""
+    return greville_loop(space.knots.t, space.degree)[1]
+
+
 def stencil_moment(space, stencil, r):
     """mu_i(e_r) for a sampling stencil."""
-    theta = space.grid.theta
+    theta = space.greville
     return sum(
         w * theta[stencil.i + s] ** r
         for s, w in zip(stencil.offsets, stencil.weights)
@@ -46,13 +51,13 @@ class TestDqiCoefficients:
     @given(spaces())
     def test_matches_binomial_moment_expansion(self, sp):
         # independent route: a_s = sum_l (-1)^{s-l} C(s,l) theta^{s-l} theta^(l)
-        moments = sp.grid.moments
-        theta = sp.grid.theta
+        raw_moments = moments(sp)
+        theta = sp.greville
         for i in range(sp.dimension):
             a = sp.central_moments[i]
             for s in range(sp.degree + 1):
                 raw = sum(
-                    (-1) ** (s - l) * math.comb(s, l) * theta[i] ** (s - l) * moments[i, l]
+                    (-1) ** (s - l) * math.comb(s, l) * theta[i] ** (s - l) * raw_moments[i, l]
                     for l in range(s + 1)
                 )
                 assert abs(a[s] - raw) <= 1e-10 * max(1.0, abs(raw))
@@ -89,7 +94,7 @@ class TestDqiCoefficients:
     ])
     def test_table_matches_per_index_loop_exactly(self, m, family, ratio):
         sp = space_from(family, m, n=17, seed=3, ratio=ratio)
-        expected = central_moments_loop(sp.knots.t, m, sp.grid.theta)
+        expected = central_moments_loop(sp.knots.t, m, sp.greville)
         assert sp.central_moments.tobytes() == expected.tobytes()
         assert not sp.central_moments.flags.writeable
 
@@ -98,6 +103,7 @@ class TestApplyDqi:
     @given(spaces())
     def test_monomial_exactness(self, sp):
         m = sp.degree
+        raw_moments = moments(sp)
         for k in range(m + 1):
             def oracle(x, k=k):
                 # derivatives of x^k
@@ -107,7 +113,7 @@ class TestApplyDqi:
                 ]
 
             f = apply_dqi(sp, oracle)
-            target = sp.grid.moments[:, k]
+            target = raw_moments[:, k]
             err = np.abs(f.coefficients - target)
             assert (err <= 1e-10 * np.maximum(1.0, np.abs(target))).all()
 
@@ -158,12 +164,12 @@ class TestBuildQ2Star:
     @given(spaces(m_lo=2))
     def test_interior_weights_match_cramer_oracle(self, sp):
         qi = build_q2star(sp)
-        theta = sp.grid.theta
+        theta, second = sp.greville, moments(sp)[:, 2]
         for st in qi.stencils:
             if st.boundary:
                 continue
             sites = [theta[st.i + s] for s in st.offsets]
-            rhs = np.array([1.0, theta[st.i], sp.grid.moments[st.i, 2]])
+            rhs = np.array([1.0, theta[st.i], second[st.i]])
             expected = vandermonde_solve_3(sites, rhs)
             np.testing.assert_allclose(st.weights, expected, rtol=1e-9, atol=1e-12)
 
@@ -176,9 +182,10 @@ class TestBuildQ2Star:
     @given(spaces(m_lo=2))
     def test_quadratic_exactness_every_index(self, sp):
         qi = build_q2star(sp)
+        raw_moments = moments(sp)
         for st in qi.stencils:
             for r in range(3):
-                target = sp.grid.moments[st.i, r]
+                target = raw_moments[st.i, r]
                 got = stencil_moment(sp, st, r)
                 assert abs(got - target) <= 1e-10 * max(1.0, abs(target))
 
@@ -215,12 +222,12 @@ class TestBuildQp2Star:
     def test_triples_solve_vandermonde_system(self, sp):
         p = sp.degree
         qi = build_qp2star(sp, p)
-        theta = sp.grid.theta
+        theta, second = sp.greville, moments(sp)[:, 2]
         for st in qi.stencils:
             if len(st.offsets) != 3:
                 continue
             sites = [theta[st.i + s] for s in st.offsets]
-            rhs = np.array([1.0, theta[st.i], sp.grid.moments[st.i, 2]])
+            rhs = np.array([1.0, theta[st.i], second[st.i]])
             expected = vandermonde_solve_3(sites, rhs)
             np.testing.assert_allclose(st.weights, expected, rtol=1e-9, atol=1e-12)
             for r in range(3):
@@ -245,7 +252,7 @@ class TestBuildQp2Star:
         st = qi.stencils[3]
         assert st.i + st.offsets[0] == 0 and st.i + st.offsets[-1] == sp.dimension - 1
         for r in range(3):
-            target = sp.grid.moments[3, r]
+            target = moments(sp)[3, r]
             assert abs(stencil_moment(sp, st, r) - target) <= 1e-10
 
 
@@ -253,8 +260,8 @@ class TestApplyQi:
     def test_linear_samples_reproduce_greville(self):
         sp = space_from("random", m=2, n=11, seed=5)
         qi = build_q2star(sp)
-        f = apply_qi(qi, sp.grid.theta.copy())
-        np.testing.assert_allclose(f.coefficients, sp.grid.theta, atol=1e-12)
+        f = apply_qi(qi, sp.greville.copy())
+        np.testing.assert_allclose(f.coefficients, sp.greville, atol=1e-12)
 
     def test_constant_samples(self):
         sp = space_from("random", m=3, n=6, seed=5)
@@ -265,8 +272,8 @@ class TestApplyQi:
     def test_square_samples_give_second_moments(self):
         sp = space_from("geometric", m=2, n=9, ratio=1.5)
         qi = build_q2star(sp)
-        f = apply_qi(qi, sp.grid.theta**2)
-        np.testing.assert_allclose(f.coefficients, sp.grid.moments[:, 2], atol=1e-13)
+        f = apply_qi(qi, sp.greville**2)
+        np.testing.assert_allclose(f.coefficients, moments(sp)[:, 2], atol=1e-13)
 
     def test_sample_count_mismatch(self):
         sp = space_from("uniform", m=2, n=6)
@@ -277,7 +284,7 @@ class TestApplyQi:
     def test_greville_samples_helper(self):
         sp = space_from("uniform", m=2, n=6)
         samples = greville_samples(sp, lambda x: 2 * x)
-        np.testing.assert_allclose(samples, 2 * sp.grid.theta, rtol=1e-15)
+        np.testing.assert_allclose(samples, 2 * sp.greville, rtol=1e-15)
 
 
 class TestNorms:
