@@ -228,7 +228,9 @@ def greville_grid(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
         for r in range(m - 1):
             d = windows[:, r : r + 1] - windows[:, r + 1 :]
             centered += (d[:, None, :] @ d[:, :, None])[:, 0, 0]
-    for name, sums in (("Greville abscissae", total), ("centered second moments", centered)):
+    # where a knot sum overflows, the knots' float64 spacing makes some
+    # centered second moment overflow too, so that is the cause named
+    for name, sums in (("centered second moments", centered), ("Greville abscissae", total)):
         if not np.isfinite(sums).all():
             raise ValueError(f"the {name} of [{kv.a}, {kv.b}] overflow float64")
     theta = np.clip(total / m, windows[:, 0], windows[:, -1])

@@ -12,13 +12,16 @@ space's `central_moments` table; the weights are invariant under that
 affine change. Where a_r and L^r both underflow (windows about 1e-69 wide),
 or L^r overflows, the row is taken from the knot differences divided by L
 before their symmetric functions are formed. One function (`_assemble`)
-builds these normalized systems for every caller: one window, a chunk of
-full windows, or the three-point table below.
+builds these normalized systems for every caller, one window or a chunk of
+full windows; the three-point table below reads only the normalized sites
+(`_normalized_sites`, which `_assemble` calls too).
 
 Some optimum lies on q + 1 sites, and on distinct sites every square
 Vandermonde system is nonsingular, so a window's C(k, q+1) square systems
 are all solved at once (Bjorck-Pereyra) and the smallest l1 value picks the
-support (ties go to the lexicographically first). Its optimality test is
+support (ties go to the lexicographically first); its weights are read from
+that pass, which is elementwise, so they are the bits of a solve of the
+support alone. Its optimality test is
 the dual one, |V^T y| <= 1 for V_S^T y = sign(w_S) (Watson, Approximation
 Theory and Numerical Methods, 1980).
 
@@ -110,7 +113,10 @@ class ConstraintSystem:
 
 def _vandermonde(x: np.ndarray, q: int) -> np.ndarray:
     """Rows x**0 .. x**q of the sites along the last axis, stacked before it."""
-    return np.stack([x**r for r in range(q + 1)], axis=-2)
+    matrix = np.empty(x.shape[:-1] + (q + 1, x.shape[-1]))
+    for r in range(q + 1):
+        matrix[..., r, :] = x**r
+    return matrix
 
 
 def _power(L: float, r: int) -> float:
@@ -121,6 +127,20 @@ def _power(L: float, r: int) -> float:
         return math.inf
 
 
+def _normalized_sites(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...]):
+    """Raw sites (W, k), spans L (W,) and normalized sites (theta - theta_i) / L
+    (W, k) of the windows ``offsets`` around the W ``centers``; elementwise,
+    so a window rounds alike alone or in a chunk. A span of 0 gives
+    non-finite sites, without a warning."""
+    theta = space.greville
+    sites = theta[centers[:, None] + np.array(offsets)]
+    # theta increases, so the outermost offsets hold the largest and smallest site
+    scale = theta[centers + max(offsets)] - theta[centers + min(offsets)]
+    with np.errstate(all="ignore"):
+        x = (sites - theta[centers, None]) / scale[:, None]
+    return sites, scale, x
+
+
 def _assemble(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...], q: int):
     """Raw sites (W, k), normalized sites (W, k), Vandermonde rows
     (W, q+1, k) and right-hand sides a_r / L**r (W, q+1) of the windows
@@ -128,24 +148,20 @@ def _assemble(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...],
     powers of L are Python floats and the rest is elementwise, so a window
     rounds alike alone or in a chunk; a span of 0 gives non-finite rows,
     without a warning, which the residual tests refuse."""
-    theta = space.greville
-    sites = theta[centers[:, None] + np.array(offsets)]
-    # theta increases, so the outermost offsets hold the largest and smallest site
-    scale = theta[centers + max(offsets)] - theta[centers + min(offsets)]
+    sites, scale, x = _normalized_sites(space, centers, offsets)
     spans = scale.tolist()
     powers = np.array([[_power(L, r) for L in spans] for r in range(q + 1)])
     with np.errstate(all="ignore"):
-        x = (sites - theta[centers, None]) / scale[:, None]
         matrix = _vandermonde(x, q)
         rhs = space.central_moments[centers, : q + 1] / powers.T
         # on a span so small that a_r and L**r both underflow, a_r / L**r is
         # 0/0, and on one so long that L**r overflows it loses a_r: form a_r
         # from the knot differences t_{i+1..i+m} - theta_i divided by L instead
-        lost = np.flatnonzero(~np.isfinite(rhs).all(axis=1) | np.isinf(powers).any(axis=0))
-        if lost.size:
+        if not (np.isfinite(rhs).all() and np.isfinite(powers).all()):
+            lost = np.flatnonzero(~np.isfinite(rhs).all(axis=1) | np.isinf(powers).any(axis=0))
             near = centers[lost]
             knots = space.knots.t[near[:, None] + np.arange(1, space.degree + 1)]
-            scaled = (knots - theta[near, None]) / scale[lost, None]
+            scaled = (knots - space.greville[near, None]) / scale[lost, None]
             rhs[lost] = central_coefficients(scaled)[:, : q + 1]
     return sites, x, matrix, rhs
 
@@ -241,23 +257,27 @@ def _cheapest_supports(x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.n
     the optimum is the smallest l1 value over all square systems. Values
     within 1e-12 relative of it count as ties, broken for the
     lexicographically first support. The supports are solved in blocks of
-    at most _BATCH_ENTRIES entries. Returns the site indices (W, q+1) of
-    each optimal support and the weights on them.
+    at most _BATCH_ENTRIES entries and kept: the weights on each optimal
+    support are read from them, and as the recurrence is elementwise they
+    are the bits of a solve of that support alone. Returns the site indices
+    (W, q+1) of each optimal support and the weights on them.
     """
     rows, size = rhs.shape
     supports = _supports(x.shape[1], size)
     step = max(1, _BATCH_ENTRIES // (rows * size))
     values = np.empty((rows, supports.shape[1]))
+    blocks = []
     for start in range(0, supports.shape[1], step):
         columns = supports[:, start : start + step]
         # numpy gathers from a 1-D row about 3x faster than along axis 1
         nodes = x[0][columns][None] if rows == 1 else x[:, columns]
-        z = _support_values(nodes, rhs)
-        values[:, start : start + step] = np.abs(z).sum(axis=1)
+        blocks.append(_support_values(nodes, rhs))
+        values[:, start : start + step] = np.abs(blocks[-1]).sum(axis=1)
+    # a chunk of _solve_full_windows is one block; only a single wide window
+    # joins its blocks, at most (q+1) x _MAX_SUPPORTS entries
+    z = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
     best = np.argmax(values <= values.min(axis=1, keepdims=True) * (1.0 + 1e-12), axis=1)
-    support = supports[:, best].T
-    weights = _support_values(np.take_along_axis(x, support, axis=1)[:, :, None], rhs)
-    return support, weights[:, :, 0]
+    return supports[:, best].T, z[np.arange(rows), :, best]
 
 
 def solve_l1(system: ConstraintSystem) -> L1Solution:
@@ -356,7 +376,7 @@ def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
     the normalized sites (see the module docstring), read-only. A window
     whose sites coincide in floating point gets NaN, which fails every test."""
     centers = np.arange(p, space.dimension - p)
-    _, x, _, _ = _assemble(space, centers, tuple(range(-p, p + 1)), 0)
+    _, _, x = _normalized_sites(space, centers, tuple(range(-p, p + 1)))
     with np.errstate(all="ignore"):
         a, b = x[:, :1], x[:, -1:]
         lagrange = np.stack([
@@ -393,10 +413,10 @@ _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
     """The table of (space, p), built on first use; p is checked already."""
-    tables = _TABLES.setdefault(space, {})
-    if p not in tables:
-        tables[p] = _build_three_point_table(space, p)
-    return tables[p]
+    table = _TABLES.get(space, {}).get(p)
+    if table is None:
+        table = _TABLES.setdefault(space, {})[p] = _build_three_point_table(space, p)
+    return table
 
 
 def _three_point_row(space: SplineSpace, i: int, p: int) -> tuple[_ThreePointTable, int]:
@@ -434,7 +454,7 @@ def knot_condition(space: SplineSpace, i: int, p: int) -> bool:
     for p = 1 and on uniform partitions; can fail on strongly graded ones.
     """
     table, row = _three_point_row(space, i, p)
-    return bool(table.knot[row])
+    return table.knot.item(row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,10 +484,10 @@ def watson_certificate(space: SplineSpace, i: int, p: int) -> Certificate:
     table, row = _three_point_row(space, i, p)
     return Certificate(
         vector=table.vector[row].copy(),
-        max_abs=float(table.max_abs[row]),
-        residual=float(table.residual[row]),
+        max_abs=table.max_abs.item(row),
+        residual=table.residual.item(row),
         sign_ok=tuple(table.sign_ok[row].tolist()),  # type: ignore[arg-type]
-        passes=bool(table.passes[row]),
+        passes=table.passes.item(row),
     )
 
 

@@ -242,8 +242,11 @@ def build_qp2star(space: SplineSpace, p: int) -> QuasiInterpolant:
 
 
 def greville_samples(space: SplineSpace, fn: Callable[[float], float]) -> np.ndarray:
-    """Sample a function at all Greville abscissae."""
-    return np.array([fn(x) for x in space.greville.tolist()])
+    """Sample a function at all Greville abscissae, called once per point
+    with a Python float. A value that is not a real number (a complex one,
+    say) raises TypeError."""
+    theta = space.greville
+    return np.fromiter(map(fn, theta.tolist()), float, len(theta))
 
 
 def apply_qi(qi: QuasiInterpolant, samples: np.ndarray) -> SplineFunction:

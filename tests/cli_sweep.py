@@ -1,10 +1,13 @@
 """Byte sweep of the `splineqi` command line: one line per command with its
 argv, exit code, and the SHA-256 of what it wrote to stdout and stderr.
 
-Run it from two checkouts and diff the outputs to see which commands changed
-their bytes:
+The output starts with a header of the Python, numpy and BLAS versions, on
+lines that begin with "#": the hashes fix numpy's rounding and summation
+order, which an upgrade of either may change. It is committed as
+`tests/cli_sweep.txt`, and `tests/test_cli_sweep.py` runs the sweep again and
+compares. A change that means to change some bytes regenerates the file:
 
-    python tests/cli_sweep.py > sweep.txt
+    python tests/cli_sweep.py > tests/cli_sweep.txt
 
 The package is imported from this checkout's `src`. Every command runs in
 this process through `cli.main`. The commands are:
@@ -29,6 +32,7 @@ import hashlib
 import importlib.util
 import io
 import os
+import platform
 import shlex
 import sys
 import warnings
@@ -120,6 +124,8 @@ SCALE = [
     ["norms", "--b", "1.8e155"],
     ["norms", "--a", "0", "--b", "1e200"],
     ["norms", "--a", "0", "--b", "1.7e308"],
+    ["norms", "--a", "1e308", "--b", "1.5e308"],
+    ["norms", "--a=-1e308", "--b=-0.5e308"],
     ["nearbest", "--m", "3", "--p", "3", "--n", "20", "--b", "1e150"],
     ["nearbest", "--m", "3", "--p", "3", "--n", "20", "--a", "0", "--b", "1e200"],
     ["nearbest", "--m", "3", "--p", "3", "--q", "3", "--n", "30", "--a", "0", "--b", "1e110"],
@@ -128,6 +134,15 @@ SCALE = [
     ["audit", "--m", "2", "--p", "2", "--n", "20", "--a", "0", "--b", "1e200"],
     ["convergence", "--kind", "dqi", "--m", "7", "--a", "0", "--b", "1e60", "--sizes", "8,16"],
 ]
+
+
+def versions() -> list[str]:
+    """The header lines: the versions whose arithmetic the hashes depend on."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}",
+            f"# blas {blas.get('name')} {blas.get('version')}"]
 
 
 def sweep_line(cli, argv: list[str]) -> str:
@@ -153,6 +168,7 @@ def main() -> None:
     from splineqi import cli
 
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
+    print("\n".join(versions()), flush=True)
     for argv in benchmark_commands() + grid_commands(cli) + REFUSALS + SCALE:
         print(sweep_line(cli, argv), flush=True)
 

@@ -316,14 +316,15 @@ class TestRunNearbest:
             # dimension 23: one LP for each index but the two extremes; the
             # truncated windows 1, 2, 20, 21 one by one, the full windows
             # 3 .. 19 in the batch, and the q = 2 certificates of all of them
-            # in one table, built once; each system is assembled once, and
-            # the audit prints the V and b that were solved
+            # in one table, built once, which reads the normalized sites and
+            # assembles no system; each system is assembled once, and the
+            # audit prints the V and b that were solved
             assert calls["solve_l1"] == [1, 2, 20, 21], command
             assert calls["assemble_constraints"] == [1, 2, 20, 21], command
             assert calls["_solve_full_windows"] == list(range(3, 20)), command
             assert calls["_build_three_point_table"] == [list(range(3, 20))], command
             full = list(range(3, 20))
-            assert calls["_assemble"] == [[1], [2], full, full, [20], [21]], command
+            assert calls["_assemble"] == [[1], [2], full, [20], [21]], command
 
     def test_audit_lines_match_audit_command(self, capsys):
         config = ["--m", "3", "--p", "3", "--n", "20", "--family", "random",
@@ -603,6 +604,11 @@ class TestMain:
         (["--family", "arithmetic", "--ratio", "1e308"], "the sum of its step weights overflows"),
         (["--family", "geometric", "--ratio", "inf"], "need a finite ratio > 0, got inf"),
         (["--family", "random", "--seed", "-1"], "the random family needs a seed >= 0, got -1"),
+        # a knot sum that overflows comes with a centered second moment that does
+        (["--a", "1e308", "--b", "1.5e308"],
+         "the centered second moments of [1e+308, 1.5e+308] overflow float64"),
+        (["--a=-1e308", "--b=-0.5e308"],
+         "the centered second moments of [-1e+308, -5e+307] overflow float64"),
     ])
     def test_unbuildable_partition_exit_2_with_its_cause(self, capsys, argv, cause):
         assert main(["norms", *argv]) == 2

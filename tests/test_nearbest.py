@@ -287,6 +287,24 @@ class TestThreePointTable:
         watson_certificate(sp, 4, 2)
         assert built == [3, 2]
 
+    def test_scalars_are_python_values_of_the_table(self):
+        import splineqi.nearbest as nb
+
+        sp = space_from("geometric", m=3, n=16, ratio=1.2)
+        table = nb._three_point_table(sp, 3)
+        for row, i in enumerate(range(3, sp.dimension - 3)):
+            knot = knot_condition(sp, i, 3)
+            assert type(knot) is bool and knot == table.knot[row]
+            cert = watson_certificate(sp, i, 3)
+            for field in ("max_abs", "residual"):
+                assert type(getattr(cert, field)) is float
+                assert getattr(cert, field) == getattr(table, field)[row]
+            assert type(cert.passes) is bool and cert.passes == table.passes[row]
+            assert [type(s) for s in cert.sign_ok] == [bool] * 3
+            assert cert.sign_ok == tuple(table.sign_ok[row])
+            np.testing.assert_array_equal(cert.vector, table.vector[row])
+        assert set(table.knot.tolist()) == {True, False}
+
     def test_rows_cannot_be_corrupted(self):
         sp = space_from("geometric", m=3, n=16, ratio=2.0)
         first = watson_certificate(sp, 5, 3)

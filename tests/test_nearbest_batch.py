@@ -107,6 +107,34 @@ def test_chunking_leaves_every_row_unchanged(monkeypatch, m, p, q, budget):
     assert chunked.lp_values == whole.lp_values
 
 
+@pytest.mark.parametrize("budget", [None, 1, 24])
+@pytest.mark.parametrize("m, p", [(1, 1), (2, 2), (3, 3), (5, 5)])
+def test_enumeration_weights_are_a_solve_of_their_support(monkeypatch, m, p, budget):
+    # the weights are read from the enumeration's own Bjorck-Pereyra pass: they
+    # must be the bits of a solve of the returned support alone, for one
+    # window and for a chunk, in one block or (a small budget) in several
+    solve = nb._support_values
+    blocks = []
+    monkeypatch.setattr(nb, "_support_values", lambda *a: (blocks.append(1), solve(*a))[1])
+    if budget is not None:
+        monkeypatch.setattr(nb, "_BATCH_ENTRIES", budget)
+    space = space_from("random", m, n=2 * p + 8, seed=3)
+    centers = np.arange(p, space.dimension - p)
+    for q in range(min(m, 2 * p) + 1):
+        _, x, _, rhs = nb._assemble(space, centers, tuple(range(-p, p + 1)), q)
+        for rows in (slice(0, 1), slice(None)):
+            blocks.clear()
+            support, weights = nb._cheapest_supports(x[rows], rhs[rows])
+            if budget is None:
+                assert len(blocks) == 1
+            elif budget == 1:
+                assert len(blocks) == math.comb(2 * p + 1, q + 1)
+            nodes = np.take_along_axis(x[rows], support, axis=1)[:, :, None]
+            alone = solve(nodes, rhs[rows])[:, :, 0]
+            assert weights.shape == alone.shape == (len(x[rows]), q + 1)
+            assert weights.tobytes() == alone.tobytes(), (m, p, q, rows)
+
+
 def _first_support(x, rhs):
     """The lexicographically first support of each window, which is not
     optimal on uniform cubic windows of radius 3: the batch refuses them."""

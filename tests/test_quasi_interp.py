@@ -286,6 +286,13 @@ class TestApplyQi:
         samples = greville_samples(sp, lambda x: 2 * x)
         np.testing.assert_allclose(samples, 2 * sp.greville, rtol=1e-15)
 
+    def test_complex_samples_refused(self):
+        # a complex value used to be cut to its real part with only a
+        # ComplexWarning, and apply_qi built a wrong spline from it
+        sp = space_from("uniform", m=2, n=6)
+        with pytest.raises(TypeError):
+            greville_samples(sp, lambda x: complex(x, 1.0))
+
 
 class TestNorms:
     def test_uniform_values(self):
