@@ -29,6 +29,7 @@ from .quasi_interp import (
     QuasiInterpolant,
     _dqi_spline,
     _oracle_table,
+    _real_samples,
     apply_qi,
     build_q2star,
     build_qp2star,
@@ -68,7 +69,8 @@ class QuadratureRule:
     weights: np.ndarray
 
     def integrate(self, samples: np.ndarray) -> float:
-        samples = np.asarray(samples, dtype=float)
+        """The rule on samples at the nodes; complex samples raise TypeError."""
+        samples = _real_samples(samples)
         if samples.shape != self.nodes.shape:
             raise ValueError(
                 f"expected {self.nodes.shape[0]} samples, got {samples.shape}"

@@ -11,8 +11,9 @@ cached tuple and the span from `bisect`, while the recurrence and the
 differencing are the ones an array takes. Its final dot is BLAS `ddot` on a
 unit-stride slice of the active coefficients, the kernel `np.vecdot` runs
 on an array's rows, so a point gives the same bits as a float or inside an
-array. A strided slice can round differently, so a point reads a
-contiguous copy of such a slice.
+array. A strided slice can round differently, so a spline reads its
+coefficients once, on its first evaluation, into a C-contiguous float64
+array that every later call slices.
 """
 
 from __future__ import annotations
@@ -76,13 +77,28 @@ class SplineSpace:
 
 @dataclass(frozen=True, eq=False)
 class SplineFunction:
-    """Spline in a SplineSpace, represented by its basis coefficients."""
+    """Spline in a SplineSpace, represented by its basis coefficients.
+
+    The coefficients are read once, on the first evaluation, into a
+    C-contiguous float64 array; a C-contiguous float64 array is kept as is.
+    So an in-place edit made after the first evaluation is seen only when
+    the coefficients are such an array.
+    """
 
     space: SplineSpace
     coefficients: np.ndarray
 
     def __call__(self, x, derivative_order: int = 0):
         return eval_spline(self, x, derivative_order)
+
+    @functools.cached_property
+    def _coeffs(self) -> np.ndarray:
+        # a failing check caches nothing, so a wrong vector raises every call
+        coeffs = np.asarray(self.coefficients, dtype=float, order="C")
+        dim = self.space.dimension
+        if coeffs.shape != (dim,):
+            raise ValueError(f"coefficient vector has length {coeffs.shape}, space needs {dim}")
+        return coeffs
 
 
 def _find_span(space: SplineSpace, x) -> tuple:
@@ -148,27 +164,31 @@ def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
     """
     if derivative_order < 0:
         raise ValueError("derivative order must be >= 0")
-    kv = f.space.knots
+    space = f.space
+    kv = space.knots
     m = kv.degree
-    t, span = _find_span(f.space, x)
     many = isinstance(x, np.ndarray)
-    coeffs = np.asarray(f.coefficients, dtype=float)
-    if coeffs.shape != (kv.n + m,):
-        raise ValueError(
-            f"coefficient vector has length {coeffs.shape}, space needs {kv.n + m}"
-        )
+    if many:
+        t, span = _find_span(space, x)
+    else:
+        # _find_span's point lookup, inline: a point pays for no second call
+        t = space.knot_tuple
+        if not t[0] <= x <= t[-1]:
+            raise ValueError(f"x={x} outside [{kv.a}, {kv.b}]")
+        span = bisect.bisect_right(t, x, m + 1, m + kv.n) - 1
+    coeffs = f._coeffs
     if derivative_order > m:
         return np.zeros(x.shape) if many else 0.0
     first = span - m
+    if not (many or derivative_order):
+        # ddot rounds a unit-stride slice as vecdot rounds an array's row
+        return float(coeffs[first : span + 1].dot(_basis_values(t, span, m, x)))
     # difference only the m+1 coefficients active on the span; entry l of
     # the order-r coefficients belongs to basis index first + l
     if many:
         local = [coeffs[first + l] for l in range(m + 1)]
     else:
-        # ddot rounds a unit-stride slice as vecdot rounds an array's row
-        local = np.ascontiguousarray(coeffs[first : first + m + 1])
-        if derivative_order:
-            local = local.tolist()
+        local = coeffs[first : span + 1].tolist()
     deg = m
     for r in range(1, derivative_order + 1):
         local = [deg * (local[l + 1] - local[l]) / (t[span + 1 + l] - t[first + r + l])
@@ -177,9 +197,7 @@ def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
     values = _basis_values(t, span, deg, x)
     if many:
         return np.vecdot(_rows(values), _rows(local))
-    if derivative_order:
-        local = np.array(local)
-    return float(local.dot(values))
+    return float(np.array(local).dot(values))
 
 
 def eval_basis_derivative(space: SplineSpace, x) -> tuple:

@@ -175,15 +175,18 @@ def _three_point_weights(theta: np.ndarray, tbar, i, jm, jp) -> np.ndarray:
     """Quadratically exact weights at sites (theta[jm], theta[i], theta[jp]).
 
     Scalar indices give the 3 weights; index arrays give one row of 3 per
-    entry, each rounded exactly as the scalar call would round it.
+    entry, each rounded exactly as the scalar call would round it, unless
+    some but not all of the windows are wider than 1e154: then every row
+    divides one gap at a time.
     """
-    dm = theta[i] - theta[jm]
-    dp = theta[jp] - theta[i]
-    dd = theta[jp] - theta[jm]
+    mid, low, high = theta[i], theta[jm], theta[jp]
+    dm = mid - low
+    dp = high - mid
+    dd = high - low
     if np.max(dd, initial=0.0) > 1e154:
         # a product of two gaps could overflow: divide by one gap at a time
-        return np.array([-tbar / dd / dm, 1.0 + tbar / dp / dm, -tbar / dd / dp]).T
-    return np.array([-tbar / (dd * dm), 1.0 + tbar / (dp * dm), -tbar / (dd * dp)]).T
+        return np.stack([-tbar / dd / dm, 1.0 + tbar / dp / dm, -tbar / dd / dp], axis=-1)
+    return np.stack([-tbar / (dd * dm), 1.0 + tbar / (dp * dm), -tbar / (dd * dp)], axis=-1)
 
 
 def _build_radius_p(space: SplineSpace, p: int, kind: str) -> QuasiInterpolant:
@@ -241,17 +244,26 @@ def build_qp2star(space: SplineSpace, p: int) -> QuasiInterpolant:
     return _build_radius_p(space, p, KIND_QP2STAR)
 
 
+def _real_samples(samples) -> np.ndarray:
+    """Samples as a float array; a complex array raises TypeError."""
+    samples = np.asarray(samples)
+    if samples.dtype.kind == "c":
+        raise TypeError(f"samples must be real numbers, got dtype {samples.dtype}")
+    return samples.astype(float, copy=False)
+
+
 def greville_samples(space: SplineSpace, fn: Callable[[float], float]) -> np.ndarray:
     """Sample a function at all Greville abscissae, called once per point
-    with a Python float. A value that is not a real number (a complex one,
-    say) raises TypeError."""
+    with a Python float. A Python complex value raises TypeError; a numpy
+    complex scalar is cut to its real part, with a ComplexWarning."""
     theta = space.greville
     return np.fromiter(map(fn, theta.tolist()), float, len(theta))
 
 
 def apply_qi(qi: QuasiInterpolant, samples: np.ndarray) -> SplineFunction:
-    """Apply a stencil operator to Greville samples of f."""
-    samples = np.asarray(samples, dtype=float)
+    """Apply a stencil operator to Greville samples of f. Complex samples
+    raise TypeError."""
+    samples = _real_samples(samples)
     if samples.shape != (qi.space.dimension,):
         raise ValueError(
             f"need {qi.space.dimension} Greville samples, got {samples.shape}"
@@ -259,7 +271,9 @@ def apply_qi(qi: QuasiInterpolant, samples: np.ndarray) -> SplineFunction:
     # one band column at a time: each row sums its terms left to right
     coeffs = np.zeros(qi.space.dimension)
     for col in range(qi.weights.shape[1]):
-        coeffs += qi.weights[:, col] * samples[qi.sites[:, col]]
+        term = samples[qi.sites[:, col]]
+        term *= qi.weights[:, col]
+        coeffs += term
     return SplineFunction(qi.space, coeffs)
 
 

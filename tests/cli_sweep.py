@@ -18,7 +18,10 @@ this process through `cli.main`. The commands are:
   q the near-best LP accepts (0 .. min(m, 2p)), in CSV and JSON;
 - refusals: configuration errors (exit 2) and numerical failures (exit 3);
 - scale: commands on intervals from 1e60 to 1.7e308 long, which either
-  print what they print on [0, 1] or refuse with exit 2.
+  print what they print on [0, 1] or refuse with exit 2;
+- large: `norms` and `quad` of the three-point operators on 20,000
+  subintervals, which pin the band build and apply at the size where they
+  cost most.
 
 Warnings are written as "Category: message", without the file and line a
 default warning names, so two checkouts in different directories agree.
@@ -135,6 +138,11 @@ SCALE = [
     ["convergence", "--kind", "dqi", "--m", "7", "--a", "0", "--b", "1e60", "--sizes", "8,16"],
 ]
 
+LARGE = [[command, "--kind", kind, "--m", "3", *radius, "--n", "20000",
+          "--family", "random", "--seed", "3"]
+         for kind, radius in (("q2star", []), ("qp2star", ["--p", "3"]))
+         for command in ("norms", "quad")]
+
 
 def versions() -> list[str]:
     """The header lines: the versions whose arithmetic the hashes depend on."""
@@ -169,7 +177,7 @@ def main() -> None:
 
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     print("\n".join(versions()), flush=True)
-    for argv in benchmark_commands() + grid_commands(cli) + REFUSALS + SCALE:
+    for argv in benchmark_commands() + grid_commands(cli) + REFUSALS + SCALE + LARGE:
         print(sweep_line(cli, argv), flush=True)
 
 

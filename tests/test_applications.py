@@ -77,6 +77,16 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             rule.integrate(np.ones(3))
 
+    def test_complex_samples_refused(self):
+        # np.asarray(..., dtype=float) would cut these to their real part
+        # with only a ComplexWarning
+        sp = space_from("uniform", m=2, n=8)
+        rule = quadrature_from_qi(build_q2star(sp))
+        for dtype in ("complex128", "complex64"):
+            with pytest.raises(TypeError, match=rf"^samples must be real numbers, got dtype {dtype}$"):
+                rule.integrate(np.exp(1j * sp.greville).astype(dtype))
+        assert rule.integrate(list(np.ones(sp.dimension))) == rule.integrate_fn(lambda x: 1)
+
 
 def dense(D):
     """The (dim, dim) matrix of D, one column per unit sample vector."""

@@ -1,6 +1,7 @@
 """Basis evaluation, spline evaluation/derivatives, integrals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,53 @@ class TestFloatPathErrors:
         for x in (0.5, np.array([0.5])):
             with pytest.raises(ValueError, match=r"^coefficient vector has length \(\), space needs 7$"):
                 eval_spline(f, x)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_bad_coefficients_raise_on_every_call(self, m):
+        """A failed read caches nothing: the first and a second call raise
+        the same message, at every order, for a point and for an array."""
+        sp = space_from("random", m, 6, seed=m)
+        dim = sp.dimension
+        bad = {rf"\({dim - 1},\)": np.ones(dim - 1), r"\(\)": 1.0}
+        for shape, coeffs in bad.items():
+            f = SplineFunction(sp, coeffs)
+            message = rf"^coefficient vector has length {shape}, space needs {dim}$"
+            for order in range(m + 3):
+                for x in (0.5, np.array([0.2, 0.5])):
+                    for _ in range(2):
+                        with pytest.raises(ValueError, match=message):
+                            eval_spline(f, x, order)
+            assert "_coeffs" not in vars(f)
+
+    def test_contiguous_float_coefficients_are_read_in_place(self):
+        sp = space_from("random", 3, 9, seed=2)
+        coeffs = np.linspace(-1.0, 1.0, sp.dimension)
+        f = SplineFunction(sp, coeffs)
+        f(0.4)
+        assert f._coeffs is coeffs
+        strided = np.ones((sp.dimension, 2))[:, 0]
+        g = SplineFunction(sp, strided)
+        g(0.4)
+        assert g._coeffs.flags.c_contiguous and g._coeffs is not strided
+
+    def test_point_reads_no_copy_of_list_coefficients(self):
+        """List coefficients are converted once: after a warm-up call, 100
+        points allocate nothing that grows with the dimension (a conversion
+        per point would allocate 8 bytes per coefficient)."""
+        sp = space_from("uniform", 3, 10**5)
+        f = SplineFunction(sp, np.cos(np.arange(sp.dimension)).tolist())
+        points = np.random.default_rng(0).uniform(0.0, 1.0, 100).tolist()
+        f(points[0])
+        f(points[0], 1)
+        tracemalloc.start()
+        try:
+            for x in points:
+                f(x)
+                f(x, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
 
     def test_knot_tuple_built_once(self):
         sp = space_from("random", 3, 12, seed=5)

@@ -256,7 +256,59 @@ class TestBuildQp2Star:
             assert abs(stencil_moment(sp, st, r) - target) <= 1e-10
 
 
+def scalar_rows(qi, rows):
+    """Rows of qi's band from one scalar `_three_point_weights` call each."""
+    sp, p = qi.space, qi.p
+    theta, last = sp.greville, sp.dimension - 1
+    return {i: _three_point_weights(theta, sp.centered_second[i], i, max(0, i - p),
+                                    min(last, i + p)) for i in rows}
+
+
+class TestBandMatchesScalarCalls:
+    """The vectorized builds give each row the bits of its own scalar call."""
+
+    @pytest.mark.parametrize("build", [build_q2star, lambda sp: build_qp2star(sp, 3)])
+    def test_random_partition(self, build):
+        qi = build(space_from("random", m=3, n=20_000, seed=7))
+        rows = range(1, qi.space.dimension - 1)
+        for i, w in scalar_rows(qi, rows).items():
+            assert qi.weights[i].tobytes() == w.tobytes(), i
+
+    @pytest.mark.parametrize("m, n", [(2, 1000), (3, 2500)])
+    def test_long_interval_divides_one_gap_at_a_time(self, m, n):
+        # on [0, 1e157] every window is wider than 1e154, so every row and
+        # every scalar call take the one-gap-at-a-time branch
+        sp = space_from("uniform", m=m, n=n, b=1e157)
+        qi = build_q2star(sp) if m == 2 else build_qp2star(sp, m)
+        dim, p = sp.dimension, qi.p
+        i = np.arange(1, dim - 1)
+        theta = sp.greville
+        assert (theta[np.minimum(dim - 1, i + p)] - theta[np.maximum(0, i - p)] > 1e154).all()
+        for i, w in scalar_rows(qi, range(1, dim - 1)).items():
+            assert qi.weights[i].tobytes() == w.tobytes(), i
+
+
+def summed_left_to_right(qi, samples):
+    """apply_qi's coefficients from a loop over rows in Python floats."""
+    weights, sites, s = qi.weights.tolist(), qi.sites.tolist(), samples.tolist()
+    out = []
+    for row_w, row_s in zip(weights, sites):
+        total = 0.0
+        for w, j in zip(row_w, row_s):
+            total += w * s[j]
+        out.append(total)
+    return np.array(out)
+
+
 class TestApplyQi:
+    @pytest.mark.parametrize("kind", ["q2star", "qp2star", "nearbest"])
+    def test_each_row_summed_left_to_right(self, kind):
+        sp = space_from("random", m=3, n=300 if kind == "nearbest" else 5000, seed=4)
+        qi = operator_recipe(kind, None if kind == "q2star" else 3).build(sp)
+        samples = np.sin(7.0 * sp.greville) - 0.5
+        got = apply_qi(qi, samples).coefficients
+        assert got.tobytes() == summed_left_to_right(qi, samples).tobytes()
+
     def test_linear_samples_reproduce_greville(self):
         sp = space_from("random", m=2, n=11, seed=5)
         qi = build_q2star(sp)
@@ -292,6 +344,23 @@ class TestApplyQi:
         sp = space_from("uniform", m=2, n=6)
         with pytest.raises(TypeError):
             greville_samples(sp, lambda x: complex(x, 1.0))
+
+    def test_complex_sample_arrays_refused(self):
+        # np.asarray(..., dtype=float) would cut a complex array to its real
+        # part with only a ComplexWarning
+        sp = space_from("uniform", m=2, n=6)
+        qi = build_q2star(sp)
+        for dtype in (np.complex64, np.complex128):
+            samples = np.exp(1j * sp.greville).astype(dtype)
+            message = rf"^samples must be real numbers, got dtype {np.dtype(dtype)}$"
+            with pytest.raises(TypeError, match=message):
+                apply_qi(qi, samples)
+        with pytest.raises(TypeError):
+            apply_qi(qi, np.exp(1j * sp.greville).tolist())
+        # real samples of any type still go through
+        ints = apply_qi(qi, np.arange(sp.dimension)).coefficients
+        floats = apply_qi(qi, np.arange(sp.dimension, dtype=float)).coefficients
+        assert ints.tobytes() == floats.tobytes()
 
 
 class TestNorms:
