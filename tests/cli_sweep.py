@@ -19,6 +19,8 @@ this process through `cli.main`. The commands are:
 - refusals: configuration errors (exit 2) and numerical failures (exit 3);
 - scale: commands on intervals from 1e60 to 1.7e308 long, which either
   print what they print on [0, 1] or refuse with exit 2;
+- graded: near-best commands at m = 7 on geometric ratio 100, past the
+  grid's m = 5, whose optima hang on the rounding of the right-hand sides;
 - large: `norms` and `quad` of the three-point operators on 20,000
   subintervals, which pin the band build and apply at the size where they
   cost most.
@@ -138,6 +140,13 @@ SCALE = [
     ["convergence", "--kind", "dqi", "--m", "7", "--a", "0", "--b", "1e60", "--sizes", "8,16"],
 ]
 
+GRADED = [
+    ["audit", "--m", "7", "--p", "2", "--q", "3", "--n", "80", "--family", "geometric",
+     "--ratio", "100"],
+    ["nearbest", "--m", "7", "--p", "5", "--q", "6", "--n", "80", "--family", "geometric",
+     "--ratio", "100"],
+]
+
 LARGE = [[command, "--kind", kind, "--m", "3", *radius, "--n", "20000",
           "--family", "random", "--seed", "3"]
          for kind, radius in (("q2star", []), ("qp2star", ["--p", "3"]))
@@ -177,7 +186,7 @@ def main() -> None:
 
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     print("\n".join(versions()), flush=True)
-    for argv in benchmark_commands() + grid_commands(cli) + REFUSALS + SCALE + LARGE:
+    for argv in benchmark_commands() + grid_commands(cli) + REFUSALS + SCALE + GRADED + LARGE:
         print(sweep_line(cli, argv), flush=True)
 
 
