@@ -59,12 +59,15 @@ class SplineSpace:
         """Row i: the central moment coefficients a_0 .. a_m of index i's
         knot window, the weights of D^s f(theta_i) / s! in the differential
         quasi-interpolant, for every index at once, computed on first use and
-        read-only. An entry that overflows float64 is left non-finite, without
-        a warning, for the reader to replace or refuse."""
+        read-only. Raises ValueError, without a numpy warning, if an entry
+        overflows float64."""
         kv = self.knots
         windows = kv.t[np.arange(1, kv.dimension + 1)[:, None] + np.arange(kv.degree)]
         with np.errstate(over="ignore", invalid="ignore"):
             table = central_coefficients(windows - self.greville[:, None])
+        if not np.isfinite(table).all():
+            raise ValueError(f"the central moments of the degree-{kv.degree} knot windows "
+                             f"of [{kv.a}, {kv.b}] overflow float64")
         table.setflags(write=False)
         return table
 

@@ -6,14 +6,14 @@ For index i and offset radius p the admissible weight vectors lambda satisfy
 
 and the near-best choice minimizes the l1 norm, which bounds the operator
 sup norm. The system is solved in shifted/scaled coordinates
-x_s = (theta_{i+s} - theta_i) / L (L = site span), where the right-hand side
-becomes the central moment coefficients a_r(theta_i) / L^r, read from the
-space's `central_moments` table; the weights are invariant under that
-affine change. Where a_r and L^r both underflow (windows about 1e-69 wide),
-or L^r overflows, the row is taken from the knot differences divided by L
-before their symmetric functions are formed. One function (`_assemble`)
-builds these normalized systems for every caller, one window or a chunk of
-full windows; the three-point table below reads only the normalized sites
+x_s = (theta_{i+s} - theta_i) / L (L = site span); the weights are invariant
+under that affine change. The right-hand side becomes a_r(theta_i) / L^r,
+the central moment coefficients of the knot window t_{i+1} .. t_{i+m}, and
+it is formed from the scaled knot differences (t_j - theta_i) / L, so no
+power of L is taken: it neither underflows on windows about 1e-69 wide nor
+overflows on long ones. One function (`_assemble`) builds these normalized
+systems for every caller, one window or a chunk of full windows; the
+three-point table below reads only the normalized sites
 (`_normalized_sites`, which `_assemble` calls too).
 
 Some optimum lies on q + 1 sites, and on distinct sites every square
@@ -119,14 +119,6 @@ def _vandermonde(x: np.ndarray, q: int) -> np.ndarray:
     return matrix
 
 
-def _power(L: float, r: int) -> float:
-    """L**r as a Python float, inf where it overflows float64."""
-    try:
-        return L**r
-    except OverflowError:
-        return math.inf
-
-
 def _normalized_sites(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...]):
     """Raw sites (W, k), spans L (W,) and normalized sites (theta - theta_i) / L
     (W, k) of the windows ``offsets`` around the W ``centers``; elementwise,
@@ -143,26 +135,18 @@ def _normalized_sites(space: SplineSpace, centers: np.ndarray, offsets: tuple[in
 
 def _assemble(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...], q: int):
     """Raw sites (W, k), normalized sites (W, k), Vandermonde rows
-    (W, q+1, k) and right-hand sides a_r / L**r (W, q+1) of the windows
-    ``offsets`` around the W ``centers``, L the span of each window. The
-    powers of L are Python floats and the rest is elementwise, so a window
-    rounds alike alone or in a chunk; a span of 0 gives non-finite rows,
-    without a warning, which the residual tests refuse."""
+    (W, q+1, k) and right-hand sides (W, q+1) of the windows ``offsets``
+    around the W ``centers``. A window's right-hand side is a_0 .. a_q of
+    its knots t_{i+1} .. t_{i+m}, formed from the differences t_j - theta_i
+    divided by the window's span L, which gives a_r / L**r. Elementwise, so
+    a window rounds alike alone or in a chunk; a span of 0 gives non-finite
+    rows, without a warning, which the residual tests refuse."""
     sites, scale, x = _normalized_sites(space, centers, offsets)
-    spans = scale.tolist()
-    powers = np.array([[_power(L, r) for L in spans] for r in range(q + 1)])
+    knots = space.knots.t[centers[:, None] + np.arange(1, space.degree + 1)]
     with np.errstate(all="ignore"):
         matrix = _vandermonde(x, q)
-        rhs = space.central_moments[centers, : q + 1] / powers.T
-        # on a span so small that a_r and L**r both underflow, a_r / L**r is
-        # 0/0, and on one so long that L**r overflows it loses a_r: form a_r
-        # from the knot differences t_{i+1..i+m} - theta_i divided by L instead
-        if not (np.isfinite(rhs).all() and np.isfinite(powers).all()):
-            lost = np.flatnonzero(~np.isfinite(rhs).all(axis=1) | np.isinf(powers).any(axis=0))
-            near = centers[lost]
-            knots = space.knots.t[near[:, None] + np.arange(1, space.degree + 1)]
-            scaled = (knots - space.greville[near, None]) / scale[lost, None]
-            rhs[lost] = central_coefficients(scaled)[:, : q + 1]
+        scaled = (knots - space.greville[centers, None]) / scale[:, None]
+        rhs = central_coefficients(scaled)[:, : q + 1]
     return sites, x, matrix, rhs
 
 

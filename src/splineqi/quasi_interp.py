@@ -151,11 +151,8 @@ def _oracle_table(points: np.ndarray, oracle: DerivativeOracle, k: int) -> np.nd
 
 def _dqi_spline(space: SplineSpace, table: np.ndarray) -> SplineFunction:
     """The differential quasi-interpolant of the (dim, m+1) table of
-    f, f', ..., f^(m) at the Greville sites. Refuses a space whose central
-    moments overflow float64."""
-    if not np.isfinite(space.central_moments).all():
-        raise ValueError(f"the central moments of the degree-{space.degree} knot windows "
-                         f"of [{space.knots.a}, {space.knots.b}] overflow float64")
+    f, f', ..., f^(m) at the Greville sites. Raises ValueError where
+    `SplineSpace.central_moments` overflow float64."""
     inv_fact = np.array([1.0 / math.factorial(l) for l in range(space.degree + 1)])
     return SplineFunction(space, np.vecdot(space.central_moments * inv_fact, table))
 
@@ -175,18 +172,20 @@ def _three_point_weights(theta: np.ndarray, tbar, i, jm, jp) -> np.ndarray:
     """Quadratically exact weights at sites (theta[jm], theta[i], theta[jp]).
 
     Scalar indices give the 3 weights; index arrays give one row of 3 per
-    entry, each rounded exactly as the scalar call would round it, unless
-    some but not all of the windows are wider than 1e154: then every row
-    divides one gap at a time.
+    entry, each rounded exactly as the scalar call would round it. A window
+    wider than 1e154, where a product of two gaps could overflow, divides by
+    one gap at a time; the others divide by the product.
     """
     mid, low, high = theta[i], theta[jm], theta[jp]
     dm = mid - low
     dp = high - mid
     dd = high - low
+    with np.errstate(over="ignore"):  # the products of the wide windows are replaced
+        weights = np.stack([-tbar / (dd * dm), 1.0 + tbar / (dp * dm), -tbar / (dd * dp)], axis=-1)
     if np.max(dd, initial=0.0) > 1e154:
-        # a product of two gaps could overflow: divide by one gap at a time
-        return np.stack([-tbar / dd / dm, 1.0 + tbar / dp / dm, -tbar / dd / dp], axis=-1)
-    return np.stack([-tbar / (dd * dm), 1.0 + tbar / (dp * dm), -tbar / (dd * dp)], axis=-1)
+        wide = np.stack([-tbar / dd / dm, 1.0 + tbar / dp / dm, -tbar / dd / dp], axis=-1)
+        weights = np.where(np.expand_dims(dd > 1e154, -1), wide, weights)
+    return weights
 
 
 def _build_radius_p(space: SplineSpace, p: int, kind: str) -> QuasiInterpolant:

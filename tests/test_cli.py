@@ -397,11 +397,11 @@ class TestNearbestSummary:
         assert row["nu1_star"] == "" if row["n"] == "12" else float(row["nu1_star"]) >= 1.0
 
     def test_tiny_span_builds_without_nan(self):
-        # window span 2e-69 at index 1: central[5] and scale**5 both underflow,
-        # so central[5] / scale**5 was 0/0 and the build exited 3 with "weights
-        # miss the constraints by nan". The window's right-hand side is now
-        # taken from its knot differences scaled by 1/L. Run in a subprocess
-        # under -W error::RuntimeWarning, so any warning fails the command.
+        # window span 2e-69 at index 1: a_5 and L**5 both underflow, so a_5 /
+        # L**5 would read 0/0, and the build would exit 3 with "weights miss
+        # the constraints by nan". The right-hand side is formed from the knot
+        # differences scaled by 1/L, so no power of L is taken. Run in a
+        # subprocess under -W error::RuntimeWarning, so any warning fails.
         argv = ["nearbest", "--m", "5", "--p", "5", "--q", "5", "--n", "40",
                 "--family", "geometric", "--ratio", "100"]
         code = "import sys; from splineqi.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -74,8 +74,8 @@ def test_high_exactness_builds_reach_oracle(family, ratio, seed, m, q):
     space = space_from(family, m, n=40, seed=seed, ratio=ratio)
     qi = build_nearbest_qi(space, m, q)
     if (family, ratio, m, q) == ("geometric", 100.0, 5, 5):
-        # window 1 spans about 2e-69: central[5] and L**5 both underflow, and
-        # its right-hand side comes from the knot differences scaled by 1/L.
+        # window 1 spans about 2e-69, and its right-hand side comes from the
+        # knot differences scaled by 1/L, so a_5 / L**5 reads no 0/0.
         # Every row meets the exactness rows in mpmath, but on windows 1..3
         # the simplex's absolute 1e-11 pivot tolerance treats the q = 5 row
         # (entries 1e-50 .. 1, target 3.6e-50) as redundant, so their value
@@ -85,6 +85,17 @@ def test_high_exactness_builds_reach_oracle(family, ratio, seed, m, q):
         assert best * (1 - 1e-7) < qi.lp_values[1] < best, (qi.lp_values[1], best)
         return
     _check_rows(qi, sampled=(1, _worst_full_window(qi)))
+
+
+def test_scaled_right_hand_side_reaches_the_optimum():
+    # a row whose optimum hangs on the rounding of its right-hand side: formed
+    # as a_r of the unscaled knot differences divided by L**r, it came out
+    # 1.0199307256771692, 3.8e-6 below the optimum; C(5, 4) = 5 supports
+    space = space_from("geometric", 7, n=80, ratio=100.0)
+    with pytest.warns(UserWarning, match="below degree"):
+        qi = build_nearbest_qi(space, 2, 3)
+    best = oracles.nearbest_enumerate_mp(space.knots.t, 7, 25, qi.stencil(25).offsets, 3)
+    assert abs(qi.lp_values[25] - best) <= 1e-9 * best, (qi.lp_values[25], best)
 
 
 @pytest.mark.parametrize("m, q", [(m, q) for m in (6, 7) for q in range(3, m + 1)])

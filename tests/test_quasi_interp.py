@@ -13,6 +13,7 @@ from splineqi import (
     SplineSpace,
     apply_dqi,
     apply_qi,
+    build_nearbest_qi,
     build_q2star,
     build_qp2star,
     greville_samples,
@@ -97,6 +98,16 @@ class TestDqiCoefficients:
         expected = central_moments_loop(sp.knots.t, m, sp.greville)
         assert sp.central_moments.tobytes() == expected.tobytes()
         assert not sp.central_moments.flags.writeable
+
+    def test_overflow_is_refused_and_nearbest_still_builds(self):
+        # on [0, 1e60] a_7 is about 1e420; the near-best right-hand sides
+        # divide each knot difference by the window's span first
+        sp = space_from("uniform", m=7, n=8, b=1e60)
+        message = r"degree-7 knot windows of \[0.0, 1e\+60\] overflow float64"
+        with pytest.raises(ValueError, match=message):
+            sp.central_moments
+        qi = build_nearbest_qi(sp, 7, 7)
+        assert np.isfinite(qi.lp_values).all() and min(qi.lp_values) >= 1.0
 
 
 class TestApplyDqi:
@@ -285,6 +296,19 @@ class TestBandMatchesScalarCalls:
         theta = sp.greville
         assert (theta[np.minimum(dim - 1, i + p)] - theta[np.maximum(0, i - p)] > 1e154).all()
         for i, w in scalar_rows(qi, range(1, dim - 1)).items():
+            assert qi.weights[i].tobytes() == w.tobytes(), i
+
+    def test_one_wide_window_leaves_the_others_alone(self):
+        # step 5000 makes the only windows wider than 1e154; every other row
+        # keeps the product formula its scalar call takes
+        steps = np.random.default_rng(1).uniform(0.05, 1, 10_000) * 1e150
+        steps[5000] = 1.3e154
+        knots = np.cumsum(steps)
+        sp = SplineSpace.from_knots(make_clamped_knots(0.0, knots[-1], knots[:-1], 2))
+        qi = build_q2star(sp)
+        gaps = sp.greville[2:] - sp.greville[:-2]
+        assert 0 < np.count_nonzero(gaps > 1e154) < 5
+        for i, w in scalar_rows(qi, range(1, sp.dimension - 1)).items():
             assert qi.weights[i].tobytes() == w.tobytes(), i
 
 
