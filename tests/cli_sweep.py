@@ -23,7 +23,13 @@ this process through `cli.main`. The commands are:
   grid's m = 5, whose optima hang on the rounding of the right-hand sides;
 - large: `norms` and `quad` of the three-point operators on 20,000
   subintervals, which pin the band build and apply at the size where they
-  cost most.
+  cost most;
+- edges: `exp` sampled past x = log(max float64), a near-best window whose
+  normalized sites coincide in floating point, and geometric ratio 1000
+  spaces whose centered second moments underflow.
+
+A command that raises is recorded with "raised" and the exception's class
+in place of its exit code, and the sweep goes on.
 
 Warnings are written as "Category: message", without the file and line a
 default warning names, so two checkouts in different directories agree.
@@ -153,6 +159,16 @@ LARGE = [[command, "--kind", kind, "--m", "3", *radius, "--n", "20000",
          for command in ("norms", "quad")]
 
 
+EDGES = [
+    ["quad", "--kind", "q2star", "--m", "2", "--n", "8", "--b", "800", "--f", "exp"],
+    ["convergence", "--kind", "dqi", "--m", "3", "--b", "800", "--f", "exp"],
+    ["audit", "--m", "7", "--p", "14", "--family", "geometric", "--ratio", "1000", "--n", "40"],
+    ["norms", "--kind", "qp2star", "--m", "3", "--p", "3", "--family", "geometric", "--ratio",
+     "1000", "--n", "64"],
+    ["audit", "--m", "3", "--p", "3", "--family", "geometric", "--ratio", "1000", "--n", "64"],
+]
+
+
 def versions() -> list[str]:
     """The header lines: the versions whose arithmetic the hashes depend on."""
     import numpy as np
@@ -173,6 +189,8 @@ def sweep_line(cli, argv: list[str]) -> str:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse exits on arguments it rejects
             code = exc.code
+        except Exception as exc:  # a crash is recorded, not fatal to the sweep
+            code = f"raised {type(exc).__name__}"
     digests = (hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
     return "\t".join([shlex.join(argv), str(code), *digests])
 
@@ -186,7 +204,8 @@ def main() -> None:
 
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     print("\n".join(versions()), flush=True)
-    for argv in benchmark_commands() + grid_commands(cli) + REFUSALS + SCALE + GRADED + LARGE:
+    lists = REFUSALS + SCALE + GRADED + LARGE + EDGES
+    for argv in benchmark_commands() + grid_commands(cli) + lists:
         print(sweep_line(cli, argv), flush=True)
 
 
