@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import IO, Iterable
@@ -107,6 +108,8 @@ class RunConfig:
                 f"unknown test function {self.f!r}; available: "
                 f"{sorted(BUILTIN_FUNCTIONS)}"
             )
+        if self.f == "exp" and self.b > math.log(sys.float_info.max):
+            raise ValueError(f"exp overflows float64 on [{self.a}, {self.b}]")
         if self.audit and self.command != "nearbest":
             raise ValueError("the audit flag only applies to the nearbest command")
 
@@ -313,8 +316,7 @@ def _run_study(cfg: RunConfig, sink: IO[str]) -> None:
 
 
 def _run_audit(cfg: RunConfig, sink: IO[str]) -> None:
-    # collected first: a failed LP leaves stdout empty
-    for record in list(iter_lp_audit(_space(cfg), cfg.p, cfg.q)):
+    for record in iter_lp_audit(_space(cfg), cfg.p, cfg.q):
         sink.write(json.dumps(record, sort_keys=True) + "\n")
 
 

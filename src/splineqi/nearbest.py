@@ -54,9 +54,9 @@ x_{-1} <= a + b <= x_1 (the `knot_condition`), at any scale. Both are
 computed for all full windows of a (space, p) on first use and kept while
 the space lives.
 
-The solved LP rows of a (space, p, q) are kept too, read-only, once the last
-one has been produced: a later build or audit on that space reads them and
-assembles and solves nothing.
+The solved LP rows of a (space, p, q) are kept too, read-only: one call
+solves every window, and a later build or audit on that space reads them
+and assembles and solves nothing.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from .quasi_interp import (
     _interior_range,
     _three_point_weights,
 )
-from .simplex import solve_standard_form
+from .simplex import _PIVOT_TOL, solve_standard_form
 
 __all__ = [
     "ConstraintSystem", "assemble_constraints", "L1Solution", "solve_l1", "WatsonForm",
@@ -194,9 +194,8 @@ _MAX_SUPPORTS = 2**16
 # full windows are solved together in chunks of at most this many
 # Bjorck-Pereyra entries (rows x (q+1) x supports), and at least one row
 _BATCH_ENTRIES = 2**16
-# the simplex's pricing tolerance, and how far accepted weights may miss
-# the normalized constraints; both paths test `not x <= tol`, so NaN fails
-_PRICING_TOL = 1e-11
+# how far accepted weights may miss the normalized constraints; both paths
+# test `not x <= tol`, so NaN fails
 _MISS_TOL = 1e-9
 
 
@@ -244,7 +243,9 @@ def _cheapest_supports(x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.n
     at most _BATCH_ENTRIES entries and kept: the weights on each optimal
     support are read from them, and as the recurrence is elementwise they
     are the bits of a solve of that support alone. Returns the site indices
-    (W, q+1) of each optimal support and the weights on them.
+    (W, q+1) of each optimal support and the weights on them. Sites that
+    coincide in floating point give non-finite values, without a warning;
+    the callers' residual tests refuse the weights they reach.
     """
     rows, size = rhs.shape
     supports = _supports(x.shape[1], size)
@@ -255,8 +256,9 @@ def _cheapest_supports(x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.n
         columns = supports[:, start : start + step]
         # numpy gathers from a 1-D row about 3x faster than along axis 1
         nodes = x[0][columns][None] if rows == 1 else x[:, columns]
-        blocks.append(_support_values(nodes, rhs))
-        values[:, start : start + step] = np.abs(blocks[-1]).sum(axis=1)
+        with np.errstate(all="ignore"):
+            blocks.append(_support_values(nodes, rhs))
+            values[:, start : start + step] = np.abs(blocks[-1]).sum(axis=1)
     # a chunk of _solve_full_windows is one block; only a single wide window
     # joins its blocks, at most (q+1) x _MAX_SUPPORTS entries
     z = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
@@ -291,12 +293,9 @@ def solve_l1(system: ConstraintSystem) -> L1Solution:
 
     A = np.hstack([system.matrix, -system.matrix])
     c = np.ones(2 * k)
-    cap = 10 * 2 * k
     # warm weights that miss the constraints get a cold solve of the same LP
     for start in (basis, None) if basis else (None,):
-        result = solve_standard_form(
-            A, system.rhs, c, pivot_tol=_PRICING_TOL, max_iter=cap, basis=start
-        )
+        result = solve_standard_form(A, system.rhs, c, basis=start)
         if result.status != "optimal":
             raise RuntimeError(
                 f"l1 solve at index {system.center}: simplex returned {result.status}"
@@ -342,7 +341,8 @@ class WatsonForm:
 class _ThreePointTable:
     """The wide three-point weights and their q = 2 certificate, one row per
     full window p .. dim-1-p; ``lagrange`` holds L_{-p}, L_0, L_p at each
-    site, ``closed`` the weights' l1 norm and ``knot`` the knot condition."""
+    site, ``closed`` the weights' l1 norm (NaN where tbar underflows float64,
+    so the weights are not exact on P_2) and ``knot`` the knot condition."""
 
     lagrange: np.ndarray
     weights: np.ndarray
@@ -370,19 +370,19 @@ def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
         vector[:, [0, p, 2 * p]] = (-1.0, 1.0, -1.0)
         residual = np.abs(lagrange @ np.array([-1.0, 1.0, -1.0]) - vector).max(axis=1)
         scale = np.maximum(1.0, np.abs(lagrange).max(axis=(1, 2)))
-        weights = _three_point_weights(
-            space.greville, space.centered_second[centers], centers, centers - p, centers + p
-        )
+        tbar = space.centered_second[centers]
+        weights = _three_point_weights(space.greville, tbar, centers, centers - p, centers + p)
         sign_ok = weights * np.array([-1.0, 1.0, -1.0]) >= 0.0
         max_abs = np.abs(vector).max(axis=1)
         passes = (max_abs <= 1.0 + 1e-12) & (residual <= 1e-10 * scale) & sign_ok.all(axis=1)
         size = np.abs(weights)
+        closed = size[:, 0] + size[:, 1] + size[:, 2]
+        closed[tbar < np.finfo(float).tiny] = np.nan
         mid = a[:, 0] + b[:, 0]
         knot = (x[:, p - 1] <= mid + 1e-12) & (mid <= x[:, p + 1] + 1e-12)
     table = _ThreePointTable(
         lagrange=lagrange, weights=weights, vector=vector, max_abs=max_abs,
-        residual=residual, sign_ok=sign_ok, passes=passes,
-        closed=size[:, 0] + size[:, 1] + size[:, 2], knot=knot,
+        residual=residual, sign_ok=sign_ok, passes=passes, closed=closed, knot=knot,
     )
     for array in vars(table).values():
         array.setflags(write=False)
@@ -488,17 +488,17 @@ class _Rows(NamedTuple):
     rhs: np.ndarray
 
 
-def _lp_windows(space: SplineSpace, p: int, q: int):
+def _lp_windows(space: SplineSpace, p: int, q: int) -> tuple[_Rows, ...]:
     """The l1 LPs of the indices 1 .. dim-2 on their windows -p..p cut to the
-    index range, as read-only `_Rows` in index order, lazily; p and q are
-    checked, and p < m warned about, on every call.
+    index range, as read-only `_Rows` in index order; p and q are checked,
+    and p < m warned about, on every call.
 
     The full windows are solved together, a chunk of rows at a time
     (`_solve_full_windows`); the truncated windows at the two ends, and the
     full ones when a window has more than _MAX_SUPPORTS supports, take the
     per-window path (`assemble_constraints`, then `_solve_window`) and come
     as one row each. The rows are kept per (space, p, q) while the space
-    lives, once the last one has been produced, and a later call reads them."""
+    lives, and a later call reads them; a window that raises keeps nothing."""
     m = space.degree
     _check_radius(space, p, q)
     if p < m:
@@ -506,24 +506,7 @@ def _lp_windows(space: SplineSpace, p: int, q: int):
         warnings.warn(message, stacklevel=3)  # at the build's or the audit's caller
     kept = _TABLES.setdefault(space, {})
     if (p, q) in kept:
-        return iter(kept[p, q])
-    return _keep(kept, (p, q), _windows(space, p, q))
-
-
-def _keep(kept: dict, key, windows):
-    """Hand on each of ``windows``' rows read-only, and keep them all under
-    ``key`` once the last one is out; nothing is kept if a window raises or
-    the consumer stops early."""
-    rows = []
-    for chunk in windows:
-        for array in (chunk.centers, chunk.weights, chunk.values, chunk.matrix, chunk.rhs):
-            array.setflags(write=False)
-        rows.append(chunk)
-        yield chunk
-    kept[key] = tuple(rows)
-
-
-def _windows(space: SplineSpace, p: int, q: int):
+        return kept[p, q]
     last = space.dimension - 1
     count = math.comb(2 * p + 1, q + 1)
     # the full windows p .. last-p, or none, are batched
@@ -536,11 +519,16 @@ def _windows(space: SplineSpace, p: int, q: int):
         return _Rows(np.array([i]), offsets, solution.weights[None], np.array([solution.value]),
                      system.matrix[None], system.rhs[None])
 
-    yield from map(window, range(1, lo))
-    rows = max(1, _BATCH_ENTRIES // ((q + 1) * count))
-    for start in range(lo, hi, rows):
-        yield _solve_full_windows(space, p, q, np.arange(start, min(start + rows, hi)))
-    yield from map(window, range(hi, last))
+    step = max(1, _BATCH_ENTRIES // ((q + 1) * count))
+    rows = (*map(window, range(1, lo)),
+            *(_solve_full_windows(space, p, q, np.arange(start, min(start + step, hi)))
+              for start in range(lo, hi, step)),
+            *map(window, range(hi, last)))
+    for chunk in rows:
+        for array in (chunk.centers, chunk.weights, chunk.values, chunk.matrix, chunk.rhs):
+            array.setflags(write=False)
+    kept[p, q] = rows
+    return rows
 
 
 def _solve_window(system: ConstraintSystem) -> L1Solution:
@@ -558,7 +546,7 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
 
     A row is accepted when its weights meet the constraints within
     _MISS_TOL and the dual y of V_S^T y = sign(w_S) on its support S
-    satisfies |V^T y| <= 1 + _PRICING_TOL, the simplex's pricing test
+    satisfies |V^T y| <= 1 + _PIVOT_TOL, the simplex's pricing test
     (Watson, Approximation Theory and Numerical Methods, 1980). Every other
     row's system, as the batch built it, goes to the per-window path, whose
     weights and value replace the row's.
@@ -580,7 +568,7 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
             y = np.full((len(centers), size, 1), np.nan)
         dual = np.abs(np.swapaxes(matrix, 1, 2) @ y).max(axis=(1, 2))
         miss = np.abs(matrix @ weights[:, :, None] - rhs[:, :, None]).max(axis=(1, 2))
-        accepted = (dual <= 1.0 + _PRICING_TOL) & (miss <= _MISS_TOL)
+        accepted = (dual <= 1.0 + _PIVOT_TOL) & (miss <= _MISS_TOL)
         values = np.abs(weights).sum(axis=1)
     for row in np.flatnonzero(~accepted).tolist():
         solution = _solve_window(ConstraintSystem(
@@ -657,8 +645,9 @@ def iter_lp_audit(space: SplineSpace, p: int, q: int = 2):
                 knot, passes, closed = check
                 record["knot_condition"] = knot
                 record["certificate"] = "pass" if passes else "fail"
-                record["closed_form_value"] = closed
-                record["gap"] = closed - value
+                if math.isfinite(closed):  # a valid JSON number, and exact on P_2
+                    record["closed_form_value"] = closed
+                    record["gap"] = closed - value
             yield record
     last = space.dimension - 1
     yield _record(last, (0,), [1.0], 1.0, [[1.0]], [1.0])

@@ -191,6 +191,9 @@ def _three_point_weights(theta: np.ndarray, tbar, i, jm, jp) -> np.ndarray:
 def _build_radius_p(space: SplineSpace, p: int, kind: str) -> QuasiInterpolant:
     kv = space.knots
     dim = space.dimension
+    # every interior tbar is positive for m >= 2; refuse one that underflows
+    if space.centered_second[1:-1].min() < np.finfo(float).tiny:
+        raise ValueError(f"the centered second moments of [{kv.a}, {kv.b}] underflow float64")
     lo, hi = _interior_range(kv.degree, p, kv.n)
     sites, weights = _empty_band(dim, 3)
     lengths = np.full(dim, 3)

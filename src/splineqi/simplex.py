@@ -10,10 +10,11 @@ pivots on to the optimum. A basis with no usable pivot or an infeasible
 basic solution, or no basis at all, takes the cold path: phase 1 minimizes
 the sum of artificial variables from an all-artificial basis, and phase 2
 re-prices the original objective. Bland's rule everywhere: the entering
-column is the lowest index with reduced cost below -tol, the leaving row is
-the minimum-ratio row with ties broken by the lowest basic variable index.
-That guarantees termination without any perturbation. Artificial columns
-are barred from re-entering once they leave the basis.
+column is the lowest index with reduced cost below -_PIVOT_TOL, the leaving
+row is the minimum-ratio row with ties broken by the lowest basic variable
+index. That guarantees termination without any perturbation; as a guard
+against rounding, more than 10 iterations per column of A are refused.
+Artificial columns are barred from re-entering once they leave the basis.
 
 This is deliberately self-contained (no scipy): the l1 stencil problems it
 serves have at most a handful of rows, so a dense tableau is the simplest
@@ -28,6 +29,9 @@ from typing import Sequence
 import numpy as np
 
 __all__ = ["SimplexResult", "solve_standard_form"]
+
+# the smallest reduced cost and pivot entry that count as nonzero
+_PIVOT_TOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +53,6 @@ def _iterate(
     tableau: np.ndarray,
     basis: list[int],
     allowed: np.ndarray,
-    pivot_tol: float,
     max_iter: int,
     start_count: int,
 ) -> tuple[str, int]:
@@ -61,7 +64,7 @@ def _iterate(
         cost = tableau[-1, :-1]
         entering = -1
         for j in range(cost.size):
-            if allowed[j] and cost[j] < -pivot_tol:
+            if allowed[j] and cost[j] < -_PIVOT_TOL:
                 entering = j
                 break
         if entering < 0:
@@ -74,7 +77,7 @@ def _iterate(
         best_ratio = np.inf
         for r in range(rows):
             a = tableau[r, entering]
-            if a > pivot_tol:
+            if a > _PIVOT_TOL:
                 ratio = tableau[r, -1] / a
                 if ratio < best_ratio - 1e-15 or (
                     abs(ratio - best_ratio) <= 1e-15
@@ -89,9 +92,8 @@ def _iterate(
         count += 1
 
 
-def _warm_start(
-    tableau: np.ndarray, columns: Sequence[int], pivot_tol: float, tol: float
-) -> tuple[np.ndarray, list[int]] | None:
+def _warm_start(tableau: np.ndarray, columns: Sequence[int],
+                tol: float) -> tuple[np.ndarray, list[int]] | None:
     """Pivot the given columns into a copy of the all-artificial tableau,
     each on the not yet used row with the largest entry. Returns the tableau
     and its basis, or None if some column has no usable pivot or the basic
@@ -101,7 +103,7 @@ def _warm_start(
     basis = [-1] * rows
     for j in columns:
         r = max((r for r in range(rows) if basis[r] < 0), key=lambda r: abs(work[r, j]))
-        if abs(work[r, j]) <= pivot_tol:
+        if abs(work[r, j]) <= _PIVOT_TOL:
             return None
         _pivot(work, r, j)
         basis[r] = j
@@ -111,18 +113,14 @@ def _warm_start(
 
 
 def solve_standard_form(
-    A: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    pivot_tol: float = 1e-11,
-    max_iter: int = 1000,
-    basis: Sequence[int] | None = None,
+    A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Sequence[int] | None = None
 ) -> SimplexResult:
     """Simplex for min c.x s.t. A x = b, x >= 0.
 
     ``basis``, if given, lists one column per row: phase 2 starts from it
     when it is nonsingular and feasible, and the two-phase cold start runs
     otherwise. Pivots that install the basis are not counted as iterations.
+    Raises RuntimeError past 10 iterations per column of A.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -142,7 +140,8 @@ def solve_standard_form(
             tableau[r] = -tableau[r]
         tableau[r, cols + r] = 1.0
     tol = 1e-8 * max(1.0, float(np.abs(b).max()))
-    warm = None if basis is None else _warm_start(tableau, basis, pivot_tol, tol)
+    max_iter = 10 * cols
+    warm = None if basis is None else _warm_start(tableau, basis, tol)
     if warm is not None:
         (tableau, basis), count = warm, 0
     else:
@@ -153,7 +152,7 @@ def solve_standard_form(
         allowed = np.ones(cols + rows, dtype=bool)
         allowed[cols:] = False  # artificials never (re-)enter
 
-        status, count = _iterate(tableau, basis, allowed, pivot_tol, max_iter, 0)
+        status, count = _iterate(tableau, basis, allowed, max_iter, 0)
         phase1 = -tableau[-1, -1]
         # an exact phase 1 cannot be unbounded; a rounded one can, at objective ~0
         if status == "unbounded" and abs(phase1) > tol:
@@ -169,7 +168,7 @@ def solve_standard_form(
             if basis[r] >= cols:
                 target = -1
                 for j in range(cols):
-                    if abs(tableau[r, j]) > pivot_tol:
+                    if abs(tableau[r, j]) > _PIVOT_TOL:
                         target = j
                         break
                 if target < 0:
@@ -193,7 +192,7 @@ def solve_standard_form(
     tableau[-1] = cost
     allowed = np.ones(cols, dtype=bool)
 
-    status, count = _iterate(tableau, basis, allowed, pivot_tol, max_iter, count)
+    status, count = _iterate(tableau, basis, allowed, max_iter, count)
     if status == "unbounded":
         return SimplexResult(
             x=np.zeros(cols), value=-np.inf, status="unbounded", iterations=count

@@ -10,9 +10,10 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cli_sweep import SCALE
+from cli_sweep import EDGES, SCALE
 from splineqi.applications import KINDS
 from splineqi import cli
 from splineqi.cli import COMMANDS, RunConfig, main, parse_config_file, run
@@ -637,6 +638,34 @@ class TestMain:
             for key in (key for key in header if key.startswith("nu1")):
                 assert float(row[key]) == pytest.approx(float(unit[key]), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("argv", EDGES, ids=" ".join)
+    def test_edge_command_runs_clean_or_refuses(self, capsys, argv):
+        # exp past its float64 range and underflowing centered second moments
+        # are refused; coinciding normalized sites warn nothing; an audit is
+        # strict JSON, without NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == ""
+            assert err in ("error: exp overflows float64 on [0.0, 800.0]\n",
+                           "error: the centered second moments of [0.0, 1.0] underflow float64\n")
+        else:
+            assert (code, err) == (0, "")
+            assert "nan" not in out.lower()
+            for line in out.splitlines() if argv[0] == "audit" else ():
+                json.loads(line, parse_constant=lambda name: pytest.fail(f"{name} in {line}"))
+
+    @pytest.mark.parametrize("f, b, code", [("exp", "709.782712893384", 0),
+                                            ("exp", "709.7827128933841", 2),
+                                            ("sin", "800", 0), ("runge", "800", 0)])
+    def test_exp_is_refused_past_its_range(self, capsys, f, b, code):
+        assert main(["convergence", "--kind", "dqi", "--m", "3", "--sizes", "8,16",
+                     "--b", b, "--f", f]) == code
+        err = capsys.readouterr().err
+        assert (err == f"error: exp overflows float64 on [0.0, {b}]\n") == (code == 2)
+
     def test_module_run_without_warnings(self):
         # the package once imported the CLI, so runpy warned that
         # splineqi.cli was in sys.modules before `-m splineqi.cli` ran it
@@ -725,6 +754,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:")
         assert "index 1" in err
+
+    def test_simplex_status_exits_3_and_writes_no_record(self, capsys, monkeypatch):
+        import splineqi.nearbest as nb
+        from splineqi.simplex import SimplexResult
+
+        def unbounded(A, b, c, basis=None):
+            return SimplexResult(x=np.zeros(A.shape[1]), value=-np.inf, status="unbounded",
+                                 iterations=0)
+
+        monkeypatch.setattr(nb, "solve_standard_form", unbounded)
+        assert main(["audit", "--m", "2", "--p", "2", "--n", "10"]) == 3
+        out, err = capsys.readouterr()
+        # every LP is solved before the first record is written
+        assert out == ""
+        assert err == ("numerical failure: near-best build failed at index 1: "
+                       "l1 solve at index 1: simplex returned unbounded\n")
 
     def test_cached_parser_matches_fresh_parsers(self, capsys, monkeypatch):
         import splineqi.cli as cli

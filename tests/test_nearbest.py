@@ -1,6 +1,7 @@
 """l1-optimal stencils: constraint assembly, LP, duality certificates."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ class TestSolveL1:
         assert system.residual(sol.weights) <= 1e-9
         t, m = sp.knots.t, sp.degree
         assert oracles.nearbest_residual_mp(t, m, i, system.offsets, 2, sol.weights) <= 1e-9
+
+    def test_coinciding_sites_warn_nothing(self):
+        # on geometric ratio 1000 the first normalized sites of index 7 are
+        # equal in float64, and the enumeration divides by their differences
+        sp = space_from("geometric", m=7, n=40, ratio=1000.0)
+        system = assemble_constraints(sp, 7, 14, 2, offsets=tuple(range(-7, 15)))
+        assert len(set(system.matrix[1].tolist())) < len(system.offsets)
+        sol = solve_l1(system)
+        assert system.residual(sol.weights) <= 1e-9
 
     def test_value_non_increasing_in_radius(self):
         sp = space_from("random", m=2, n=14, seed=4)
@@ -408,6 +418,21 @@ class TestBuildNearbest:
             build_nearbest_qi(sp, 2)
 
 
+    @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+    def test_simplex_status_is_reported_with_index(self, monkeypatch, status):
+        import splineqi.nearbest as nb
+        from splineqi.simplex import SimplexResult
+
+        def refuse(A, b, c, basis=None):
+            return SimplexResult(x=np.zeros(A.shape[1]), value=np.inf, status=status,
+                                 iterations=0)
+
+        monkeypatch.setattr(nb, "solve_standard_form", refuse)
+        sp = space_from("uniform", m=2, n=8)
+        message = f"failed at index 1: l1 solve at index 1: simplex returned {status}$"
+        with pytest.raises(RuntimeError, match=message):
+            build_nearbest_qi(sp, 2)
+
     def test_infeasible_weights_are_refused(self, monkeypatch):
         import splineqi.nearbest as nb
         from splineqi.simplex import SimplexResult
@@ -431,6 +456,18 @@ class TestAudit:
         for rec in records:
             json.dumps(rec)  # must not raise
             assert rec["certificate"] in ("pass", "fail", "n/a")
+
+    def test_no_closed_form_where_tbar_underflows(self):
+        # the LP rows stand; the three-point weights are not exact on P_2 there
+        sp = space_from("geometric", m=3, n=64, ratio=1000.0)
+        records = list(iter_lp_audit(sp, 3))
+        underflow = sp.centered_second < np.finfo(float).tiny
+        full = [rec for rec in records if len(rec["offsets"]) == 7]
+        assert {rec["i"] for rec in full if underflow[rec["i"]]} == set(range(3, 13))
+        for rec in full:
+            assert ("closed_form_value" in rec) == ("gap" in rec) == (not underflow[rec["i"]])
+            assert math.isfinite(rec["value"]) and rec["certificate"] in ("pass", "fail")
+            json.dumps(rec, allow_nan=False)
 
     def test_uniform_interior_certified_with_zero_gap(self):
         sp = space_from("uniform", m=2, n=10)

@@ -1,10 +1,11 @@
 """The solved LP rows kept per (space, p, q).
 
-A build or an audit that runs to the end keeps its rows with the space; a
+A build or an audit solves every window of its (p, q) in one call and keeps
+the rows with the space, even when the audit's records are not all read; a
 later build or audit of the same (p, q) on that space reads them and solves
 nothing, and its results are those of a fresh space with the same knots.
-Nothing is kept when a window raises or an audit is abandoned, the kept
-arrays are read-only, and they go with their space.
+Nothing is kept when a window raises, the kept arrays are read-only, and
+they go with their space.
 """
 
 import json
@@ -108,17 +109,19 @@ def test_a_window_that_raises_keeps_nothing(monkeypatch):
     assert qi.lp_values == fresh.lp_values
 
 
-def test_an_abandoned_audit_keeps_nothing(monkeypatch):
+def test_an_abandoned_audit_keeps_its_rows(monkeypatch):
     space = space_from("geometric", 3, n=20, ratio=1.2)
     records = iter_lp_audit(space, 3)
     for _ in range(3):
         next(records)
     records.close()
-    assert (3, 2) not in nb._TABLES[space]
-    solves = _count_solves(monkeypatch)
-    build_nearbest_qi(space, 3)
-    assert "_solve_full_windows" in solves
     assert (3, 2) in nb._TABLES[space]
+    solves = _count_solves(monkeypatch)
+    qi = build_nearbest_qi(space, 3)
+    assert solves == []
+    fresh = build_nearbest_qi(SplineSpace.from_knots(space.knots), 3)
+    assert qi.weights.tobytes() == fresh.weights.tobytes()
+    assert qi.lp_values == fresh.lp_values
 
 
 def test_a_kept_row_still_warns(monkeypatch):

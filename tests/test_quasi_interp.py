@@ -257,6 +257,20 @@ class TestBuildQp2Star:
         with pytest.raises(ValueError, match=r"^p=2 below degree 3: norm bound not guaranteed$"):
             build_qp2star(sp, 2)
 
+    @pytest.mark.parametrize("n, refused", [(40, False), (64, True)])
+    def test_underflowing_centered_second_moment_is_refused(self, n, refused):
+        # geometric ratio 1000 shrinks the first windows past float64's normal
+        # range as n grows; every interior tbar is positive in exact arithmetic
+        sp = space_from("geometric", m=3, n=n, ratio=1000.0)
+        assert (sp.centered_second[1:-1].min() < np.finfo(float).tiny) == refused
+        for build in (build_q2star, lambda sp: build_qp2star(sp, 3)):
+            if refused:
+                with pytest.raises(ValueError, match=r"^the centered second moments of "
+                                   r"\[0.0, 1.0\] underflow float64$"):
+                    build(sp)
+            else:
+                assert np.isfinite(build(sp).weights).all()
+
     def test_radius_larger_than_space_clamps(self):
         sp = space_from("uniform", m=2, n=6)
         qi = build_qp2star(sp, 50)

@@ -83,18 +83,27 @@ def test_degenerate_rhs():
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
+def _klee_minty(d):
+    """Klee and Minty's cube in dimension d with its slacks, as a minimum:
+    Bland's rule visits a number of vertices that grows like a Fibonacci
+    sequence in d."""
+    A = np.zeros((d, 2 * d))
+    for i in range(d):
+        A[i, :i] = 2.0 ** np.arange(i + 1, 1, -1)
+        A[i, i] = A[i, d + i] = 1.0
+    b = 5.0 ** np.arange(1, d + 1)
+    c = np.concatenate([-(2.0 ** np.arange(d - 1, -1, -1)), np.zeros(d)])
+    return A, b, c
+
+
 def test_iteration_cap():
-    A = np.array(
-        [
-            [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
-            [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    b = np.array([0.0, 0.0, 1.0])
-    c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-    with pytest.raises(RuntimeError, match="iteration cap"):
-        solve_standard_form(A, b, c, max_iter=1)
+    # the cap is 10 iterations per column: 177 pivots fit within 200 at
+    # d = 10, and d = 11 needs more than 220
+    res = solve_standard_form(*_klee_minty(10))
+    assert res.status == "optimal" and res.iterations == 177
+    assert res.value == pytest.approx(-(5.0**10), rel=1e-12)
+    with pytest.raises(RuntimeError, match=r"iteration cap \(220\)"):
+        solve_standard_form(*_klee_minty(11))
 
 
 def test_zero_objective_returns_feasible_point():
