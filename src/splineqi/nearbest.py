@@ -50,9 +50,10 @@ with a = x_{-p} and b = x_p, the direction of free offset k holds the
 Lagrange values of the support {a, 0, b} at x_k, and v(x) = 1 + 2 x (x - a -
 b) / (a b) is the quadratic through (a, -1), (0, +1), (b, -1). As v <= 1
 exactly outside the interval between 0 and a + b, v certifies the weights iff
-x_{-1} <= a + b <= x_1 (the `knot_condition`), at any scale. Both are
-computed for all full windows of a (space, p) on first use and kept while
-the space lives.
+x_{-1} <= a + b <= x_1, at any scale. So the q = 2 verdict is this
+`knot_condition`, and v itself is never formed. The condition, the weights
+and their l1 norm are computed for all full windows of a (space, p) on
+first use and kept while the space lives.
 
 The solved LP rows of a (space, p, q) are kept too, read-only: one call
 solves every window, and a later build or audit on that space reads them
@@ -339,51 +340,32 @@ class WatsonForm:
 
 @dataclass(frozen=True, eq=False)
 class _ThreePointTable:
-    """The wide three-point weights and their q = 2 certificate, one row per
-    full window p .. dim-1-p; ``lagrange`` holds L_{-p}, L_0, L_p at each
-    site, ``closed`` the weights' l1 norm (NaN where tbar underflows float64,
-    so the weights are not exact on P_2) and ``knot`` the knot condition."""
+    """The wide three-point weights and their q = 2 verdict, one row per
+    full window p .. dim-1-p: ``closed`` holds the weights' l1 norm (NaN
+    where tbar underflows float64, so the weights are not exact on P_2) and
+    ``knot`` the knot condition."""
 
-    lagrange: np.ndarray
     weights: np.ndarray
-    vector: np.ndarray
-    max_abs: np.ndarray
-    residual: np.ndarray
-    sign_ok: np.ndarray
-    passes: np.ndarray
     closed: np.ndarray
     knot: np.ndarray
 
 
 def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
-    """Every full window's three-point weights and certificate at once, on
-    the normalized sites (see the module docstring), read-only. A window
-    whose sites coincide in floating point gets NaN, which fails every test."""
+    """Every full window's three-point weights, their l1 norm and the knot
+    condition at once, on the normalized sites (see the module docstring),
+    read-only. A window whose sites coincide in floating point gets NaN,
+    which fails the knot condition."""
     centers = np.arange(p, space.dimension - p)
     _, _, x = _normalized_sites(space, centers, tuple(range(-p, p + 1)))
+    tbar = space.centered_second[centers]
     with np.errstate(all="ignore"):
-        a, b = x[:, :1], x[:, -1:]
-        lagrange = np.stack([
-            x * (x - b) / (a * (a - b)), (x - a) * (x - b) / (a * b), x * (x - a) / (b * (b - a)),
-        ], axis=-1)
-        vector = 1.0 + 2.0 * x * (x - (a + b)) / (a * b)
-        vector[:, [0, p, 2 * p]] = (-1.0, 1.0, -1.0)
-        residual = np.abs(lagrange @ np.array([-1.0, 1.0, -1.0]) - vector).max(axis=1)
-        scale = np.maximum(1.0, np.abs(lagrange).max(axis=(1, 2)))
-        tbar = space.centered_second[centers]
         weights = _three_point_weights(space.greville, tbar, centers, centers - p, centers + p)
-        sign_ok = weights * np.array([-1.0, 1.0, -1.0]) >= 0.0
-        max_abs = np.abs(vector).max(axis=1)
-        passes = (max_abs <= 1.0 + 1e-12) & (residual <= 1e-10 * scale) & sign_ok.all(axis=1)
         size = np.abs(weights)
         closed = size[:, 0] + size[:, 1] + size[:, 2]
         closed[tbar < np.finfo(float).tiny] = np.nan
-        mid = a[:, 0] + b[:, 0]
+        mid = x[:, 0] + x[:, -1]
         knot = (x[:, p - 1] <= mid + 1e-12) & (mid <= x[:, p + 1] + 1e-12)
-    table = _ThreePointTable(
-        lagrange=lagrange, weights=weights, vector=vector, max_abs=max_abs,
-        residual=residual, sign_ok=sign_ok, passes=passes, closed=closed, knot=knot,
-    )
+    table = _ThreePointTable(weights=weights, closed=closed, knot=knot)
     for array in vars(table).values():
         array.setflags(write=False)
     return table
@@ -413,13 +395,17 @@ def _three_point_row(space: SplineSpace, i: int, p: int) -> tuple[_ThreePointTab
 
 def build_watson_form(space: SplineSpace, i: int, p: int) -> WatsonForm:
     """Explicit null-space parametrization of the q=2 constraints: column k
-    is the support's Lagrange values at site k, with -1 at k. For p = 1 the
-    feasible point is unique and the matrix is empty."""
+    is the support's Lagrange values at the normalized site x_k, with -1 at
+    k. For p = 1 the feasible point is unique and the matrix is empty."""
     table, row = _three_point_row(space, i, p)
     free = [k for k in range(-p + 1, p) if k != 0]
     sites = p + np.array(free, dtype=np.intp)
+    _, _, x = _normalized_sites(space, np.array([i]), tuple(range(-p, p + 1)))
+    a, b, z = x[0, 0], x[0, -1], x[0, sites]
     matrix = np.zeros((2 * p + 1, len(free)))
-    matrix[[0, p, 2 * p]] = table.lagrange[row, sites].T
+    with np.errstate(all="ignore"):
+        matrix[[0, p, 2 * p]] = (
+            z * (z - b) / (a * (a - b)), (z - a) * (z - b) / (a * b), z * (z - a) / (b * (b - a)))
     matrix[sites, np.arange(len(free))] = -1.0
     lam = np.zeros(2 * p + 1)
     lam[[0, p, 2 * p]] = table.weights[row]
@@ -434,7 +420,8 @@ def knot_condition(space: SplineSpace, i: int, p: int) -> bool:
                               <= theta_i + theta_{i+1},
 
     tested on the normalized sites as x_{-1} <= x_{-p} + x_p <= x_1 within
-    1e-12, so it agrees with `watson_certificate` at any scale. Always true
+    1e-12, so it holds alike at any scale. It is the verdict of
+    `watson_certificate` and of the audit's ``certificate``. Always true
     for p = 1 and on uniform partitions; can fail on strongly graded ones.
     """
     table, row = _three_point_row(space, i, p)
@@ -443,36 +430,19 @@ def knot_condition(space: SplineSpace, i: int, p: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Dual optimality certificate for the wide three-point weights.
+    """Dual optimality verdict for the wide three-point weights: ``passes``
+    iff they are l1 optimal."""
 
-    ``vector`` is orthogonal to the feasible directions by construction
-    (``residual`` is its rounding error) and matches the support signs; the
-    weights are l1 optimal iff additionally ``max_abs`` <= 1. ``passes``
-    bundles all three checks.
-    """
-
-    vector: np.ndarray
-    max_abs: float
-    residual: float
-    sign_ok: tuple[bool, bool, bool]
     passes: bool
 
 
 def watson_certificate(space: SplineSpace, i: int, p: int) -> Certificate:
-    """The explicit dual vector for the weights at offsets {-p, 0, p}: the
-    quadratic through (-1, +1, -1) at the support, at every normalized site,
-    which makes it orthogonal to the columns of `build_watson_form`. It
-    passes iff all entries are bounded by 1 in absolute value, which is
-    equivalent to `knot_condition` at any scale.
+    """The verdict of Watson's dual vector for the weights at offsets
+    {-p, 0, p}, which is `knot_condition` at any scale (see the module
+    docstring).
     """
     table, row = _three_point_row(space, i, p)
-    return Certificate(
-        vector=table.vector[row].copy(),
-        max_abs=table.max_abs.item(row),
-        residual=table.residual.item(row),
-        sign_ok=tuple(table.sign_ok[row].tolist()),  # type: ignore[arg-type]
-        passes=table.passes.item(row),
-    )
+    return Certificate(passes=table.knot.item(row))
 
 
 class _Rows(NamedTuple):
@@ -637,14 +607,13 @@ def iter_lp_audit(space: SplineSpace, p: int, q: int = 2):
         checks = itertools.repeat(None)
         if q == 2 and len(rows.offsets) == 2 * p + 1:
             table, at = _three_point_table(space, p), rows.centers - p
-            checks = zip(table.knot[at].tolist(), table.passes[at].tolist(),
-                         table.closed[at].tolist())
+            checks = zip(table.knot[at].tolist(), table.closed[at].tolist())
         for (i, weights, value, V, b), check in zip(fields, checks):
             record = _record(i, rows.offsets, weights, value, V, b, boundary=not lo <= i <= hi)
             if check:
-                knot, passes, closed = check
+                knot, closed = check
                 record["knot_condition"] = knot
-                record["certificate"] = "pass" if passes else "fail"
+                record["certificate"] = "pass" if knot else "fail"
                 if math.isfinite(closed):  # a valid JSON number, and exact on P_2
                     record["closed_form_value"] = closed
                     record["gap"] = closed - value

