@@ -69,13 +69,18 @@ class QuadratureRule:
     weights: np.ndarray
 
     def integrate(self, samples: np.ndarray) -> float:
-        """The rule on samples at the nodes; complex samples raise TypeError."""
+        """The rule on samples at the nodes; complex samples raise TypeError,
+        and finite samples whose weighted sum overflows raise ValueError."""
         samples = _real_samples(samples)
         if samples.shape != self.nodes.shape:
             raise ValueError(
                 f"expected {self.nodes.shape[0]} samples, got {samples.shape}"
             )
-        return float(np.dot(self.weights, samples))
+        with np.errstate(over="ignore"):
+            estimate = float(np.dot(self.weights, samples))
+        if not math.isfinite(estimate) and np.isfinite(samples).all():
+            raise ValueError("the quadrature estimate overflows float64")
+        return estimate
 
     def integrate_fn(self, fn: Callable[[float], float]) -> float:
         return self.integrate(np.array([float(fn(x)) for x in self.nodes.tolist()]))

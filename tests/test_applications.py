@@ -87,6 +87,16 @@ class TestQuadrature:
                 rule.integrate(np.exp(1j * sp.greville).astype(dtype))
         assert rule.integrate(list(np.ones(sp.dimension))) == rule.integrate_fn(lambda x: 1)
 
+    def test_overflowing_estimate_refused(self):
+        # exp is finite at every node of [0, 709], but its weighted sum is not
+        rule = quadrature_from_qi(build_q2star(space_from("uniform", m=2, n=8, b=709.0)))
+        with pytest.raises(ValueError, match="^the quadrature estimate overflows float64$"):
+            rule.integrate_fn(math.exp)
+        # a non-finite sample is the caller's, and passes through
+        samples = np.ones(len(rule.nodes))
+        samples[3] = np.nan
+        assert math.isnan(rule.integrate(samples))
+
 
 def dense(D):
     """The (dim, dim) matrix of D, one column per unit sample vector."""
