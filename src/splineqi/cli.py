@@ -189,6 +189,11 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    """A cell as JSON has it: NaN and infinities are not JSON numbers, so null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit_table(
     cfg: RunConfig,
     sink: IO[str],
@@ -199,11 +204,11 @@ def _emit_table(
     if cfg.fmt == "json":
         payload: dict = {
             "columns": list(columns),
-            "rows": [dict(zip(columns, row)) for row in rows],
+            "rows": [dict(zip(columns, map(_json_cell, row))) for row in rows],
         }
         if audit_records is not None:
             payload["audit"] = audit_records
-        sink.write(json.dumps(payload, sort_keys=True) + "\n")
+        sink.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
         return
     sink.write(",".join(columns) + "\n")
     for row in rows:

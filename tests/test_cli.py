@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +485,18 @@ class TestRunStudies:
         assert 1.5 <= fitted <= 2.5
         for row in rows:
             assert float(row["err_all"]) >= float(row["err_interior"]) - 1e-15
+
+    @pytest.mark.parametrize("command", ["convergence", "diffmat"])
+    def test_json_is_strict_with_null_for_nan(self, command):
+        # the first row has no running order: NaN in CSV, null in JSON
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        cfg = RunConfig(command=command, m=2, sizes=(8, 16), fmt="json")
+        payload = json.loads(run_to_text(cfg), parse_constant=refuse)
+        assert [row["order_running"] is None for row in payload["rows"]] == [True, False]
+        _, rows = parse_csv(run_to_text(replace(cfg, fmt="csv")))
+        assert rows[0]["order_running"] == "nan"
 
 
 class TestRunQuad:
