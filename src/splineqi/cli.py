@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
@@ -66,21 +67,6 @@ class RunConfig:
     out: str | None = None
     fmt: str = "csv"
     audit: bool = False
-
-    @classmethod
-    def from_record(cls, record: dict) -> "RunConfig":
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(record) - names)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        if "command" not in record:
-            raise ValueError("config record needs a 'command' entry")
-        data = dict(record)
-        if "sizes" in data:
-            data["sizes"] = tuple(int(v) for v in data["sizes"])
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
 
     def validate(self) -> None:
         for key, allowed in {"command": COMMANDS, **_CHOICES}.items():
@@ -393,7 +379,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         text = getattr(args, key, None)
         if text is not None:
             entries[key] = _read(f"--{key}", key, text)
-    return RunConfig.from_record({"command": args.command, **entries})
+    return RunConfig(command=args.command, **entries)
 
 
 def main(argv: Iterable[str] | None = None) -> int:
@@ -407,13 +393,18 @@ def main(argv: Iterable[str] | None = None) -> int:
     args = _parser().parse_args(tokens)
     try:
         cfg = _config_from_args(args)
-        if cfg.out is not None:
-            try:
-                with open(cfg.out, "w", encoding="utf-8") as sink:
-                    return run(cfg, sink)
-            except OSError as exc:
-                raise ValueError(f"cannot write {cfg.out}: {exc}") from exc
-        return run(cfg, sys.stdout)
+        if cfg.out is None:
+            return run(cfg, sys.stdout)
+        # the file is written once the run has succeeded, so a run that
+        # fails leaves it as it was
+        sink = io.StringIO()
+        code = run(cfg, sink)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(sink.getvalue())
+        except OSError as exc:
+            raise ValueError(f"cannot write {cfg.out}: {exc}") from exc
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

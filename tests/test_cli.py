@@ -39,19 +39,23 @@ def parse_csv(text):
 class TestRunConfig:
     def test_record_round_trip(self):
         record = {"command": "convergence", "kind": "dqi", "m": 3, "f": "exp",
-                  "sizes": [8, 16], "family": "geometric", "ratio": 1.5}
-        cfg = RunConfig.from_record(record)
-        assert cfg == RunConfig(command="convergence", kind="dqi", m=3, f="exp",
-                                sizes=(8, 16), family="geometric", ratio=1.5)
-        assert {key: getattr(cfg, key) for key in record} == {**record, "sizes": (8, 16)}
+                  "sizes": (8, 16), "family": "geometric", "ratio": 1.5}
+        cfg = RunConfig(**record)
+        cfg.validate()
+        assert {key: getattr(cfg, key) for key in record} == record
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown config keys"):
-            RunConfig.from_record({"command": "norms", "degree": 3})
+    def test_unknown_key_rejected(self, capsys):
+        # main's options and config files name fields only; the class
+        # itself refuses any other keyword
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["norms", "--degree", "3"])
+        assert "unrecognized arguments: --degree" in capsys.readouterr().err
+        with pytest.raises(TypeError, match="degree"):
+            RunConfig(command="norms", degree=3).validate()
 
     def test_command_required(self):
-        with pytest.raises(ValueError, match="command"):
-            RunConfig.from_record({"kind": "q2star"})
+        with pytest.raises(TypeError, match="command"):
+            RunConfig(kind="q2star").validate()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -74,7 +78,7 @@ class TestRunConfig:
     )
     def test_validation_failures(self, overrides):
         with pytest.raises(ValueError):
-            RunConfig.from_record({"command": "norms", **overrides})
+            RunConfig(**{"command": "norms", **overrides}).validate()
 
 
 class TestConfigFile:
@@ -101,7 +105,8 @@ class TestConfigFile:
             "sizes": (8, 16, 32),
             "f": "runge",
         }
-        cfg = RunConfig.from_record({"command": "convergence", **entries})
+        cfg = RunConfig(command="convergence", **entries)
+        cfg.validate()
         assert cfg.m == 3 and cfg.sizes == (8, 16, 32)
 
     def test_unknown_key_with_location(self, tmp_path):
@@ -755,6 +760,20 @@ class TestMain:
         target = tmp_path / "missing" / "out.csv"
         assert main(["norms", "--out", str(target)]) == 2
         assert "cannot write" in capsys.readouterr().err
+
+    def test_failed_run_leaves_out_file_alone(self, capsys, tmp_path, monkeypatch):
+        import splineqi.nearbest as nb
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("synthetic simplex failure")
+
+        target = tmp_path / "kept.csv"
+        target.write_text("earlier results\n")
+        assert main(["norms", "--m", "0", "--out", str(target)]) == 2
+        monkeypatch.setattr(nb, "solve_standard_form", explode)
+        assert main(["nearbest", "--m", "2", "--p", "2", "--n", "6", "--out", str(target)]) == 3
+        assert target.read_text() == "earlier results\n"
+        capsys.readouterr()
 
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):
         import splineqi.nearbest as nb
