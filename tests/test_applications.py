@@ -29,6 +29,7 @@ from splineqi import (
     operator_recipe,
     quadrature_from_qi,
 )
+from splineqi.applications import _running_order
 
 QUADRATIC = TargetFunction(
     name="poly2",
@@ -309,6 +310,12 @@ class TestConvergence:
         assert errs == sorted(errs, reverse=True)
         assert math.isnan(report.rows[0].order_running)
         assert report.rows[-1].order_running == pytest.approx(3.0, abs=0.5)
+
+    def test_running_order_needs_two_positive_errors(self):
+        # log(err_prev / err) has no value where either error is 0
+        assert _running_order((0.1, 1e-3), 0.05, 1.25e-4) == pytest.approx(3.0)
+        assert math.isnan(_running_order((0.1, 1e-3), 0.05, 0.0))
+        assert math.isnan(_running_order((0.1, 0.0), 0.05, 1e-3))
 
     def test_rows_sorted_by_size(self):
         report = convergence_study(

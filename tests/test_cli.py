@@ -756,6 +756,13 @@ class TestMain:
         from_file = capsys.readouterr().err
         assert from_file == from_option.replace(f"--{key}:", f"{path}:1:")
 
+    def test_malformed_flag_in_config_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("audit = maybe\n")
+        assert main(["nearbest", "--p", "2", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: bad value for 'audit': expected true or false\n")
+
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.csv"
         assert main(["norms", "--out", str(target)]) == 2

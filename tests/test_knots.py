@@ -18,7 +18,7 @@ from splineqi import (
     greville_grid,
     make_clamped_knots,
 )
-from splineqi.knots import elementary_symmetric
+from splineqi.knots import KnotVector, elementary_symmetric
 
 
 class TestMakeClampedKnots:
@@ -37,6 +37,10 @@ class TestMakeClampedKnots:
     def test_non_monotone_interior_rejected(self):
         with pytest.raises(ValueError):
             make_clamped_knots(0.0, 3.0, (2.0, 1.0), 2)
+
+    def test_nested_interior_rejected(self):
+        with pytest.raises(ValueError, match="^interior knots must be a flat sequence$"):
+            make_clamped_knots(0.0, 3.0, [[1.0, 2.0]], 2)
 
     def test_interior_outside_range_rejected(self):
         with pytest.raises(ValueError):
@@ -173,6 +177,7 @@ class TestGeneratePartition:
          r"ratio 1e\+308 and 8 subintervals .* step weights overflows"),
         (PartitionSpec("geometric", ratio=math.inf), r"finite ratio > 0, got inf"),
         (PartitionSpec("random", seed=-1), r"seed >= 0, got -1"),
+        (PartitionSpec("uniform", n=0), r"need n >= 1 subintervals, got 0"),
     ])
     def test_unbuildable_partition_refused_without_warnings(self, spec, match):
         # numpy once warned on these and, with warnings as errors, raised the
@@ -207,6 +212,14 @@ class TestGrevilleGrid:
         assert theta[j] == pytest.approx(1.0)
         assert greville_loop(kv.t, 3)[1][j, 2] == pytest.approx(2.0 / 3.0)
         assert centered[j] == pytest.approx(1.0 / 3.0)
+
+    def test_repeated_abscissae_refused(self):
+        # a knot of multiplicity m + 1 inside: two windows are that one knot.
+        # make_clamped_knots builds simple knots only, so the vector is built
+        # by hand
+        t = np.array([0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^Greville abscissae are not strictly increasing$"):
+            greville_grid(KnotVector(degree=2, t=t, n=4))
 
     def test_boundary_window_degenerate(self):
         kv = make_clamped_knots(0.0, 1.0, (0.5,), 3)

@@ -164,6 +164,27 @@ def test_rows_the_batch_cannot_certify_take_the_path(monkeypatch):
     np.testing.assert_allclose(qi.lp_values, best.lp_values, rtol=1e-12)
 
 
+def test_singular_chunk_takes_the_path(monkeypatch):
+    # a chunk whose batched dual solve meets an exactly singular V_S gets no
+    # duals: every row goes to the per-window path, which finds the same rows
+    space = space_from("geometric", 3, n=16, ratio=1.2)
+    best = build_nearbest_qi(space, 3)
+    solve, solved = np.linalg.solve, []
+
+    def singular(a, b):
+        if a.ndim == 3:  # the batch's stack of V_S^T
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    window = nb._solve_window
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(nb, "_solve_window", lambda s: (solved.append(s.center), window(s))[1])
+    qi = build_nearbest_qi(SplineSpace.from_knots(space.knots), 3)
+    assert solved == list(range(1, space.dimension - 1))
+    np.testing.assert_array_equal(qi.weights, best.weights)
+    assert qi.lp_values == best.lp_values
+
+
 @pytest.mark.parametrize("refuse", [False, True])
 def test_lp_objects_only_for_the_path(monkeypatch, refuse):
     # the batch hands its rows on as arrays: a ConstraintSystem and an

@@ -252,6 +252,10 @@ class TestBuildQp2Star:
         for st_a, st_b in zip(narrow.stencils, base.stencils):
             np.testing.assert_allclose(st_a.weights, st_b.weights, rtol=1e-14)
 
+    def test_degree_one_rejected(self):
+        with pytest.raises(ValueError, match="^quadratic exactness needs degree >= 2$"):
+            build_qp2star(space_from("uniform", m=1, n=6), 1)
+
     def test_small_radius_rejected_without_flag(self):
         sp = space_from("uniform", m=3, n=10)
         with pytest.raises(ValueError, match=r"^p=2 below degree 3: norm bound not guaranteed$"):

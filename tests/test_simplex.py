@@ -179,6 +179,13 @@ def test_unusable_basis_falls_back_to_two_phase(basis):
     np.testing.assert_array_equal(res.x, cold.x)
 
 
+def test_inconsistent_dimensions_refused():
+    A, b, c = _L1
+    for args in ((A, b[:2], c), (A, b, c[:-1])):
+        with pytest.raises(ValueError, match="^inconsistent LP dimensions$"):
+            solve_standard_form(*args)
+
+
 def test_basis_of_wrong_shape_refused():
     with pytest.raises(ValueError, match="basis"):
         solve_standard_form(*_L1, basis=[0, 1])
