@@ -441,8 +441,7 @@ def watson_certificate(space: SplineSpace, i: int, p: int) -> Certificate:
     {-p, 0, p}, which is `knot_condition` at any scale (see the module
     docstring).
     """
-    table, row = _three_point_row(space, i, p)
-    return Certificate(passes=table.knot.item(row))
+    return Certificate(passes=knot_condition(space, i, p))
 
 
 class _Rows(NamedTuple):
