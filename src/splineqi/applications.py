@@ -117,7 +117,13 @@ class DifferentiationMatrix:
     nodes: np.ndarray
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
-        return apply_qi(self.qi, samples)(self.nodes, 1)
+        """The derivative at the nodes; complex samples raise TypeError, and
+        finite samples whose derivative overflows raise ValueError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            derivative = apply_qi(self.qi, samples)(self.nodes, 1)
+        if not np.isfinite(derivative).all() and np.isfinite(samples).all():
+            raise ValueError("the derivative overflows float64")
+        return derivative
 
 
 def differentiation_matrix(qi: QuasiInterpolant) -> DifferentiationMatrix:

@@ -15,6 +15,7 @@ e_s(t[j+1] - theta_j, ..., t[j+m] - theta_j) / C(m, s).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -243,12 +244,18 @@ def greville_grid(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     return theta, centered
 
 
+@functools.cache
+def _binomials(m: int) -> np.ndarray:
+    """C(m, 0) .. C(m, m) as floats, read-only: one table per degree."""
+    binom = np.array([math.comb(m, s) for s in range(m + 1)], dtype=float)
+    binom.setflags(write=False)
+    return binom
+
+
 def central_coefficients(differences: np.ndarray) -> np.ndarray:
     """a_0 .. a_m from knot differences (..., m): their elementary symmetric
     functions over C(m, s), with a_0 = 1 and a_1 = 0 set exactly."""
-    m = differences.shape[-1]
-    binom = np.array([math.comb(m, s) for s in range(m + 1)], dtype=float)
-    table = elementary_symmetric(differences) / binom
+    table = elementary_symmetric(differences) / _binomials(differences.shape[-1])
     table[..., 0] = 1.0
     table[..., 1] = 0.0
     return table

@@ -27,7 +27,13 @@ Theory and Numerical Methods, 1980).
 
 An operator's full windows (offsets -p..p) are solved together: one
 Bjorck-Pereyra pass over all windows and supports, in chunks of bounded
-size, and one batched solve for the duals. Each chunk is handed on as
+size, and one batched solve for the duals. At q = 2 a window whose knot
+condition (below) holds strictly outside its 1e-12 band skips the
+enumeration: its wide three-point weights are then the one optimum, so
+only the support {-p, 0, p} is solved, and as the recurrence is
+elementwise its weights are the bits the enumeration would read. On the
+band's edge another support can tie with them, and the tie rule may pick
+it, so those windows are enumerated. Each chunk is handed on as
 arrays (`_Rows`: centers, offsets, weights, values, and the matrices and
 right-hand sides that were solved), from which the build fills its band and
 the audit formats its records. A row whose dual or exactness residual fails
@@ -124,13 +130,13 @@ def _normalized_sites(space: SplineSpace, centers: np.ndarray, offsets: tuple[in
     """Raw sites (W, k), spans L (W,) and normalized sites (theta - theta_i) / L
     (W, k) of the windows ``offsets`` around the W ``centers``; elementwise,
     so a window rounds alike alone or in a chunk. A span of 0 gives
-    non-finite sites, without a warning."""
+    non-finite sites; the callers hold the `np.errstate` that keeps it
+    silent."""
     theta = space.greville
     sites = theta[centers[:, None] + np.array(offsets)]
     # theta increases, so the outermost offsets hold the largest and smallest site
     scale = theta[centers + max(offsets)] - theta[centers + min(offsets)]
-    with np.errstate(all="ignore"):
-        x = (sites - theta[centers, None]) / scale[:, None]
+    x = (sites - theta[centers, None]) / scale[:, None]
     return sites, scale, x
 
 
@@ -142,9 +148,9 @@ def _assemble(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...],
     divided by the window's span L, which gives a_r / L**r. Elementwise, so
     a window rounds alike alone or in a chunk; a span of 0 gives non-finite
     rows, without a warning, which the residual tests refuse."""
-    sites, scale, x = _normalized_sites(space, centers, offsets)
     knots = space.knots.t[centers[:, None] + np.arange(1, space.degree + 1)]
     with np.errstate(all="ignore"):
+        sites, scale, x = _normalized_sites(space, centers, offsets)
         matrix = _vandermonde(x, q)
         scaled = (knots - space.greville[centers, None]) / scale[:, None]
         rhs = central_coefficients(scaled)[:, : q + 1]
@@ -253,11 +259,11 @@ def _cheapest_supports(x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.n
     step = max(1, _BATCH_ENTRIES // (rows * size))
     values = np.empty((rows, supports.shape[1]))
     blocks = []
-    for start in range(0, supports.shape[1], step):
-        columns = supports[:, start : start + step]
-        # numpy gathers from a 1-D row about 3x faster than along axis 1
-        nodes = x[0][columns][None] if rows == 1 else x[:, columns]
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for start in range(0, supports.shape[1], step):
+            columns = supports[:, start : start + step]
+            # numpy gathers from a 1-D row about 3x faster than along axis 1
+            nodes = x[0][columns][None] if rows == 1 else x[:, columns]
             blocks.append(_support_values(nodes, rhs))
             values[:, start : start + step] = np.abs(blocks[-1]).sum(axis=1)
     # a chunk of _solve_full_windows is one block; only a single wide window
@@ -356,9 +362,9 @@ def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
     read-only. A window whose sites coincide in floating point gets NaN,
     which fails the knot condition."""
     centers = np.arange(p, space.dimension - p)
-    _, _, x = _normalized_sites(space, centers, tuple(range(-p, p + 1)))
     tbar = space.centered_second[centers]
     with np.errstate(all="ignore"):
+        _, _, x = _normalized_sites(space, centers, tuple(range(-p, p + 1)))
         weights = _three_point_weights(space.greville, tbar, centers, centers - p, centers + p)
         size = np.abs(weights)
         closed = size[:, 0] + size[:, 1] + size[:, 2]
@@ -400,10 +406,10 @@ def build_watson_form(space: SplineSpace, i: int, p: int) -> WatsonForm:
     table, row = _three_point_row(space, i, p)
     free = [k for k in range(-p + 1, p) if k != 0]
     sites = p + np.array(free, dtype=np.intp)
-    _, _, x = _normalized_sites(space, np.array([i]), tuple(range(-p, p + 1)))
-    a, b, z = x[0, 0], x[0, -1], x[0, sites]
     matrix = np.zeros((2 * p + 1, len(free)))
     with np.errstate(all="ignore"):
+        _, _, x = _normalized_sites(space, np.array([i]), tuple(range(-p, p + 1)))
+        a, b, z = x[0, 0], x[0, -1], x[0, sites]
         matrix[[0, p, 2 * p]] = (
             z * (z - b) / (a * (a - b)), (z - a) * (z - b) / (a * b), z * (z - a) / (b * (b - a)))
     matrix[sites, np.arange(len(free))] = -1.0
@@ -508,10 +514,23 @@ def _solve_window(system: ConstraintSystem) -> L1Solution:
         raise RuntimeError(f"near-best build failed at index {system.center}: {exc}") from exc
 
 
+def _wide_rows(x: np.ndarray, p: int) -> np.ndarray:
+    """The full windows of radius p, normalized sites x (W, 2p+1), whose
+    knot condition holds strictly outside its 1e-12 band."""
+    mid = x[:, 0] + x[:, -1]
+    return (x[:, p - 1] + 1e-12 < mid) & (mid < x[:, p + 1] - 1e-12)
+
+
 def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray) -> _Rows:
     """The full windows at the given centers, solved together: the systems
     as `assemble_constraints` builds them, the supports as `solve_l1` picks
     them, the weights from Bjorck-Pereyra.
+
+    At q = 2 the rows of `_wide_rows` skip the enumeration and solve the
+    support {-p, 0, p} alone: it is their one optimum, and the elementwise
+    recurrence gives them the bits of its column in the enumeration. Rows
+    on the knot condition's edge, where a tie may pick another support, and
+    every row at q != 2 are enumerated.
 
     A row is accepted when its weights meet the constraints within
     _MISS_TOL and the dual y of V_S^T y = sign(w_S) on its support S
@@ -523,10 +542,19 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
     k, size = 2 * p + 1, q + 1
     offsets = tuple(range(-p, p + 1))
     sites, x, matrix, rhs = _assemble(space, centers, offsets, q)
+    support = np.empty((len(centers), size), dtype=np.intp)
+    on_support = np.empty((len(centers), size))
     # a row that meets a non-finite value fails the acceptance test below,
     # and the per-window path solves it again and reports what it meets
     with np.errstate(all="ignore"):
-        support, on_support = _cheapest_supports(x, rhs)
+        wide = np.zeros(len(centers), dtype=bool)
+        if q == 2:
+            wide = _wide_rows(x, p)
+            support[wide] = (0, p, 2 * p)
+            on_support[wide] = _support_values(x[wide][:, [0, p, 2 * p], None], rhs[wide])[..., 0]
+        if not wide.all():
+            rest = ~wide
+            support[rest], on_support[rest] = _cheapest_supports(x[rest], rhs[rest])
         weights = np.zeros((len(centers), k))
         np.put_along_axis(weights, support, on_support, axis=1)
         signs = np.where(on_support >= 0.0, 1.0, -1.0)

@@ -25,9 +25,9 @@ this process through `cli.main`. The commands are:
   subintervals, which pin the band build and apply at the size where they
   cost most;
 - edges: `exp` sampled past x = log(max float64), and just below it where
-  the quadrature sum overflows, a near-best window whose normalized sites
-  coincide in floating point, and geometric ratio 1000 spaces whose
-  centered second moments underflow.
+  the quadrature sum or the differenced coefficients overflow, a near-best
+  window whose normalized sites coincide in floating point, and geometric
+  ratio 1000 spaces whose centered second moments underflow.
 
 A command that raises is recorded with "raised" and the exception's class
 in place of its exit code, and the sweep goes on.
@@ -163,6 +163,7 @@ LARGE = [[command, "--kind", kind, "--m", "3", *radius, "--n", "20000",
 EDGES = [
     ["quad", "--kind", "q2star", "--m", "2", "--n", "8", "--b", "800", "--f", "exp"],
     ["quad", "--kind", "q2star", "--m", "2", "--n", "8", "--b", "709", "--f", "exp"],
+    ["diffmat", "--kind", "q2star", "--m", "2", "--b", "709", "--f", "exp", "--sizes", "8,16"],
     ["convergence", "--kind", "dqi", "--m", "3", "--b", "800", "--f", "exp"],
     ["audit", "--m", "7", "--p", "14", "--family", "geometric", "--ratio", "1000", "--n", "40"],
     ["norms", "--kind", "qp2star", "--m", "3", "--p", "3", "--family", "geometric", "--ratio",

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -123,6 +124,20 @@ class TestDifferentiationMatrix:
         matrix = dense(differentiation_matrix(build_q2star(sp)))
         rows, cols = np.nonzero(np.abs(matrix) > 1e-14 * max(1.0, np.abs(matrix).max()))
         assert 0 < np.abs(rows - cols).max() <= sp.degree + 3
+
+    def test_overflowing_derivative_refused(self):
+        # exp is finite at every node of [0, 709], but the differenced
+        # coefficients of its spline are not
+        sp = space_from("uniform", m=2, n=8, b=709.0)
+        D = differentiation_matrix(build_q2star(sp))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the derivative overflows float64$"):
+                D.apply(np.exp(sp.greville))
+            # a non-finite sample is the caller's, and passes through
+            samples = np.ones(sp.dimension)
+            samples[3] = np.inf
+            assert not np.isfinite(D.apply(samples)).all()
 
     @pytest.mark.parametrize("kind", ["q2star", "qp2star", "nearbest"])
     @pytest.mark.parametrize("m", range(2, 6))

@@ -4,9 +4,11 @@
 attribute) pairs; a rename or deletion in the package would otherwise only
 show when a traced benchmark run fails. The module is loaded by path: it
 imports only the standard library. A package change can also stop calling
-a wrapped function on some workload, which empties the figures built on it:
-a tiny traced run of each workload that calls the LP layer must report a
-finite number for every per-layer figure.
+a wrapped function on some workload, which empties the figures built on it,
+or break what a workload checks: a tiny traced run of every workload must
+report correct outputs and a finite number for every per-layer figure.
+`approx_large` builds no near-best operator, so its LP figures come from
+the traced probe alone.
 """
 
 import importlib
@@ -38,7 +40,7 @@ def test_target_resolves(modname, attr):
     assert callable(obj)
 
 
-@pytest.mark.parametrize("workload", ["nearbest_graded", "cli_studies"])
+@pytest.mark.parametrize("workload", ["approx_large", "nearbest_graded", "cli_studies"])
 def test_traced_smoke_run_fills_every_figure(workload):
     argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
             "--seed", "3", "--seconds", "1", "--trace", "1", "--smoke"]

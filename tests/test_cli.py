@@ -657,9 +657,10 @@ class TestMain:
 
     @pytest.mark.parametrize("argv", EDGES, ids=" ".join)
     def test_edge_command_runs_clean_or_refuses(self, capsys, argv):
-        # exp past its float64 range, an exp integral that overflows it and
-        # underflowing centered second moments are refused; coinciding normalized sites warn nothing; an audit is
-        # strict JSON, without NaN
+        # exp past its float64 range, an exp integral or derivative that
+        # overflows it and underflowing centered second moments are refused;
+        # coinciding normalized sites warn nothing; an audit is strict JSON,
+        # without NaN
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(argv)
@@ -668,6 +669,7 @@ class TestMain:
             assert out == ""
             assert err in ("error: exp overflows float64 on [0.0, 800.0]\n",
                            "error: the quadrature estimate overflows float64\n",
+                           "error: the derivative overflows float64\n",
                            "error: the centered second moments of [0.0, 1.0] underflow float64\n")
         else:
             assert (code, err) == (0, "")

@@ -137,7 +137,8 @@ def test_enumeration_weights_are_a_solve_of_their_support(monkeypatch, m, p, bud
 
 def _first_support(x, rhs):
     """The lexicographically first support of each window, which is not
-    optimal on uniform cubic windows of radius 3: the batch refuses them."""
+    optimal on uniform cubic windows of radius 3 at q = 3: the batch refuses
+    them. (At q = 2 the batch certifies those windows without enumerating.)"""
     support = np.broadcast_to(np.arange(rhs.shape[1]), rhs.shape)
     weights = nb._support_values(np.take_along_axis(x, support, axis=1)[:, :, None], rhs)
     return support, weights[:, :, 0]
@@ -149,7 +150,7 @@ def test_rows_the_batch_cannot_certify_take_the_path(monkeypatch):
     # the optimum. A refused row keeps the system the batch assembled: only
     # the truncated windows at the two ends are assembled one by one.
     space = space_from("uniform", 3, n=16)
-    best = build_nearbest_qi(space, 3)
+    best = build_nearbest_qi(space, 3, 3)
     last = space.dimension - 1
     solved, assembled = [], []
     window, assemble = nb._solve_window, nb.assemble_constraints
@@ -158,7 +159,7 @@ def test_rows_the_batch_cannot_certify_take_the_path(monkeypatch):
     monkeypatch.setattr(nb, "assemble_constraints",
                         lambda s, i, *a, **k: (assembled.append(i), assemble(s, i, *a, **k))[1])
     # a fresh space: the first one keeps its rows and would not solve again
-    qi = build_nearbest_qi(SplineSpace.from_knots(space.knots), 3)
+    qi = build_nearbest_qi(SplineSpace.from_knots(space.knots), 3, 3)
     assert solved == list(range(1, last))
     assert assembled == [1, 2, last - 2, last - 1]
     np.testing.assert_allclose(qi.lp_values, best.lp_values, rtol=1e-12)
@@ -190,6 +191,7 @@ def test_lp_objects_only_for_the_path(monkeypatch, refuse):
     # the batch hands its rows on as arrays: a ConstraintSystem and an
     # L1Solution are made only for a window on the per-window path, the 4
     # truncated windows here, or every row when the batch refuses them all
+    # (at q = 3, as the batch certifies these q = 2 windows unenumerated)
     space = space_from("uniform", 3, n=16)
     if refuse:
         monkeypatch.setattr(nb, "_cheapest_supports", _first_support)
@@ -202,7 +204,7 @@ def test_lp_objects_only_for_the_path(monkeypatch, refuse):
             return cls(*args, **kwargs)
 
         monkeypatch.setattr(nb, name, counted)
-    build_nearbest_qi(space, 3)
+    build_nearbest_qi(space, 3, 3 if refuse else 2)
     path = space.dimension - 2 if refuse else 4
     assert made == {"ConstraintSystem": path, "L1Solution": path}
 
@@ -244,3 +246,56 @@ def test_build_memory_stays_bounded(family, ratio, seed, m, p, q, n, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak < limit_mb * 1e6
+
+
+def _enumerated(space, p):
+    """The rows of the full windows with every row's support enumerated, as
+    the batch found them before it took the wide three-point support
+    unenumerated."""
+    dim = space.dimension
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nb, "_wide_rows", lambda x, p: np.zeros(len(x), dtype=bool))
+        return nb._solve_full_windows(space, p, 2, np.arange(p, dim - p))
+
+
+def test_wide_rows_keep_the_enumerated_bits():
+    # the q = 2 rows whose knot condition holds strictly skip the support
+    # enumeration; their weights must be the bits the enumeration finds
+    rng = np.random.default_rng(31)
+    wide = rows_seen = 0
+    for m in range(2, 8):
+        for p in range(max(1, m - 1), m + 3):
+            for family in ("uniform", "random", "arithmetic", "geometric") * 8:
+                n = int(rng.integers(2 * p + 2, 6 * p + 21))
+                # geometric: a total ratio h_n / h_1 from 0.5 to 1000
+                total = float(np.exp(rng.uniform(np.log(0.5), np.log(1000.0))))
+                ratio = {"arithmetic": 20.0, "geometric": total ** (1 / (n - 1))}.get(family, 1.0)
+                space = space_from(family, m, n=n, seed=int(rng.integers(2**31)), ratio=ratio)
+                centers = np.arange(p, space.dimension - p)
+                rows = nb._solve_full_windows(space, p, 2, centers)
+                full = _enumerated(space, p)
+                case = (family, m, p, n)
+                assert rows.weights.tobytes() == full.weights.tobytes(), case
+                assert rows.values.tolist() == full.values.tolist(), case
+                _, x, _, _ = nb._assemble(space, centers, rows.offsets, 2)
+                wide += int(nb._wide_rows(x, p).sum())
+                rows_seen += len(centers)
+    # the shortcut took some rows, not all
+    assert 0 < wide < rows_seen
+
+
+def test_rows_on_the_edge_are_enumerated():
+    # uniform cubic, p = 3: the knot condition of the two outermost full
+    # windows holds within 1e-12 but not strictly (index 3 by 1.1e-16,
+    # index 19 misses by 4.4e-16). At index 19 another support ties with
+    # the three-point weights, and the enumeration's tie rule picks offsets
+    # (-3, -1, 0): neither row may skip the enumeration.
+    space = space_from("uniform", 3, n=20)
+    p, last = 3, 19
+    assert last == space.dimension - 1 - p and nb.knot_condition(space, last, p)
+    centers = np.arange(p, space.dimension - p)
+    _, x, _, _ = nb._assemble(space, centers, tuple(range(-p, p + 1)), 2)
+    assert nb._wide_rows(x, p).tolist() == [False] + [True] * (len(centers) - 2) + [False]
+    rows = nb._solve_full_windows(space, p, 2, centers)
+    assert np.flatnonzero(rows.weights[-1]).tolist() == [0, 2, 3]
+    assert rows.weights.tobytes() == _enumerated(space, p).weights.tobytes()
