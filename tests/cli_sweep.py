@@ -20,7 +20,9 @@ this process through `cli.main`. The commands are:
 - scale: commands on intervals from 1e60 to 1.7e308 long, which either
   print what they print on [0, 1] or refuse with exit 2;
 - graded: near-best commands at m = 7 on geometric ratio 100, past the
-  grid's m = 5, whose optima hang on the rounding of the right-hand sides;
+  grid's m = 5, whose optima hang on the rounding of the right-hand sides,
+  and audits on geometric ratio 100 and 1000 whose truncated windows have
+  optimal supports on normalized sites about 1e-12 apart;
 - large: `norms` and `quad` of the three-point operators on 20,000
   subintervals, which pin the band build and apply at the size where they
   cost most;
@@ -151,6 +153,14 @@ GRADED = [
     ["audit", "--m", "7", "--p", "2", "--q", "3", "--n", "80", "--family", "geometric",
      "--ratio", "100"],
     ["nearbest", "--m", "7", "--p", "5", "--q", "6", "--n", "80", "--family", "geometric",
+     "--ratio", "100"],
+    # truncated windows whose enumerated optimum has normalized sites about
+    # 1e-12 apart, below the simplex's pivot tolerance
+    ["audit", "--m", "5", "--p", "3", "--q", "4", "--n", "10", "--family", "geometric",
+     "--ratio", "1000"],
+    ["audit", "--m", "6", "--p", "5", "--q", "5", "--n", "14", "--family", "geometric",
+     "--ratio", "100"],
+    ["audit", "--m", "5", "--p", "6", "--q", "1", "--n", "12", "--family", "geometric",
      "--ratio", "100"],
 ]
 
