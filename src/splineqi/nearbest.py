@@ -41,10 +41,12 @@ the test goes, as a `ConstraintSystem` built from the chunk's arrays, to the
 per-window path, and its weights and value are written back into the chunk.
 That path also takes the truncated windows at the two ends (built by
 `assemble_constraints`, one row each): `solve_l1` hands the enumerated
-support to the simplex, whose pricing is the same test, so an optimal
-support costs no pivots and keeps its Bjorck-Pereyra weights, and the
-simplex pivots on or runs cold where the support is not optimal or cannot
-be installed. Warm weights that miss the constraints are solved again cold
+support to the simplex, which prices it with two small solves before it
+builds a tableau. On the split l1 form that pricing is the same dual test,
+so an optimal support costs no pivots and keeps its Bjorck-Pereyra
+weights, also where its sites lie closer together than the tableau's pivot
+tolerance; the tableau pivots on or runs cold where the support is not
+optimal. Warm weights that miss the constraints are solved again cold
 before the row is refused. Windows with more than 2^16 supports are neither
 enumerated nor batched: they go straight to the cold simplex.
 
@@ -278,14 +280,16 @@ def solve_l1(system: ConstraintSystem) -> L1Solution:
 
     Split formulation lambda = u - w with u, w >= 0 and cost sum(u + w).
     The optimal support is found by enumeration (`_cheapest_supports`, up to
-    _MAX_SUPPORTS supports), and the simplex certifies it by pricing (0
-    pivots when it is optimal), pivots on if it is not, and runs cold if it
-    cannot be installed. A certified support keeps its Bjorck-Pereyra
-    weights, which round better than the tableau's on ill-conditioned
-    supports; otherwise the weights are the simplex's. Warm weights that
-    miss the constraints (the pivots can drift on nearly coincident sites)
-    are solved again cold before the row is refused. Infeasibility cannot
-    occur for valid systems and is raised as an internal error.
+    _MAX_SUPPORTS supports), and the simplex certifies it by pricing, two
+    small solves and no tableau (0 pivots when it is optimal, also on sites
+    closer together than the tableau's pivot tolerance); if it is not
+    optimal, the tableau installs it and pivots on, or runs cold if it
+    cannot. A certified support keeps its Bjorck-Pereyra weights, which
+    round better than the tableau's on ill-conditioned supports; otherwise
+    the weights are the simplex's. Warm weights that miss the constraints
+    (the pivots can drift on nearly coincident sites) are solved again cold
+    before the row is refused. Infeasibility cannot occur for valid systems
+    and is raised as an internal error.
     """
     k = len(system.offsets)
     basis = enumerated = None
@@ -442,12 +446,16 @@ class Certificate:
     passes: bool
 
 
+# the two verdicts, indexed by the knot condition; frozen, so shared
+_VERDICTS = (Certificate(passes=False), Certificate(passes=True))
+
+
 def watson_certificate(space: SplineSpace, i: int, p: int) -> Certificate:
     """The verdict of Watson's dual vector for the weights at offsets
     {-p, 0, p}, which is `knot_condition` at any scale (see the module
     docstring).
     """
-    return Certificate(passes=knot_condition(space, i, p))
+    return _VERDICTS[knot_condition(space, i, p)]
 
 
 class _Rows(NamedTuple):

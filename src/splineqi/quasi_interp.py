@@ -122,8 +122,10 @@ def _check_radius(space: SplineSpace, p, q: int | None = None) -> None:
     is not an int (a bool is not one here) or lies outside its range."""
     if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise ValueError(f"offset radius must be an integer >= 1, got {p!r}")
+    if q is None:
+        return
     top = min(space.degree, 2 * p)
-    if q is not None and (isinstance(q, bool) or not isinstance(q, int) or not 0 <= q <= top):
+    if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q <= top:
         raise ValueError(f"need 0 <= q <= min(m, 2p) = {top}, got {q!r}")
 
 

@@ -2,10 +2,16 @@
 cold start as its fallback; Bland's anti-cycling rule throughout.
 
 Solves   min c.x   subject to   A x = b,  x >= 0   on small dense problems.
-A caller that knows a likely optimal basis passes its columns: they are
-pivoted in with partial pivoting over rows, and if the basic solution is
-feasible, phase 2 starts there. Its pricing is then the optimality test,
-so an optimal basis costs 0 iterations, and a feasible but non-optimal one
+A caller that knows a likely optimal basis passes its columns, and the
+basis is priced before any tableau is built: with B = A[:, basis], two
+small solves give the primal B x_B = b and the dual B^T y = c_B. If x_B is
+feasible within 1e-8 max(1, |b|) and every reduced cost c - A^T y is at
+least -_PIVOT_TOL, the basic solution is optimal and is returned with 0
+iterations; no pivot has to exceed _PIVOT_TOL, so a basis on nearly
+coincident columns is certified too. Otherwise (a singular B, a NaN, an
+infeasible or a non-optimal basis) the tableau runs as if the basis had
+not been priced: its columns are pivoted in with partial pivoting over
+rows, and if the basic solution is feasible, phase 2 starts there and
 pivots on to the optimum. A basis with no usable pivot or an infeasible
 basic solution, or no basis at all, takes the cold path: phase 1 minimizes
 the sum of artificial variables from an all-artificial basis, and phase 2
@@ -92,6 +98,26 @@ def _iterate(
         count += 1
 
 
+def _certified(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Sequence[int],
+               tol: float) -> np.ndarray | None:
+    """The basic solution of ``basis`` if it is feasible within ``tol`` and
+    every reduced cost c - A^T y, with B^T y = c_B, is at least -_PIVOT_TOL;
+    None otherwise, also for a singular B or a NaN anywhere."""
+    B = A[:, basis]
+    try:
+        x_B = np.linalg.solve(B, b)
+        y = np.linalg.solve(B.T, c[basis])
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):
+        priced = x_B.min() >= -tol and (c - A.T @ y).min() >= -_PIVOT_TOL
+    if not priced:
+        return None
+    x = np.zeros(A.shape[1])
+    x[basis] = x_B
+    return x
+
+
 def _warm_start(tableau: np.ndarray, columns: Sequence[int],
                 tol: float) -> tuple[np.ndarray, list[int]] | None:
     """Pivot the given columns into a copy of the all-artificial tableau,
@@ -117,9 +143,11 @@ def solve_standard_form(
 ) -> SimplexResult:
     """Simplex for min c.x s.t. A x = b, x >= 0.
 
-    ``basis``, if given, lists one column per row: phase 2 starts from it
-    when it is nonsingular and feasible, and the two-phase cold start runs
-    otherwise. Pivots that install the basis are not counted as iterations.
+    ``basis``, if given, lists one column per row. If it prices optimal
+    (`_certified`), its basic solution is returned with 0 iterations;
+    otherwise phase 2 starts from it when the tableau can install it and it
+    is feasible, and the two-phase cold start runs when not. Pivots that
+    install the basis are not counted as iterations.
     Raises RuntimeError past 10 iterations per column of A.
     """
     A = np.asarray(A, dtype=float)
@@ -131,6 +159,10 @@ def solve_standard_form(
     if basis is not None and (len(basis) != rows or not all(0 <= j < cols for j in basis)):
         raise ValueError(f"a basis needs {rows} column indices in 0..{cols - 1}, got {basis!r}")
 
+    tol = 1e-8 * max(1.0, float(np.abs(b).max()))
+    if basis is not None and (x := _certified(A, b, c, basis, tol)) is not None:
+        return SimplexResult(x=x, value=float(np.dot(c, x)), status="optimal", iterations=0)
+
     # phase 1 tableau: [A | I | b] with rows flipped so b >= 0
     tableau = np.zeros((rows + 1, cols + rows + 1))
     tableau[:rows, :cols] = A
@@ -139,7 +171,6 @@ def solve_standard_form(
         if tableau[r, -1] < 0.0:
             tableau[r] = -tableau[r]
         tableau[r, cols + r] = 1.0
-    tol = 1e-8 * max(1.0, float(np.abs(b).max()))
     max_iter = 10 * cols
     warm = None if basis is None else _warm_start(tableau, basis, tol)
     if warm is not None:

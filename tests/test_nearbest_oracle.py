@@ -98,6 +98,36 @@ def test_scaled_right_hand_side_reaches_the_optimum():
     assert abs(qi.lp_values[25] - best) <= 1e-9 * best, (qi.lp_values[25], best)
 
 
+@pytest.mark.parametrize("ratio, n, m, p, q, i", [
+    # a tableau cannot install the optimal support, whose sites lie closer
+    # than its 1e-11 pivot tolerance, and a cold one drops an exactness row
+    # as redundant: it read 1.0000000000019962, the optimum is 1.002000001994012
+    (1000.0, 10, 5, 3, 4, 1),
+    (100.0, 14, 6, 5, 5, 2),  # the same way 2.0e-8 below the optimum
+])
+def test_truncated_window_on_nearly_coincident_sites_reaches_the_optimum(ratio, n, m, p, q, i):
+    space = space_from("geometric", m, n=n, ratio=ratio)
+    with pytest.warns(UserWarning, match="below degree"):
+        qi = build_nearbest_qi(space, p, q)
+    assert len(qi.stencil(i).offsets) < 2 * p + 1
+    best = oracles.nearbest_enumerate_mp(space.knots.t, m, i, qi.stencil(i).offsets, q, dps=80)
+    assert abs(qi.lp_values[i] - best) <= 1e-12 * best, (qi.lp_values[i], best)
+
+
+def test_truncated_windows_keep_the_centre_alone():
+    # q = 1 on sites about 1e-12 apart: the centre alone (weight 1) is
+    # optimal and enumerated first; the cold tableau ended on tied supports
+    # such as [-2, 1] with value 0.9999999999999999
+    space = space_from("geometric", 5, n=12, ratio=100.0)
+    qi = build_nearbest_qi(space, 6, 1)
+    truncated = [i for i in range(1, space.dimension - 1) if len(qi.stencil(i).offsets) < 13]
+    assert len(truncated) == 10
+    for i in truncated:
+        st = qi.stencil(i)
+        assert [s for s, w in zip(st.offsets, st.weights) if w != 0.0] == [0], i
+        assert qi.lp_values[i] == 1.0, (i, qi.lp_values[i])
+
+
 @pytest.mark.parametrize("m, q", [(m, q) for m in (6, 7) for q in range(3, m + 1)])
 def test_high_degree_builds_are_exact(m, q):
     qi = build_nearbest_qi(space_from("random", m, n=40, seed=0), m, q)

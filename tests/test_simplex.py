@@ -1,5 +1,5 @@
-"""Dense simplex: classic stress cases, randomized feasibility, and warm
-starts from a given basis."""
+"""Dense simplex: classic stress cases, randomized feasibility, a given
+basis priced by two solves, and warm starts from it."""
 
 import itertools
 
@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import space_from
+from splineqi import simplex
 from splineqi.nearbest import assemble_constraints, solve_l1
 from splineqi.simplex import solve_standard_form
 
@@ -177,6 +178,52 @@ def test_unusable_basis_falls_back_to_two_phase(basis):
     res = solve_standard_form(*_L1, basis=basis)
     assert res.iterations == cold.iterations
     np.testing.assert_array_equal(res.x, cold.x)
+
+
+# split l1 LP with linear exactness on normalized sites 1e-12 apart: the
+# centre alone (weight 1) is optimal, and so are other supports
+_NEAR = np.array([-1.0, -1e-12, 0.0, 1e-12, 1.0])
+_V_NEAR = np.vstack([_NEAR**0, _NEAR])
+_L1_NEAR = (np.hstack([_V_NEAR, -_V_NEAR]), np.array([1.0, 0.0]), np.ones(10))
+
+
+def _tableau_only(monkeypatch, *problem, basis):
+    """The result with the pricing of the basis switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_certified", lambda *args: None)
+        return solve_standard_form(*problem, basis=basis)
+
+
+def test_optimal_basis_below_the_pivot_tolerance_is_certified(monkeypatch):
+    # the centre and its neighbour 1e-12 away: the tableau's second pivot
+    # would be 1e-12, below _PIVOT_TOL, and it would start cold
+    res = solve_standard_form(*_L1_NEAR, basis=[2, 3])
+    assert res.status == "optimal" and res.iterations == 0
+    assert res.x.tolist() == [0.0, 0.0, 1.0] + [0.0] * 7
+    assert res.value == 1.0
+    cold = _tableau_only(monkeypatch, *_L1_NEAR, basis=[2, 3])
+    assert cold.iterations > 0 and cold.value == pytest.approx(1.0, rel=1e-14)
+    assert cold.x[2] == 0.0  # a tied optimum on another support
+
+
+# the optimal basis of _L1 is [2, 5, 9]; column 8 is not in it
+_NAN_COLUMN = (np.where(np.arange(10) == 8, np.nan, _L1[0]), _L1[1], _L1[2])
+_NAN_RHS = (_L1[0], np.array([1.0, np.nan, -0.2]), _L1[2])
+
+
+@pytest.mark.parametrize("problem, basis", [
+    (_L1, [5, 1, 2]),  # sites -1, -0.5, 0 with their signs: feasible, pivots on
+    (_L1, [0, 1, 2]),  # the wrong signs: infeasible
+    (_L1, [0, 0, 4]),  # a repeated column
+    (_L1, [0, 5, 4]),  # a column and its negative: singular
+    (_NAN_COLUMN, [2, 5, 9]),  # optimal but for a NaN reduced cost
+    (_NAN_RHS, [2, 5, 9]),
+], ids=["not-optimal", "infeasible", "repeated", "singular", "nan-column", "nan-rhs"])
+def test_a_basis_that_does_not_price_optimal_runs_the_tableau(monkeypatch, problem, basis):
+    res = solve_standard_form(*problem, basis=basis)
+    ref = _tableau_only(monkeypatch, *problem, basis=basis)
+    assert (res.status, res.iterations) == (ref.status, ref.iterations)
+    assert res.x.tobytes() == ref.x.tobytes()
 
 
 def test_inconsistent_dimensions_refused():
