@@ -103,6 +103,7 @@ def _certified(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Sequence[int]
     """The basic solution of ``basis`` if it is feasible within ``tol`` and
     every reduced cost c - A^T y, with B^T y = c_B, is at least -_PIVOT_TOL;
     None otherwise, also for a singular B or a NaN anywhere."""
+    basis = list(basis)  # a tuple would index several axes
     B = A[:, basis]
     try:
         x_B = np.linalg.solve(B, b)

@@ -206,6 +206,14 @@ def test_optimal_basis_below_the_pivot_tolerance_is_certified(monkeypatch):
     assert cold.x[2] == 0.0  # a tied optimum on another support
 
 
+def test_a_basis_may_be_a_tuple():
+    # a tuple must not index several axes of A or c
+    listed = solve_standard_form(*_L1, basis=[2, 5, 9])
+    res = solve_standard_form(*_L1, basis=(2, 5, 9))
+    assert res.iterations == listed.iterations == 0
+    assert res.x.tobytes() == listed.x.tobytes()
+
+
 # the optimal basis of _L1 is [2, 5, 9]; column 8 is not in it
 _NAN_COLUMN = (np.where(np.arange(10) == 8, np.nan, _L1[0]), _L1[1], _L1[2])
 _NAN_RHS = (_L1[0], np.array([1.0, np.nan, -0.2]), _L1[2])
