@@ -29,7 +29,10 @@ this process through `cli.main`. The commands are:
 - edges: `exp` sampled past x = log(max float64), and just below it where
   the quadrature sum or the differenced coefficients overflow, a near-best
   window whose normalized sites coincide in floating point, and geometric
-  ratio 1000 spaces whose centered second moments underflow.
+  ratio 1000 spaces whose centered second moments underflow;
+- studies: convergence and diffmat ladders of four or five sizes, which pin
+  the running and fitted orders, among them a fit whose h_max values differ
+  only by rounding and a derivative error that sits at the rounding floor.
 
 A command that raises is recorded with "raised" and the exception's class
 in place of its exit code, and the sweep goes on.
@@ -106,6 +109,7 @@ REFUSALS = [
     ["quad", "--kind", "dqi"],
     ["nearbest", "--m", "2"],
     ["nearbest", "--m", "2", "--p", "1", "--q", "3"],
+    ["nearbest", "--m", "4", "--p", "2", "--q", "4", "--n", "20"],
     ["audit", "--m", "3", "--p", "2", "--q", "4"],
     ["nearbest", "--m", "0", "--p", "1"],
     ["norms", "--n", "1"],
@@ -181,6 +185,17 @@ EDGES = [
     ["audit", "--m", "3", "--p", "3", "--family", "geometric", "--ratio", "1000", "--n", "64"],
 ]
 
+STUDIES = [
+    ["convergence", "--kind", "q2star", "--m", "2", "--family", "geometric", "--ratio", "3.0",
+     "--f", "exp", "--sizes", "16,32,64,128"],
+    ["diffmat", "--kind", "q2star", "--m", "3", "--a", "700", "--b", "700.00000001", "--f", "sin",
+     "--sizes", "8,16,32,64,128"],
+    ["convergence", "--kind", "dqi", "--m", "4", "--family", "random", "--seed", "4", "--f",
+     "runge", "--sizes", "8,16,32,64"],
+    ["diffmat", "--kind", "nearbest", "--m", "3", "--p", "3", "--q", "3", "--family", "random",
+     "--seed", "2", "--f", "sin", "--sizes", "12,24,48,96"],
+]
+
 
 def versions() -> list[str]:
     """The header lines: the versions whose arithmetic the hashes depend on."""
@@ -217,7 +232,7 @@ def main() -> None:
 
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     print("\n".join(versions()), flush=True)
-    lists = REFUSALS + SCALE + GRADED + LARGE + EDGES
+    lists = REFUSALS + SCALE + GRADED + LARGE + EDGES + STUDIES
     for argv in benchmark_commands() + grid_commands(cli) + lists:
         print(sweep_line(cli, argv), flush=True)
 
