@@ -47,11 +47,9 @@ __all__ = [
     "OperatorRecipe",
     "operator_recipe",
     "evaluation_grid",
-    "ConvergenceRow",
-    "ConvergenceReport",
+    "StudyRow",
+    "StudyReport",
     "convergence_study",
-    "DiffRow",
-    "DiffReport",
     "differentiation_study",
 ]
 
@@ -304,29 +302,32 @@ def evaluation_grid(kv: KnotVector) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ConvergenceRow:
+class StudyRow:
+    """One size of a study; its orders are those of the first of `errors`."""
+
     n: int
     h_max: float
-    error: float
+    errors: tuple[float, ...]
     order_running: float
 
 
 @dataclass(frozen=True, eq=False)
-class ConvergenceReport:
-    rows: tuple[ConvergenceRow, ...]
+class StudyReport:
+    rows: tuple[StudyRow, ...]
     fitted_order: float
 
 
 def _fit_order(points: list[tuple[float, float]]) -> float:
-    """Least-squares slope of log err against log h over the finest half."""
+    """Least-squares slope of log err against log h over the finest half;
+    NaN where the h values are too close for a slope (rank below 2)."""
     valid = [(h, e) for h, e in points if e > 0.0]
     tail = valid[len(valid) // 2 :]
     if len(tail) < 2 or len({h for h, _ in tail}) < 2:
         return float("nan")
     logs_h = np.log([h for h, _ in tail])
     logs_e = np.log([e for _, e in tail])
-    slope, _ = np.polyfit(logs_h, logs_e, 1)
-    return float(slope)
+    coeffs, _, rank, _, _ = np.polyfit(logs_h, logs_e, 1, full=True)
+    return float(coeffs[0]) if rank == 2 else float("nan")
 
 
 def _running_order(prev: tuple[float, float] | None, h: float, err: float) -> float:
@@ -338,74 +339,48 @@ def _running_order(prev: tuple[float, float] | None, h: float, err: float) -> fl
     return float(np.log(err_prev / err) / np.log(h_prev / h))
 
 
-def convergence_study(
-    recipe: OperatorRecipe,
-    f: TestFunction,
-    sizes: tuple[int, ...],
-    template: PartitionSpec,
-    degree: int,
-) -> ConvergenceReport:
-    """Sup-norm error of the operator's approximation to f across sizes."""
-    rows: list[ConvergenceRow] = []
-    prev: tuple[float, float] | None = None
+def _study(errors: Callable[[OperatorRecipe, TestFunction, SplineSpace], tuple[float, ...]],
+           recipe: OperatorRecipe, f: TestFunction, sizes: tuple[int, ...],
+           template: PartitionSpec, degree: int) -> StudyReport:
+    """One row of `errors` per size, in increasing order, and the orders."""
+    rows: list[StudyRow] = []
     for n in sorted(sizes):
-        kv = generate_partition(replace(template, n=n), degree)
-        space = SplineSpace.from_knots(kv)
-        approx = recipe.approximate(space, f)
-        grid = evaluation_grid(kv)
-        exact = np.fromiter(map(f.value, grid.tolist()), float, len(grid))
-        err = float(np.abs(approx(grid) - exact).max())
-        h = float(kv.steps.max())
-        rows.append(ConvergenceRow(n=n, h_max=h, error=err,
-                                   order_running=_running_order(prev, h, err)))
-        prev = (h, err)
-    fitted = _fit_order([(r.h_max, r.error) for r in rows])
-    return ConvergenceReport(rows=tuple(rows), fitted_order=fitted)
+        space = SplineSpace.from_knots(generate_partition(replace(template, n=n), degree))
+        errs = errors(recipe, f, space)
+        h = float(space.knots.steps.max())
+        prev = (rows[-1].h_max, rows[-1].errors[0]) if rows else None
+        rows.append(StudyRow(n, h, errs, _running_order(prev, h, errs[0])))
+    return StudyReport(tuple(rows), _fit_order([(r.h_max, r.errors[0]) for r in rows]))
 
 
-@dataclass(frozen=True, eq=False)
-class DiffRow:
-    n: int
-    h_max: float
-    err_interior: float
-    err_all: float
-    order_running: float
+def _sup_error(recipe: OperatorRecipe, f: TestFunction, space: SplineSpace) -> tuple[float]:
+    approx = recipe.approximate(space, f)
+    grid = evaluation_grid(space.knots)
+    exact = np.fromiter(map(f.value, grid.tolist()), float, len(grid))
+    return (float(np.abs(approx(grid) - exact).max()),)
 
 
-@dataclass(frozen=True, eq=False)
-class DiffReport:
-    rows: tuple[DiffRow, ...]
-    fitted_order: float
+def _derivative_errors(recipe: OperatorRecipe, f: TestFunction,
+                       space: SplineSpace) -> tuple[float, float]:
+    D = differentiation_matrix(recipe.build(space))
+    samples = greville_samples(space, f.value)
+    exact = f.derivative_table(space.greville, 1)[:, 1]
+    diff = np.abs(D.apply(samples) - exact)
+    lo, hi = space.degree + 1, space.dimension - space.degree - 2
+    interior = diff[lo : hi + 1] if hi >= lo else diff
+    return (float(interior.max()), float(diff.max()))
 
 
-def differentiation_study(
-    recipe: OperatorRecipe,
-    f: TestFunction,
-    sizes: tuple[int, ...],
-    template: PartitionSpec,
-    degree: int,
-) -> DiffReport:
-    """Max error of the differentiation matrix at the Greville sites.
+def convergence_study(recipe: OperatorRecipe, f: TestFunction, sizes: tuple[int, ...],
+                      template: PartitionSpec, degree: int) -> StudyReport:
+    """Sup-norm error of the operator's approximation to f across sizes:
+    each row's `errors` is (the sup error on `evaluation_grid`,)."""
+    return _study(_sup_error, recipe, f, sizes, template, degree)
 
-    Rates are fitted on the interior rows (boundary stencils lose an order);
-    the full-range error is reported alongside.
-    """
-    rows: list[DiffRow] = []
-    prev: tuple[float, float] | None = None
-    for n in sorted(sizes):
-        kv = generate_partition(replace(template, n=n), degree)
-        space = SplineSpace.from_knots(kv)
-        qi = recipe.build(space)
-        D = differentiation_matrix(qi)
-        samples = greville_samples(space, f.value)
-        exact = f.derivative_table(space.greville, 1)[:, 1]
-        diff = np.abs(D.apply(samples) - exact)
-        lo, hi = degree + 1, space.dimension - degree - 2
-        err_int = float(diff[lo : hi + 1].max()) if hi >= lo else float(diff.max())
-        err_all = float(diff.max())
-        h = float(kv.steps.max())
-        rows.append(DiffRow(n=n, h_max=h, err_interior=err_int, err_all=err_all,
-                            order_running=_running_order(prev, h, err_int)))
-        prev = (h, err_int)
-    fitted = _fit_order([(r.h_max, r.err_interior) for r in rows])
-    return DiffReport(rows=tuple(rows), fitted_order=fitted)
+
+def differentiation_study(recipe: OperatorRecipe, f: TestFunction, sizes: tuple[int, ...],
+                          template: PartitionSpec, degree: int) -> StudyReport:
+    """Max error of the differentiation matrix at the Greville sites: each
+    row's `errors` is (interior rows, all rows). Rates are fitted on the
+    interior rows, since boundary stencils lose an order."""
+    return _study(_derivative_errors, recipe, f, sizes, template, degree)

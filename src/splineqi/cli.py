@@ -299,8 +299,7 @@ def _run_study(cfg: RunConfig, sink: IO[str]) -> None:
     cols = prefix_cols + ["f", "n", "h_max", *errors, "order_running", "fitted_order"]
     rows = [
         prefix_vals
-        + [f.name, r.n, r.h_max, *(getattr(r, e) for e in errors), r.order_running,
-           report.fitted_order]
+        + [f.name, r.n, r.h_max, *r.errors, r.order_running, report.fitted_order]
         for r in report.rows
     ]
     _emit_table(cfg, sink, cols, rows)

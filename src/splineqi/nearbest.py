@@ -474,7 +474,9 @@ class _Rows(NamedTuple):
 def _lp_windows(space: SplineSpace, p: int, q: int) -> tuple[_Rows, ...]:
     """The l1 LPs of the indices 1 .. dim-2 on their windows -p..p cut to the
     index range, as read-only `_Rows` in index order; p and q are checked,
-    and p < m warned about, on every call.
+    and p < m warned about, on every call. The windows at 1 and dim-2 have
+    p + 2 sites where q > p + 1, too few for exactness of degree q, so such a
+    q is refused before any window is solved.
 
     The full windows are solved together, a chunk of rows at a time
     (`_solve_full_windows`); the truncated windows at the two ends, and the
@@ -484,6 +486,9 @@ def _lp_windows(space: SplineSpace, p: int, q: int) -> tuple[_Rows, ...]:
     lives, and a later call reads them; a window that raises keeps nothing."""
     m = space.degree
     _check_radius(space, p, q)
+    if q > p + 1:
+        raise ValueError(f"need q <= p + 1 = {p + 1}, since the windows at indices 1 and dim-2 "
+                         f"have only p + 2 sites; got q={q} with p={p}")
     if p < m:
         message = f"p={p} below degree {m}: interior norm bound not guaranteed"
         warnings.warn(message, stacklevel=3)  # at the build's or the audit's caller

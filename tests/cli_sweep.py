@@ -15,7 +15,7 @@ this process through `cli.main`. The commands are:
 - the `cli_studies` benchmark commands of seeds 1 to 10, taken from
   `perfbench/workloads.py`, which is loaded without writing bytecode;
 - every command x kind x degree m = 1..5 x radius p in {1, m, m+1} x every
-  q the near-best LP accepts (0 .. min(m, 2p)), in CSV and JSON;
+  q the near-best LP accepts (0 .. min(m, p + 1)), in CSV and JSON;
 - refusals: configuration errors (exit 2) and numerical failures (exit 3);
 - scale: commands on intervals from 1e60 to 1.7e308 long, which either
   print what they print on [0, 1] or refuse with exit 2;
@@ -81,7 +81,7 @@ def grid_commands(cli) -> list[list[str]]:
             for m in range(1, 6):
                 radii = dict.fromkeys((1, m, m + 1)) if cli._KINDS[kind].takes_p else (None,)
                 for p in radii:
-                    qs = range(min(m, 2 * p) + 1) if kind == "nearbest" else (None,)
+                    qs = range(min(m, p + 1) + 1) if kind == "nearbest" else (None,)
                     for q in qs:
                         for fmt in cli.FORMATS:
                             argv = [command]

@@ -1,7 +1,8 @@
 """Independent computational oracles that pin expected values in tests.
 
 Deliberately naive implementations: Cramer's rule, exhaustive vertex
-enumeration (also in mpmath), central differences. Slow but obviously correct,
+enumeration (also in mpmath), central differences, a sampled Lebesgue
+function. Slow but obviously correct,
 and sharing no code with the package internals they check.
 """
 
@@ -246,6 +247,26 @@ def _span(t, m, x):
     n = len(t) - 2 * m - 1
     k = int(np.searchsorted(t, x, side="right")) - 1
     return min(max(k, m), m + n - 1)
+
+
+def lebesgue_sampled(t, m, sites, weights, lengths, per_span=20):
+    """The largest sampled value of the Lebesgue function
+    sum_j |sum_i lambda_ij B_i(x)| of the operator whose functional i puts
+    weights[i, s] on Greville site sites[i, s], s < lengths[i]: a lower bound
+    on its sup norm, from per_span equispaced points of every knot span."""
+    t = np.asarray(t, dtype=float)
+    n = len(t) - 2 * m - 1
+    best = 0.0
+    for k in range(m, m + n):
+        for x in np.linspace(t[k], t[k + 1], per_span).tolist():
+            span = _span(t, m, x)
+            row = {}
+            for i, b in zip(range(span - m, span + 1), _basis_values(t, span, m, x)):
+                used = slice(0, lengths[i])
+                for j, w in zip(sites[i, used].tolist(), weights[i, used].tolist()):
+                    row[j] = row.get(j, 0.0) + w * b
+            best = max(best, sum(abs(c) for c in row.values()))
+    return best
 
 
 def eval_spline_full(t, m, coeffs, x, order):

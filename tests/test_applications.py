@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -310,7 +309,8 @@ class TestConvergence:
             2,
         )
         for row in report.rows:
-            assert row.error <= 1e-12
+            assert len(row.errors) == 1
+            assert row.errors[0] <= 1e-12
 
     def test_sin_third_order(self):
         report = convergence_study(
@@ -321,7 +321,7 @@ class TestConvergence:
             2,
         )
         assert 2.5 <= report.fitted_order <= 3.5
-        errs = [row.error for row in report.rows]
+        errs = [row.errors[0] for row in report.rows]
         assert errs == sorted(errs, reverse=True)
         assert math.isnan(report.rows[0].order_running)
         assert report.rows[-1].order_running == pytest.approx(3.0, abs=0.5)
@@ -332,6 +332,19 @@ class TestConvergence:
         assert math.isnan(_running_order((0.1, 1e-3), 0.05, 0.0))
         assert math.isnan(_running_order((0.1, 0.0), 0.05, 1e-3))
 
+    def test_fit_over_unrefined_partitions_is_nan(self):
+        # a fixed-ratio geometric partition does not refine: h_max is 2/3 up
+        # to rounding on every size, so the fit has rank 1 and no slope
+        report = convergence_study(
+            operator_recipe("q2star"),
+            BUILTIN_FUNCTIONS["exp"],
+            (16, 32, 64, 128),
+            PartitionSpec(family="geometric", a=0.0, b=1.0, n=16, ratio=3.0),
+            2,
+        )
+        assert [row.h_max for row in report.rows] == pytest.approx([2.0 / 3.0] * 4, rel=1e-7)
+        assert math.isnan(report.fitted_order)
+
     def test_rows_sorted_by_size(self):
         report = convergence_study(
             operator_recipe("dqi"),
@@ -341,7 +354,7 @@ class TestConvergence:
             3,
         )
         assert [row.n for row in report.rows] == [8, 16, 32]
-        assert report.rows[-1].error < report.rows[0].error
+        assert report.rows[-1].errors[0] < report.rows[0].errors[0]
 
     def test_nan_error_is_reported(self):
         # NaN samples past x = 0.7 make the approximation NaN there; the
@@ -353,7 +366,7 @@ class TestConvergence:
         )
         report = convergence_study(operator_recipe("q2star"), target, (8, 16),
                                    PartitionSpec(family="uniform", n=8), 2)
-        assert all(math.isnan(row.error) for row in report.rows)
+        assert all(math.isnan(row.errors[0]) for row in report.rows)
 
 
 def _per_point(f):
@@ -387,7 +400,8 @@ class TestArrayStudies:
 
 def _row_bytes(report) -> bytes:
     """Every field of every row, bit for bit (NaN matches NaN)."""
-    return np.array([astuple(row) for row in report.rows], dtype=float).tobytes()
+    fields = [(row.n, row.h_max, *row.errors, row.order_running) for row in report.rows]
+    return np.array(fields, dtype=float).tobytes()
 
 
 class TestStability:
@@ -416,7 +430,8 @@ class TestDifferentiationStudy:
         )
         assert 1.5 <= report.fitted_order <= 2.5
         for row in report.rows:
-            assert row.err_all >= row.err_interior - 1e-15
+            err_interior, err_all = row.errors
+            assert err_all >= err_interior - 1e-15
             assert row.h_max > 0
 
 

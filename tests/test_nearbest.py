@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from splineqi import (
     solve_l1,
     watson_certificate,
 )
+from splineqi import nearbest
 from splineqi.quasi_interp import KIND_QP2STAR, _build_radius_p
 
 
@@ -521,6 +523,22 @@ class TestIntegerArguments:
             build_nearbest_qi(sp, int(p), int(q))
         with pytest.raises(ValueError, match=refusal):
             call(sp, p, q)
+
+    @pytest.mark.parametrize("call", [build_nearbest_qi, lambda *a: list(iter_lp_audit(*a))],
+                             ids=["build", "audit"])
+    def test_q_above_p_plus_one_refused_before_any_window(self, call, monkeypatch):
+        # the windows at 1 and dim-2 hold p + 2 sites, too few for q = p + 2;
+        # the refusal comes before the p < m warning and before any solve
+        def never(*args, **kwargs):
+            raise AssertionError("a window was solved")
+
+        monkeypatch.setattr(nearbest, "assemble_constraints", never)
+        monkeypatch.setattr(nearbest, "_solve_full_windows", never)
+        sp = space_from("uniform", m=4, n=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"need q <= p \+ 1 = 3, .*got q=4 with p=2"):
+                call(sp, 2, 4)
 
     def test_qp2star_refuses_a_bool_radius(self):
         sp = space_from("uniform", m=2, n=10)

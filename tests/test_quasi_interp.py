@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from conftest import space_from, spaces
-from oracles import central_moments_loop, greville_loop, vandermonde_solve_3
+from oracles import central_moments_loop, greville_loop, lebesgue_sampled, vandermonde_solve_3
 from splineqi import (
     SplineFunction,
     SplineSpace,
@@ -437,3 +437,16 @@ class TestNorms:
         assert operator_recipe("nearbest", 1, 1).bound(1) is None
         with pytest.raises(ValueError):
             operator_recipe("unknown")
+
+
+@pytest.mark.parametrize("family, ratio", [("uniform", 1.0), ("arithmetic", 3.0),
+                                           ("geometric", 1.5), ("random", 1.0)])
+@pytest.mark.parametrize("kind", ["q2star", "qp2star", "nearbest"])
+def test_sampled_sup_norm_lies_between_one_and_nu1(kind, family, ratio):
+    """The Lebesgue function is at least 1 everywhere, since every operator
+    reproduces constants, and at most nu_1 = max_i ||lambda_i||_1."""
+    for m in range(2, 8):
+        sp = space_from(family, m, n=2 * m + 4, seed=m, ratio=ratio)
+        qi = operator_recipe(kind, None if kind == "q2star" else m).build(sp)
+        sampled = lebesgue_sampled(sp.knots.t, m, qi.sites, qi.weights, qi.lengths)
+        assert 1.0 - 1e-12 <= sampled <= norm_upper_bound(qi) * (1.0 + 1e-12)
