@@ -158,6 +158,10 @@ GRADED = [
      "--ratio", "100"],
     ["nearbest", "--m", "7", "--p", "5", "--q", "6", "--n", "80", "--family", "geometric",
      "--ratio", "100"],
+    # windows on normalized sites from about -1e-12 to 1; the truncated one
+    # at index 1 has eight sites for eight exactness rows, one feasible point
+    ["nearbest", "--m", "7", "--p", "6", "--q", "7", "--n", "12", "--family", "geometric",
+     "--ratio", "100", "--audit"],
     # truncated windows whose enumerated optimum has normalized sites about
     # 1e-12 apart, below the simplex's pivot tolerance
     ["audit", "--m", "5", "--p", "3", "--q", "4", "--n", "10", "--family", "geometric",
