@@ -81,7 +81,9 @@ class QuadratureRule:
         return estimate
 
     def integrate_fn(self, fn: Callable[[float], float]) -> float:
-        return self.integrate(np.array([float(fn(x)) for x in self.nodes.tolist()]))
+        """The rule on fn, called once per node with a Python float; a
+        complex value, Python's or numpy's, raises TypeError."""
+        return self.integrate([fn(x) for x in self.nodes.tolist()])
 
 
 def quadrature_from_qi(qi: QuasiInterpolant) -> QuadratureRule:

@@ -19,15 +19,15 @@ three-point table below reads only the normalized sites
 Some optimum lies on q + 1 sites, and on distinct sites every square
 Vandermonde system is nonsingular, so a window's C(k, q+1) square systems
 are all solved at once (Bjorck-Pereyra) and the smallest l1 value picks the
-support (ties go to the lexicographically first); its weights are read from
-that pass, which is elementwise, so they are the bits of a solve of the
-support alone. Its optimality test is
-the dual one, |V^T y| <= 1 for V_S^T y = sign(w_S) (Watson, Approximation
-Theory and Numerical Methods, 1980).
+support; its weights are read from that pass, which is elementwise, so they
+are the bits of a solve of the support alone. One rule decides a row: its
+enumerated optimum stands whenever its weights meet the constraints within
+_MISS_TOL. Values within 1e-12 relative of the smallest count as ties, and
+the lexicographically first support among them is taken.
 
 An operator's full windows (offsets -p..p) are solved together: one
 Bjorck-Pereyra pass over all windows and supports, in chunks of bounded
-size, and one batched solve for the duals. At q = 2 a window whose knot
+size, and one residual test per row. At q = 2 a window whose knot
 condition (below) holds strictly outside its 1e-12 band skips the
 enumeration: its wide three-point weights are then the one optimum, so
 only the support {-p, 0, p} is solved, and as the recurrence is
@@ -36,19 +36,16 @@ band's edge another support can tie with them, and the tie rule may pick
 it, so those windows are enumerated. Each chunk is handed on as
 arrays (`_Rows`: centers, offsets, weights, values, and the matrices and
 right-hand sides that were solved), from which the build fills its band and
-the audit formats its records. A row whose dual or exactness residual fails
-the test goes, as a `ConstraintSystem` built from the chunk's arrays, to the
-per-window path, and its weights and value are written back into the chunk.
-That path also takes the truncated windows at the two ends (built by
-`assemble_constraints`, one row each): `solve_l1` hands the enumerated
-support to the simplex, which prices it with two small solves before it
-builds a tableau. On the split l1 form that pricing is the same dual test,
-so an optimal support costs no pivots and keeps its Bjorck-Pereyra
-weights, also where its sites lie closer together than the tableau's pivot
-tolerance; the tableau pivots on or runs cold where the support is not
-optimal. Warm weights that miss the constraints are solved again cold
-before the row is refused. Windows with more than 2^16 supports are neither
-enumerated nor batched: they go straight to the cold simplex.
+the audit formats its records. A row whose weights miss goes, as a
+`ConstraintSystem` built from the chunk's arrays, to the per-window path,
+and its weights and value are written back into the chunk. That path also
+takes the truncated windows at the two ends (built by
+`assemble_constraints`, one row each): `solve_l1` enumerates the window and
+hands the support to the simplex once, which prices it with two small
+solves (0 pivots certify it; a support that does not price optimal makes it
+start cold). The simplex's weights are taken only where the enumerated ones
+miss, or where a window has more than 2^16 supports and is not enumerated;
+if they miss too, the row is refused.
 
 The wide three-point weights of `build_qp2star` are optimal iff a dual
 vector v with |v| <= 1 matches the signs of the nonzero weights and is
@@ -90,7 +87,7 @@ from .quasi_interp import (
     _interior_range,
     _three_point_weights,
 )
-from .simplex import _PIVOT_TOL, solve_standard_form
+from .simplex import solve_standard_form
 
 __all__ = [
     "ConstraintSystem", "assemble_constraints", "L1Solution", "solve_l1", "WatsonForm",
@@ -123,7 +120,11 @@ class ConstraintSystem:
 def _vandermonde(x: np.ndarray, q: int) -> np.ndarray:
     """Rows x**0 .. x**q of the sites along the last axis, stacked before it."""
     matrix = np.empty(x.shape[:-1] + (q + 1, x.shape[-1]))
-    for r in range(q + 1):
+    # x**0 and x**1 are 1 and x, bit for bit
+    matrix[..., 0, :] = 1.0
+    if q:
+        matrix[..., 1, :] = x
+    for r in range(2, q + 1):
         matrix[..., r, :] = x**r
     return matrix
 
@@ -193,6 +194,9 @@ def assemble_constraints(
 
 @dataclass(frozen=True, eq=False)
 class L1Solution:
+    """A row's weights, their l1 value and the simplex's pivots on the row;
+    0 pivots certify the enumerated support."""
+
     weights: np.ndarray
     value: float
     iterations: int
@@ -279,50 +283,39 @@ def solve_l1(system: ConstraintSystem) -> L1Solution:
     """Minimize the l1 norm of the stencil weights under the constraints.
 
     Split formulation lambda = u - w with u, w >= 0 and cost sum(u + w).
-    The optimal support is found by enumeration (`_cheapest_supports`, up to
-    _MAX_SUPPORTS supports), and the simplex certifies it by pricing, two
-    small solves and no tableau (0 pivots when it is optimal, also on sites
-    closer together than the tableau's pivot tolerance); if it is not
-    optimal, the tableau installs it and pivots on, or runs cold if it
-    cannot. A certified support keeps its Bjorck-Pereyra weights, which
-    round better than the tableau's on ill-conditioned supports; otherwise
-    the weights are the simplex's. Warm weights that miss the constraints
-    (the pivots can drift on nearly coincident sites) are solved again cold
-    before the row is refused. Infeasibility cannot occur for valid systems
-    and is raised as an internal error.
+    The enumeration decides the row: the optimal support is found by
+    `_cheapest_supports` (up to _MAX_SUPPORTS supports; ties within 1e-12
+    relative go to the lexicographically first support), and its
+    Bjorck-Pereyra weights stand whenever they meet the constraints within
+    _MISS_TOL. The simplex is called once, with that support as its basis,
+    and certifies the row: it prices the basis with two small solves, and 0
+    pivots (``iterations``) means the support is optimal; a basis that does
+    not price optimal starts cold. The simplex's weights are used only where
+    there is no enumeration (a wider window) or the enumerated weights miss;
+    if they miss too, the row is refused. Infeasibility cannot occur for
+    valid systems and is raised as an internal error.
     """
     k = len(system.offsets)
-    basis = enumerated = None
+    basis = weights = None
     if math.comb(k, system.q + 1) <= _MAX_SUPPORTS:
         # row 1 holds the normalized sites; with q = 0 no site is read
         x = system.matrix[None, min(1, system.q)]
         (support,), (on_support,) = _cheapest_supports(x, system.rhs[None])
-        enumerated = np.zeros(k)
-        enumerated[support] = on_support
+        weights = np.zeros(k)
+        weights[support] = on_support
         # site j enters as column j (positive weight) or k + j (negative)
-        basis = [j if w >= 0.0 else k + j for j, w in zip(support.tolist(), on_support)]
+        basis = [j if w >= 0.0 else k + j for j, w in zip(support.tolist(), on_support.tolist())]
 
     A = np.hstack([system.matrix, -system.matrix])
-    c = np.ones(2 * k)
-    # warm weights that miss the constraints get a cold solve of the same LP
-    for start in (basis, None) if basis else (None,):
-        result = solve_standard_form(A, system.rhs, c, basis=start)
-        if result.status != "optimal":
+    result = solve_standard_form(A, system.rhs, np.ones(2 * k), basis=basis)
+    if result.status != "optimal":
+        raise RuntimeError(f"l1 solve at index {system.center}: simplex returned {result.status}")
+    if weights is None or not system.residual(weights) <= _MISS_TOL:
+        weights = result.x[:k] - result.x[k:]
+        if not (miss := system.residual(weights)) <= _MISS_TOL:
             raise RuntimeError(
-                f"l1 solve at index {system.center}: simplex returned {result.status}"
+                f"l1 solve at index {system.center}: weights miss the constraints by {miss:.1e}"
             )
-        # a cold start pivots at least once (rhs[0] = 1), so 0 pivots means
-        # the enumerated support was installed and priced optimal
-        if start is not None and result.iterations == 0:
-            weights = enumerated
-        else:
-            weights = result.x[:k] - result.x[k:]
-        if (miss := system.residual(weights)) <= _MISS_TOL:
-            break
-    else:
-        raise RuntimeError(
-            f"l1 solve at index {system.center}: weights miss the constraints by {miss:.1e}"
-        )
     return L1Solution(
         weights=weights,
         value=float(np.abs(weights).sum()),
@@ -366,10 +359,13 @@ def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
     read-only. A window whose sites coincide in floating point gets NaN,
     which fails the knot condition."""
     centers = np.arange(p, space.dimension - p)
-    tbar = space.centered_second[centers]
+    # the rows' sites as slices of the Greville sites, so nothing is gathered
+    rows = len(centers)
+    tbar = space.centered_second[p : p + rows]
     with np.errstate(all="ignore"):
         _, _, x = _normalized_sites(space, centers, tuple(range(-p, p + 1)))
-        weights = _three_point_weights(space.greville, tbar, centers, centers - p, centers + p)
+        weights = _three_point_weights(space.greville, tbar, slice(p, p + rows),
+                                       slice(0, rows), slice(2 * p, 2 * p + rows))
         size = np.abs(weights)
         closed = size[:, 0] + size[:, 1] + size[:, 2]
         closed[tbar < np.finfo(float).tiny] = np.nan
@@ -396,11 +392,15 @@ def _three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
 
 
 def _three_point_row(space: SplineSpace, i: int, p: int) -> tuple[_ThreePointTable, int]:
-    """The table of (space, p) and index i's row."""
-    _check_radius(space, p)
-    if not p <= i <= space.dimension - 1 - p:
+    """The table of (space, p) and index i's row. A table is kept only for
+    a p that was checked, so an int p with a table is not checked again."""
+    table = _TABLES.get(space, {}).get(p) if type(p) is int else None
+    if table is None:
+        _check_radius(space, p)
+    rows = space.dimension - 2 * p if table is None else len(table.knot)
+    if not 0 <= i - p < rows:
         raise ValueError(f"index {i} has no full window of radius {p}")
-    return _three_point_table(space, p), i - p
+    return table or _three_point_table(space, p), i - p
 
 
 def build_watson_form(space: SplineSpace, i: int, p: int) -> WatsonForm:
@@ -545,19 +545,19 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
     on the knot condition's edge, where a tie may pick another support, and
     every row at q != 2 are enumerated.
 
-    A row is accepted when its weights meet the constraints within
-    _MISS_TOL and the dual y of V_S^T y = sign(w_S) on its support S
-    satisfies |V^T y| <= 1 + _PIVOT_TOL, the simplex's pricing test
-    (Watson, Approximation Theory and Numerical Methods, 1980). Every other
-    row's system, as the batch built it, goes to the per-window path, whose
-    weights and value replace the row's.
+    The enumeration decides each row, ties within 1e-12 relative going to
+    the lexicographically first support: a row is accepted when its weights
+    meet the constraints within _MISS_TOL, and no dual is solved. Every
+    other row's system, as the batch built it, goes to the per-window path,
+    whose weights and value replace the row's; its enumeration gives the
+    same weights, so there the simplex's stand or the row is refused.
     """
     k, size = 2 * p + 1, q + 1
     offsets = tuple(range(-p, p + 1))
     sites, x, matrix, rhs = _assemble(space, centers, offsets, q)
     support = np.empty((len(centers), size), dtype=np.intp)
     on_support = np.empty((len(centers), size))
-    # a row that meets a non-finite value fails the acceptance test below,
+    # a row that meets a non-finite value fails the residual test below,
     # and the per-window path solves it again and reports what it meets
     with np.errstate(all="ignore"):
         wide = np.zeros(len(centers), dtype=bool)
@@ -570,17 +570,9 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
             support[rest], on_support[rest] = _cheapest_supports(x[rest], rhs[rest])
         weights = np.zeros((len(centers), k))
         np.put_along_axis(weights, support, on_support, axis=1)
-        signs = np.where(on_support >= 0.0, 1.0, -1.0)
-        V_S = np.take_along_axis(matrix, support[:, None, :], axis=2)
-        try:
-            y = np.linalg.solve(np.swapaxes(V_S, 1, 2), signs[:, :, None])
-        except np.linalg.LinAlgError:  # some V_S of the chunk is exactly singular
-            y = np.full((len(centers), size, 1), np.nan)
-        dual = np.abs(np.swapaxes(matrix, 1, 2) @ y).max(axis=(1, 2))
         miss = np.abs(matrix @ weights[:, :, None] - rhs[:, :, None]).max(axis=(1, 2))
-        accepted = (dual <= 1.0 + _PIVOT_TOL) & (miss <= _MISS_TOL)
         values = np.abs(weights).sum(axis=1)
-    for row in np.flatnonzero(~accepted).tolist():
+    for row in np.flatnonzero(~(miss <= _MISS_TOL)).tolist():
         solution = _solve_window(ConstraintSystem(
             center=int(centers[row]), p=p, q=q, offsets=offsets, sites=sites[row],
             matrix=matrix[row], rhs=rhs[row],

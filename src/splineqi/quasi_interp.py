@@ -66,7 +66,8 @@ def _empty_band(dim: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Band arrays of the given width whose entries are all padding: each
     row's sites repeat its own index, so a gather stays in range, and every
     weight is 0."""
-    sites = np.repeat(np.arange(dim)[:, None], width, axis=1)
+    sites = np.empty((dim, width), dtype=np.intp)
+    sites[...] = np.arange(dim)[:, None]
     return sites, np.zeros((dim, width))
 
 
@@ -170,24 +171,33 @@ def apply_dqi(space: SplineSpace, oracle: DerivativeOracle) -> SplineFunction:
     return _dqi_spline(space, _oracle_table(space.greville, oracle, space.degree))
 
 
-def _three_point_weights(theta: np.ndarray, tbar, i, jm, jp) -> np.ndarray:
+def _three_point_weights(theta: np.ndarray, tbar, i, jm, jp, out=None) -> np.ndarray:
     """Quadratically exact weights at sites (theta[jm], theta[i], theta[jp]).
 
-    Scalar indices give the 3 weights; index arrays give one row of 3 per
-    entry, each rounded exactly as the scalar call would round it. A window
-    wider than 1e154, where a product of two gaps could overflow, divides by
-    one gap at a time; the others divide by the product.
+    Scalar indices give the 3 weights; index arrays or slices give one row
+    of 3 per entry, each rounded exactly as the scalar call would round it,
+    written into ``out`` (rows, 3) if given. A window wider than 1e154, where
+    a product of two gaps could overflow, divides by one gap at a time; the
+    others divide by the product.
     """
     mid, low, high = theta[i], theta[jm], theta[jp]
     dm = mid - low
     dp = high - mid
     dd = high - low
+    if out is None:
+        out = np.empty(np.shape(dd) + (3,))
+    left, centre, right = out[..., 0], out[..., 1], out[..., 2]
     with np.errstate(over="ignore"):  # the products of the wide windows are replaced
-        weights = np.stack([-tbar / (dd * dm), 1.0 + tbar / (dp * dm), -tbar / (dd * dp)], axis=-1)
+        np.divide(tbar, np.multiply(dd, dm, out=left), out=left)
+        np.negative(left, out=left)
+        np.divide(tbar, np.multiply(dp, dm, out=centre), out=centre)
+        np.add(1.0, centre, out=centre)
+        np.divide(tbar, np.multiply(dd, dp, out=right), out=right)
+        np.negative(right, out=right)
     if np.max(dd, initial=0.0) > 1e154:
         wide = np.stack([-tbar / dd / dm, 1.0 + tbar / dp / dm, -tbar / dd / dp], axis=-1)
-        weights = np.where(np.expand_dims(dd > 1e154, -1), wide, weights)
-    return weights
+        np.copyto(out, wide, where=np.expand_dims(dd > 1e154, -1))
+    return out
 
 
 def _build_radius_p(space: SplineSpace, p: int, kind: str) -> QuasiInterpolant:
@@ -202,12 +212,13 @@ def _build_radius_p(space: SplineSpace, p: int, kind: str) -> QuasiInterpolant:
     # the two extreme indices evaluate at their own site
     lengths[[0, -1]] = 1
     weights[[0, -1], 0] = 1.0
-    i = np.arange(1, dim - 1)
-    jm = np.maximum(0, i - p)
-    jp = np.minimum(dim - 1, i + p)
-    sites[1:-1, 0] = jm
-    sites[1:-1, 2] = jp
-    weights[1:-1] = _three_point_weights(space.greville, space.centered_second[i], i, jm, jp)
+    # rows 1 .. dim-2 take sites max(0, i-p), i, min(dim-1, i+p), written in place
+    jm, jp = sites[1:-1, 0], sites[1:-1, 2]
+    np.maximum(np.subtract(jm, p, out=jm), 0, out=jm)
+    np.minimum(np.add(jp, p, out=jp), dim - 1, out=jp)
+    inner = slice(1, dim - 1)
+    _three_point_weights(space.greville, space.centered_second[inner], inner, jm, jp,
+                         out=weights[inner])
     return QuasiInterpolant(
         space=space,
         kind=kind,

@@ -9,18 +9,15 @@ feasible within 1e-8 max(1, |b|) and every reduced cost c - A^T y is at
 least -_PIVOT_TOL, the basic solution is optimal and is returned with 0
 iterations; no pivot has to exceed _PIVOT_TOL, so a basis on nearly
 coincident columns is certified too. Otherwise (a singular B, a NaN, an
-infeasible or a non-optimal basis) the tableau runs as if the basis had
-not been priced: its columns are pivoted in with partial pivoting over
-rows, and if the basic solution is feasible, phase 2 starts there and
-pivots on to the optimum. A basis with no usable pivot or an infeasible
-basic solution, or no basis at all, takes the cold path: phase 1 minimizes
-the sum of artificial variables from an all-artificial basis, and phase 2
-re-prices the original objective. Bland's rule everywhere: the entering
-column is the lowest index with reduced cost below -_PIVOT_TOL, the leaving
-row is the minimum-ratio row with ties broken by the lowest basic variable
-index. That guarantees termination without any perturbation; as a guard
-against rounding, more than 10 iterations per column of A are refused.
-Artificial columns are barred from re-entering once they leave the basis.
+infeasible or a non-optimal basis), and with no basis at all, the cold
+path runs: phase 1 minimizes the sum of artificial variables from an
+all-artificial basis, and phase 2 re-prices the original objective.
+Bland's rule everywhere: the entering column is the lowest index with
+reduced cost below -_PIVOT_TOL, the leaving row is the minimum-ratio row
+with ties broken by the lowest basic variable index. That guarantees
+termination without any perturbation; as a guard against rounding, more
+than 10 iterations per column of A are refused. Artificial columns are
+barred from re-entering once they leave the basis.
 
 This is deliberately self-contained (no scipy): the l1 stencil problems it
 serves have at most a handful of rows, so a dense tableau is the simplest
@@ -102,7 +99,10 @@ def _certified(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Sequence[int]
                tol: float) -> np.ndarray | None:
     """The basic solution of ``basis`` if it is feasible within ``tol`` and
     every reduced cost c - A^T y, with B^T y = c_B, is at least -_PIVOT_TOL;
-    None otherwise, also for a singular B or a NaN anywhere."""
+    None otherwise, also for a singular B or a NaN anywhere. A basic
+    column's reduced cost is 0 by construction, and is taken as 0: what the
+    product gives there is the rounding of the dual solve, which on an
+    ill-conditioned B can exceed _PIVOT_TOL."""
     basis = list(basis)  # a tuple would index several axes
     B = A[:, basis]
     try:
@@ -111,32 +111,14 @@ def _certified(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Sequence[int]
     except np.linalg.LinAlgError:
         return None
     with np.errstate(all="ignore"):
-        priced = x_B.min() >= -tol and (c - A.T @ y).min() >= -_PIVOT_TOL
+        reduced = c - A.T @ y
+        reduced[basis] = 0.0
+        priced = x_B.min() >= -tol and reduced.min() >= -_PIVOT_TOL
     if not priced:
         return None
     x = np.zeros(A.shape[1])
     x[basis] = x_B
     return x
-
-
-def _warm_start(tableau: np.ndarray, columns: Sequence[int],
-                tol: float) -> tuple[np.ndarray, list[int]] | None:
-    """Pivot the given columns into a copy of the all-artificial tableau,
-    each on the not yet used row with the largest entry. Returns the tableau
-    and its basis, or None if some column has no usable pivot or the basic
-    solution is infeasible by more than ``tol``."""
-    rows = tableau.shape[0] - 1
-    work = tableau.copy()
-    basis = [-1] * rows
-    for j in columns:
-        r = max((r for r in range(rows) if basis[r] < 0), key=lambda r: abs(work[r, j]))
-        if abs(work[r, j]) <= _PIVOT_TOL:
-            return None
-        _pivot(work, r, j)
-        basis[r] = j
-    if work[:rows, -1].min() < -tol:
-        return None
-    return work, basis
 
 
 def solve_standard_form(
@@ -146,9 +128,7 @@ def solve_standard_form(
 
     ``basis``, if given, lists one column per row. If it prices optimal
     (`_certified`), its basic solution is returned with 0 iterations;
-    otherwise phase 2 starts from it when the tableau can install it and it
-    is feasible, and the two-phase cold start runs when not. Pivots that
-    install the basis are not counted as iterations.
+    otherwise, as without a basis, the two-phase cold start runs.
     Raises RuntimeError past 10 iterations per column of A.
     """
     A = np.asarray(A, dtype=float)
@@ -173,46 +153,41 @@ def solve_standard_form(
             tableau[r] = -tableau[r]
         tableau[r, cols + r] = 1.0
     max_iter = 10 * cols
-    warm = None if basis is None else _warm_start(tableau, basis, tol)
-    if warm is not None:
-        (tableau, basis), count = warm, 0
-    else:
-        basis = [cols + r for r in range(rows)]
-        # reduced costs of min sum(artificials) with the artificial basis
-        tableau[-1, :cols] = -tableau[:rows, :cols].sum(axis=0)
-        tableau[-1, -1] = -tableau[:rows, -1].sum()
-        allowed = np.ones(cols + rows, dtype=bool)
-        allowed[cols:] = False  # artificials never (re-)enter
+    basis = [cols + r for r in range(rows)]
+    # reduced costs of min sum(artificials) with the artificial basis
+    tableau[-1, :cols] = -tableau[:rows, :cols].sum(axis=0)
+    tableau[-1, -1] = -tableau[:rows, -1].sum()
+    allowed = np.ones(cols + rows, dtype=bool)
+    allowed[cols:] = False  # artificials never (re-)enter
 
-        status, count = _iterate(tableau, basis, allowed, max_iter, 0)
-        phase1 = -tableau[-1, -1]
-        # an exact phase 1 cannot be unbounded; a rounded one can, at objective ~0
-        if status == "unbounded" and abs(phase1) > tol:
-            raise RuntimeError("phase-1 objective unbounded; invalid tableau")
-        if phase1 > tol:
-            return SimplexResult(
-                x=np.zeros(cols), value=np.inf, status="infeasible", iterations=count
-            )
+    status, count = _iterate(tableau, basis, allowed, max_iter, 0)
+    phase1 = -tableau[-1, -1]
+    # an exact phase 1 cannot be unbounded; a rounded one can, at objective ~0
+    if status == "unbounded" and abs(phase1) > tol:
+        raise RuntimeError("phase-1 objective unbounded; invalid tableau")
+    if phase1 > tol:
+        return SimplexResult(
+            x=np.zeros(cols), value=np.inf, status="infeasible", iterations=count
+        )
 
-        # drive any zero-valued artificial out of the basis; drop redundant rows
-        keep_rows = []
-        for r in range(rows):
-            if basis[r] >= cols:
-                target = -1
-                for j in range(cols):
-                    if abs(tableau[r, j]) > _PIVOT_TOL:
-                        target = j
-                        break
-                if target < 0:
-                    continue  # redundant constraint
-                _pivot(tableau, r, target)
-                basis[r] = target
-            keep_rows.append(r)
-        if len(keep_rows) < rows:
-            sub = [r for r in keep_rows] + [rows]
-            tableau = tableau[sub]
-            basis = [basis[r] for r in keep_rows]
-            rows = len(keep_rows)
+    # drive any zero-valued artificial out of the basis; drop redundant rows
+    keep_rows = []
+    for r in range(rows):
+        if basis[r] >= cols:
+            target = -1
+            for j in range(cols):
+                if abs(tableau[r, j]) > _PIVOT_TOL:
+                    target = j
+                    break
+            if target < 0:
+                continue  # redundant constraint
+            _pivot(tableau, r, target)
+            basis[r] = target
+        keep_rows.append(r)
+    if len(keep_rows) < rows:
+        tableau = tableau[keep_rows + [rows]]
+        basis = [basis[r] for r in keep_rows]
+        rows = len(keep_rows)
 
     # phase 2: drop artificial columns, re-price the real objective
     tableau = np.hstack([tableau[:, :cols], tableau[:, -1:]])

@@ -88,6 +88,15 @@ class TestQuadrature:
                 rule.integrate(np.exp(1j * sp.greville).astype(dtype))
         assert rule.integrate(list(np.ones(sp.dimension))) == rule.integrate_fn(lambda x: 1)
 
+    @pytest.mark.parametrize("fn", [lambda x: np.exp(1j * x), lambda x: complex(x, 1.0)],
+                             ids=["numpy", "python"])
+    def test_complex_function_values_refused(self, fn):
+        # float() of a numpy complex scalar keeps the real part, with only
+        # a ComplexWarning: the rule integrated the cosine
+        rule = quadrature_from_qi(build_q2star(space_from("uniform", m=2, n=8)))
+        with pytest.raises(TypeError, match="^samples must be real numbers, got dtype complex128$"):
+            rule.integrate_fn(fn)
+
     def test_overflowing_estimate_refused(self):
         # exp is finite at every node of [0, 709], but its weighted sum is not
         rule = quadrature_from_qi(build_q2star(space_from("uniform", m=2, n=8, b=709.0)))

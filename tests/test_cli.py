@@ -396,8 +396,8 @@ class TestNearbestSummary:
         # that phase-1 exit at index 42. In the last two, six normalized sites
         # agree to about 9 digits and the warm-started simplex drifted to
         # weights that missed the constraints by 6.7e-2 (truncated window 6)
-        # and 1.7e-1 (full window 34, refused by the batch); the cold solve of
-        # the same LP meets them. At n = 12 no window is interior.
+        # and 1.7e-1 (full window 34, refused by the batch); the enumerated
+        # weights, which now stand, meet them. At n = 12 no window is interior.
         assert main(["nearbest", *argv]) == 0
         row = parse_csv(capsys.readouterr().out)[1][0]
         assert row["nu1_star"] == "" if row["n"] == "12" else float(row["nu1_star"]) >= 1.0

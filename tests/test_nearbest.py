@@ -439,6 +439,8 @@ class TestBuildNearbest:
             build_nearbest_qi(sp, 2)
 
     def test_infeasible_weights_are_refused(self, monkeypatch):
+        # the enumerated weights miss, so the simplex's are taken, and they
+        # miss too: the row is refused with the simplex's miss
         import splineqi.nearbest as nb
         from splineqi.simplex import SimplexResult
 
@@ -447,6 +449,10 @@ class TestBuildNearbest:
             x[0] = 1.0 + 1e-6  # an "optimal" vertex that misses the sum row
             return SimplexResult(x=x, value=float(x[0]), status="optimal", iterations=1)
 
+        def off_by_1e3(x, rhs):
+            return np.zeros((len(rhs), 1), dtype=np.intp), np.full((len(rhs), 1), 1.0 + 1e-3)
+
+        monkeypatch.setattr(nb, "_cheapest_supports", off_by_1e3)
         monkeypatch.setattr(nb, "solve_standard_form", off_by_1e6)
         sp = space_from("uniform", m=2, n=8)
         with pytest.raises(RuntimeError, match="miss the constraints by 1.0e-06"):

@@ -75,14 +75,13 @@ def test_high_exactness_builds_reach_oracle(family, ratio, seed, m, q):
     qi = build_nearbest_qi(space, m, q)
     if (family, ratio, m, q) == ("geometric", 100.0, 5, 5):
         # window 1 spans about 2e-69, and its right-hand side comes from the
-        # knot differences scaled by 1/L, so a_5 / L**5 reads no 0/0.
-        # Every row meets the exactness rows in mpmath, but on windows 1..3
-        # the simplex's absolute 1e-11 pivot tolerance treats the q = 5 row
-        # (entries 1e-50 .. 1, target 3.6e-50) as redundant, so their value
-        # sits 2e-8 below the optimum (ROADMAP item 1, scale-aware pivots)
+        # knot differences scaled by 1/L, so a_5 / L**5 reads no 0/0. Its
+        # enumerated optimum stands: the cold simplex's absolute 1e-11 pivot
+        # tolerance treats the q = 5 row (entries 1e-50 .. 1, target 3.6e-50)
+        # as redundant, and its weights sat 2e-8 below the optimum
         _check_rows(qi, sampled=(_worst_full_window(qi),))
         best = oracles.nearbest_enumerate_mp(space.knots.t, m, 1, qi.stencil(1).offsets, q)
-        assert best * (1 - 1e-7) < qi.lp_values[1] < best, (qi.lp_values[1], best)
+        assert abs(qi.lp_values[1] - best) <= 1e-12 * best, (qi.lp_values[1], best)
         return
     _check_rows(qi, sampled=(1, _worst_full_window(qi)))
 
@@ -110,6 +109,23 @@ def test_truncated_window_on_nearly_coincident_sites_reaches_the_optimum(ratio, 
     with pytest.warns(UserWarning, match="below degree"):
         qi = build_nearbest_qi(space, p, q)
     assert len(qi.stencil(i).offsets) < 2 * p + 1
+    best = oracles.nearbest_enumerate_mp(space.knots.t, m, i, qi.stencil(i).offsets, q, dps=80)
+    assert abs(qi.lp_values[i] - best) <= 1e-12 * best, (qi.lp_values[i], best)
+
+
+@pytest.mark.parametrize("n, m, p, q, i", [
+    # a truncated window with eight sites for eight exactness rows, from
+    # about -1e-12 to 1: the simplex dropped an exactness row and read
+    # 1.0000000000000002; the optimum is 1.0200019611782019
+    (12, 7, 6, 7, 1),
+    # a full window whose batched dual test failed: the simplex read
+    # 1.000000000001974; the optimum is 1.019934626403395
+    (80, 7, 5, 6, 49),
+])
+def test_enumerated_optimum_stands_where_the_simplex_fell_short(n, m, p, q, i):
+    space = space_from("geometric", m, n=n, ratio=100.0)
+    with pytest.warns(UserWarning, match="below degree"):
+        qi = build_nearbest_qi(space, p, q)
     best = oracles.nearbest_enumerate_mp(space.knots.t, m, i, qi.stencil(i).offsets, q, dps=80)
     assert abs(qi.lp_values[i] - best) <= 1e-12 * best, (qi.lp_values[i], best)
 

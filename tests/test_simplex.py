@@ -1,5 +1,6 @@
-"""Dense simplex: classic stress cases, randomized feasibility, a given
-basis priced by two solves, and warm starts from it."""
+"""Dense simplex: classic stress cases, randomized feasibility, and a given
+basis priced by two solves, with the cold start where it does not price
+optimal."""
 
 import itertools
 
@@ -9,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import space_from
-from splineqi import simplex
 from splineqi.nearbest import assemble_constraints, solve_l1
 from splineqi.simplex import solve_standard_form
 
@@ -158,13 +158,16 @@ def test_optimal_basis_takes_no_iterations():
 
 
 def test_feasible_basis_pivots_on_to_the_optimum():
+    # a feasible basis that is not optimal is not installed: the cold start
+    # pivots to the optimum as if no basis had been given
     cold = solve_standard_form(*_L1)
     # sites -1, -0.5, 0 with the signs of their square system's solution
     w = np.linalg.solve(_V[:, :3], _L1[1])
     basis = [j if w[j] >= 0 else 5 + j for j in range(3)]
     assert float(np.abs(w).sum()) > cold.value + 1e-3
     res = solve_standard_form(*_L1, basis=basis)
-    assert res.iterations > 0
+    assert res.iterations == cold.iterations > 0
+    assert res.x.tobytes() == cold.x.tobytes()
     _same_optimum(res, cold)
 
 
@@ -187,23 +190,26 @@ _V_NEAR = np.vstack([_NEAR**0, _NEAR])
 _L1_NEAR = (np.hstack([_V_NEAR, -_V_NEAR]), np.array([1.0, 0.0]), np.ones(10))
 
 
-def _tableau_only(monkeypatch, *problem, basis):
-    """The result with the pricing of the basis switched off."""
-    with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_certified", lambda *args: None)
-        return solve_standard_form(*problem, basis=basis)
-
-
-def test_optimal_basis_below_the_pivot_tolerance_is_certified(monkeypatch):
-    # the centre and its neighbour 1e-12 away: the tableau's second pivot
-    # would be 1e-12, below _PIVOT_TOL, and it would start cold
+def test_optimal_basis_below_the_pivot_tolerance_is_certified():
+    # the centre and its neighbour 1e-12 away: a tableau could not pivot
+    # them in, as the second pivot would be 1e-12, below _PIVOT_TOL
     res = solve_standard_form(*_L1_NEAR, basis=[2, 3])
     assert res.status == "optimal" and res.iterations == 0
     assert res.x.tolist() == [0.0, 0.0, 1.0] + [0.0] * 7
     assert res.value == 1.0
-    cold = _tableau_only(monkeypatch, *_L1_NEAR, basis=[2, 3])
+    cold = solve_standard_form(*_L1_NEAR)
     assert cold.iterations > 0 and cold.value == pytest.approx(1.0, rel=1e-14)
     assert cold.x[2] == 0.0  # a tied optimum on another support
+
+
+def test_rounding_on_basic_columns_does_not_refuse_an_optimal_basis():
+    # geometric ratio 0.5, m = 7, p = 8, q = 7, index 17: cond(B) is about
+    # 2e8 and the dual about 3e7, so c_B - B^T y rounds to -1.6e-9 on the
+    # basic columns; their reduced costs are 0 by construction, and the
+    # enumerated support is certified without a pivot
+    sp = space_from("geometric", 7, n=12, ratio=0.5)
+    system = assemble_constraints(sp, 17, 8, 7, offsets=tuple(range(-8, 2)))
+    assert solve_l1(system).iterations == 0
 
 
 def test_a_basis_may_be_a_tuple():
@@ -227,9 +233,10 @@ _NAN_RHS = (_L1[0], np.array([1.0, np.nan, -0.2]), _L1[2])
     (_NAN_COLUMN, [2, 5, 9]),  # optimal but for a NaN reduced cost
     (_NAN_RHS, [2, 5, 9]),
 ], ids=["not-optimal", "infeasible", "repeated", "singular", "nan-column", "nan-rhs"])
-def test_a_basis_that_does_not_price_optimal_runs_the_tableau(monkeypatch, problem, basis):
+def test_a_basis_that_does_not_price_optimal_runs_the_tableau(problem, basis):
+    # the tableau starts cold, as if no basis had been given
     res = solve_standard_form(*problem, basis=basis)
-    ref = _tableau_only(monkeypatch, *problem, basis=basis)
+    ref = solve_standard_form(*problem)
     assert (res.status, res.iterations) == (ref.status, ref.iterations)
     assert res.x.tobytes() == ref.x.tobytes()
 
