@@ -201,7 +201,8 @@ def elementary_symmetric(values: np.ndarray) -> np.ndarray:
     esp = np.zeros((len(cols) + 1,) + cols.shape[1:])
     esp[0] = 1.0
     for j, v in enumerate(cols, start=1):
-        esp[1 : j + 1] = esp[1 : j + 1] + v * esp[0:j]
+        upper = esp[1 : j + 1]  # a view: += updates it in place, with no write-back
+        upper += v * esp[0:j]
     return esp.T
 
 

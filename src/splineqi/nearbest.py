@@ -12,9 +12,11 @@ the central moment coefficients of the knot window t_{i+1} .. t_{i+m}, and
 it is formed from the scaled knot differences (t_j - theta_i) / L, so no
 power of L is taken: it neither underflows on windows about 1e-69 wide nor
 overflows on long ones. One function (`_assemble`) builds these normalized
-systems for every caller, one window or a chunk of full windows; the
-three-point table below reads only the normalized sites
-(`_normalized_sites`, which `_assemble` calls too).
+systems for every caller and one (`_cheapest_supports`) enumerates them,
+as `bspline` takes a point or an array: an int center is one window on 1-D
+arrays (sites (k,), V (q+1, k), b (q+1,)), an array of W centers a chunk
+with a leading window axis. Each is elementwise along that axis, so a
+window has the same bits either way and the per-window path pays no axis.
 
 Some optimum lies on q + 1 sites, and on distinct sites every square
 Vandermonde system is nonsingular, so a window's C(k, q+1) square systems
@@ -57,8 +59,8 @@ b) / (a b) is the quadratic through (a, -1), (0, +1), (b, -1). As v <= 1
 exactly outside the interval between 0 and a + b, v certifies the weights iff
 x_{-1} <= a + b <= x_1, at any scale. So the q = 2 verdict is this
 `knot_condition`, and v itself is never formed. The condition, the weights
-and their l1 norm are computed for all full windows of a (space, p) on
-first use and kept while the space lives.
+and their l1 norm of all full windows of a (space, p) are computed on first
+use, from the sites of its kept LP rows if any, and kept with the space.
 
 The solved LP rows of a (space, p, q) are kept too, read-only: one call
 solves every window, and a later build or audit on that space reads them
@@ -117,46 +119,40 @@ class ConstraintSystem:
         return float(np.abs(self.matrix @ weights - self.rhs).max())
 
 
-def _vandermonde(x: np.ndarray, q: int) -> np.ndarray:
-    """Rows x**0 .. x**q of the sites along the last axis, stacked before it."""
-    matrix = np.empty(x.shape[:-1] + (q + 1, x.shape[-1]))
-    # x**0 and x**1 are 1 and x, bit for bit
-    matrix[..., 0, :] = 1.0
-    if q:
-        matrix[..., 1, :] = x
-    for r in range(2, q + 1):
-        matrix[..., r, :] = x**r
-    return matrix
-
-
-def _normalized_sites(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...]):
-    """Raw sites (W, k), spans L (W,) and normalized sites (theta - theta_i) / L
-    (W, k) of the windows ``offsets`` around the W ``centers``; elementwise,
-    so a window rounds alike alone or in a chunk. A span of 0 gives
-    non-finite sites; the callers hold the `np.errstate` that keeps it
-    silent."""
+def _normalized_sites(space: SplineSpace, centers, offsets: tuple[int, ...]):
+    """Raw sites, theta_i, spans L and normalized sites (theta - theta_i) / L
+    of the windows ``offsets`` around ``centers``, as in `_assemble`; theta_i
+    and L are scalars for an int center, (W, 1) for W centers. The callers
+    hold the `np.errstate` that keeps a span of 0 silent."""
     theta = space.greville
-    sites = theta[centers[:, None] + np.array(offsets)]
+    at = centers[:, None] if isinstance(centers, np.ndarray) else centers  # W centers: (W, 1)
+    sites, mid = theta[at + np.array(offsets)], theta[at]
     # theta increases, so the outermost offsets hold the largest and smallest site
-    scale = theta[centers + max(offsets)] - theta[centers + min(offsets)]
-    x = (sites - theta[centers, None]) / scale[:, None]
-    return sites, scale, x
+    scale = theta[at + max(offsets)] - theta[at + min(offsets)]
+    return sites, mid, scale, (sites - mid) / scale
 
 
-def _assemble(space: SplineSpace, centers: np.ndarray, offsets: tuple[int, ...], q: int):
-    """Raw sites (W, k), normalized sites (W, k), Vandermonde rows
-    (W, q+1, k) and right-hand sides (W, q+1) of the windows ``offsets``
-    around the W ``centers``. A window's right-hand side is a_0 .. a_q of
-    its knots t_{i+1} .. t_{i+m}, formed from the differences t_j - theta_i
-    divided by the window's span L, which gives a_r / L**r. Elementwise, so
-    a window rounds alike alone or in a chunk; a span of 0 gives non-finite
-    rows, without a warning, which the residual tests refuse."""
-    knots = space.knots.t[centers[:, None] + np.arange(1, space.degree + 1)]
+def _assemble(space: SplineSpace, centers, offsets: tuple[int, ...], q: int):
+    """Raw sites (k,), normalized sites (k,), Vandermonde rows (q+1, k) and
+    right-hand sides (q+1,) of the window ``offsets`` around an int center,
+    each with a leading axis of length W for an array of W ``centers``. A
+    window's right-hand side is a_0 .. a_q of its knots t_{i+1} .. t_{i+m},
+    formed from the differences t_j - theta_i divided by the window's span
+    L, which gives a_r / L**r. Elementwise, so a window rounds alike alone
+    or in a chunk; a span of 0 gives non-finite rows, without a warning,
+    which the residual tests refuse."""
+    at = centers[:, None] if isinstance(centers, np.ndarray) else centers
     with np.errstate(all="ignore"):
-        sites, scale, x = _normalized_sites(space, centers, offsets)
-        matrix = _vandermonde(x, q)
-        scaled = (knots - space.greville[centers, None]) / scale[:, None]
-        rhs = central_coefficients(scaled)[:, : q + 1]
+        sites, mid, scale, x = _normalized_sites(space, centers, offsets)
+        # rows x**0 .. x**q; x**0 and x**1 are 1 and x, bit for bit
+        matrix = np.empty(x.shape[:-1] + (q + 1, x.shape[-1]))
+        matrix[..., 0, :] = 1.0
+        if q:
+            matrix[..., 1, :] = x
+        for r in range(2, q + 1):
+            matrix[..., r, :] = x**r
+        scaled = (space.knots.t[at + np.arange(1, space.degree + 1)] - mid) / scale
+        rhs = central_coefficients(scaled)[..., : q + 1]
     return sites, x, matrix, rhs
 
 
@@ -170,7 +166,8 @@ def assemble_constraints(
     """Build the normalized exactness system for index i.
 
     Default offsets are the full window -p .. p; callers near the boundary
-    pass the truncated window themselves. All sites must be valid indices.
+    pass the truncated window themselves. Offsets must be distinct
+    integers (Python or numpy, not bool) and all sites valid indices.
     """
     dim = space.dimension
     if not 0 <= i < dim:
@@ -179,17 +176,20 @@ def assemble_constraints(
     if offsets is None:
         offsets = tuple(range(-p, p + 1))
     else:
-        offsets = tuple(int(s) for s in offsets)
+        offsets = tuple(offsets)
+        if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in offsets):
+            raise ValueError(f"offsets must be integers, got {offsets!r}")
+        offsets = tuple(map(int, offsets))
     if len(set(offsets)) != len(offsets):
         raise ValueError("offsets must be distinct")
-    if any(not 0 <= i + s < dim for s in offsets):
-        raise ValueError(f"offsets {offsets} leave the index range at i={i}")
     if len(offsets) < q + 1:
         raise ValueError(f"need at least {q + 1} sites for exactness degree {q}")
+    if not (0 <= i + min(offsets) and i + max(offsets) < dim):
+        raise ValueError(f"offsets {offsets} leave the index range at i={i}")
 
-    sites, _, matrix, rhs = _assemble(space, np.array([i]), offsets, q)
+    sites, _, matrix, rhs = _assemble(space, i, offsets, q)
     return ConstraintSystem(
-        center=i, p=p, q=q, offsets=offsets, sites=sites[0], matrix=matrix[0], rhs=rhs[0])
+        center=i, p=p, q=q, offsets=offsets, sites=sites, matrix=matrix, rhs=rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,13 +222,15 @@ def _support_values(nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Van Loan, Alg. 4.6.2), elementwise: a column rounds alike whatever else
     is solved with it. The result has the shape of ``nodes``.
     """
-    z = np.repeat(rhs[..., None], nodes.shape[-1], axis=-1)
+    z = rhs[..., None].repeat(nodes.shape[-1], axis=-1)
     n = rhs.shape[-1] - 1
     for k in range(n):
-        z[..., k + 1 :, :] -= nodes[..., k : k + 1, :] * z[..., k:n, :]
+        tail = z[..., k + 1 :, :]  # updated through views, with no write-back
+        tail -= nodes[..., k : k + 1, :] * z[..., k:n, :]
     for k in range(n - 1, -1, -1):
-        z[..., k + 1 :, :] /= nodes[..., k + 1 :, :] - nodes[..., : n - k, :]
-        z[..., k:n, :] -= z[..., k + 1 :, :]
+        tail, head = z[..., k + 1 :, :], z[..., k:n, :]
+        tail /= nodes[..., k + 1 :, :] - nodes[..., : n - k, :]
+        head -= tail
     return z
 
 
@@ -247,36 +249,36 @@ def _supports(k: int, size: int) -> np.ndarray:
 def _cheapest_supports(x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Optimal support of each window's l1 LP and the weights on it.
 
-    ``x`` (W, k) holds the normalized sites of W windows and ``rhs``
-    (W, q+1) their right-hand sides. Some optimum lies on q + 1 sites, and
-    every (q+1)-site Vandermonde minor on distinct sites is nonsingular, so
-    the optimum is the smallest l1 value over all square systems. Values
-    within 1e-12 relative of it count as ties, broken for the
-    lexicographically first support. The supports are solved in blocks of
-    at most _BATCH_ENTRIES entries and kept: the weights on each optimal
-    support are read from them, and as the recurrence is elementwise they
-    are the bits of a solve of that support alone. Returns the site indices
-    (W, q+1) of each optimal support and the weights on them. Sites that
-    coincide in floating point give non-finite values, without a warning;
-    the callers' residual tests refuse the weights they reach.
+    ``x`` (k,) holds the normalized sites of a window and ``rhs`` (q+1,) its
+    right-hand side, or ``x`` (W, k) and ``rhs`` (W, q+1) those of W
+    windows. Some optimum lies on q + 1 sites, and every (q+1)-site
+    Vandermonde minor on distinct sites is nonsingular, so the optimum is
+    the smallest l1 value over all square systems. Values within 1e-12
+    relative of it count as ties, broken for the lexicographically first
+    support. The supports are solved in blocks of at most _BATCH_ENTRIES
+    entries and kept: the weights on each optimal support are read from
+    them, and as the recurrence is elementwise they are the bits of a solve
+    of that support alone. Returns the site indices (q+1,) or (W, q+1) of
+    each optimal support and the weights on them. Sites that coincide in
+    floating point give non-finite values, without a warning; the callers'
+    residual tests refuse the weights they reach.
     """
-    rows, size = rhs.shape
-    supports = _supports(x.shape[1], size)
-    step = max(1, _BATCH_ENTRIES // (rows * size))
-    values = np.empty((rows, supports.shape[1]))
-    blocks = []
+    supports = _supports(x.shape[-1], rhs.shape[-1])
+    count = supports.shape[1]
+    step = max(1, _BATCH_ENTRIES // rhs.size)
     with np.errstate(all="ignore"):
-        for start in range(0, supports.shape[1], step):
-            columns = supports[:, start : start + step]
-            # numpy gathers from a 1-D row about 3x faster than along axis 1
-            nodes = x[0][columns][None] if rows == 1 else x[:, columns]
-            blocks.append(_support_values(nodes, rhs))
-            values[:, start : start + step] = np.abs(blocks[-1]).sum(axis=1)
-    # a chunk of _solve_full_windows is one block; only a single wide window
-    # joins its blocks, at most (q+1) x _MAX_SUPPORTS entries
-    z = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
-    best = np.argmax(values <= values.min(axis=1, keepdims=True) * (1.0 + 1e-12), axis=1)
-    return supports[:, best].T, z[np.arange(rows), :, best]
+        if step >= count:
+            z = _support_values(x.take(supports, axis=-1), rhs)
+            values = np.abs(z).sum(axis=-2)
+        else:  # a single wide window, at most (q+1) x _MAX_SUPPORTS entries
+            blocks = [_support_values(x.take(supports[:, start : start + step], axis=-1), rhs)
+                      for start in range(0, count, step)]
+            values = np.concatenate([np.abs(block).sum(axis=-2) for block in blocks], axis=-1)
+            z = np.concatenate(blocks, axis=-1)
+    best = (values <= values.min(axis=-1, keepdims=True) * (1.0 + 1e-12)).argmax(axis=-1)
+    if z.ndim == 2:
+        return supports[:, best], z[:, best]
+    return supports[:, best].T, z[np.arange(len(z)), :, best]
 
 
 def solve_l1(system: ConstraintSystem) -> L1Solution:
@@ -299,14 +301,13 @@ def solve_l1(system: ConstraintSystem) -> L1Solution:
     basis = weights = None
     if math.comb(k, system.q + 1) <= _MAX_SUPPORTS:
         # row 1 holds the normalized sites; with q = 0 no site is read
-        x = system.matrix[None, min(1, system.q)]
-        (support,), (on_support,) = _cheapest_supports(x, system.rhs[None])
+        support, on_support = _cheapest_supports(system.matrix[min(1, system.q)], system.rhs)
         weights = np.zeros(k)
         weights[support] = on_support
         # site j enters as column j (positive weight) or k + j (negative)
         basis = [j if w >= 0.0 else k + j for j, w in zip(support.tolist(), on_support.tolist())]
 
-    A = np.hstack([system.matrix, -system.matrix])
+    A = np.concatenate((system.matrix, -system.matrix), axis=1)
     result = solve_standard_form(A, system.rhs, np.ones(2 * k), basis=basis)
     if result.status != "optimal":
         raise RuntimeError(f"l1 solve at index {system.center}: simplex returned {result.status}")
@@ -356,14 +357,24 @@ class _ThreePointTable:
 def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
     """Every full window's three-point weights, their l1 norm and the knot
     condition at once, on the normalized sites (see the module docstring),
-    read-only. A window whose sites coincide in floating point gets NaN,
-    which fails the knot condition."""
+    read-only. The sites are row 1 of the systems kept for any (p, q >= 1),
+    the bits `_normalized_sites` gives, so a table built after a build or an
+    audit normalizes nothing: `_lp_windows` keeps its rows in index order, so
+    its rows with offsets -p..p, concatenated, are the full windows p ..
+    dim-1-p, which is checked. A window whose sites coincide in floating
+    point gets NaN, which fails the knot condition."""
     centers = np.arange(p, space.dimension - p)
     # the rows' sites as slices of the Greville sites, so nothing is gathered
     rows = len(centers)
     tbar = space.centered_second[p : p + rows]
+    store, full = _store(space), tuple(range(-p, p + 1))
+    solved = next((store[p, q] for q in range(1, space.degree + 1) if (p, q) in store), ())
+    kept = [chunk for chunk in solved if chunk.offsets == full]
+    if kept and not np.array_equal(np.concatenate([chunk.centers for chunk in kept]), centers):
+        raise RuntimeError(f"the kept rows of radius {p} are not the full windows in order")
     with np.errstate(all="ignore"):
-        _, _, x = _normalized_sites(space, centers, tuple(range(-p, p + 1)))
+        x = (np.concatenate([chunk.matrix[:, 1] for chunk in kept]) if kept else
+             _normalized_sites(space, centers, full)[-1])
         weights = _three_point_weights(space.greville, tbar, slice(p, p + rows),
                                        slice(0, rows), slice(2 * p, 2 * p + rows))
         size = np.abs(weights)
@@ -377,30 +388,41 @@ def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
     return table
 
 
-# what is kept of each space, dropped with it: the three-point table of each
-# p (key p) and the solved LP rows of each (p, q) (key (p, q)); the arrays
-# are read-only and the public functions hand out copies
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# what is kept of each space, under id(space) and dropped with it by a
+# finalizer: the three-point table of each p (key p) and the solved LP rows
+# of each (p, q) (key (p, q)); the arrays are read-only and the public
+# functions hand out copies. _NOTHING, never written, stands for no entry.
+_TABLES: dict[int, dict] = {}
+_NOTHING: dict = {}
+
+
+def _store(space: SplineSpace) -> dict:
+    """What is kept of ``space``, an empty dict on first use."""
+    store = _TABLES.get(id(space))
+    if store is None:
+        store = _TABLES[id(space)] = {}
+        weakref.finalize(space, _TABLES.pop, id(space))
+    return store
 
 
 def _three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
     """The table of (space, p), built on first use; p is checked already."""
-    table = _TABLES.get(space, {}).get(p)
-    if table is None:
-        table = _TABLES.setdefault(space, {})[p] = _build_three_point_table(space, p)
-    return table
+    store = _store(space)
+    if p not in store:
+        store[p] = _build_three_point_table(space, p)
+    return store[p]
 
 
 def _three_point_row(space: SplineSpace, i: int, p: int) -> tuple[_ThreePointTable, int]:
     """The table of (space, p) and index i's row. A table is kept only for
     a p that was checked, so an int p with a table is not checked again."""
-    table = _TABLES.get(space, {}).get(p) if type(p) is int else None
-    if table is None:
+    table = _TABLES.get(id(space), _NOTHING).get(p) if type(p) is int else None
+    if table is None or not 0 <= i - p < len(table.knot):
         _check_radius(space, p)
-    rows = space.dimension - 2 * p if table is None else len(table.knot)
-    if not 0 <= i - p < rows:
-        raise ValueError(f"index {i} has no full window of radius {p}")
-    return table or _three_point_table(space, p), i - p
+        if not 0 <= i - p < space.dimension - 2 * p:
+            raise ValueError(f"index {i} has no full window of radius {p}")
+        table = _three_point_table(space, p)
+    return table, i - p
 
 
 def build_watson_form(space: SplineSpace, i: int, p: int) -> WatsonForm:
@@ -412,8 +434,8 @@ def build_watson_form(space: SplineSpace, i: int, p: int) -> WatsonForm:
     sites = p + np.array(free, dtype=np.intp)
     matrix = np.zeros((2 * p + 1, len(free)))
     with np.errstate(all="ignore"):
-        _, _, x = _normalized_sites(space, np.array([i]), tuple(range(-p, p + 1)))
-        a, b, z = x[0, 0], x[0, -1], x[0, sites]
+        x = _normalized_sites(space, i, tuple(range(-p, p + 1)))[-1]
+        a, b, z = x[0], x[-1], x[sites]
         matrix[[0, p, 2 * p]] = (
             z * (z - b) / (a * (a - b)), (z - a) * (z - b) / (a * b), z * (z - a) / (b * (b - a)))
     matrix[sites, np.arange(len(free))] = -1.0
@@ -455,7 +477,8 @@ def watson_certificate(space: SplineSpace, i: int, p: int) -> Certificate:
     {-p, 0, p}, which is `knot_condition` at any scale (see the module
     docstring).
     """
-    return _VERDICTS[knot_condition(space, i, p)]
+    table, row = _three_point_row(space, i, p)
+    return _VERDICTS[table.knot.item(row)]
 
 
 class _Rows(NamedTuple):
@@ -492,7 +515,7 @@ def _lp_windows(space: SplineSpace, p: int, q: int) -> tuple[_Rows, ...]:
     if p < m:
         message = f"p={p} below degree {m}: interior norm bound not guaranteed"
         warnings.warn(message, stacklevel=3)  # at the build's or the audit's caller
-    kept = _TABLES.setdefault(space, {})
+    kept = _store(space)
     if (p, q) in kept:
         return kept[p, q]
     last = space.dimension - 1
@@ -564,7 +587,8 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
         if q == 2:
             wide = _wide_rows(x, p)
             support[wide] = (0, p, 2 * p)
-            on_support[wide] = _support_values(x[wide][:, [0, p, 2 * p], None], rhs[wide])[..., 0]
+            # the sites x_{-p}, x_0, x_p, a strided view, gathered row by row
+            on_support[wide] = _support_values(x[:, ::p][wide, :, None], rhs[wide])[..., 0]
         if not wide.all():
             rest = ~wide
             support[rest], on_support[rest] = _cheapest_supports(x[rest], rhs[rest])

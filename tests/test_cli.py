@@ -303,7 +303,8 @@ class TestRunNearbest:
                 if name == "_solve_full_windows":
                     calls[name] += args[3].tolist()  # the batch's centers
                 elif name == "_assemble":
-                    calls[name].append(args[1].tolist())  # the windows' centers
+                    # an int center is one window, an array a chunk of them
+                    calls[name].append(np.asarray(args[1]).tolist())
                 elif name == "_build_three_point_table":
                     p = args[1]  # the table's rows are the full windows p, p+1, ...
                     calls[name].append(list(range(p, p + len(result.knot))))
@@ -330,7 +331,7 @@ class TestRunNearbest:
             assert calls["_solve_full_windows"] == list(range(3, 20)), command
             assert calls["_build_three_point_table"] == [list(range(3, 20))], command
             full = list(range(3, 20))
-            assert calls["_assemble"] == [[1], [2], full, [20], [21]], command
+            assert calls["_assemble"] == [1, 2, full, 20, 21], command
 
     def test_audit_lines_match_audit_command(self, capsys):
         config = ["--m", "3", "--p", "3", "--n", "20", "--family", "random",

@@ -71,6 +71,22 @@ class TestAssembleConstraints:
         with pytest.raises(ValueError):
             assemble_constraints(sp, 4, 2, 2, offsets=(0, 1))  # too few sites
 
+    def test_offsets_must_be_integers(self):
+        # a float offset is not cut to an int and a bool is not an index,
+        # as for the radius p; Python and numpy integers are offsets
+        sp = space_from("uniform", m=2, n=8)
+        for offsets in [(-1.7, 0.2, 1.9, 2.5), (False, True, 2), (-1, 0, np.float64(1.0)),
+                        (np.True_, 0, 1), (-1, 0, "1")]:
+            with pytest.raises(ValueError, match="offsets must be integers"):
+                assemble_constraints(sp, 4, 2, 2, offsets=offsets)
+        plain = assemble_constraints(sp, 4, 2, 2, offsets=(-1, 0, 1, 2))
+        for offsets in [np.arange(-1, 3), (np.int32(-1), 0, np.int64(1), np.intp(2))]:
+            system = assemble_constraints(sp, 4, 2, 2, offsets=offsets)
+            assert system.offsets == (-1, 0, 1, 2)
+            assert all(type(s) is int for s in system.offsets)
+            assert system.matrix.tobytes() == plain.matrix.tobytes()
+            assert system.rhs.tobytes() == plain.rhs.tobytes()
+
     def test_weights_invariant_under_affine_map(self):
         base = space_from("random", m=2, n=9, seed=21)
         t = base.knots.t
@@ -279,6 +295,46 @@ class TestThreePointTable:
     """The certificates of a (space, p) are computed in one table, on first
     use, and kept only while the space lives."""
 
+    @pytest.mark.parametrize("budget", [None, 64])
+    def test_table_after_a_build_reads_the_solved_sites(self, monkeypatch, budget):
+        # row 1 of the systems a build solved holds the full windows'
+        # normalized sites: a table built after a build with q >= 1
+        # normalizes nothing and has the bits of a table on a space with no
+        # rows; at q = 0 the systems hold no sites, so it normalizes them.
+        # A small budget puts each full window in a chunk of its own.
+        import splineqi.nearbest as nb
+
+        if budget is not None:
+            monkeypatch.setattr(nb, "_BATCH_ENTRIES", budget)
+        normalize = nb._normalized_sites
+        for q in range(4):
+            sp = space_from("geometric", m=3, n=24, ratio=1.3)
+            build_nearbest_qi(sp, 3, q)
+            fresh = nb._build_three_point_table(SplineSpace.from_knots(sp.knots), 3)
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(nb, "_normalized_sites",
+                              lambda *a: (calls.append(a[1]), normalize(*a))[1])
+                table = nb._three_point_table(sp, 3)
+            assert len(calls) == (q == 0), q
+            assert set(fresh.knot.tolist()) == {True, False}
+            for name in ("weights", "closed", "knot"):
+                assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes(), (q, name)
+
+    def test_table_refuses_kept_rows_out_of_order(self, monkeypatch):
+        # the table reads the kept full windows as rows p .. dim-1-p in
+        # order; rows in another layout are refused, not misread. A small
+        # budget puts each full window in a chunk of its own.
+        import splineqi.nearbest as nb
+
+        monkeypatch.setattr(nb, "_BATCH_ENTRIES", 64)
+        sp = space_from("geometric", m=3, n=24, ratio=1.3)
+        build_nearbest_qi(sp, 3, 2)
+        store = nb._TABLES[id(sp)]
+        store[3, 2] = store[3, 2][::-1]
+        with pytest.raises(RuntimeError, match="not the full windows in order"):
+            nb._build_three_point_table(sp, 3)
+
     def test_built_once_per_space_and_radius(self, monkeypatch):
         import splineqi.nearbest as nb
 
@@ -341,14 +397,17 @@ class TestThreePointTable:
         sp = space_from("random", m=3, n=16, seed=5)
         watson_certificate(sp, 4, 3)
         build_nearbest_qi(sp, 3)
-        # the store holds the three-point table by p and the LP rows by (p, q)
-        table = weakref.ref(nb._TABLES[sp][3])
-        rows = [weakref.ref(array) for chunk in nb._TABLES[sp][3, 2]
+        # the store holds the three-point table by p and the LP rows by (p, q),
+        # under the space's id, and its finalizer drops the entry
+        key = id(sp)
+        table = weakref.ref(nb._TABLES[key][3])
+        rows = [weakref.ref(array) for chunk in nb._TABLES[key][3, 2]
                 for array in (chunk.centers, chunk.weights, chunk.values)]
         assert table() is not None and all(row() is not None for row in rows)
         del sp
         gc.collect()
         assert table() is None and all(row() is None for row in rows)
+        assert key not in nb._TABLES
 
 
 class TestBuildNearbest:
@@ -450,7 +509,8 @@ class TestBuildNearbest:
             return SimplexResult(x=x, value=float(x[0]), status="optimal", iterations=1)
 
         def off_by_1e3(x, rhs):
-            return np.zeros((len(rhs), 1), dtype=np.intp), np.full((len(rhs), 1), 1.0 + 1e-3)
+            # at q = 0 a support is one site, shaped like the right-hand side
+            return np.zeros(rhs.shape, dtype=np.intp), np.full(rhs.shape, 1.0 + 1e-3)
 
         monkeypatch.setattr(nb, "_cheapest_supports", off_by_1e3)
         monkeypatch.setattr(nb, "solve_standard_form", off_by_1e6)

@@ -132,9 +132,9 @@ def _first_support(x, rhs):
     """The lexicographically first support of each window, which is not
     optimal on uniform cubic windows of radius 3 at q = 3: the batch refuses
     them. (At q = 2 the batch certifies those windows without enumerating.)"""
-    support = np.broadcast_to(np.arange(rhs.shape[1]), rhs.shape)
-    weights = nb._support_values(np.take_along_axis(x, support, axis=1)[:, :, None], rhs)
-    return support, weights[:, :, 0]
+    support = np.broadcast_to(np.arange(rhs.shape[-1]), rhs.shape)
+    weights = nb._support_values(np.take_along_axis(x, support, axis=-1)[..., None], rhs)
+    return support, weights[..., 0]
 
 
 def _first_support_missing(x, rhs, rows=slice(None)):
@@ -308,3 +308,73 @@ def test_rows_on_the_edge_are_enumerated():
     rows = nb._solve_full_windows(space, p, 2, centers)
     assert np.flatnonzero(rows.weights[-1]).tolist() == [0, 2, 3]
     assert rows.weights.tobytes() == _enumerated(space, p).weights.tobytes()
+
+
+def _same_bits(one, *others):
+    """Whether every array of ``others`` has the bytes of ``one``."""
+    return all(np.asarray(other).tobytes() == np.asarray(one).tobytes() for other in others)
+
+
+@pytest.mark.parametrize("family, ratio, seed", [
+    ("geometric", 100.0, 0), ("geometric", 0.5, 0), ("random", 1.0, 1)])
+@pytest.mark.parametrize("m", range(1, 8))
+def test_one_window_has_the_bits_of_its_row(family, ratio, seed, m):
+    # a single window runs on 1-D arrays (an int center), a chunk of windows
+    # on 2-D ones; every truncated and full window must get the same bits
+    # as a one-center array and as its row of the full-window chunk, in its
+    # system and in its enumerated support and weights
+    for p in range(1, m + 3):
+        space = space_from(family, m, n=max(1, 2 * p + 3 - m), seed=seed, ratio=ratio)
+        last = space.dimension - 1
+        full = tuple(range(-p, p + 1))
+        centers = np.arange(p, last - p + 1)
+        for q in range(min(m, 2 * p) + 1):
+            chunk = nb._assemble(space, centers, full, q)
+            enumerated = math.comb(2 * p + 1, q + 1) <= nb._MAX_SUPPORTS
+            if enumerated:
+                chunk_best = nb._cheapest_supports(chunk[1], chunk[3])
+            for i in range(1, last):
+                offsets = tuple(range(max(-p, -i), min(p, last - i) + 1))
+                if len(offsets) < q + 1:
+                    continue
+                case = (family, m, p, q, i)
+                system = assemble_constraints(space, i, p, q, offsets=offsets)
+                one = nb._assemble(space, i, offsets, q)
+                alone = nb._assemble(space, np.array([i]), offsets, q)
+                rows = [alone] + ([chunk] if len(offsets) == 2 * p + 1 else [])
+                at = [0, i - p]
+                assert one[0].shape == one[1].shape == (len(offsets),), case
+                assert one[2].shape == (q + 1, len(offsets)) and one[3].shape == (q + 1,), case
+                assert _same_bits(system.sites, one[0], *(r[0][a] for r, a in zip(rows, at))), case
+                assert _same_bits(system.matrix, one[2], *(r[2][a] for r, a in zip(rows, at))), case
+                assert _same_bits(system.rhs, one[3], *(r[3][a] for r, a in zip(rows, at))), case
+                if q:
+                    assert _same_bits(one[1], system.matrix[1]), case
+                if math.comb(len(offsets), q + 1) > nb._MAX_SUPPORTS:
+                    continue
+                support, weights = nb._cheapest_supports(one[1], one[3])
+                assert support.shape == weights.shape == (q + 1,), case
+                lone = nb._cheapest_supports(alone[1], alone[3])
+                assert _same_bits(support, lone[0][0]) and _same_bits(weights, lone[1][0]), case
+                if len(offsets) == 2 * p + 1 and enumerated:
+                    row = i - p
+                    assert _same_bits(support, chunk_best[0][row]), case
+                    assert _same_bits(weights, chunk_best[1][row]), case
+
+
+def test_unsorted_offsets_permute_the_columns():
+    # a window's sites may come in any order: the columns of the system
+    # follow them, and the right-hand side does not depend on them
+    space = space_from("geometric", 4, n=16, ratio=1.5)
+    rng = np.random.default_rng(5)
+    for i, lo, hi in ((2, -2, 4), (8, -4, 4), (14, -4, 1)):
+        offsets = tuple(range(lo, hi + 1))
+        order = rng.permutation(len(offsets))
+        shuffled = tuple(offsets[j] for j in order)
+        for q in range(5):
+            system = assemble_constraints(space, i, 4, q, offsets=offsets)
+            permuted = assemble_constraints(space, i, 4, q, offsets=shuffled)
+            assert permuted.offsets == shuffled
+            assert permuted.sites.tobytes() == system.sites[order].tobytes()
+            assert permuted.matrix.tobytes() == system.matrix[:, order].tobytes()
+            assert permuted.rhs.tobytes() == system.rhs.tobytes()

@@ -444,9 +444,18 @@ class TestNorms:
 @pytest.mark.parametrize("kind", ["q2star", "qp2star", "nearbest"])
 def test_sampled_sup_norm_lies_between_one_and_nu1(kind, family, ratio):
     """The Lebesgue function is at least 1 everywhere, since every operator
-    reproduces constants, and at most nu_1 = max_i ||lambda_i||_1."""
-    for m in range(2, 8):
+    reproduces constants, and at most nu_1 = max_i ||lambda_i||_1. The
+    near-best operator also runs at degree 1 (p = 1, q <= 1; q2star and
+    qp2star refuse degree 1) and at every accepted q in 0..3 with p = m."""
+    for m in range(1, 8):
+        if kind == "q2star":
+            recipes = [operator_recipe(kind)] if m > 1 else []
+        elif kind == "qp2star":
+            recipes = [operator_recipe(kind, m)] if m > 1 else []
+        else:
+            recipes = [operator_recipe(kind, m, q) for q in range(min(m, 3) + 1)]
         sp = space_from(family, m, n=2 * m + 4, seed=m, ratio=ratio)
-        qi = operator_recipe(kind, None if kind == "q2star" else m).build(sp)
-        sampled = lebesgue_sampled(sp.knots.t, m, qi.sites, qi.weights, qi.lengths)
-        assert 1.0 - 1e-12 <= sampled <= norm_upper_bound(qi) * (1.0 + 1e-12)
+        for recipe in recipes:
+            qi = recipe.build(sp)
+            sampled = lebesgue_sampled(sp.knots.t, m, qi.sites, qi.weights, qi.lengths)
+            assert 1.0 - 1e-12 <= sampled <= norm_upper_bound(qi) * (1.0 + 1e-12), (m, recipe)
