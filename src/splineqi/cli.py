@@ -7,8 +7,10 @@ single JSON object; the audit stream is JSON lines. All output is
 deterministic for a fixed configuration, including the random partition
 family, so runs can be diffed byte for byte.
 
-Exit codes: 0 success, 2 configuration or validation error, 3 numerical
-failure (simplex breakdown or singular linear algebra).
+Exit codes: 0 success, 2 configuration or validation error (among them a
+near-best window with more supports than the LP enumerates), 3 numerical
+failure (near-best weights that miss their exactness rows, or singular
+linear algebra).
 """
 
 from __future__ import annotations

@@ -38,16 +38,13 @@ band's edge another support can tie with them, and the tie rule may pick
 it, so those windows are enumerated. Each chunk is handed on as
 arrays (`_Rows`: centers, offsets, weights, values, and the matrices and
 right-hand sides that were solved), from which the build fills its band and
-the audit formats its records. A row whose weights miss goes, as a
-`ConstraintSystem` built from the chunk's arrays, to the per-window path,
-and its weights and value are written back into the chunk. That path also
-takes the truncated windows at the two ends (built by
-`assemble_constraints`, one row each): `solve_l1` enumerates the window and
-hands the support to the simplex once, which prices it with two small
-solves (0 pivots certify it; a support that does not price optimal makes it
-start cold). The simplex's weights are taken only where the enumerated ones
-miss, or where a window has more than 2^16 supports and is not enumerated;
-if they miss too, the row is refused.
+the audit formats its records. The truncated windows at the two ends take
+the per-window path (`assemble_constraints`, then `solve_l1`, one row
+each): the window is enumerated the same way, and `solve_standard_form`
+prices the support once, with two small solves, to record whether it is
+certified. A row whose weights miss, on either path, is refused; so is a
+(space, p, q) whose widest window has more than _MAX_SUPPORTS supports,
+before any window is solved.
 
 The wide three-point weights of `build_qp2star` are optimal iff a dual
 vector v with |v| <= 1 matches the signs of the nonzero weights and is
@@ -194,16 +191,17 @@ def assemble_constraints(
 
 @dataclass(frozen=True, eq=False)
 class L1Solution:
-    """A row's weights, their l1 value and the simplex's pivots on the row;
-    0 pivots certify the enumerated support."""
+    """A row's weights, their l1 value, and whether the enumerated support
+    priced optimal as a basis of the split LP."""
 
     weights: np.ndarray
     value: float
-    iterations: int
+    certified: bool
 
 
-# above this many supports a window goes to the cold two-phase simplex
-_MAX_SUPPORTS = 2**16
+# the most supports a window may have: the enumeration's time and memory
+# grow with C(k, q+1), and a wider window is refused
+_MAX_SUPPORTS = 2**20
 # full windows are solved together in chunks of at most this many
 # Bjorck-Pereyra entries (rows x (q+1) x supports), and at least one row
 _BATCH_ENTRIES = 2**16
@@ -281,47 +279,41 @@ def _cheapest_supports(x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.n
     return supports[:, best].T, z[np.arange(len(z)), :, best]
 
 
+def _check_supports(sites: int, q: int) -> None:
+    """Refuse a window of ``sites`` sites with more than _MAX_SUPPORTS
+    supports of q + 1 sites."""
+    if (count := math.comb(sites, q + 1)) > _MAX_SUPPORTS:
+        raise ValueError(f"a window of {sites} sites has C({sites}, {q + 1}) = {count} supports, "
+                         f"more than the {_MAX_SUPPORTS} the near-best LP enumerates")
+
+
 def solve_l1(system: ConstraintSystem) -> L1Solution:
     """Minimize the l1 norm of the stencil weights under the constraints.
 
-    Split formulation lambda = u - w with u, w >= 0 and cost sum(u + w).
     The enumeration decides the row: the optimal support is found by
-    `_cheapest_supports` (up to _MAX_SUPPORTS supports; ties within 1e-12
-    relative go to the lexicographically first support), and its
-    Bjorck-Pereyra weights stand whenever they meet the constraints within
-    _MISS_TOL. The simplex is called once, with that support as its basis,
-    and certifies the row: it prices the basis with two small solves, and 0
-    pivots (``iterations``) means the support is optimal; a basis that does
-    not price optimal starts cold. The simplex's weights are used only where
-    there is no enumeration (a wider window) or the enumerated weights miss;
-    if they miss too, the row is refused. Infeasibility cannot occur for
-    valid systems and is raised as an internal error.
+    `_cheapest_supports` (ties within 1e-12 relative go to the
+    lexicographically first support), and its Bjorck-Pereyra weights stand
+    if they meet the constraints within _MISS_TOL; otherwise the row is
+    refused (RuntimeError). A window with more than _MAX_SUPPORTS supports
+    is refused before it is enumerated (ValueError). The support is then
+    priced once as a basis of the split formulation lambda = u - w, u, w >=
+    0, cost sum(u + w), and ``certified`` records whether it priced optimal.
     """
     k = len(system.offsets)
-    basis = weights = None
-    if math.comb(k, system.q + 1) <= _MAX_SUPPORTS:
-        # row 1 holds the normalized sites; with q = 0 no site is read
-        support, on_support = _cheapest_supports(system.matrix[min(1, system.q)], system.rhs)
-        weights = np.zeros(k)
-        weights[support] = on_support
-        # site j enters as column j (positive weight) or k + j (negative)
-        basis = [j if w >= 0.0 else k + j for j, w in zip(support.tolist(), on_support.tolist())]
-
+    _check_supports(k, system.q)
+    # row 1 holds the normalized sites; with q = 0 no site is read
+    support, on_support = _cheapest_supports(system.matrix[min(1, system.q)], system.rhs)
+    weights = np.zeros(k)
+    weights[support] = on_support
+    if not (miss := system.residual(weights)) <= _MISS_TOL:
+        raise RuntimeError(
+            f"l1 solve at index {system.center}: weights miss the constraints by {miss:.1e}")
+    # site j enters as column j (positive weight) or k + j (negative)
+    basis = [j if w >= 0.0 else k + j for j, w in zip(support.tolist(), on_support.tolist())]
     A = np.concatenate((system.matrix, -system.matrix), axis=1)
-    result = solve_standard_form(A, system.rhs, np.ones(2 * k), basis=basis)
-    if result.status != "optimal":
-        raise RuntimeError(f"l1 solve at index {system.center}: simplex returned {result.status}")
-    if weights is None or not system.residual(weights) <= _MISS_TOL:
-        weights = result.x[:k] - result.x[k:]
-        if not (miss := system.residual(weights)) <= _MISS_TOL:
-            raise RuntimeError(
-                f"l1 solve at index {system.center}: weights miss the constraints by {miss:.1e}"
-            )
-    return L1Solution(
-        weights=weights,
-        value=float(np.abs(weights).sum()),
-        iterations=result.iterations,
-    )
+    priced = solve_standard_form(A, system.rhs, np.ones(2 * k), basis=basis)
+    return L1Solution(weights=weights, value=float(np.abs(weights).sum()),
+                      certified=priced.status == "optimal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,9 +493,10 @@ def _lp_windows(space: SplineSpace, p: int, q: int) -> tuple[_Rows, ...]:
     p + 2 sites where q > p + 1, too few for exactness of degree q, so such a
     q is refused before any window is solved.
 
-    The full windows are solved together, a chunk of rows at a time
-    (`_solve_full_windows`); the truncated windows at the two ends, and the
-    full ones when a window has more than _MAX_SUPPORTS supports, take the
+    The widest window, of min(2p+1, dim) sites, must have at most
+    _MAX_SUPPORTS supports, or the (space, p, q) is refused as well. The
+    full windows are solved together, a chunk of rows at a time
+    (`_solve_full_windows`); the truncated windows at the two ends take the
     per-window path (`assemble_constraints`, then `_solve_window`) and come
     as one row each. The rows are kept per (space, p, q) while the space
     lives, and a later call reads them; a window that raises keeps nothing."""
@@ -512,6 +505,7 @@ def _lp_windows(space: SplineSpace, p: int, q: int) -> tuple[_Rows, ...]:
     if q > p + 1:
         raise ValueError(f"need q <= p + 1 = {p + 1}, since the windows at indices 1 and dim-2 "
                          f"have only p + 2 sites; got q={q} with p={p}")
+    _check_supports(min(2 * p + 1, space.dimension), q)
     if p < m:
         message = f"p={p} below degree {m}: interior norm bound not guaranteed"
         warnings.warn(message, stacklevel=3)  # at the build's or the audit's caller
@@ -519,9 +513,8 @@ def _lp_windows(space: SplineSpace, p: int, q: int) -> tuple[_Rows, ...]:
     if (p, q) in kept:
         return kept[p, q]
     last = space.dimension - 1
-    count = math.comb(2 * p + 1, q + 1)
     # the full windows p .. last-p, or none, are batched
-    lo, hi = (p, last - p + 1) if count <= _MAX_SUPPORTS and p <= last - p else (last, last)
+    lo, hi = (p, last - p + 1) if p <= last - p else (last, last)
 
     def window(i):
         offsets = tuple(range(max(-p, -i), min(p, last - i) + 1))
@@ -530,7 +523,7 @@ def _lp_windows(space: SplineSpace, p: int, q: int) -> tuple[_Rows, ...]:
         return _Rows(np.array([i]), offsets, solution.weights[None], np.array([solution.value]),
                      system.matrix[None], system.rhs[None])
 
-    step = max(1, _BATCH_ENTRIES // ((q + 1) * count))
+    step = max(1, _BATCH_ENTRIES // ((q + 1) * math.comb(2 * p + 1, q + 1)))
     rows = (*map(window, range(1, lo)),
             *(_solve_full_windows(space, p, q, np.arange(start, min(start + step, hi)))
               for start in range(lo, hi, step)),
@@ -570,18 +563,15 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
 
     The enumeration decides each row, ties within 1e-12 relative going to
     the lexicographically first support: a row is accepted when its weights
-    meet the constraints within _MISS_TOL, and no dual is solved. Every
-    other row's system, as the batch built it, goes to the per-window path,
-    whose weights and value replace the row's; its enumeration gives the
-    same weights, so there the simplex's stand or the row is refused.
+    meet the constraints within _MISS_TOL, and no dual is solved. The first
+    row that misses refuses the chunk, as `solve_l1` would refuse it.
     """
     k, size = 2 * p + 1, q + 1
     offsets = tuple(range(-p, p + 1))
-    sites, x, matrix, rhs = _assemble(space, centers, offsets, q)
+    _, x, matrix, rhs = _assemble(space, centers, offsets, q)
     support = np.empty((len(centers), size), dtype=np.intp)
     on_support = np.empty((len(centers), size))
-    # a row that meets a non-finite value fails the residual test below,
-    # and the per-window path solves it again and reports what it meets
+    # a row that meets a non-finite value fails the residual test below
     with np.errstate(all="ignore"):
         wide = np.zeros(len(centers), dtype=bool)
         if q == 2:
@@ -596,13 +586,11 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
         np.put_along_axis(weights, support, on_support, axis=1)
         miss = np.abs(matrix @ weights[:, :, None] - rhs[:, :, None]).max(axis=(1, 2))
         values = np.abs(weights).sum(axis=1)
-    for row in np.flatnonzero(~(miss <= _MISS_TOL)).tolist():
-        solution = _solve_window(ConstraintSystem(
-            center=int(centers[row]), p=p, q=q, offsets=offsets, sites=sites[row],
-            matrix=matrix[row], rhs=rhs[row],
-        ))
-        weights[row] = solution.weights
-        values[row] = solution.value
+    missed = np.flatnonzero(~(miss <= _MISS_TOL))
+    if missed.size:
+        row, i = missed[0], int(centers[missed[0]])
+        raise RuntimeError(f"near-best build failed at index {i}: l1 solve at index {i}: "
+                           f"weights miss the constraints by {miss[row]:.1e}")
     return _Rows(centers, offsets, weights, values, matrix, rhs)
 
 

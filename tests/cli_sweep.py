@@ -16,7 +16,8 @@ this process through `cli.main`. The commands are:
   `perfbench/workloads.py`, which is loaded without writing bytecode;
 - every command x kind x degree m = 1..5 x radius p in {1, m, m+1} x every
   q the near-best LP accepts (0 .. min(m, p + 1)), in CSV and JSON;
-- refusals: configuration errors (exit 2) and numerical failures (exit 3);
+- refusals: configuration errors (exit 2), and windows past 2^16 supports,
+  among them one past the enumeration's bound;
 - scale: commands on intervals from 1e60 to 1.7e308 long, which either
   print what they print on [0, 1] or refuse with exit 2;
 - graded: near-best commands at m = 7 on geometric ratio 100, past the
@@ -132,9 +133,11 @@ REFUSALS = [
     ["norms", "--family", "geometric", "--ratio", "inf"],
     ["norms", "--family", "random", "--seed", "-1"],
     ["unknown-command"],
-    # exit 3: a numerical failure
+    # windows past 2^16 supports, which the enumeration solves, and one past
+    # its 2^20 bound (exit 2)
     ["nearbest", "--m", "7", "--p", "10", "--q", "7", "--n", "60"],
     ["nearbest", "--m", "5", "--p", "12", "--q", "5", "--n", "60"],
+    ["nearbest", "--m", "7", "--p", "12", "--q", "7", "--n", "60"],
 ]
 
 SCALE = [
@@ -163,7 +166,7 @@ GRADED = [
     ["nearbest", "--m", "7", "--p", "6", "--q", "7", "--n", "12", "--family", "geometric",
      "--ratio", "100", "--audit"],
     # truncated windows whose enumerated optimum has normalized sites about
-    # 1e-12 apart, below the simplex's pivot tolerance
+    # 1e-12 apart, below a simplex tableau's 1e-11 pivot tolerance
     ["audit", "--m", "5", "--p", "3", "--q", "4", "--n", "10", "--family", "geometric",
      "--ratio", "1000"],
     ["audit", "--m", "6", "--p", "5", "--q", "5", "--n", "14", "--family", "geometric",

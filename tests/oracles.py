@@ -1,8 +1,8 @@
 """Independent computational oracles that pin expected values in tests.
 
 Deliberately naive implementations: Cramer's rule, exhaustive vertex
-enumeration (also in mpmath), central differences, a sampled Lebesgue
-function. Slow but obviously correct,
+enumeration (also in mpmath), a dual vector in mpmath, central differences,
+a sampled Lebesgue function. Slow but obviously correct,
 and sharing no code with the package internals they check.
 """
 
@@ -47,6 +47,29 @@ def l1_min_enumerate(V, b):
             continue
         w = np.linalg.solve(sub, b)
         best = min(best, float(np.abs(w).sum()))
+    return best
+
+
+def standard_form_enumerate(A, b, c):
+    """Optimal vertex of min c.x s.t. A x = b, x >= 0, by enumerating every
+    basis: the feasible basic solution of least cost, the lexicographically
+    first basis among ties within 1e-12. A basis with cond(B) >= 1e10 is
+    skipped: its solve is too inexact to rank. Returns (value, basis, x);
+    value is inf where no basis is feasible."""
+    A, b, c = (np.asarray(v, dtype=float) for v in (A, b, c))
+    rows, cols = A.shape
+    best = (np.inf, None, None)
+    for basis in itertools.combinations(range(cols), rows):
+        B = A[:, basis]
+        if not np.linalg.cond(B) < 1e10:
+            continue
+        x = np.zeros(cols)
+        x[list(basis)] = np.linalg.solve(B, b)
+        if x.min() < -1e-14 * max(1.0, float(np.abs(b).max())):
+            continue
+        value = float(c @ x)
+        if value < best[0] - 1e-12 * max(1.0, abs(value)):
+            best = (value, list(basis), x)
     return best
 
 
@@ -96,6 +119,22 @@ def nearbest_residual_mp(t, m, i, offsets, q, weights, dps=40):
         V, rhs = _nearbest_system_mp(t, m, i, offsets, q)
         w = [mpmath.mpf(float(v)) for v in weights]
         return float(max(abs(mpmath.fdot(row, w) - b) for row, b in zip(V, rhs)))
+
+
+def nearbest_dual_mp(t, m, i, offsets, q, weights, dps=40):
+    """The dual vector of the near-best weights at index i, in mpmath from
+    the knots: on their support S (the q + 1 nonzero weights) it solves
+    V_S^T y = sign(w_S). Returns the largest |v_j^T y| over every site j,
+    which is at most 1 iff the support is optimal, and b^T y, which is then
+    the optimal l1 value."""
+    with mpmath.workdps(dps):
+        V, rhs = _nearbest_system_mp(t, m, i, offsets, q)
+        support = [j for j, w in enumerate(weights) if w != 0.0]
+        assert len(support) == q + 1, support
+        VS_T = mpmath.matrix([[row[j] for row in V] for j in support])
+        y = mpmath.lu_solve(VS_T, mpmath.matrix([mpmath.sign(weights[j]) for j in support]))
+        largest = max(abs(mpmath.fdot([row[j] for row in V], y)) for j in range(len(offsets)))
+        return float(largest), float(mpmath.fdot(rhs, y))
 
 
 def three_point_certificate_mp(theta, i, p, dps=40):

@@ -154,7 +154,7 @@ def test_ac05_lp_matches_enumeration():
             lp = solve_l1(system).value
             brute = l1_min_enumerate(system.matrix, system.rhs)
             worst = max(worst, abs(lp - brute))
-    _check("AC5 simplex vs enumeration oracle", worst <= 1e-8,
+    _check("AC5 near-best LP vs enumeration oracle", worst <= 1e-8,
            f"worst |lp - brute| {worst:.2e}")
 
 

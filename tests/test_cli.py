@@ -797,21 +797,30 @@ class TestMain:
         assert err.startswith("numerical failure:")
         assert "index 1" in err
 
-    def test_simplex_status_exits_3_and_writes_no_record(self, capsys, monkeypatch):
+    def test_a_window_past_the_support_bound_exits_2(self, capsys):
+        # C(25, 8) supports in the widest window: refused before any solve
+        assert main(["nearbest", "--m", "7", "--p", "12", "--q", "7", "--n", "60"]) == 2
+        assert capsys.readouterr() == ("", "error: a window of 25 sites has C(25, 8) = 1081575 "
+                                       "supports, more than the 1048576 the near-best LP "
+                                       "enumerates\n")
+
+    def test_a_missed_row_exits_3_and_writes_no_record(self, capsys, monkeypatch):
         import splineqi.nearbest as nb
-        from splineqi.simplex import SimplexResult
 
-        def unbounded(A, b, c, basis=None):
-            return SimplexResult(x=np.zeros(A.shape[1]), value=-np.inf, status="unbounded",
-                                 iterations=0)
+        cheapest = nb._cheapest_supports
 
-        monkeypatch.setattr(nb, "solve_standard_form", unbounded)
+        def off_by_1e3(x, rhs):
+            # the optimal supports, with weights that miss the sum row by 1e-3
+            support, weights = cheapest(x, rhs)
+            return support, weights * (1.0 + 1e-3)
+
+        monkeypatch.setattr(nb, "_cheapest_supports", off_by_1e3)
         assert main(["audit", "--m", "2", "--p", "2", "--n", "10"]) == 3
         out, err = capsys.readouterr()
         # every LP is solved before the first record is written
         assert out == ""
         assert err == ("numerical failure: near-best build failed at index 1: "
-                       "l1 solve at index 1: simplex returned unbounded\n")
+                       "l1 solve at index 1: weights miss the constraints by 1.0e-03\n")
 
     def test_cached_parser_matches_fresh_parsers(self, capsys, monkeypatch):
         import splineqi.cli as cli

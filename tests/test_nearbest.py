@@ -482,41 +482,50 @@ class TestBuildNearbest:
             build_nearbest_qi(sp, 2)
 
 
-    @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
-    def test_simplex_status_is_reported_with_index(self, monkeypatch, status):
+    def test_a_miss_is_reported_with_index(self, monkeypatch):
+        # the enumerated weights of every window miss: the build is refused
+        # at its first window, with the index and the miss
         import splineqi.nearbest as nb
-        from splineqi.simplex import SimplexResult
 
-        def refuse(A, b, c, basis=None):
-            return SimplexResult(x=np.zeros(A.shape[1]), value=np.inf, status=status,
-                                 iterations=0)
-
-        monkeypatch.setattr(nb, "solve_standard_form", refuse)
+        monkeypatch.setattr(nb, "_cheapest_supports", _off_by_1e3)
         sp = space_from("uniform", m=2, n=8)
-        message = f"failed at index 1: l1 solve at index 1: simplex returned {status}$"
+        message = "^near-best build failed at index 1: l1 solve at index 1: weights miss"
         with pytest.raises(RuntimeError, match=message):
             build_nearbest_qi(sp, 2)
 
     def test_infeasible_weights_are_refused(self, monkeypatch):
-        # the enumerated weights miss, so the simplex's are taken, and they
-        # miss too: the row is refused with the simplex's miss
+        # the enumerated weights miss, and nothing else is tried: the row is
+        # refused with their miss
+        import splineqi.nearbest as nb
+
+        monkeypatch.setattr(nb, "_cheapest_supports", _off_by_1e3)
+        sp = space_from("uniform", m=2, n=8)
+        with pytest.raises(RuntimeError, match="miss the constraints by 1.0e-03"):
+            solve_l1(assemble_constraints(sp, 4, 2, 0))
+
+    @pytest.mark.parametrize("priced", ["optimal", "not optimal"])
+    def test_the_pricing_verdict_is_recorded(self, monkeypatch, priced):
+        # the enumeration decides the row whatever the pricing says; its
+        # verdict is kept as ``certified``
         import splineqi.nearbest as nb
         from splineqi.simplex import SimplexResult
 
-        def off_by_1e6(A, b, c, **kwargs):
-            x = np.zeros(A.shape[1])
-            x[0] = 1.0 + 1e-6  # an "optimal" vertex that misses the sum row
-            return SimplexResult(x=x, value=float(x[0]), status="optimal", iterations=1)
+        system = assemble_constraints(space_from("random", m=3, n=12, seed=2), 6, 3, 3)
+        solution = solve_l1(system)
+        assert solution.certified
+        monkeypatch.setattr(nb, "solve_standard_form", lambda A, b, c, basis: SimplexResult(
+            x=np.zeros(A.shape[1]), value=np.nan, status=priced, iterations=0))
+        recorded = solve_l1(system)
+        assert recorded.certified == (priced == "optimal")
+        assert recorded.weights.tobytes() == solution.weights.tobytes()
+        assert recorded.value == solution.value
 
-        def off_by_1e3(x, rhs):
-            # at q = 0 a support is one site, shaped like the right-hand side
-            return np.zeros(rhs.shape, dtype=np.intp), np.full(rhs.shape, 1.0 + 1e-3)
 
-        monkeypatch.setattr(nb, "_cheapest_supports", off_by_1e3)
-        monkeypatch.setattr(nb, "solve_standard_form", off_by_1e6)
-        sp = space_from("uniform", m=2, n=8)
-        with pytest.raises(RuntimeError, match="miss the constraints by 1.0e-06"):
-            solve_l1(assemble_constraints(sp, 4, 2, 0))
+def _off_by_1e3(x, rhs):
+    """The first site of each window as its support, with weight 1 + 1e-3:
+    weights that miss the sum row by 1e-3."""
+    # at q = 0 a support is one site, shaped like the right-hand side
+    return np.zeros(rhs.shape, dtype=np.intp), np.full(rhs.shape, 1.0 + 1e-3)
 
 
 class TestAudit:
@@ -610,6 +619,38 @@ class TestIntegerArguments:
         sp = space_from("uniform", m=2, n=10)
         with pytest.raises(ValueError, match="offset radius must be an integer"):
             build_qp2star(sp, True)
+
+
+class TestSupportBound:
+    """A (space, p, q) whose widest window has more than 2^20 supports of
+    q + 1 sites is refused, before any window is enumerated."""
+
+    @pytest.mark.parametrize("call", [
+        build_nearbest_qi, lambda *a: next(iter_lp_audit(*a)),
+        lambda sp, p, q: solve_l1(assemble_constraints(sp, 30, p, q))],
+        ids=["build", "audit", "solve_l1"])
+    def test_windows_past_the_support_bound_refused_before_any_enumeration(
+            self, call, monkeypatch):
+        # C(25, 8) = 1,081,575 supports, more than 2^20
+        def never(*args, **kwargs):
+            raise AssertionError("a window was enumerated")
+
+        monkeypatch.setattr(nearbest, "_cheapest_supports", never)
+        sp = space_from("uniform", m=7, n=60)
+        message = (r"^a window of 25 sites has C\(25, 8\) = 1081575 supports, more than the "
+                   r"1048576 the near-best LP enumerates$")
+        with pytest.raises(ValueError, match=message):
+            call(sp, 12, 7)
+        assert (12, 7) not in nearbest._TABLES.get(id(sp), {})
+
+    def test_the_support_bound_counts_the_window_the_space_leaves(self):
+        # dim = 12 < 2p + 1 = 401: every window has at most 12 sites, and
+        # C(12, 3) = 220 supports; at dim = 25 a window of 25 sites at q = 7
+        # is past the bound, whatever p
+        qi = build_nearbest_qi(space_from("uniform", m=2, n=10), 200, 2)
+        assert max(qi.lengths) == 12
+        with pytest.raises(ValueError, match=r"^a window of 25 sites has C\(25, 8\)"):
+            build_nearbest_qi(space_from("uniform", m=7, n=18), 100, 7)
 
 
 @pytest.mark.parametrize("family, ratio, seed, m, q", [

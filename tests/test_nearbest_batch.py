@@ -1,10 +1,9 @@
 """The batched solve of the full windows against the per-window LP path.
 
 `_lp_windows` solves every full window (offsets -p..p) of an operator in
-one batch and hands each row whose weights miss the constraints, with the
-system the batch assembled, to `solve_l1`; every truncated window goes
-through `assemble_constraints` -> `solve_l1`. Each batched row must be the
-LP optimum that path finds.
+one batch, and refuses the operator at the first row whose weights miss the
+constraints; every truncated window goes through `assemble_constraints` ->
+`solve_l1`. Each batched row must be the LP optimum that path finds.
 """
 
 import math
@@ -23,27 +22,15 @@ FAMILIES = [("uniform", 1.0, 0), ("geometric", 1.2, 0), ("geometric", 100.0, 0),
 
 
 def _batched_cases(m):
-    """(p, q) for p in {1, m, m+1} and q = 0 .. min(m, 2p) whose full
-    windows are batched."""
-    return [(p, q) for p in sorted({1, m, m + 1}) for q in range(min(m, 2 * p) + 1)
-            if math.comb(2 * p + 1, q + 1) <= nb._MAX_SUPPORTS]
+    """(p, q) for p in {1, m, m+1} and q = 0 .. min(m, 2p)."""
+    return [(p, q) for p in sorted({1, m, m + 1}) for q in range(min(m, 2 * p) + 1)]
 
 
-def _batch(space, p, q, monkeypatch):
-    """(center, weights, value) of each row the batch certifies itself, read
-    from the chunk's arrays; the rows it leaves to the path are left out."""
-    refused = set()
-
-    def path(system):
-        refused.add(system.center)
-        return nb.L1Solution(np.zeros(len(system.offsets)), 0.0, 0)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(nb, "_solve_window", path)
-        rows = nb._solve_full_windows(space, p, q, np.arange(p, space.dimension - p))
-    return [(i, weights, value)
-            for i, weights, value in zip(rows.centers.tolist(), rows.weights, rows.values.tolist())
-            if i not in refused]
+def _batch(space, p, q):
+    """(center, weights, value) of each full window, read from the chunk's
+    arrays."""
+    rows = nb._solve_full_windows(space, p, q, np.arange(p, space.dimension - p))
+    return zip(rows.centers.tolist(), rows.weights, rows.values.tolist())
 
 
 def _exact_on_support(system, support):
@@ -57,15 +44,15 @@ def _exact_on_support(system, support):
 
 @pytest.mark.parametrize("family, ratio, seed", FAMILIES)
 @pytest.mark.parametrize("m", range(1, 8))
-def test_batch_matches_per_window_path(monkeypatch, family, ratio, seed, m):
+def test_batch_matches_per_window_path(family, ratio, seed, m):
     compared = 0
     for p, q in _batched_cases(m):
         space = space_from(family, m, n=2 * p + 4, seed=seed, ratio=ratio)
-        for i, weights, value in _batch(space, p, q, monkeypatch):
+        for i, weights, value in _batch(space, p, q):
             path = solve_l1(assemble_constraints(space, i, p, q))
             case = (family, m, p, q, i)
             # both paths keep the enumerated support's Bjorck-Pereyra
-            # weights, bit for bit, whatever the simplex's pivots
+            # weights, bit for bit
             assert weights.tobytes() == path.weights.tobytes(), case
             assert value == path.value, case
             compared += 1
@@ -73,13 +60,13 @@ def test_batch_matches_per_window_path(monkeypatch, family, ratio, seed, m):
 
 
 def test_per_window_path_keeps_bjorck_pereyra_weights():
-    # an ill-conditioned support (cond(V_S) about 4e4): the simplex tableau's
-    # weights miss the 40-digit solution by 2.7e-13 relative, Bjorck-Pereyra's
-    # by 3e-15
+    # an ill-conditioned support (cond(V_S) about 4e4): a simplex tableau's
+    # weights missed the 40-digit solution by 2.7e-13 relative, Bjorck-Pereyra's
+    # miss it by 3e-15
     space = space_from("random", 7, n=20, seed=1)
     system = assemble_constraints(space, 18, 8, 7)
     solution = solve_l1(system)
-    assert solution.iterations == 0
+    assert solution.certified
     support = np.flatnonzero(solution.weights)
     exact = _exact_on_support(system, support)
     assert np.abs(solution.weights[support] - exact).max() <= 1e-14 * solution.value
@@ -130,8 +117,8 @@ def test_enumeration_weights_are_a_solve_of_their_support(monkeypatch, m, p, bud
 
 def _first_support(x, rhs):
     """The lexicographically first support of each window, which is not
-    optimal on uniform cubic windows of radius 3 at q = 3: the batch refuses
-    them. (At q = 2 the batch certifies those windows without enumerating.)"""
+    optimal on uniform cubic windows of radius 3 at q = 3. (At q = 2 the
+    batch certifies those windows without enumerating.)"""
     support = np.broadcast_to(np.arange(rhs.shape[-1]), rhs.shape)
     weights = nb._support_values(np.take_along_axis(x, support, axis=-1)[..., None], rhs)
     return support, weights[..., 0]
@@ -145,38 +132,25 @@ def _first_support_missing(x, rhs, rows=slice(None)):
     return support, weights
 
 
-def test_rows_the_batch_cannot_certify_take_the_path(monkeypatch):
-    # offer the lexicographically first support, which is not optimal here:
-    # where its weights meet the constraints the batch keeps them, and where
-    # they miss (every other full window) the row goes to the path, whose
-    # enumeration misses too, so the simplex's weights replace them. A
-    # refused row keeps the system the batch assembled: only the truncated
-    # windows at the two ends are assembled one by one.
+def test_rows_the_batch_cannot_certify_are_refused(monkeypatch):
+    # offer the lexicographically first support, which is not optimal here,
+    # with the weights of every other full window, from the second, scaled
+    # off the constraints: the batch keeps no row of its chunk, and refuses
+    # the operator at the first row that misses. The truncated windows
+    # before it were solved; none after it is.
     space = space_from("uniform", 3, n=16)
-    best = build_nearbest_qi(space, 3, 3)
-    last = space.dimension - 1
-    centers = np.arange(3, last - 2)
-    solved, assembled = [], []
-    window, assemble = nb._solve_window, nb.assemble_constraints
-    # every other row of a call misses, starting at the first: a lone window misses
-    monkeypatch.setattr(nb, "_cheapest_supports",
-                        lambda x, rhs: _first_support_missing(x, rhs, rows=slice(None, None, 2)))
+    solved, window = [], nb._solve_window
+
+    def offered(x, rhs):
+        return _first_support_missing(x, rhs, rows=slice(1, None, 2) if x.ndim == 2 else slice(0))
+
+    monkeypatch.setattr(nb, "_cheapest_supports", offered)
     monkeypatch.setattr(nb, "_solve_window", lambda s: (solved.append(s.center), window(s))[1])
-    monkeypatch.setattr(nb, "assemble_constraints",
-                        lambda s, i, *a, **k: (assembled.append(i), assemble(s, i, *a, **k))[1])
-    # a fresh space: the first one keeps its rows and would not solve again
-    qi = build_nearbest_qi(SplineSpace.from_knots(space.knots), 3, 3)
-    missed, kept = centers[::2].tolist(), centers[1::2].tolist()
-    assert solved == sorted([1, 2, *missed, last - 2, last - 1])
-    assert assembled == [1, 2, last - 2, last - 1]
-    path = [1, 2, *missed, last - 2, last - 1]
-    np.testing.assert_allclose([qi.lp_values[i] for i in path],
-                               [best.lp_values[i] for i in path], rtol=1e-12)
-    _, x, _, rhs = nb._assemble(space, centers, tuple(range(-3, 4)), 3)
-    _, first = _first_support(x, rhs)
-    for i in kept:
-        assert qi.weights[i].tolist() == [*first[i - 3], 0.0, 0.0, 0.0], i
-        assert qi.lp_values[i] > best.lp_values[i] + 0.1, i
+    message = "^near-best build failed at index 4: l1 solve at index 4: weights miss the constraints"
+    with pytest.raises(RuntimeError, match=message):
+        build_nearbest_qi(space, 3, 3)
+    assert solved == [1, 2]
+    assert (3, 3) not in nb._TABLES[id(space)]
 
 
 def test_batch_solves_no_linear_system(monkeypatch):
@@ -199,11 +173,13 @@ def test_batch_solves_no_linear_system(monkeypatch):
 def test_lp_objects_only_for_the_path(monkeypatch, refuse):
     # the batch hands its rows on as arrays: a ConstraintSystem and an
     # L1Solution are made only for a window on the per-window path, the 4
-    # truncated windows here, or every row when the weights of all of them
-    # miss (at q = 3, as the batch solves these q = 2 windows unenumerated)
+    # truncated windows here; where every full window's weights miss, the
+    # build is refused at the first, after the 2 truncated windows before
+    # it, and the batch makes no LP object for the rows it refuses
     space = space_from("uniform", 3, n=16)
     if refuse:
-        monkeypatch.setattr(nb, "_cheapest_supports", _first_support_missing)
+        monkeypatch.setattr(nb, "_cheapest_supports", lambda x, rhs: _first_support_missing(
+            x, rhs, rows=slice(None) if x.ndim == 2 else slice(0)))
     made = {"ConstraintSystem": 0, "L1Solution": 0}
     for name in made:
         cls = getattr(nb, name)
@@ -213,8 +189,12 @@ def test_lp_objects_only_for_the_path(monkeypatch, refuse):
             return cls(*args, **kwargs)
 
         monkeypatch.setattr(nb, name, counted)
-    build_nearbest_qi(space, 3, 3 if refuse else 2)
-    path = space.dimension - 2 if refuse else 4
+    if refuse:
+        with pytest.raises(RuntimeError, match="^near-best build failed at index 3: "):
+            build_nearbest_qi(space, 3, 3)
+    else:
+        build_nearbest_qi(space, 3, 2)
+    path = 2 if refuse else 4
     assert made == {"ConstraintSystem": path, "L1Solution": path}
 
 
@@ -330,9 +310,7 @@ def test_one_window_has_the_bits_of_its_row(family, ratio, seed, m):
         centers = np.arange(p, last - p + 1)
         for q in range(min(m, 2 * p) + 1):
             chunk = nb._assemble(space, centers, full, q)
-            enumerated = math.comb(2 * p + 1, q + 1) <= nb._MAX_SUPPORTS
-            if enumerated:
-                chunk_best = nb._cheapest_supports(chunk[1], chunk[3])
+            chunk_best = nb._cheapest_supports(chunk[1], chunk[3])
             for i in range(1, last):
                 offsets = tuple(range(max(-p, -i), min(p, last - i) + 1))
                 if len(offsets) < q + 1:
@@ -350,13 +328,11 @@ def test_one_window_has_the_bits_of_its_row(family, ratio, seed, m):
                 assert _same_bits(system.rhs, one[3], *(r[3][a] for r, a in zip(rows, at))), case
                 if q:
                     assert _same_bits(one[1], system.matrix[1]), case
-                if math.comb(len(offsets), q + 1) > nb._MAX_SUPPORTS:
-                    continue
                 support, weights = nb._cheapest_supports(one[1], one[3])
                 assert support.shape == weights.shape == (q + 1,), case
                 lone = nb._cheapest_supports(alone[1], alone[3])
                 assert _same_bits(support, lone[0][0]) and _same_bits(weights, lone[1][0]), case
-                if len(offsets) == 2 * p + 1 and enumerated:
+                if len(offsets) == 2 * p + 1:
                     row = i - p
                     assert _same_bits(support, chunk_best[0][row]), case
                     assert _same_bits(weights, chunk_best[1][row]), case

@@ -156,6 +156,30 @@ def test_wide_high_exactness_build_is_exact():
     _check_rows(qi, sampled=())
 
 
+@pytest.mark.parametrize("family, ratio, m, p, q, n", [
+    ("uniform", 1.0, 7, 10, 7, 60),     # C(21, 8) = 203 490 supports per full window
+    ("uniform", 1.0, 5, 12, 5, 60),     # C(25, 6) = 177 100
+    ("geometric", 1.05, 7, 9, 7, 20),   # C(19, 8) = 75 582
+])
+def test_windows_past_2_16_supports_reach_the_optimum(family, ratio, m, p, q, n):
+    # index 1 against the enumeration oracle, and the full window with the
+    # largest optimum against the dual vector of its support, both in
+    # mpmath. (Many interior uniform windows have tied optimal supports, at
+    # which a dual vector need not be bounded by 1.)
+    space = space_from(family, m, n=n, ratio=ratio)
+    qi = build_nearbest_qi(space, p, q)
+    t = space.knots.t
+    st = qi.stencil(1)
+    assert len(st.offsets) == p + 2
+    best = oracles.nearbest_enumerate_mp(t, m, 1, st.offsets, q)
+    assert abs(qi.lp_values[1] - best) <= 1e-12 * best, (qi.lp_values[1], best)
+    i = _worst_full_window(qi)
+    st, value = qi.stencil(i), qi.lp_values[i]
+    largest, dual = oracles.nearbest_dual_mp(t, m, i, st.offsets, q, st.weights)
+    assert largest <= 1.0 + 1e-9, (i, largest)
+    assert abs(value - dual) <= 1e-12 * value, (i, value, dual)
+
+
 @pytest.mark.parametrize("q", [0, 1])
 def test_oracle_low_exactness_is_a_convex_combination(q):
     # with sites on both sides of theta_i, some convex combination reproduces

@@ -1,6 +1,6 @@
-"""Dense simplex: classic stress cases, randomized feasibility, and a given
-basis priced by two solves, with the cold start where it does not price
-optimal."""
+"""Pricing of a given basis: an optimal one is certified by two solves with
+no pivot, and is the optimum that vertex enumeration finds; any other is
+reported as not optimal, and a call without a basis is refused."""
 
 import itertools
 
@@ -10,108 +10,33 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import space_from
+from oracles import standard_form_enumerate
 from splineqi.nearbest import assemble_constraints, solve_l1
 from splineqi.simplex import solve_standard_form
 
 
-def test_beale_cycling_example():
-    # smallest-index pivoting must terminate on this classic cycler
-    A = np.array(
-        [
-            [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
-            [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    b = np.array([0.0, 0.0, 1.0])
-    c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-    res = solve_standard_form(A, b, c)
-    assert res.status == "optimal"
-    assert res.value == pytest.approx(-0.05, abs=1e-10)
-    np.testing.assert_allclose(A @ res.x, b, atol=1e-12)
-    assert (res.x >= -1e-12).all()
-
-
-def test_unbounded():
-    A = np.array([[1.0, -1.0]])
-    b = np.array([1.0])
-    c = np.array([-1.0, 0.0])
-    res = solve_standard_form(A, b, c)
-    assert res.status == "unbounded"
-
-
-def test_infeasible():
-    A = np.array([[1.0, 1.0]])
-    b = np.array([-1.0])
-    c = np.array([1.0, 1.0])
-    res = solve_standard_form(A, b, c)
-    assert res.status == "infeasible"
-
-
-# column 0 prices below -pivot_tol in phase 1 (its entries sum to 1.2e-11)
-# but has no entry above pivot_tol to pivot on: an "unbounded" phase 1
-_TINY_COLUMN = np.array([[6e-12, 1.0], [6e-12, -1.0]])
-
-
-def test_phase1_unbounded_at_zero_objective_continues():
-    res = solve_standard_form(_TINY_COLUMN, np.zeros(2), np.array([1.0, 1.0]))
-    assert res.status == "optimal"
-    assert res.value == 0.0
-
-
-def test_phase1_unbounded_away_from_zero_raises():
-    with pytest.raises(RuntimeError, match="phase-1 objective unbounded"):
-        solve_standard_form(_TINY_COLUMN, np.ones(2), np.array([1.0, 1.0]))
-
-
-def test_redundant_rows_driven_out():
-    A = np.array([[1.0, 1.0], [2.0, 2.0]])
-    b = np.array([1.0, 2.0])
-    c = np.array([1.0, 0.0])
-    res = solve_standard_form(A, b, c)
-    assert res.status == "optimal"
-    np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-12)
-    assert res.value == pytest.approx(0.0, abs=1e-12)
+def _priced_optimum(A, b, c):
+    """The pricing of the basis that vertex enumeration finds optimal, and
+    the enumeration's value and point."""
+    value, basis, x = standard_form_enumerate(A, b, c)
+    return solve_standard_form(A, b, c, basis=basis), value, x
 
 
 def test_degenerate_rhs():
     A = np.array([[1.0, 0.0], [1.0, 1.0]])
     b = np.array([0.0, 1.0])
     c = np.array([0.0, 1.0])
-    res = solve_standard_form(A, b, c)
-    assert res.status == "optimal"
+    res, value, x = _priced_optimum(A, b, c)
+    assert res.status == "optimal" and res.iterations == 0
     np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-12)
-    assert res.value == pytest.approx(1.0, abs=1e-12)
-
-
-def _klee_minty(d):
-    """Klee and Minty's cube in dimension d with its slacks, as a minimum:
-    Bland's rule visits a number of vertices that grows like a Fibonacci
-    sequence in d."""
-    A = np.zeros((d, 2 * d))
-    for i in range(d):
-        A[i, :i] = 2.0 ** np.arange(i + 1, 1, -1)
-        A[i, i] = A[i, d + i] = 1.0
-    b = 5.0 ** np.arange(1, d + 1)
-    c = np.concatenate([-(2.0 ** np.arange(d - 1, -1, -1)), np.zeros(d)])
-    return A, b, c
-
-
-def test_iteration_cap():
-    # the cap is 10 iterations per column: 177 pivots fit within 200 at
-    # d = 10, and d = 11 needs more than 220
-    res = solve_standard_form(*_klee_minty(10))
-    assert res.status == "optimal" and res.iterations == 177
-    assert res.value == pytest.approx(-(5.0**10), rel=1e-12)
-    with pytest.raises(RuntimeError, match=r"iteration cap \(220\)"):
-        solve_standard_form(*_klee_minty(11))
+    assert res.value == pytest.approx(1.0, abs=1e-12) and value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_objective_returns_feasible_point():
     A = np.array([[1.0, 1.0, 1.0]])
     b = np.array([3.0])
     c = np.zeros(3)
-    res = solve_standard_form(A, b, c)
+    res, _, _ = _priced_optimum(A, b, c)
     assert res.status == "optimal"
     assert res.value == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(A @ res.x, b, atol=1e-12)
@@ -127,8 +52,10 @@ def test_random_feasible_problems(seed):
     x0 = rng.uniform(0.0, 2.0, cols)
     b = A @ x0
     c = rng.uniform(0.0, 1.0, cols)
-    res = solve_standard_form(A, b, c)
-    assert res.status == "optimal"
+    res, value, x = _priced_optimum(A, b, c)
+    assert res.status == "optimal" and res.iterations == 0
+    np.testing.assert_allclose(res.x, x, atol=1e-9)
+    assert res.value == pytest.approx(value, rel=1e-9, abs=1e-12)
     np.testing.assert_allclose(A @ res.x, b, atol=1e-8)
     assert (res.x >= -1e-9).all()
     assert res.value <= c @ x0 + 1e-9
@@ -141,46 +68,11 @@ _V = np.vstack([_X**r for r in range(3)])
 _L1 = (np.hstack([_V, -_V]), np.array([1.0, 0.1, -0.2]), np.ones(10))
 
 
-def _same_optimum(res, cold):
-    assert res.status == cold.status == "optimal"
-    assert res.value == pytest.approx(cold.value, rel=1e-14)
-    np.testing.assert_allclose(res.x, cold.x, atol=1e-14)
-
-
 def test_optimal_basis_takes_no_iterations():
-    cold = solve_standard_form(*_L1)
-    assert cold.iterations > 0
-    basis = [int(j) for j in np.flatnonzero(cold.x > 1e-12)]
-    assert len(basis) == 3
-    res = solve_standard_form(*_L1, basis=basis)
-    assert res.iterations == 0
-    _same_optimum(res, cold)
-
-
-def test_feasible_basis_pivots_on_to_the_optimum():
-    # a feasible basis that is not optimal is not installed: the cold start
-    # pivots to the optimum as if no basis had been given
-    cold = solve_standard_form(*_L1)
-    # sites -1, -0.5, 0 with the signs of their square system's solution
-    w = np.linalg.solve(_V[:, :3], _L1[1])
-    basis = [j if w[j] >= 0 else 5 + j for j in range(3)]
-    assert float(np.abs(w).sum()) > cold.value + 1e-3
-    res = solve_standard_form(*_L1, basis=basis)
-    assert res.iterations == cold.iterations > 0
-    assert res.x.tobytes() == cold.x.tobytes()
-    _same_optimum(res, cold)
-
-
-@pytest.mark.parametrize("basis", [
-    [0, 1, 2],  # the wrong signs: the basic solution is infeasible
-    [0, 0, 4],  # a repeated column: no pivot for the second
-    [0, 5, 4],  # a column and its negative: singular
-])
-def test_unusable_basis_falls_back_to_two_phase(basis):
-    cold = solve_standard_form(*_L1)
-    res = solve_standard_form(*_L1, basis=basis)
-    assert res.iterations == cold.iterations
-    np.testing.assert_array_equal(res.x, cold.x)
+    res, value, x = _priced_optimum(*_L1)
+    assert res.status == "optimal" and res.iterations == 0
+    assert res.value == pytest.approx(value, rel=1e-14)
+    np.testing.assert_allclose(res.x, x, atol=1e-14)
 
 
 # split l1 LP with linear exactness on normalized sites 1e-12 apart: the
@@ -192,31 +84,30 @@ _L1_NEAR = (np.hstack([_V_NEAR, -_V_NEAR]), np.array([1.0, 0.0]), np.ones(10))
 
 def test_optimal_basis_below_the_pivot_tolerance_is_certified():
     # the centre and its neighbour 1e-12 away: a tableau could not pivot
-    # them in, as the second pivot would be 1e-12, below _PIVOT_TOL
+    # them in, as the second pivot would be 1e-12, below its old 1e-11
+    # tolerance; pricing needs no pivot
     res = solve_standard_form(*_L1_NEAR, basis=[2, 3])
     assert res.status == "optimal" and res.iterations == 0
     assert res.x.tolist() == [0.0, 0.0, 1.0] + [0.0] * 7
     assert res.value == 1.0
-    cold = solve_standard_form(*_L1_NEAR)
-    assert cold.iterations > 0 and cold.value == pytest.approx(1.0, rel=1e-14)
-    assert cold.x[2] == 0.0  # a tied optimum on another support
+    assert standard_form_enumerate(*_L1_NEAR)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_rounding_on_basic_columns_does_not_refuse_an_optimal_basis():
     # geometric ratio 0.5, m = 7, p = 8, q = 7, index 17: cond(B) is about
     # 2e8 and the dual about 3e7, so c_B - B^T y rounds to -1.6e-9 on the
     # basic columns; their reduced costs are 0 by construction, and the
-    # enumerated support is certified without a pivot
+    # enumerated support is certified
     sp = space_from("geometric", 7, n=12, ratio=0.5)
     system = assemble_constraints(sp, 17, 8, 7, offsets=tuple(range(-8, 2)))
-    assert solve_l1(system).iterations == 0
+    assert solve_l1(system).certified
 
 
 def test_a_basis_may_be_a_tuple():
     # a tuple must not index several axes of A or c
     listed = solve_standard_form(*_L1, basis=[2, 5, 9])
     res = solve_standard_form(*_L1, basis=(2, 5, 9))
-    assert res.iterations == listed.iterations == 0
+    assert res.status == listed.status == "optimal"
     assert res.x.tobytes() == listed.x.tobytes()
 
 
@@ -226,26 +117,33 @@ _NAN_RHS = (_L1[0], np.array([1.0, np.nan, -0.2]), _L1[2])
 
 
 @pytest.mark.parametrize("problem, basis", [
-    (_L1, [5, 1, 2]),  # sites -1, -0.5, 0 with their signs: feasible, pivots on
+    (_L1, [5, 1, 2]),  # sites -1, -0.5, 0 with their signs: feasible, not optimal
     (_L1, [0, 1, 2]),  # the wrong signs: infeasible
     (_L1, [0, 0, 4]),  # a repeated column
     (_L1, [0, 5, 4]),  # a column and its negative: singular
     (_NAN_COLUMN, [2, 5, 9]),  # optimal but for a NaN reduced cost
     (_NAN_RHS, [2, 5, 9]),
 ], ids=["not-optimal", "infeasible", "repeated", "singular", "nan-column", "nan-rhs"])
-def test_a_basis_that_does_not_price_optimal_runs_the_tableau(problem, basis):
-    # the tableau starts cold, as if no basis had been given
+def test_a_basis_that_does_not_price_optimal_is_reported(problem, basis):
+    # no other basis is searched for: nothing is pivoted
     res = solve_standard_form(*problem, basis=basis)
-    ref = solve_standard_form(*problem)
-    assert (res.status, res.iterations) == (ref.status, ref.iterations)
-    assert res.x.tobytes() == ref.x.tobytes()
+    assert (res.status, res.iterations) == ("not optimal", 0)
+    assert res.x.tolist() == [0.0] * 10 and np.isnan(res.value)
+
+
+def test_a_feasible_basis_that_is_not_optimal_costs_more_than_the_optimum():
+    # the "not-optimal" basis above: its weights solve the exactness rows on
+    # sites -1, -0.5, 0, and cost more than the enumerated optimum
+    w = np.linalg.solve(_V[:, :3], _L1[1])
+    assert [j if w[j] >= 0 else 5 + j for j in range(3)] == [5, 1, 2]
+    assert float(np.abs(w).sum()) > standard_form_enumerate(*_L1)[0] + 1e-3
 
 
 def test_inconsistent_dimensions_refused():
     A, b, c = _L1
     for args in ((A, b[:2], c), (A, b, c[:-1])):
         with pytest.raises(ValueError, match="^inconsistent LP dimensions$"):
-            solve_standard_form(*args)
+            solve_standard_form(*args, basis=[2, 5, 9])
 
 
 def test_basis_of_wrong_shape_refused():
@@ -253,6 +151,11 @@ def test_basis_of_wrong_shape_refused():
         solve_standard_form(*_L1, basis=[0, 1])
     with pytest.raises(ValueError, match="basis"):
         solve_standard_form(*_L1, basis=[0, 1, 10])
+
+
+def test_a_call_without_a_basis_is_refused():
+    with pytest.raises(ValueError, match=r"^a basis needs 3 column indices in 0\.\.9, got None$"):
+        solve_standard_form(*_L1)
 
 
 @pytest.mark.parametrize("p, i", [(2, 2), (2, 12), (3, 3), (3, 11), (4, 4), (4, 10)])
