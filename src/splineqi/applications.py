@@ -13,7 +13,7 @@ the p and q its rows report, and to its interior norm bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -58,8 +58,7 @@ __all__ = [
 # quadrature
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Weights over the Greville sites; integrates whatever the underlying
     operator reproduces exactly (polynomials up to its degree q)."""
 
@@ -108,8 +107,7 @@ def quadrature_from_qi(qi: QuasiInterpolant) -> QuadratureRule:
 # differentiation
 
 
-@dataclass(frozen=True, eq=False)
-class DifferentiationMatrix:
+class DifferentiationMatrix(NamedTuple):
     """Maps samples at the Greville sites to derivative values there,
     by differentiating the spline the operator builds from the samples."""
 
@@ -138,8 +136,7 @@ def differentiation_matrix(qi: QuasiInterpolant) -> DifferentiationMatrix:
 # test functions
 
 
-@dataclass(frozen=True, eq=False)
-class TestFunction:
+class TestFunction(NamedTuple):
     """Closed-form target with derivatives and (optionally) an antiderivative.
 
     ``value(x)`` returns f(x) and ``derivatives(x, k)`` the array f(x), f'(x),
@@ -303,8 +300,7 @@ def evaluation_grid(kv: KnotVector) -> np.ndarray:
     return np.unique(np.linspace(kv.t[m : m + n], kv.t[m + 1 : m + n + 1], 11, axis=1))
 
 
-@dataclass(frozen=True, eq=False)
-class StudyRow:
+class StudyRow(NamedTuple):
     """One size of a study; its orders are those of the first of `errors`."""
 
     n: int
@@ -313,8 +309,7 @@ class StudyRow:
     order_running: float
 
 
-@dataclass(frozen=True, eq=False)
-class StudyReport:
+class StudyReport(NamedTuple):
     rows: tuple[StudyRow, ...]
     fitted_order: float
 
@@ -347,7 +342,7 @@ def _study(errors: Callable[[OperatorRecipe, TestFunction, SplineSpace], tuple[f
     """One row of `errors` per size, in increasing order, and the orders."""
     rows: list[StudyRow] = []
     for n in sorted(sizes):
-        space = SplineSpace.from_knots(generate_partition(replace(template, n=n), degree))
+        space = SplineSpace.from_knots(generate_partition(template._replace(n=n), degree))
         errs = errors(recipe, f, space)
         h = float(space.knots.steps.max())
         prev = (rows[-1].h_max, rows[-1].errors[0]) if rows else None

@@ -21,8 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -49,8 +48,7 @@ FORMATS = ("csv", "json")
 DEFAULT_SIZES = (16, 32, 64, 128)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """One run, fully specified."""
 
     command: str
@@ -103,7 +101,7 @@ class RunConfig:
 
 
 # every RunConfig key but the command: a --key option and a config-file key
-_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "command")
+_KEYS = tuple(key for key in RunConfig._fields if key != "command")
 # the allowed values of the keys that have a fixed set, in validate's order
 _CHOICES = {"kind": KINDS, "fmt": FORMATS, "family": FAMILIES}
 
@@ -326,7 +324,7 @@ COMMANDS = tuple(_COMMANDS)
 def run(cfg: RunConfig, sink: IO[str]) -> int:
     cfg.validate()
     if cfg.command in _NEARBEST_COMMANDS:
-        cfg = replace(cfg, kind=KIND_NEARBEST)
+        cfg = cfg._replace(kind=KIND_NEARBEST)
     _COMMANDS[cfg.command][0](cfg, sink)
     return 0
 

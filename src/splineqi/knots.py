@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,6 +31,8 @@ __all__ = [
 FAMILIES = ("uniform", "arithmetic", "geometric", "random")
 
 
+# a dataclass, not a NamedTuple: evaluation reads ``degree`` and ``n`` at
+# every point, and a tuple's field read is the slower of the two
 @dataclass(frozen=True, eq=False)
 class KnotVector:
     """Clamped knot sequence for one spline space.
@@ -98,8 +101,7 @@ def make_clamped_knots(a: float, b: float, interior, m: int) -> KnotVector:
     return KnotVector(degree=m, t=t, n=n)
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(NamedTuple):
     """Recipe for a partition of [a, b] into n subintervals.
 
     families:

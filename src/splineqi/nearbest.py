@@ -21,10 +21,11 @@ window has the same bits either way and the per-window path pays no axis.
 Some optimum lies on q + 1 sites, and on distinct sites every square
 Vandermonde system is nonsingular, so a window's C(k, q+1) square systems
 are all solved at once (Bjorck-Pereyra) and the smallest l1 value picks the
-support; its weights are read from that pass, which is elementwise, so they
-are the bits of a solve of the support alone. One rule decides a row: its
-enumerated optimum stands whenever its weights meet the constraints within
-_MISS_TOL. Values within 1e-12 relative of the smallest count as ties, and
+support; its weights are read from that pass (a window too wide for one
+pass solves its support again, alone), and the recurrence is elementwise,
+so they are the bits of a solve of the support alone. One rule decides a
+row: its enumerated optimum stands whenever its weights meet the
+constraints within _MISS_TOL. Values within 1e-12 relative of the smallest count as ties, and
 the lexicographically first support among them is taken.
 
 An operator's full windows (offsets -p..p) are solved together: one
@@ -71,7 +72,6 @@ import itertools
 import math
 import warnings
 import weakref
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -95,8 +95,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     """Exactness constraints for one stencil, in normalized coordinates.
 
     ``matrix`` is the (q+1) x (#offsets) Vandermonde at the normalized sites,
@@ -189,8 +188,7 @@ def assemble_constraints(
         center=i, p=p, q=q, offsets=offsets, sites=sites, matrix=matrix, rhs=rhs)
 
 
-@dataclass(frozen=True, eq=False)
-class L1Solution:
+class L1Solution(NamedTuple):
     """A row's weights, their l1 value, and whether the enumerated support
     priced optimal as a basis of the split LP."""
 
@@ -254,10 +252,12 @@ def _cheapest_supports(x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.n
     the smallest l1 value over all square systems. Values within 1e-12
     relative of it count as ties, broken for the lexicographically first
     support. The supports are solved in blocks of at most _BATCH_ENTRIES
-    entries and kept: the weights on each optimal support are read from
-    them, and as the recurrence is elementwise they are the bits of a solve
-    of that support alone. Returns the site indices (q+1,) or (W, q+1) of
-    each optimal support and the weights on them. Sites that coincide in
+    entries. Where one block holds them all, the weights on each optimal
+    support are read from it; a wider window keeps only each block's l1
+    values and then solves its optimal support alone. The recurrence is
+    elementwise, so either way the weights are the bits of a solve of that
+    support alone. Returns the site indices (q+1,) or (W, q+1) of each
+    optimal support and the weights on them. Sites that coincide in
     floating point give non-finite values, without a warning; the callers'
     residual tests refuse the weights they reach.
     """
@@ -268,15 +268,19 @@ def _cheapest_supports(x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.n
         if step >= count:
             z = _support_values(x.take(supports, axis=-1), rhs)
             values = np.abs(z).sum(axis=-2)
-        else:  # a single wide window, at most (q+1) x _MAX_SUPPORTS entries
-            blocks = [_support_values(x.take(supports[:, start : start + step], axis=-1), rhs)
-                      for start in range(0, count, step)]
-            values = np.concatenate([np.abs(block).sum(axis=-2) for block in blocks], axis=-1)
-            z = np.concatenate(blocks, axis=-1)
-    best = (values <= values.min(axis=-1, keepdims=True) * (1.0 + 1e-12)).argmax(axis=-1)
+        else:  # a single wide window, at most _MAX_SUPPORTS l1 values
+            z = None
+            values = np.concatenate(
+                [np.abs(_support_values(x.take(supports[:, start : start + step], axis=-1), rhs))
+                 .sum(axis=-2) for start in range(0, count, step)], axis=-1)
+        best = (values <= values.min(axis=-1, keepdims=True) * (1.0 + 1e-12)).argmax(axis=-1)
+        picked = supports[:, best].T
+        if z is None:  # solve the optimal supports alone
+            nodes = np.take_along_axis(x, picked, axis=-1)[..., None]
+            return picked, _support_values(nodes, rhs)[..., 0]
     if z.ndim == 2:
-        return supports[:, best], z[:, best]
-    return supports[:, best].T, z[np.arange(len(z)), :, best]
+        return picked, z[:, best]
+    return picked, z[np.arange(len(z)), :, best]
 
 
 def _check_supports(sites: int, q: int) -> None:
@@ -316,8 +320,7 @@ def solve_l1(system: ConstraintSystem) -> L1Solution:
                       certified=priced.status == "optimal")
 
 
-@dataclass(frozen=True, eq=False)
-class WatsonForm:
+class WatsonForm(NamedTuple):
     """Residual parametrization of the q=2 feasible set on a full window.
 
     Every feasible weight vector is lambda_star - A @ free for a free vector
@@ -334,8 +337,7 @@ class WatsonForm:
     lambda_star: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class _ThreePointTable:
+class _ThreePointTable(NamedTuple):
     """The wide three-point weights and their q = 2 verdict, one row per
     full window p .. dim-1-p: ``closed`` holds the weights' l1 norm (NaN
     where tbar underflows float64, so the weights are not exact on P_2) and
@@ -375,7 +377,7 @@ def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
         mid = x[:, 0] + x[:, -1]
         knot = (x[:, p - 1] <= mid + 1e-12) & (mid <= x[:, p + 1] + 1e-12)
     table = _ThreePointTable(weights=weights, closed=closed, knot=knot)
-    for array in vars(table).values():
+    for array in table:
         array.setflags(write=False)
     return table
 
@@ -452,15 +454,14 @@ def knot_condition(space: SplineSpace, i: int, p: int) -> bool:
     return table.knot.item(row)
 
 
-@dataclass(frozen=True, eq=False)
-class Certificate:
+class Certificate(NamedTuple):
     """Dual optimality verdict for the wide three-point weights: ``passes``
     iff they are l1 optimal."""
 
     passes: bool
 
 
-# the two verdicts, indexed by the knot condition; frozen, so shared
+# the two verdicts, indexed by the knot condition; immutable, so shared
 _VERDICTS = (Certificate(passes=False), Certificate(passes=True))
 
 

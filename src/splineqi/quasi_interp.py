@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,8 +46,7 @@ KIND_QP2STAR = "qp2star"
 KIND_NEARBEST = "nearbest"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Stencil:
+class Stencil(NamedTuple):
     """Sampling functional mu_i(f) = sum_s weights[s] * f(theta[i + offsets[s]]).
 
     One row of an operator's band, as `QuasiInterpolant.stencil` reads it.

@@ -17,8 +17,7 @@ serves have at most a handful of rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,8 +27,7 @@ __all__ = ["SimplexResult", "solve_standard_form"]
 _COST_TOL = 1e-11
 
 
-@dataclass(frozen=True, eq=False)
-class SimplexResult:
+class SimplexResult(NamedTuple):
     x: np.ndarray
     value: float
     status: str  # "optimal" | "not optimal"

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -142,7 +141,7 @@ class TestKeySchema:
     """Every RunConfig key but the command is a --key option of each command
     and a config-file key, and one text reads to one value through both."""
 
-    KEYS = [f.name for f in fields(RunConfig) if f.name != "command"]
+    KEYS = [key for key in RunConfig._fields if key != "command"]
     # a text for each key and the value it reads to, none of them a default
     VALUES = {
         "kind": ("qp2star", "qp2star"),
@@ -501,7 +500,7 @@ class TestRunStudies:
         cfg = RunConfig(command=command, m=2, sizes=(8, 16), fmt="json")
         payload = json.loads(run_to_text(cfg), parse_constant=refuse)
         assert [row["order_running"] is None for row in payload["rows"]] == [True, False]
-        _, rows = parse_csv(run_to_text(replace(cfg, fmt="csv")))
+        _, rows = parse_csv(run_to_text(cfg._replace(fmt="csv")))
         assert rows[0]["order_running"] == "nan"
 
 

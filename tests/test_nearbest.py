@@ -362,7 +362,7 @@ class TestThreePointTable:
 
         sp = space_from("geometric", m=3, n=16, ratio=1.2)
         table = nb._three_point_table(sp, 3)
-        assert sorted(vars(table)) == ["closed", "knot", "weights"]
+        assert table._fields == ("weights", "closed", "knot")
         records = list(iter_lp_audit(sp, 3))
         for row, i in enumerate(range(3, sp.dimension - 3)):
             knot = knot_condition(sp, i, 3)
@@ -381,7 +381,7 @@ class TestThreePointTable:
 
         sp = space_from("geometric", m=3, n=16, ratio=2.0)
         table = nb._three_point_table(sp, 3)
-        assert not any(array.flags.writeable for array in vars(table).values())
+        assert not any(array.flags.writeable for array in table)
         form = build_watson_form(sp, 5, 3)
         form.matrix[:] = 0.0
         form.lambda_star[:] = 0.0
@@ -400,13 +400,14 @@ class TestThreePointTable:
         # the store holds the three-point table by p and the LP rows by (p, q),
         # under the space's id, and its finalizer drops the entry
         key = id(sp)
-        table = weakref.ref(nb._TABLES[key][3])
-        rows = [weakref.ref(array) for chunk in nb._TABLES[key][3, 2]
-                for array in (chunk.centers, chunk.weights, chunk.values)]
-        assert table() is not None and all(row() is not None for row in rows)
+        # a tuple takes no weak reference, so the table's arrays are followed
+        refs = [weakref.ref(array) for array in nb._TABLES[key][3]]
+        refs += [weakref.ref(array) for chunk in nb._TABLES[key][3, 2]
+                 for array in (chunk.centers, chunk.weights, chunk.values)]
+        assert all(ref() is not None for ref in refs)
         del sp
         gc.collect()
-        assert table() is None and all(row() is None for row in rows)
+        assert all(ref() is None for ref in refs)
         assert key not in nb._TABLES
 
 
