@@ -190,21 +190,33 @@ def generate_partition(spec: PartitionSpec, m: int) -> KnotVector:
     return make_clamped_knots(spec.a, spec.b, interior, m)
 
 
-def elementary_symmetric(values: np.ndarray) -> np.ndarray:
-    """All elementary symmetric functions sigma_0 .. sigma_k of k values.
+def elementary_symmetric(values, top: int | None = None):
+    """The elementary symmetric functions sigma_0 .. sigma_top of k values
+    (top = k by default): the coefficients of prod (x + v), built up one
+    value at a time, O(k top), no divisions.
 
-    Works on the last axis: values of shape (..., k) give (..., k + 1).
-    Incremental polynomial build-up (coefficients of prod (x + v)), O(k^2),
-    no divisions.
+    An array works on its last axis, (..., k) giving (..., top + 1); a list
+    of floats (one window) gives a list of floats, updated entry by entry.
+    Entry r reads only entries <= r, so a cut keeps the bits of the kept
+    entries, and both forms round alike.
     """
+    if isinstance(values, list):
+        top = len(values) if top is None else top
+        esp = [1.0] + [0.0] * top
+        for j, v in enumerate(values, start=1):
+            for r in range(min(j, top), 0, -1):
+                esp[r] += v * esp[r - 1]
+        return esp
     # reversing the axes puts the values' axis first; the recurrence is
     # elementwise in all the others
     cols = np.asarray(values, dtype=float).T
-    esp = np.zeros((len(cols) + 1,) + cols.shape[1:])
+    top = len(cols) if top is None else top
+    esp = np.zeros((top + 1,) + cols.shape[1:])
     esp[0] = 1.0
     for j, v in enumerate(cols, start=1):
-        upper = esp[1 : j + 1]  # a view: += updates it in place, with no write-back
-        upper += v * esp[0:j]
+        r = min(j, top)
+        upper = esp[1 : r + 1]  # a view: += updates it in place, with no write-back
+        upper += v * esp[0:r]
     return esp.T
 
 
@@ -255,10 +267,18 @@ def _binomials(m: int) -> np.ndarray:
     return binom
 
 
-def central_coefficients(differences: np.ndarray) -> np.ndarray:
-    """a_0 .. a_m from knot differences (..., m): their elementary symmetric
-    functions over C(m, s), with a_0 = 1 and a_1 = 0 set exactly."""
-    table = elementary_symmetric(differences) / _binomials(differences.shape[-1])
+def central_coefficients(differences, top: int | None = None):
+    """a_0 .. a_top (a_m by default) from m knot differences: their
+    elementary symmetric functions over C(m, s), with a_0 = 1 and a_1 = 0
+    set exactly. An array (..., m) gives (..., top + 1), a list of floats a
+    list, with the same bits."""
+    if isinstance(differences, list):
+        m = len(differences)
+        esp = elementary_symmetric(differences, top)
+        return [1.0, 0.0, *(esp[s] / math.comb(m, s) for s in range(2, len(esp)))][: len(esp)]
+    table = elementary_symmetric(differences, top)
+    table /= _binomials(differences.shape[-1])[: table.shape[-1]]
     table[..., 0] = 1.0
-    table[..., 1] = 0.0
+    if table.shape[-1] > 1:
+        table[..., 1] = 0.0
     return table

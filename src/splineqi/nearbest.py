@@ -17,6 +17,10 @@ as `bspline` takes a point or an array: an int center is one window on 1-D
 arrays (sites (k,), V (q+1, k), b (q+1,)), an array of W centers a chunk
 with a leading window axis. Each is elementwise along that axis, so a
 window has the same bits either way and the per-window path pays no axis.
+One window's right-hand side runs the symmetric-function recurrence of
+`knots.elementary_symmetric` on Python floats, cut at degree q (entry r
+reads only entries <= r): the operations and their order are those of the
+array form, so are the bits, and no numpy update is paid per knot.
 
 Some optimum lies on q + 1 sites, and on distinct sites every square
 Vandermonde system is nonsingular, so a window's C(k, q+1) square systems
@@ -134,10 +138,10 @@ def _assemble(space: SplineSpace, centers, offsets: tuple[int, ...], q: int):
     each with a leading axis of length W for an array of W ``centers``. A
     window's right-hand side is a_0 .. a_q of its knots t_{i+1} .. t_{i+m},
     formed from the differences t_j - theta_i divided by the window's span
-    L, which gives a_r / L**r. Elementwise, so a window rounds alike alone
-    or in a chunk; a span of 0 gives non-finite rows, without a warning,
-    which the residual tests refuse."""
-    at = centers[:, None] if isinstance(centers, np.ndarray) else centers
+    L, which gives a_r / L**r; one window takes its symmetric functions on
+    Python floats. Elementwise, so a window rounds alike alone or in a
+    chunk; a span of 0 gives non-finite rows, without a warning, which the
+    residual tests refuse."""
     with np.errstate(all="ignore"):
         sites, mid, scale, x = _normalized_sites(space, centers, offsets)
         # rows x**0 .. x**q; x**0 and x**1 are 1 and x, bit for bit
@@ -147,8 +151,13 @@ def _assemble(space: SplineSpace, centers, offsets: tuple[int, ...], q: int):
             matrix[..., 1, :] = x
         for r in range(2, q + 1):
             matrix[..., r, :] = x**r
-        scaled = (space.knots.t[at + np.arange(1, space.degree + 1)] - mid) / scale
-        rhs = central_coefficients(scaled)[..., : q + 1]
+        knots, m = space.knots.t, space.degree
+        if isinstance(centers, np.ndarray):
+            scaled = (knots[centers[:, None] + np.arange(1, m + 1)] - mid) / scale
+            rhs = central_coefficients(scaled, q)
+        else:
+            scaled = (knots[centers + 1 : centers + m + 1] - mid) / scale
+            rhs = np.array(central_coefficients(scaled.tolist(), q))
     return sites, x, matrix, rhs
 
 
@@ -173,9 +182,10 @@ def assemble_constraints(
         offsets = tuple(range(-p, p + 1))
     else:
         offsets = tuple(offsets)
-        if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in offsets):
-            raise ValueError(f"offsets must be integers, got {offsets!r}")
-        offsets = tuple(map(int, offsets))
+        if set(map(type, offsets)) != {int}:  # Python ints pass as they are
+            if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in offsets):
+                raise ValueError(f"offsets must be integers, got {offsets!r}")
+            offsets = tuple(map(int, offsets))
     if len(set(offsets)) != len(offsets):
         raise ValueError("offsets must be distinct")
     if len(offsets) < q + 1:
@@ -220,12 +230,15 @@ def _support_values(nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     z = rhs[..., None].repeat(nodes.shape[-1], axis=-1)
     n = rhs.shape[-1] - 1
+    # views with the rows' axis first, so each step slices that axis alone;
+    # z is updated through them, with no write-back
+    rows, sites = z.swapaxes(0, -2), nodes.swapaxes(0, -2)
     for k in range(n):
-        tail = z[..., k + 1 :, :]  # updated through views, with no write-back
-        tail -= nodes[..., k : k + 1, :] * z[..., k:n, :]
+        tail = rows[k + 1 :]
+        tail -= sites[k : k + 1] * rows[k:n]
     for k in range(n - 1, -1, -1):
-        tail, head = z[..., k + 1 :, :], z[..., k:n, :]
-        tail /= nodes[..., k + 1 :, :] - nodes[..., : n - k, :]
+        tail, head = rows[k + 1 :], rows[k:n]
+        tail /= sites[k + 1 :] - sites[: n - k]
         head -= tail
     return z
 
@@ -475,9 +488,10 @@ def watson_certificate(space: SplineSpace, i: int, p: int) -> Certificate:
 
 
 class _Rows(NamedTuple):
-    """Solved LP rows of the windows ``offsets`` around W ``centers``: the
-    weights (W, k), their l1 values (W,), and the normalized systems they
-    solve, Vandermonde rows (W, q+1, k) and right-hand sides (W, q+1)."""
+    """Solved LP rows of the windows ``offsets`` around W consecutive
+    ``centers``: the weights (W, k), their l1 values (W,), and the
+    normalized systems they solve, Vandermonde rows (W, q+1, k) and
+    right-hand sides (W, q+1)."""
 
     centers: np.ndarray
     offsets: tuple[int, ...]
@@ -516,21 +530,24 @@ def _lp_windows(space: SplineSpace, p: int, q: int) -> tuple[_Rows, ...]:
     last = space.dimension - 1
     # the full windows p .. last-p, or none, are batched
     lo, hi = (p, last - p + 1) if p <= last - p else (last, last)
+    # every chunk's centers are a view of this, read-only as it is
+    index = np.arange(last + 1)
+    index.setflags(write=False)
 
     def window(i):
         offsets = tuple(range(max(-p, -i), min(p, last - i) + 1))
         system = assemble_constraints(space, i, p, q, offsets=offsets)
         solution = _solve_window(system)
-        return _Rows(np.array([i]), offsets, solution.weights[None], np.array([solution.value]),
-                     system.matrix[None], system.rhs[None])
+        return _Rows(index[i : i + 1], offsets, solution.weights[None],
+                     np.array([solution.value]), system.matrix[None], system.rhs[None])
 
     step = max(1, _BATCH_ENTRIES // ((q + 1) * math.comb(2 * p + 1, q + 1)))
     rows = (*map(window, range(1, lo)),
-            *(_solve_full_windows(space, p, q, np.arange(start, min(start + step, hi)))
+            *(_solve_full_windows(space, p, q, index[start : min(start + step, hi)])
               for start in range(lo, hi, step)),
             *map(window, range(hi, last)))
     for chunk in rows:
-        for array in (chunk.centers, chunk.weights, chunk.values, chunk.matrix, chunk.rhs):
+        for array in (chunk.weights, chunk.values, chunk.matrix, chunk.rhs):
             array.setflags(write=False)
     kept[p, q] = rows
     return rows
@@ -567,24 +584,25 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
     meet the constraints within _MISS_TOL, and no dual is solved. The first
     row that misses refuses the chunk, as `solve_l1` would refuse it.
     """
-    k, size = 2 * p + 1, q + 1
+    k, rows = 2 * p + 1, len(centers)
     offsets = tuple(range(-p, p + 1))
     _, x, matrix, rhs = _assemble(space, centers, offsets, q)
-    support = np.empty((len(centers), size), dtype=np.intp)
-    on_support = np.empty((len(centers), size))
     # a row that meets a non-finite value fails the residual test below
     with np.errstate(all="ignore"):
-        wide = np.zeros(len(centers), dtype=bool)
-        if q == 2:
-            wide = _wide_rows(x, p)
-            support[wide] = (0, p, 2 * p)
-            # the sites x_{-p}, x_0, x_p, a strided view, gathered row by row
-            on_support[wide] = _support_values(x[:, ::p][wide, :, None], rhs[wide])[..., 0]
-        if not wide.all():
-            rest = ~wide
-            support[rest], on_support[rest] = _cheapest_supports(x[rest], rhs[rest])
-        weights = np.zeros((len(centers), k))
-        np.put_along_axis(weights, support, on_support, axis=1)
+        wide = _wide_rows(x, p) if q == 2 else np.zeros(rows, dtype=bool)
+        some, every = wide.any(), wide.all()
+        support = np.empty((rows, q + 1), dtype=np.intp)
+        on_support = np.empty((rows, q + 1))
+        # each side's rows are gathered by the mask, unless they are all rows
+        if some:  # the sites x_{-p}, x_0, x_p, a strided view
+            at = slice(None) if every else wide
+            support[at] = (0, p, 2 * p)
+            on_support[at] = _support_values(x[at, ::p, None], rhs[at])[..., 0]
+        if not every:
+            at = ~wide if some else slice(None)
+            support[at], on_support[at] = _cheapest_supports(x[at], rhs[at])
+        weights = np.zeros((rows, k))
+        weights[np.arange(rows)[:, None], support] = on_support
         miss = np.abs(matrix @ weights[:, :, None] - rhs[:, :, None]).max(axis=(1, 2))
         values = np.abs(weights).sum(axis=1)
     missed = np.flatnonzero(~(miss <= _MISS_TOL))
@@ -616,9 +634,10 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
     values = np.ones(dim)
     for rows in windows:
         centers, k = rows.centers, len(rows.offsets)
-        sites[centers, :k] = centers[:, None] + np.array(rows.offsets)
-        weights[centers, :k] = rows.weights
-        values[centers] = rows.values
+        at = slice(centers[0], centers[-1] + 1)  # a chunk's centers are consecutive
+        sites[at, :k] = centers[:, None] + np.array(rows.offsets)
+        weights[at, :k] = rows.weights
+        values[at] = rows.values
     lp_values = values.tolist()
     interior_values = lp_values[lo : hi + 1] if lo <= hi else []
     return QuasiInterpolant(

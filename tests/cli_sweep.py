@@ -1,9 +1,11 @@
 """Byte sweep of the `splineqi` command line: one line per command with its
 argv, exit code, and the SHA-256 of what it wrote to stdout and stderr.
 
-The output starts with a header of the Python, numpy and BLAS versions, on
-lines that begin with "#": the hashes fix numpy's rounding and summation
-order, which an upgrade of either may change. It is committed as
+The output starts with a header of the Python, numpy and BLAS versions and
+the CPU kernel ("core") that OpenBLAS selected at start-up, on lines that
+begin with "#": the hashes fix numpy's rounding and summation order, which
+an upgrade of either, or another core (`OPENBLAS_CORETYPE` picks one), may
+change. It is committed as
 `tests/cli_sweep.txt`, and `tests/test_cli_sweep.py` runs the sweep again and
 compares. A change that means to change some bytes regenerates the file:
 
@@ -46,6 +48,7 @@ This file is not a test module: pytest does not collect it.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import importlib.util
 import io
@@ -204,13 +207,33 @@ STUDIES = [
 ]
 
 
+def blas_core() -> str | None:
+    """The core the OpenBLAS that numpy loaded runs on, looked up as
+    `perfbench/run.py` looks up its thread count; None without OpenBLAS."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                    "scipy_openblas_get_corename", "openblas_get_corename"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
 def versions() -> list[str]:
-    """The header lines: the versions whose arithmetic the hashes depend on."""
+    """The header lines: the versions and the BLAS core whose arithmetic the
+    hashes depend on."""
     import numpy as np
 
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return [f"# python {platform.python_version()}", f"# numpy {np.__version__}",
-            f"# blas {blas.get('name')} {blas.get('version')}"]
+            f"# blas {blas.get('name')} {blas.get('version')}", f"# blas core {blas_core()}"]
 
 
 def sweep_line(cli, argv: list[str]) -> str:

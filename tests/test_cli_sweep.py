@@ -2,7 +2,8 @@
 lines of `tests/cli_sweep.txt`, so a change that alters what a command writes
 shows here. On a mismatch the test counts the changed commands per
 subcommand, lists first those whose exit code changed, then the rest, and
-names any difference in the Python, numpy or BLAS version of the header."""
+names any difference in the Python, numpy or BLAS version or the BLAS core
+of the header."""
 
 import collections
 import subprocess
@@ -22,7 +23,9 @@ def _split(lines):
 
 
 def _report(want, got):
-    """The lines that say how the command lines ``got`` differ from ``want``."""
+    """The lines that say how the sweep's lines ``got`` differ from the
+    committed ``want``, header lines included."""
+    (want_header, want), (got_header, got) = _split(want), _split(got)
     # each line is argv, exit code and two hashes, separated by tabs
     old, new = ({line.split("\t")[0]: line for line in lines} for lines in (want, got))
     changed = [argv for argv in dict.fromkeys([*old, *new]) if old.get(argv) != new.get(argv)]
@@ -38,6 +41,10 @@ def _report(want, got):
     same = [f"  {argv}" for argv, (a, b) in code.items() if a == b]
     if same:
         report += ["same exit code, other bytes:", *same]
+    versions = [f"  {old} -> {new}" for old, new in zip(want_header, got_header) if old != new]
+    if versions:
+        report += ["the header differs; the hashes hold for the versions and the BLAS core "
+                   "the committed one names:", *versions]
     return report
 
 
@@ -59,16 +66,22 @@ def test_report_lists_exit_code_changes_first():
     ]
 
 
+def test_report_names_a_blas_core_mismatch():
+    # another OpenBLAS core rounds some sums differently: the report says so
+    want = ["# numpy 2.4.6", "# blas core SkylakeX", "quad --n 4\t0\taa\tbb"]
+    got = ["# numpy 2.4.6", "# blas core Haswell", "quad --n 4\t0\tcc\tbb"]
+    assert _report(want, got)[-2:] == [
+        "the header differs; the hashes hold for the versions and the BLAS core "
+        "the committed one names:",
+        "  # blas core SkylakeX -> # blas core Haswell",
+    ]
+
+
 def test_sweep_matches_committed_lines():
     proc = subprocess.run([sys.executable, str(HERE / "cli_sweep.py")], cwd=HERE.parent,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    want_header, want = _split(GOLDEN.read_text(encoding="utf-8").splitlines())
-    got_header, got = _split(proc.stdout.splitlines())
-    if got == want:
+    want, got = GOLDEN.read_text(encoding="utf-8").splitlines(), proc.stdout.splitlines()
+    if _split(got)[1] == _split(want)[1]:
         return
-    report = _report(want, got)
-    versions = [f"{old} -> {new}" for old, new in zip(want_header, got_header) if old != new]
-    if versions:
-        report += ["versions differ from the committed header:", *versions]
-    pytest.fail("\n".join(report), pytrace=False)
+    pytest.fail("\n".join(_report(want, got)), pytrace=False)

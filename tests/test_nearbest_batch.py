@@ -301,13 +301,16 @@ def _same_bits(one, *others):
 
 
 @pytest.mark.parametrize("family, ratio, seed", [
-    ("geometric", 100.0, 0), ("geometric", 0.5, 0), ("random", 1.0, 1)])
+    ("geometric", 100.0, 0), ("geometric", 0.5, 0), ("random", 1.0, 1), ("uniform", 1.0, 0),
+    ("arithmetic", 20.0, 0)])
 @pytest.mark.parametrize("m", range(1, 8))
 def test_one_window_has_the_bits_of_its_row(family, ratio, seed, m):
-    # a single window runs on 1-D arrays (an int center), a chunk of windows
-    # on 2-D ones; every truncated and full window must get the same bits
-    # as a one-center array and as its row of the full-window chunk, in its
-    # system and in its enumerated support and weights
+    # a single window runs on 1-D arrays (an int center), its right-hand side
+    # on Python floats, and a chunk of windows on 2-D arrays; every truncated
+    # and full window must get the same bits as a one-center array and as its
+    # row of the full-window chunk, in its system and in its enumerated
+    # support and weights. Uniform windows cancel exactly: many of their
+    # knot differences and moments are exact zeros, whose signs count too.
     for p in range(1, m + 3):
         space = space_from(family, m, n=max(1, 2 * p + 3 - m), seed=seed, ratio=ratio)
         last = space.dimension - 1

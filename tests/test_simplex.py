@@ -119,11 +119,10 @@ _NAN_RHS = (_L1[0], np.array([1.0, np.nan, -0.2]), _L1[2])
 @pytest.mark.parametrize("problem, basis", [
     (_L1, [5, 1, 2]),  # sites -1, -0.5, 0 with their signs: feasible, not optimal
     (_L1, [0, 1, 2]),  # the wrong signs: infeasible
-    (_L1, [0, 0, 4]),  # a repeated column
     (_L1, [0, 5, 4]),  # a column and its negative: singular
     (_NAN_COLUMN, [2, 5, 9]),  # optimal but for a NaN reduced cost
     (_NAN_RHS, [2, 5, 9]),
-], ids=["not-optimal", "infeasible", "repeated", "singular", "nan-column", "nan-rhs"])
+], ids=["not-optimal", "infeasible", "singular", "nan-column", "nan-rhs"])
 def test_a_basis_that_does_not_price_optimal_is_reported(problem, basis):
     # no other basis is searched for: nothing is pivoted
     res = solve_standard_form(*problem, basis=basis)
@@ -146,11 +145,29 @@ def test_inconsistent_dimensions_refused():
             solve_standard_form(*args, basis=[2, 5, 9])
 
 
+def test_a_basis_with_a_repeated_column_is_refused():
+    # once priced as "not optimal", a repeated column is now refused with
+    # the same message as any other basis of the wrong shape
+    with pytest.raises(ValueError, match=r"^a basis needs 3 column indices in 0\.\.9, got "):
+        solve_standard_form(*_L1, basis=[0, 0, 4])
+    with pytest.raises(ValueError, match=r"^a basis needs 2 column indices in 0\.\.1, got "):
+        solve_standard_form(np.eye(2), np.ones(2), np.ones(2), basis=[0, 0])
+
+
 def test_basis_of_wrong_shape_refused():
-    with pytest.raises(ValueError, match="basis"):
-        solve_standard_form(*_L1, basis=[0, 1])
-    with pytest.raises(ValueError, match="basis"):
-        solve_standard_form(*_L1, basis=[0, 1, 10])
+    # too short, out of range, bools, floats: each is refused, as offsets
+    # are, before numpy or the solves see it
+    for basis in ([0, 1], [0, 1, 10], [True, True, False], [1.0, 2.0, 3.0],
+                  np.array([1.0, 2.0, 3.0]), [0, 1, "2"]):
+        with pytest.raises(ValueError, match=r"^a basis needs 3 column indices in 0\.\.9, got "):
+            solve_standard_form(*_L1, basis=basis)
+    # on a two-row LP too, where these reached numpy
+    A, b, c = np.eye(2), np.ones(2), np.ones(2)
+    for basis in ([True, True], [1.0, 2.0]):
+        with pytest.raises(ValueError, match=r"^a basis needs 2 column indices in 0\.\.1, got "):
+            solve_standard_form(A, b, c, basis=basis)
+    # numpy integers are integers
+    assert solve_standard_form(A, b, c, basis=np.array([0, 1])).status == "optimal"
 
 
 def test_a_call_without_a_basis_is_refused():
