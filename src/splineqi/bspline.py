@@ -77,6 +77,13 @@ class SplineSpace:
         one-point evaluation reads instead of the array."""
         return tuple(self.knots.t.tolist())
 
+    @functools.cached_property
+    def _memo(self) -> dict:
+        """What is kept of this space, an empty dict on first use, gone with
+        the space: `nearbest` keeps its solved LP rows under (p, q) and its
+        three-point table under p."""
+        return {}
+
 
 @dataclass(frozen=True, eq=False)
 class SplineFunction:

@@ -60,13 +60,15 @@ Lagrange values of the support {a, 0, b} at x_k, and v(x) = 1 + 2 x (x - a -
 b) / (a b) is the quadratic through (a, -1), (0, +1), (b, -1). As v <= 1
 exactly outside the interval between 0 and a + b, v certifies the weights iff
 x_{-1} <= a + b <= x_1, at any scale. So the q = 2 verdict is this
-`knot_condition`, and v itself is never formed. The condition, the weights
-and their l1 norm of all full windows of a (space, p) are computed on first
-use, from the sites of its kept LP rows if any, and kept with the space.
+`knot_condition`, and v itself is never formed. The condition and the
+weights' l1 norm of all full windows of a (space, p) are computed together
+on first use, from the normalized sites, and kept read-only.
 
 The solved LP rows of a (space, p, q) are kept too, read-only: one call
 solves every window, and a later build or audit on that space reads them
-and assembles and solves nothing.
+and assembles and solves nothing. Both are kept in the space's memo
+(`SplineSpace._memo`), the rows under (p, q) and the table under p, and go
+with the space; neither reads the other.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ import functools
 import itertools
 import math
 import warnings
-import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -87,6 +88,7 @@ from .quasi_interp import (
     QuasiInterpolant,
     _check_radius,
     _empty_band,
+    _index,
     _interior_range,
     _three_point_weights,
 )
@@ -171,10 +173,13 @@ def assemble_constraints(
     """Build the normalized exactness system for index i.
 
     Default offsets are the full window -p .. p; callers near the boundary
-    pass the truncated window themselves. Offsets must be distinct
-    integers (Python or numpy, not bool) and all sites valid indices.
+    pass the truncated window themselves. The index, like the offsets, must
+    be an integer (Python or numpy, not bool); the offsets must be distinct
+    and all sites valid indices.
     """
     dim = space.dimension
+    if type(i) is not int:
+        i = _index(i)
     if not 0 <= i < dim:
         raise ValueError(f"index {i} outside 0..{dim - 1}")
     _check_radius(space, p, q)
@@ -351,80 +356,52 @@ class WatsonForm(NamedTuple):
 
 
 class _ThreePointTable(NamedTuple):
-    """The wide three-point weights and their q = 2 verdict, one row per
-    full window p .. dim-1-p: ``closed`` holds the weights' l1 norm (NaN
-    where tbar underflows float64, so the weights are not exact on P_2) and
+    """The q = 2 verdict of the wide three-point weights, one row per full
+    window p .. dim-1-p: ``closed`` holds the weights' l1 norm (NaN where
+    tbar underflows float64, so the weights are not exact on P_2) and
     ``knot`` the knot condition."""
 
-    weights: np.ndarray
     closed: np.ndarray
     knot: np.ndarray
 
 
 def _build_three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
-    """Every full window's three-point weights, their l1 norm and the knot
-    condition at once, on the normalized sites (see the module docstring),
-    read-only. The sites are row 1 of the systems kept for any (p, q >= 1),
-    the bits `_normalized_sites` gives, so a table built after a build or an
-    audit normalizes nothing: `_lp_windows` keeps its rows in index order, so
-    its rows with offsets -p..p, concatenated, are the full windows p ..
-    dim-1-p, which is checked. A window whose sites coincide in floating
-    point gets NaN, which fails the knot condition."""
-    centers = np.arange(p, space.dimension - p)
-    # the rows' sites as slices of the Greville sites, so nothing is gathered
-    rows = len(centers)
+    """Every full window's three-point l1 norm and knot condition at once,
+    on the normalized sites of `_normalized_sites` (see the module
+    docstring), read-only. A window whose sites coincide in floating point
+    gets NaN, which fails the knot condition."""
+    rows = space.dimension - 2 * p
     tbar = space.centered_second[p : p + rows]
-    store, full = _store(space), tuple(range(-p, p + 1))
-    solved = next((store[p, q] for q in range(1, space.degree + 1) if (p, q) in store), ())
-    kept = [chunk for chunk in solved if chunk.offsets == full]
-    if kept and not np.array_equal(np.concatenate([chunk.centers for chunk in kept]), centers):
-        raise RuntimeError(f"the kept rows of radius {p} are not the full windows in order")
     with np.errstate(all="ignore"):
-        x = (np.concatenate([chunk.matrix[:, 1] for chunk in kept]) if kept else
-             _normalized_sites(space, centers, full)[-1])
-        weights = _three_point_weights(space.greville, tbar, slice(p, p + rows),
-                                       slice(0, rows), slice(2 * p, 2 * p + rows))
-        size = np.abs(weights)
+        x = _normalized_sites(space, np.arange(p, p + rows), tuple(range(-p, p + 1)))[-1]
+        # the rows' sites as slices of the Greville sites, so nothing is gathered
+        size = np.abs(_three_point_weights(space.greville, tbar, slice(p, p + rows),
+                                           slice(0, rows), slice(2 * p, 2 * p + rows)))
         closed = size[:, 0] + size[:, 1] + size[:, 2]
         closed[tbar < np.finfo(float).tiny] = np.nan
         mid = x[:, 0] + x[:, -1]
         knot = (x[:, p - 1] <= mid + 1e-12) & (mid <= x[:, p + 1] + 1e-12)
-    table = _ThreePointTable(weights=weights, closed=closed, knot=knot)
+    table = _ThreePointTable(closed=closed, knot=knot)
     for array in table:
         array.setflags(write=False)
     return table
 
 
-# what is kept of each space, under id(space) and dropped with it by a
-# finalizer: the three-point table of each p (key p) and the solved LP rows
-# of each (p, q) (key (p, q)); the arrays are read-only and the public
-# functions hand out copies. _NOTHING, never written, stands for no entry.
-_TABLES: dict[int, dict] = {}
-_NOTHING: dict = {}
-
-
-def _store(space: SplineSpace) -> dict:
-    """What is kept of ``space``, an empty dict on first use."""
-    store = _TABLES.get(id(space))
-    if store is None:
-        store = _TABLES[id(space)] = {}
-        weakref.finalize(space, _TABLES.pop, id(space))
-    return store
-
-
 def _three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
     """The table of (space, p), built on first use; p is checked already."""
-    store = _store(space)
-    if p not in store:
-        store[p] = _build_three_point_table(space, p)
-    return store[p]
+    memo = space._memo
+    if p not in memo:
+        memo[p] = _build_three_point_table(space, p)
+    return memo[p]
 
 
 def _three_point_row(space: SplineSpace, i: int, p: int) -> tuple[_ThreePointTable, int]:
     """The table of (space, p) and index i's row. A table is kept only for
-    a p that was checked, so an int p with a table is not checked again."""
-    table = _TABLES.get(id(space), _NOTHING).get(p) if type(p) is int else None
-    if table is None or not 0 <= i - p < len(table.knot):
+    a p that was checked, so an int p with a table is not checked again,
+    nor an int i within its rows."""
+    table = space._memo.get(p) if type(p) is int else None
+    if table is None or type(i) is not int or not 0 <= i - p < len(table.knot):
+        i = _index(i)
         _check_radius(space, p)
         if not 0 <= i - p < space.dimension - 2 * p:
             raise ValueError(f"index {i} has no full window of radius {p}")
@@ -436,18 +413,20 @@ def build_watson_form(space: SplineSpace, i: int, p: int) -> WatsonForm:
     """Explicit null-space parametrization of the q=2 constraints: column k
     is the support's Lagrange values at the normalized site x_k, with -1 at
     k. For p = 1 the feasible point is unique and the matrix is empty."""
-    table, row = _three_point_row(space, i, p)
+    i = p + _three_point_row(space, i, p)[1]  # i checked, as a Python int
     free = [k for k in range(-p + 1, p) if k != 0]
     sites = p + np.array(free, dtype=np.intp)
     matrix = np.zeros((2 * p + 1, len(free)))
+    lam = np.zeros(2 * p + 1)
     with np.errstate(all="ignore"):
         x = _normalized_sites(space, i, tuple(range(-p, p + 1)))[-1]
         a, b, z = x[0], x[-1], x[sites]
         matrix[[0, p, 2 * p]] = (
             z * (z - b) / (a * (a - b)), (z - a) * (z - b) / (a * b), z * (z - a) / (b * (b - a)))
+        # the weights at offsets -p, 0, p; a scalar call rounds as an array call does
+        _three_point_weights(space.greville, space.centered_second[i], i, i - p, i + p,
+                             out=lam[::p])
     matrix[sites, np.arange(len(free))] = -1.0
-    lam = np.zeros(2 * p + 1)
-    lam[[0, p, 2 * p]] = table.weights[row]
     return WatsonForm(center=i, p=p, offsets=tuple(range(-p, p + 1)),
                       free_offsets=tuple(free), matrix=matrix, lambda_star=lam)
 
@@ -524,7 +503,7 @@ def _lp_windows(space: SplineSpace, p: int, q: int) -> tuple[_Rows, ...]:
     if p < m:
         message = f"p={p} below degree {m}: interior norm bound not guaranteed"
         warnings.warn(message, stacklevel=3)  # at the build's or the audit's caller
-    kept = _store(space)
+    kept = space._memo
     if (p, q) in kept:
         return kept[p, q]
     last = space.dimension - 1

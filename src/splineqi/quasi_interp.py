@@ -102,7 +102,13 @@ class QuasiInterpolant:
 
     def stencil(self, i: int) -> Stencil:
         """Row i of the band without its padding; the weights are a
-        read-only view of the row."""
+        read-only view of the row. An index that is not an integer (Python
+        or numpy, not bool) or lies outside 0..dim-1 is refused."""
+        if type(i) is not int:
+            i = _index(i)
+        dim = len(self.lengths)
+        if not 0 <= i < dim:
+            raise ValueError(f"index {i} outside 0..{dim - 1}")
         length = self.lengths[i]
         return Stencil(
             i=i,
@@ -115,6 +121,13 @@ class QuasiInterpolant:
     def stencils(self) -> tuple[Stencil, ...]:
         """Every row as a Stencil, built on first access."""
         return tuple(self.stencil(i) for i in range(self.space.dimension))
+
+
+def _index(i) -> int:
+    """An index as a Python int; a bool or a non-integer is refused."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise ValueError(f"index must be an integer, got {i!r}")
+    return int(i)
 
 
 def _check_radius(space: SplineSpace, p, q: int | None = None) -> None:

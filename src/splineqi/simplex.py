@@ -62,15 +62,15 @@ def _certified(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
 
 
 def solve_standard_form(
-    A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Sequence[int] | None = None
+    A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Sequence[int]
 ) -> SimplexResult:
     """Price ``basis`` for min c.x s.t. A x = b, x >= 0.
 
     ``basis`` lists one column of A per row: distinct integers (Python or
     numpy, not bool). If it prices optimal (`_certified`), its basic
     solution is returned with status "optimal"; otherwise the status is
-    "not optimal", with x = 0 and a NaN value. Raises ValueError without a
-    basis (none is searched for) or with a malformed one.
+    "not optimal", with x = 0 and a NaN value; no other basis is searched
+    for. Raises ValueError with a malformed basis.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -78,8 +78,8 @@ def solve_standard_form(
     rows, cols = A.shape
     if b.shape != (rows,) or c.shape != (cols,):
         raise ValueError("inconsistent LP dimensions")
-    columns = None if basis is None else list(basis)
-    if columns is not None and set(map(type, columns)) != {int}:  # Python ints pass as they are
+    columns = list(basis)
+    if set(map(type, columns)) != {int}:  # Python ints pass as they are
         integers = all(isinstance(j, (int, np.integer)) and not isinstance(j, bool) for j in columns)
         columns = list(map(int, columns)) if integers else None
     if (columns is None or len(columns) != rows or len(set(columns)) != rows

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from cli_sweep import header_warnings
+
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "cli_sweep.txt"
 
@@ -74,6 +76,17 @@ def test_report_names_a_blas_core_mismatch():
         "the header differs; the hashes hold for the versions and the BLAS core "
         "the committed one names:",
         "  # blas core SkylakeX -> # blas core Haswell",
+    ]
+
+
+def test_header_warnings_annotate_each_differing_line(tmp_path):
+    golden = tmp_path / "sweep.txt"
+    golden.write_text("# numpy 2.4.6\n# blas core SkylakeX\nquad --n 4\t0\taa\tbb\n")
+    assert header_warnings(["# numpy 2.4.6", "# blas core SkylakeX"], golden) == []
+    assert header_warnings(["# numpy 2.4.6", "# blas core Haswell", "# extra"], golden) == [
+        "::warning title=golden sweep header::sweep.txt has '# blas core SkylakeX', "
+        "this runner '# blas core Haswell'",
+        "::warning title=golden sweep header::sweep.txt has 'nothing', this runner '# extra'",
     ]
 
 

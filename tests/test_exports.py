@@ -43,8 +43,8 @@ def test_no_name_in_two_lists():
 
 
 # the types that need what a tuple lacks: cached properties (SplineSpace,
-# SplineFunction, QuasiInterpolant; SplineSpace is also the weak-reference
-# target of the near-best store), validation on creation (OperatorRecipe),
+# SplineFunction, QuasiInterpolant; SplineSpace also keeps the near-best
+# memo as one), validation on creation (OperatorRecipe),
 # or fields read at every evaluated point (KnotVector). Every other record
 # is a NamedTuple, which is cheaper to create at import.
 DATACLASSES = ["KnotVector", "OperatorRecipe", "QuasiInterpolant", "SplineFunction",

@@ -296,12 +296,11 @@ class TestThreePointTable:
     use, and kept only while the space lives."""
 
     @pytest.mark.parametrize("budget", [None, 64])
-    def test_table_after_a_build_reads_the_solved_sites(self, monkeypatch, budget):
-        # row 1 of the systems a build solved holds the full windows'
-        # normalized sites: a table built after a build with q >= 1
-        # normalizes nothing and has the bits of a table on a space with no
-        # rows; at q = 0 the systems hold no sites, so it normalizes them.
-        # A small budget puts each full window in a chunk of its own.
+    def test_table_has_the_same_bits_with_or_without_a_build(self, monkeypatch, budget):
+        # the table normalizes the full windows' sites itself, once, whatever
+        # LP rows an earlier build of any q kept, and has the bits of a
+        # table on a space with no rows. A small budget puts each full
+        # window in a chunk of its own.
         import splineqi.nearbest as nb
 
         if budget is not None:
@@ -314,26 +313,12 @@ class TestThreePointTable:
             calls = []
             with monkeypatch.context() as patch:
                 patch.setattr(nb, "_normalized_sites",
-                              lambda *a: (calls.append(a[1]), normalize(*a))[1])
+                              lambda *a: (calls.append(a[1].tolist()), normalize(*a))[1])
                 table = nb._three_point_table(sp, 3)
-            assert len(calls) == (q == 0), q
+            assert calls == [list(range(3, sp.dimension - 3))], q
             assert set(fresh.knot.tolist()) == {True, False}
-            for name in ("weights", "closed", "knot"):
+            for name in table._fields:
                 assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes(), (q, name)
-
-    def test_table_refuses_kept_rows_out_of_order(self, monkeypatch):
-        # the table reads the kept full windows as rows p .. dim-1-p in
-        # order; rows in another layout are refused, not misread. A small
-        # budget puts each full window in a chunk of its own.
-        import splineqi.nearbest as nb
-
-        monkeypatch.setattr(nb, "_BATCH_ENTRIES", 64)
-        sp = space_from("geometric", m=3, n=24, ratio=1.3)
-        build_nearbest_qi(sp, 3, 2)
-        store = nb._TABLES[id(sp)]
-        store[3, 2] = store[3, 2][::-1]
-        with pytest.raises(RuntimeError, match="not the full windows in order"):
-            nb._build_three_point_table(sp, 3)
 
     def test_built_once_per_space_and_radius(self, monkeypatch):
         import splineqi.nearbest as nb
@@ -362,7 +347,7 @@ class TestThreePointTable:
 
         sp = space_from("geometric", m=3, n=16, ratio=1.2)
         table = nb._three_point_table(sp, 3)
-        assert table._fields == ("weights", "closed", "knot")
+        assert table._fields == ("closed", "knot")
         records = list(iter_lp_audit(sp, 3))
         for row, i in enumerate(range(3, sp.dimension - 3)):
             knot = knot_condition(sp, i, 3)
@@ -392,23 +377,19 @@ class TestThreePointTable:
         import gc
         import weakref
 
-        import splineqi.nearbest as nb
-
         sp = space_from("random", m=3, n=16, seed=5)
         watson_certificate(sp, 4, 3)
         build_nearbest_qi(sp, 3)
-        # the store holds the three-point table by p and the LP rows by (p, q),
-        # under the space's id, and its finalizer drops the entry
-        key = id(sp)
-        # a tuple takes no weak reference, so the table's arrays are followed
-        refs = [weakref.ref(array) for array in nb._TABLES[key][3]]
-        refs += [weakref.ref(array) for chunk in nb._TABLES[key][3, 2]
+        # the space's memo holds the three-point table by p and the LP rows
+        # by (p, q); a tuple takes no weak reference, so their arrays are
+        # followed
+        refs = [weakref.ref(array) for array in sp._memo[3]]
+        refs += [weakref.ref(array) for chunk in sp._memo[3, 2]
                  for array in (chunk.centers, chunk.weights, chunk.values)]
         assert all(ref() is not None for ref in refs)
         del sp
         gc.collect()
         assert all(ref() is None for ref in refs)
-        assert key not in nb._TABLES
 
 
 class TestBuildNearbest:
@@ -616,6 +597,39 @@ class TestIntegerArguments:
             with pytest.raises(ValueError, match=r"need q <= p \+ 1 = 3, .*got q=4 with p=2"):
                 call(sp, 2, 4)
 
+    @pytest.mark.parametrize("i", [3.0, True, np.bool_(True), np.float64(3.0), "3", None])
+    @pytest.mark.parametrize("kept", [False, True])
+    @pytest.mark.parametrize("call", [
+        lambda sp, i: assemble_constraints(sp, i, 1, 1), lambda sp, i: knot_condition(sp, i, 1),
+        lambda sp, i: watson_certificate(sp, i, 1), lambda sp, i: build_watson_form(sp, i, 1),
+    ], ids=["assemble", "knot", "certificate", "watson"])
+    def test_an_index_that_is_not_an_integer_is_refused(self, i, kept, call):
+        # as the offsets are: a bool is not an index, also where a kept
+        # table has a row for the int it equals
+        sp = space_from("uniform", m=2, n=10)
+        if kept:
+            knot_condition(sp, 3, 1)
+        with pytest.raises(ValueError, match="^index must be an integer, got "):
+            call(sp, i)
+
+    @pytest.mark.parametrize("cast", [np.int64, np.int32, np.intp])
+    def test_a_numpy_index_is_taken_as_its_int(self, cast):
+        sp = space_from("geometric", m=3, n=16, ratio=1.2)
+        verdicts = set()
+        for i in range(3, sp.dimension - 3):
+            knot = knot_condition(sp, cast(i), 3)
+            verdicts.add(knot)
+            assert knot is knot_condition(sp, i, 3)
+            assert watson_certificate(sp, cast(i), 3) == watson_certificate(sp, i, 3)
+            form, expected = build_watson_form(sp, cast(i), 3), build_watson_form(sp, i, 3)
+            assert type(form.center) is int and form.center == i
+            assert form.lambda_star.tobytes() == expected.lambda_star.tobytes()
+            assert form.matrix.tobytes() == expected.matrix.tobytes()
+            system = assemble_constraints(sp, cast(i), 3, 2)
+            assert type(system.center) is int and system.center == i
+            assert system.matrix.tobytes() == assemble_constraints(sp, i, 3, 2).matrix.tobytes()
+        assert verdicts == {True, False}
+
     def test_qp2star_refuses_a_bool_radius(self):
         sp = space_from("uniform", m=2, n=10)
         with pytest.raises(ValueError, match="offset radius must be an integer"):
@@ -642,7 +656,7 @@ class TestSupportBound:
                    r"1048576 the near-best LP enumerates$")
         with pytest.raises(ValueError, match=message):
             call(sp, 12, 7)
-        assert (12, 7) not in nearbest._TABLES.get(id(sp), {})
+        assert (12, 7) not in sp._memo
 
     def test_the_support_bound_counts_the_window_the_space_leaves(self):
         # dim = 12 < 2p + 1 = 401: every window has at most 12 sites, and

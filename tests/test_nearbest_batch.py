@@ -151,7 +151,7 @@ def test_rows_the_batch_cannot_certify_are_refused(monkeypatch):
     with pytest.raises(RuntimeError, match=message):
         build_nearbest_qi(space, 3, 3)
     assert solved == [1, 2]
-    assert (3, 3) not in nb._TABLES[id(space)]
+    assert (3, 3) not in space._memo
 
 
 def test_batch_solves_no_linear_system(monkeypatch):

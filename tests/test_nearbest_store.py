@@ -71,7 +71,7 @@ def test_each_p_and_q_keeps_its_own_rows():
     space = space_from("random", 4, n=20, seed=3)
     cases = _cases(4)
     built = {(p, q): build_nearbest_qi(space, p, q) for p, q in cases}
-    assert {key for key in nb._TABLES[id(space)] if isinstance(key, tuple)} == set(cases)
+    assert {key for key in space._memo if isinstance(key, tuple)} == set(cases)
     for p, q in cases:
         again = build_nearbest_qi(space, p, q)
         fresh = build_nearbest_qi(SplineSpace.from_knots(space.knots), p, q)
@@ -100,7 +100,7 @@ def test_a_window_that_raises_keeps_nothing(monkeypatch):
         with pytest.raises(_Boom):
             build_nearbest_qi(space, 3)
     assert len(calls) == 4 and solves.count("_solve_full_windows") == 1
-    assert (3, 2) not in nb._TABLES[id(space)]
+    assert (3, 2) not in space._memo
     solves = _count_solves(monkeypatch)
     qi = build_nearbest_qi(space, 3)
     assert "_solve_full_windows" in solves
@@ -115,7 +115,7 @@ def test_an_abandoned_audit_keeps_its_rows(monkeypatch):
     for _ in range(3):
         next(records)
     records.close()
-    assert (3, 2) in nb._TABLES[id(space)]
+    assert (3, 2) in space._memo
     solves = _count_solves(monkeypatch)
     qi = build_nearbest_qi(space, 3)
     assert solves == []

@@ -405,6 +405,25 @@ class TestApplyQi:
         assert ints.tobytes() == floats.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["q2star", "qp2star", "nearbest"])
+def test_a_stencil_outside_the_band_is_refused(kind):
+    # -1 is not the last row read from index -1, and 10**6 is not a numpy
+    # IndexError
+    sp = space_from("uniform", m=2, n=22)
+    qi = operator_recipe(kind, None if kind == "q2star" else 2).build(sp)
+    for i in (-1, 24, 10**6):
+        with pytest.raises(ValueError, match=rf"^index {i} outside 0\.\.23$"):
+            qi.stencil(i)
+    # nor is a bool row 1, or 3.0 a numpy IndexError
+    for i in (True, 3.0, "3"):
+        with pytest.raises(ValueError, match="^index must be an integer, got "):
+            qi.stencil(i)
+    row = qi.stencil(np.int64(3))
+    assert type(row.i) is int and row.offsets == qi.stencil(3).offsets
+    assert [st.i for st in qi.stencils] == list(range(24))
+    assert qi.stencil(23).offsets == (0,) and qi.stencil(0).offsets == (0,)
+
+
 class TestNorms:
     def test_uniform_values(self):
         sp = space_from("uniform", m=2, n=20)
