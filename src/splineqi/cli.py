@@ -37,7 +37,7 @@ from .applications import (
 )
 from .bspline import SplineSpace
 from .knots import FAMILIES, PartitionSpec, generate_partition
-from .nearbest import iter_lp_audit
+from .nearbest import iter_lp_audit, knot_condition
 from .quasi_interp import KIND_NEARBEST, norm_upper_bound
 
 __all__ = ["RunConfig", "parse_config_file", "run", "main"]
@@ -252,15 +252,20 @@ def _run_norms(cfg: RunConfig, sink: IO[str]) -> None:
 
 def _run_nearbest(cfg: RunConfig, sink: IO[str]) -> None:
     recipe = _recipe(cfg)
-    records = list(iter_lp_audit(_space(cfg), cfg.p, cfg.q))
-    # the build's nu1_star: the largest optimum over interior stencils
-    interior = [r["value"] for r in records if not r["boundary"]]
-    verdicts = [r["certificate"] == "pass" for r in records if r["certificate"] != "n/a"]
+    space = _space(cfg)
+    if cfg.audit:
+        records = list(iter_lp_audit(space, cfg.p, cfg.q))
+        # the build's nu1_star: the largest optimum over interior stencils
+        nu1_star = max((r["value"] for r in records if not r["boundary"]), default=None)
+    else:
+        records, nu1_star = None, recipe.build(space).nu1_star
+    # the q = 2 certificate of each full window is its knot condition
+    full = range(cfg.p, space.dimension - cfg.p) if cfg.q == 2 else ()
+    certified = all(knot_condition(space, i, cfg.p) for i in full) if full else "n/a"
     cols, vals = _prefix_columns(cfg, recipe, with_n=True)
     cols += ["nu1_star", "bound", "all_certified"]
-    vals += [max(interior, default=None), recipe.bound(cfg.m),
-             all(verdicts) if verdicts else "n/a"]
-    _emit_table(cfg, sink, cols, [vals], audit_records=records if cfg.audit else None)
+    vals += [nu1_star, recipe.bound(cfg.m), certified]
+    _emit_table(cfg, sink, cols, [vals], audit_records=records)
 
 
 def _run_quad(cfg: RunConfig, sink: IO[str]) -> None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import abc
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -36,7 +37,7 @@ from .bspline import SplineFunction, SplineSpace
 
 __all__ = [
     "KIND_DQI", "KIND_Q2STAR", "KIND_QP2STAR", "KIND_NEARBEST", "Stencil",
-    "QuasiInterpolant", "apply_dqi", "build_q2star", "build_qp2star",
+    "StencilView", "QuasiInterpolant", "apply_dqi", "build_q2star", "build_qp2star",
     "greville_samples", "apply_qi", "norm_upper_bound",
 ]
 
@@ -109,18 +110,57 @@ class QuasiInterpolant:
         dim = len(self.lengths)
         if not 0 <= i < dim:
             raise ValueError(f"index {i} outside 0..{dim - 1}")
-        length = self.lengths[i]
-        return Stencil(
-            i=i,
-            offsets=tuple(int(s) - i for s in self.sites[i, :length]),
-            weights=self.weights[i, :length],
-            boundary=not self.interior_lo <= i <= self.interior_hi,
-        )
+        return _band_row(self.sites, self.weights, self.lengths, self.interior_lo,
+                         self.interior_hi, i)
 
     @functools.cached_property
-    def stencils(self) -> tuple[Stencil, ...]:
-        """Every row as a Stencil, built on first access."""
-        return tuple(self.stencil(i) for i in range(self.space.dimension))
+    def stencils(self) -> StencilView:
+        """Every row as a Stencil, through a view built on first access."""
+        band = (self.sites, self.weights, self.lengths, self.interior_lo, self.interior_hi)
+        return StencilView(band, range(len(self.lengths)))
+
+
+def _band_row(sites, weights, lengths, interior_lo, interior_hi, i: int) -> Stencil:
+    """Row i of a band as a Stencil; i is a Python int within the band."""
+    length = lengths[i]
+    return Stencil(
+        i=i,
+        offsets=tuple(int(s) - i for s in sites[i, :length]),
+        weights=weights[i, :length],
+        boundary=not interior_lo <= i <= interior_hi,
+    )
+
+
+class StencilView(abc.Sequence):
+    """Read-only sequence of an operator's rows as Stencils, indexed as a
+    tuple is: a negative index counts from the end, one past either end
+    raises IndexError, and a slice is another view. Each row is built when
+    it is read and not kept. The view holds the band's arrays and interior
+    bounds, not the operator, so the operator that caches it makes no
+    reference cycle."""
+
+    __slots__ = ("_band", "_indices")
+    __hash__ = None  # its rows hold arrays, as a tuple of them would
+
+    def __init__(self, band: tuple, indices: range) -> None:
+        self._band = band  # sites, weights, lengths, interior_lo, interior_hi
+        self._indices = indices
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return StencilView(self._band, self._indices[key])
+        try:
+            i = self._indices[key]
+        except IndexError:
+            raise IndexError(f"stencil index {key} out of range") from None
+        return _band_row(*self._band, i)
+
+    def __iter__(self):
+        band = self._band
+        return (_band_row(*band, i) for i in self._indices)
 
 
 def _index(i) -> int:

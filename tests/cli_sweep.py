@@ -28,7 +28,7 @@ this process through `cli.main`. The commands are:
   optimal supports on normalized sites about 1e-12 apart;
 - large: `norms` and `quad` of the three-point operators on 20,000
   subintervals, which pin the band build and apply at the size where they
-  cost most;
+  cost most, and `nearbest` on 20,000 random subintervals in CSV and JSON;
 - edges: `exp` sampled past x = log(max float64), and just below it where
   the quadrature sum or the differenced coefficients overflow, a near-best
   window whose normalized sites coincide in floating point, and geometric
@@ -183,7 +183,10 @@ GRADED = [
 LARGE = [[command, "--kind", kind, "--m", "3", *radius, "--n", "20000",
           "--family", "random", "--seed", "3"]
          for kind, radius in (("q2star", []), ("qp2star", ["--p", "3"]))
-         for command in ("norms", "quad")]
+         for command in ("norms", "quad")] + [
+    ["nearbest", "--m", "3", "--p", "3", "--n", "20000", "--family", "random", "--seed", "1",
+     "--fmt", fmt]
+    for fmt in ("csv", "json")]
 
 
 EDGES = [

@@ -6,6 +6,10 @@ exactly as the one-index-at-a-time loops do; the only intended difference
 is the clamp that keeps each Greville abscissa inside its knot window.
 """
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,8 +18,10 @@ from conftest import space_from
 from splineqi import (
     FAMILIES,
     SplineFunction,
+    StencilView,
     apply_qi,
     build_nearbest_qi,
+    build_q2star,
     build_qp2star,
     eval_basis,
     eval_basis_derivative,
@@ -123,6 +129,67 @@ class TestStencilView:
         assert not qi.weights.flags.writeable and not qi.sites.flags.writeable
         assert tuple(4 + s for s in st.offsets) == tuple(int(s) for s in qi.sites[4])
         assert qi.stencils[0].offsets == (0,) and qi.stencils[0].boundary
+
+    def test_view_reads_as_the_tuple_of_rows(self):
+        # near-best rows of widths 1, 4 .. 7: every read matches the tuple
+        # of `stencil(i)`, and a slice is another view
+        qi = build_nearbest_qi(space_from("random", 3, 20, seed=4), 3)
+        rows = tuple(qi.stencil(i) for i in range(qi.space.dimension))
+        view = qi.stencils
+
+        def assert_rows(got, want):
+            got = list(got)
+            assert [(st.i, st.offsets, st.boundary) for st in got] == [
+                (st.i, st.offsets, st.boundary) for st in want]
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a.weights, b.weights)
+                assert not a.weights.flags.writeable
+
+        assert len(view) == len(rows) == 23
+        assert_rows(view, rows)
+        assert_rows(reversed(view), rows[::-1])
+        for i in (0, 5, -1, -7, -23, np.int64(4)):
+            assert_rows([view[i]], [rows[i]])
+        for i in (23, -24):
+            with pytest.raises(IndexError):
+                rows[i]
+            with pytest.raises(IndexError, match=f"stencil index {i} out of range"):
+                view[i]
+        for key in (slice(None, None, 2), slice(-3, None), slice(None, None, -3), slice(5, 2),
+                    slice(2, 100, 4), slice(-100, 3), slice(20, 1, -5)):
+            sub = view[key]
+            assert isinstance(sub, StencilView) and len(sub) == len(rows[key])
+            assert_rows(sub, rows[key])
+            assert_rows(sub[::-2], rows[key][::-2])
+            if rows[key]:
+                assert_rows([sub[-1]], [rows[key][-1]])
+        assert qi.stencils is view
+
+    def test_reading_every_row_keeps_no_row(self):
+        # a kept Stencil per row cost about 300 B, 6 MB on this operator
+        qi = build_q2star(space_from("random", 3, 20000, seed=1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in qi.stencils:
+                pass
+            for i in range(len(qi.stencils)):
+                qi.stencils[i]
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 1_000_000
+
+    def test_view_makes_no_reference_cycle(self):
+        gc.disable()
+        try:
+            qi = build_qp2star(space_from("random", 3, 12, seed=2), 3)
+            qi.stencils[2], list(qi.stencils[1:4])
+            ref = weakref.ref(qi)
+            del qi
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("m", range(1, 6))

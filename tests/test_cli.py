@@ -342,8 +342,48 @@ class TestRunNearbest:
 
 
 class TestNearbestSummary:
-    """The summary row reads the audit stream; it must keep the build's
-    interior rule and the certificates' verdicts."""
+    """The summary row reads the build's nu1_star and the knot condition of
+    each full window; it must keep the build's interior rule and the
+    certificates' verdicts, and print what ``--audit`` prints above its
+    records."""
+
+    @pytest.mark.parametrize("family,ratio,m,p,q,n", [
+        *[("random", 1.0, 3, 3, q, 20) for q in range(4)],
+        ("geometric", 1.3, 2, 3, 2, 16),  # failing certificates
+        ("arithmetic", 5.0, 3, 2, 2, 16),  # p < m, warned about
+        ("uniform", 1.0, 3, 4, 2, 4),  # no full window
+    ])
+    def test_summary_without_audit_formats_no_record(self, capsys, monkeypatch,
+                                                     family, ratio, m, p, q, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("iter_lp_audit called without --audit")
+
+        argv = ["nearbest", "--m", str(m), "--p", str(p), "--q", str(q), "--n", str(n),
+                "--family", family, "--ratio", repr(ratio), "--seed", "2"]
+        for fmt in cli.FORMATS:
+            command = [*argv, "--fmt", fmt]
+            with warnings.catch_warnings(record=True) as audit_warnings:
+                warnings.simplefilter("always")
+                assert main([*command, "--audit"]) == 0
+            audited = capsys.readouterr().out
+            with monkeypatch.context() as patch, \
+                    warnings.catch_warnings(record=True) as plain_warnings:
+                warnings.simplefilter("always")
+                patch.setattr(cli, "iter_lp_audit", refuse)
+                assert main(command) == 0
+            plain = capsys.readouterr().out
+            if fmt == "csv":
+                assert plain == "".join(line for line in audited.splitlines(keepends=True)
+                                        if not line.startswith("{"))
+            else:
+                payload = json.loads(audited)
+                del payload["audit"]
+                assert plain == json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+            assert [str(w.message) for w in plain_warnings] == [
+                str(w.message) for w in audit_warnings]
+            expected = [] if p >= m else [
+                f"p={p} below degree {m}: interior norm bound not guaranteed"]
+            assert [str(w.message) for w in plain_warnings] == expected
 
     @pytest.mark.filterwarnings("ignore:p=")
     def test_summary_matches_build_and_certificates(self, capsys):
