@@ -295,9 +295,17 @@ def operator_recipe(kind: str, p: int | None = None, q: int = 2) -> OperatorReci
 
 
 def evaluation_grid(kv: KnotVector) -> np.ndarray:
-    """11 points per knot span, deduplicated; dense enough for sup norms."""
+    """11 points per knot span, deduplicated; dense enough for sup norms.
+    Deduplicated by np.unique's own sort and mask, written out: its Python
+    dispatch costs more than that work here, and its first call imports
+    numpy.ma."""
     m, n = kv.degree, kv.n
-    return np.unique(np.linspace(kv.t[m : m + n], kv.t[m + 1 : m + n + 1], 11, axis=1))
+    grid = np.linspace(kv.t[m : m + n], kv.t[m + 1 : m + n + 1], 11, axis=1).flatten()
+    grid.sort()
+    keep = np.empty(grid.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(grid[1:], grid[:-1], out=keep[1:])
+    return grid[keep]
 
 
 class StudyRow(NamedTuple):

@@ -121,7 +121,7 @@ def _find_span(space: SplineSpace, x) -> tuple:
         inside = (kv.a <= x) & (x <= kv.b)
         if not inside.all():
             raise ValueError(f"x={x[~inside].flat[0]} outside [{kv.a}, {kv.b}]")
-        return kv.t, m + np.searchsorted(kv.t[m + 1 : m + kv.n], x, side="right")
+        return kv.t, m + kv.t[m + 1 : m + kv.n].searchsorted(x, side="right")
     t = space.knot_tuple
     if not t[0] <= x <= t[-1]:
         raise ValueError(f"x={x} outside [{kv.a}, {kv.b}]")
@@ -148,9 +148,14 @@ def _basis_values(t, span, deg: int, x) -> list:
 
 
 def _rows(entries: list):
-    """The per-span list as an array with one C-contiguous row per point."""
-    many = isinstance(entries[-1], np.ndarray)
-    return np.stack(entries, axis=-1) if many else np.array(entries)
+    """The per-span list as an array with one C-contiguous row per point:
+    np.stack's result, filled column by column."""
+    if not isinstance(entries[-1], np.ndarray):
+        return np.array(entries)
+    rows = np.empty(entries[-1].shape + (len(entries),))
+    for j, entry in enumerate(entries):
+        rows[..., j] = entry
+    return rows
 
 
 def eval_basis(space: SplineSpace, x) -> tuple:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "FAMILIES", "KnotVector", "PartitionSpec", "make_clamped_knots", "generate_partition",
@@ -57,7 +56,7 @@ class KnotVector:
     def steps(self) -> np.ndarray:
         """Subinterval lengths h_1 .. h_n."""
         brk = self.t[self.degree : self.degree + self.n + 1]
-        return np.diff(brk)
+        return brk[1:] - brk[:-1]
 
     @property
     def dimension(self) -> int:
@@ -91,12 +90,16 @@ def make_clamped_knots(a: float, b: float, interior, m: int) -> KnotVector:
     if inner.ndim != 1:
         raise ValueError("interior knots must be a flat sequence")
     if inner.size:
-        if not np.all(np.diff(inner) > 0):
+        if not (inner[1:] > inner[:-1]).all():
             raise ValueError("interior knots must be strictly increasing")
-        if inner[0] <= a or inner[-1] >= b:
+        # written so that a NaN end fails it
+        if not (a < inner[0] and inner[-1] < b):
             raise ValueError("interior knots must lie strictly inside (a, b)")
     n = inner.size + 1
-    t = np.concatenate([np.full(m + 1, a), inner, np.full(m + 1, b)])
+    t = np.empty(n + 2 * m + 1)
+    t[: m + 1] = a
+    t[m + 1 : m + n] = inner
+    t[m + n :] = b
     t.setflags(write=False)
     return KnotVector(degree=m, t=t, n=n)
 
@@ -182,9 +185,9 @@ def generate_partition(spec: PartitionSpec, m: int) -> KnotVector:
         interior = np.linspace(spec.a, spec.b, spec.n + 1)[1:-1]
     else:
         steps = _partition_steps(spec)
-        interior = spec.a + np.cumsum(steps)[:-1]
+        interior = spec.a + steps.cumsum()[:-1]
     if interior.size and not (
-        np.all(np.diff(interior) > 0) and spec.a < interior[0] and interior[-1] < spec.b
+        (interior[1:] > interior[:-1]).all() and spec.a < interior[0] and interior[-1] < spec.b
     ):
         raise _unrepresentable(spec)
     return make_clamped_knots(spec.a, spec.b, interior, m)
@@ -232,27 +235,32 @@ def greville_grid(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     (they always are for simple interior knots; the check guards malformed
     input).
     """
-    m = kv.degree
-    windows = sliding_window_view(kv.t[1:], m)[: kv.dimension]
-    total = np.zeros(kv.dimension)
-    centered = np.zeros(kv.dimension)
+    t, m, dim = kv.t, kv.degree, kv.dimension
+    # column r of the windows, t_{j+1+r} for every j: a unit-stride slice
+    cols = [t[1 + r : 1 + r + dim] for r in range(m)]
+    total = np.zeros(dim)
+    centered = np.zeros(dim)
     with np.errstate(over="ignore"):
-        for r in range(m):
-            total += windows[:, r]
-        # pairwise double sum, one knot r against the later ones; the batched
-        # matmul rounds each row like np.dot on that row
+        for col in cols:
+            total += col
+        # pairwise double sum, one knot r against the later ones; vecdot
+        # rounds each row as BLAS ddot (np.dot) on that row
         for r in range(m - 1):
-            d = windows[:, r : r + 1] - windows[:, r + 1 :]
-            centered += (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+            d = np.empty((dim, m - 1 - r))
+            for j, later in enumerate(cols[r + 1 :]):
+                np.subtract(cols[r], later, out=d[:, j])
+            centered += np.vecdot(d, d)
     # where a knot sum overflows, the knots' float64 spacing makes some
     # centered second moment overflow too, so that is the cause named
     for name, sums in (("centered second moments", centered), ("Greville abscissae", total)):
         if not np.isfinite(sums).all():
             raise ValueError(f"the {name} of [{kv.a}, {kv.b}] overflow float64")
-    theta = np.clip(total / m, windows[:, 0], windows[:, -1])
+    # np.clip's bits, at the cost of two ufunc calls
+    theta = total / m
+    np.minimum(np.maximum(theta, cols[0], out=theta), cols[-1], out=theta)
     if m >= 2:
         centered /= m * m * (m - 1)
-    if not np.all(np.diff(theta) > 0):
+    if not (theta[1:] > theta[:-1]).all():
         raise ValueError("Greville abscissae are not strictly increasing")
     theta.setflags(write=False)
     centered.setflags(write=False)

@@ -556,7 +556,8 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
     support {-p, 0, p} alone: it is their one optimum, and the elementwise
     recurrence gives them the bits of its column in the enumeration. Rows
     on the knot condition's edge, where a tie may pick another support, and
-    every row at q != 2 are enumerated.
+    every row at q != 2 are enumerated. Where some row is wide, {-p, 0, p}
+    is solved for every row and the other rows are enumerated over it.
 
     The enumeration decides each row, ties within 1e-12 relative going to
     the lexicographically first support: a row is accepted when its weights
@@ -568,25 +569,24 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
     _, x, matrix, rhs = _assemble(space, centers, offsets, q)
     # a row that meets a non-finite value fails the residual test below
     with np.errstate(all="ignore"):
-        wide = _wide_rows(x, p) if q == 2 else np.zeros(rows, dtype=bool)
-        some, every = wide.any(), wide.all()
-        support = np.empty((rows, q + 1), dtype=np.intp)
-        on_support = np.empty((rows, q + 1))
-        # each side's rows are gathered by the mask, unless they are all rows
-        if some:  # the sites x_{-p}, x_0, x_p, a strided view
-            at = slice(None) if every else wide
-            support[at] = (0, p, 2 * p)
-            on_support[at] = _support_values(x[at, ::p, None], rhs[at])[..., 0]
-        if not every:
-            at = ~wide if some else slice(None)
-            support[at], on_support[at] = _cheapest_supports(x[at], rhs[at])
+        wide = _wide_rows(x, p) if q == 2 else None
+        if wide is None or not wide.any():
+            support, on_support = _cheapest_supports(x, rhs)
+        else:  # the sites x_{-p}, x_0, x_p of every row, a strided view
+            support = np.empty((rows, 3), dtype=np.intp)
+            support[:] = (0, p, 2 * p)
+            on_support = _support_values(x[:, ::p, None], rhs)[..., 0]
+            if not wide.all():  # only the other rows are gathered, and enumerated
+                at = (~wide).nonzero()[0]
+                support[at], on_support[at] = _cheapest_supports(x[at], rhs[at])
         weights = np.zeros((rows, k))
         weights[np.arange(rows)[:, None], support] = on_support
         miss = np.abs(matrix @ weights[:, :, None] - rhs[:, :, None]).max(axis=(1, 2))
         values = np.abs(weights).sum(axis=1)
-    missed = np.flatnonzero(~(miss <= _MISS_TOL))
-    if missed.size:
-        row, i = missed[0], int(centers[missed[0]])
+    met = miss <= _MISS_TOL
+    if not met.all():
+        row = met.argmin()  # the first row that misses
+        i = int(centers[row])
         raise RuntimeError(f"near-best build failed at index {i}: l1 solve at index {i}: "
                            f"weights miss the constraints by {miss[row]:.1e}")
     return _Rows(centers, offsets, weights, values, matrix, rhs)

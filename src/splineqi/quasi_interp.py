@@ -246,7 +246,7 @@ def _three_point_weights(theta: np.ndarray, tbar, i, jm, jp, out=None) -> np.nda
         np.add(1.0, centre, out=centre)
         np.divide(tbar, np.multiply(dd, dp, out=right), out=right)
         np.negative(right, out=right)
-    if np.max(dd, initial=0.0) > 1e154:
+    if np.maximum.reduce(dd, axis=None, initial=0.0) > 1e154:
         wide = np.stack([-tbar / dd / dm, 1.0 + tbar / dp / dm, -tbar / dd / dp], axis=-1)
         np.copyto(out, wide, where=np.expand_dims(dd > 1e154, -1))
     return out
@@ -348,8 +348,9 @@ def _row_l1(qi: QuasiInterpolant) -> np.ndarray:
     """l1 norm of every band row, rounded as numpy sums that row alone."""
     l1 = np.empty(qi.space.dimension)
     # zero padding would change numpy's pairwise summation order on rows of
-    # 9 or more entries, so each row is summed at its own length
-    for length in np.unique(qi.lengths):
+    # 9 or more entries, so each row is summed at its own length; bincount
+    # lists the lengths ascending, as np.unique would without importing numpy.ma
+    for length in np.bincount(qi.lengths).nonzero()[0]:
         rows = qi.lengths == length
         l1[rows] = np.abs(qi.weights[rows, :length]).sum(axis=1)
     return l1

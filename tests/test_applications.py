@@ -306,6 +306,8 @@ class TestEvaluationGrid:
             pieces = [np.linspace(kv.t[k], kv.t[k + 1], 11) for k in range(m, m + n)]
             expected = np.unique(np.concatenate(pieces))
             assert evaluation_grid(kv).tobytes() == expected.tobytes()
+            direct = np.unique(np.linspace(kv.t[m : m + n], kv.t[m + 1 : m + n + 1], 11, axis=1))
+            assert evaluation_grid(kv).tobytes() == direct.tobytes()
 
 
 class TestConvergence:

@@ -9,6 +9,7 @@ from hypothesis import given
 
 from conftest import space_from, spaces
 from oracles import central_diff, greville_loop
+from splineqi import bspline
 from splineqi import (
     QuasiInterpolant,
     SplineFunction,
@@ -418,3 +419,20 @@ class TestFloatPathErrors:
         assert sp.knot_tuple is knots
         assert knots == tuple(sp.knots.t)
         assert all(type(k) is float for k in knots)
+
+
+class TestArrayHelpers:
+    @pytest.mark.parametrize("shape", [(0,), (7,), (3, 5)])
+    def test_rows_match_stack(self, shape):
+        entries = [np.random.default_rng(k).standard_normal(shape) for k in range(4)]
+        rows = bspline._rows(entries)
+        assert rows.flags.c_contiguous and rows.shape == shape + (4,)
+        assert rows.tobytes() == np.stack(entries, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_spans_match_searchsorted(self, m):
+        for sp in sweep_spaces(m):
+            kv = sp.knots
+            pts = np.array(sweep_points(sp))
+            expected = m + np.searchsorted(kv.t[m + 1 : m + kv.n], pts, side="right")
+            np.testing.assert_array_equal(bspline._find_span(sp, pts)[1], expected)

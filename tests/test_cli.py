@@ -739,6 +739,21 @@ class TestMain:
                               env=SRC_ENV, timeout=120)
         assert proc.stdout == "False\n", proc.stderr
 
+    def test_commands_do_not_import_numpy_ma(self):
+        # np.unique's first call imports numpy.ma, about 8 ms of a command's
+        # start; no command calls it, so a fresh process never pays that
+        code = ("import io, sys, contextlib; from splineqi.cli import main\n"
+                "for argv in sys.argv[1:]:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert main(argv.split()) == 0, argv\n"
+                "print('numpy.ma' in sys.modules)")
+        commands = ["convergence --kind q2star --m 2 --sizes 16,32", "diffmat --m 2 --sizes 8,16",
+                    "quad --m 2 --n 20", "norms --m 3 --n 8",
+                    "nearbest --audit --m 2 --p 2 --n 24", "audit --m 2 --p 2 --n 20"]
+        proc = subprocess.run([sys.executable, "-c", code, *commands], capture_output=True,
+                              text=True, env=SRC_ENV, timeout=120)
+        assert proc.stdout == "False\n", proc.stderr
+
     def test_repeated_runs_identical(self, capsys):
         argv = ["nearbest", "--m", "2", "--p", "2", "--n", "20",
                 "--family", "random", "--seed", "7", "--audit"]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -47,6 +48,29 @@ class TestMakeClampedKnots:
             make_clamped_knots(0.0, 1.0, (1.5,), 2)
         with pytest.raises(ValueError):
             make_clamped_knots(0.0, 1.0, (0.0,), 2)
+
+    @pytest.mark.parametrize("interior, message", [
+        ([math.nan], "lie strictly inside (a, b)"),
+        ([math.nan, 0.5], "be strictly increasing"),
+        ([0.3, math.nan], "be strictly increasing"),
+        ([math.inf], "lie strictly inside (a, b)"),
+    ])
+    def test_non_finite_interior_refused(self, interior, message):
+        # a NaN end must fail the range test, not pass it and break the grid
+        with pytest.raises(ValueError, match=rf"^interior knots must {re.escape(message)}$"):
+            make_clamped_knots(0.0, 1.0, interior, 2)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_knots_and_steps_match_numpy_helpers(self, m):
+        # the filled knot array has the bits of the np.full concatenation,
+        # and the steps those of np.diff
+        rng = np.random.default_rng(m)
+        for size in (0, 1, 2, 37):
+            inner = np.sort(rng.uniform(-0.6, 2.2, size))
+            kv = make_clamped_knots(-0.7, 2.3, inner, m)
+            expected = np.concatenate([np.full(m + 1, -0.7), inner, np.full(m + 1, 2.3)])
+            assert kv.t.tobytes() == expected.tobytes()
+            assert kv.steps.tobytes() == np.diff(kv.t[m : m + size + 2]).tobytes()
 
     def test_degree_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -257,6 +257,7 @@ def test_wide_rows_keep_the_enumerated_bits():
     # enumeration; their weights must be the bits the enumeration finds
     rng = np.random.default_rng(31)
     wide = rows_seen = 0
+    chunks = set()  # which of the q = 2 path's three branches ran
     for m in range(2, 8):
         for p in range(max(1, m - 1), m + 3):
             for family in ("uniform", "random", "arithmetic", "geometric") * 8:
@@ -272,10 +273,14 @@ def test_wide_rows_keep_the_enumerated_bits():
                 assert rows.weights.tobytes() == full.weights.tobytes(), case
                 assert rows.values.tolist() == full.values.tolist(), case
                 _, x, _, _ = nb._assemble(space, centers, rows.offsets, 2)
-                wide += int(nb._wide_rows(x, p).sum())
+                flags = nb._wide_rows(x, p)
+                wide += int(flags.sum())
                 rows_seen += len(centers)
-    # the shortcut took some rows, not all
+                chunks.add("every" if flags.all() else "some" if flags.any() else "none")
+    # the shortcut took some rows, not all, and met a chunk of each kind:
+    # every row wide, some rows wide and no row wide
     assert 0 < wide < rows_seen
+    assert chunks == {"every", "some", "none"}
 
 
 def test_rows_on_the_edge_are_enumerated():
