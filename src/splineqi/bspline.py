@@ -80,7 +80,7 @@ class SplineSpace:
     @functools.cached_property
     def _memo(self) -> dict:
         """What is kept of this space, an empty dict on first use, gone with
-        the space: `nearbest` keeps its solved LP rows under (p, q) and its
+        the space: `nearbest` keeps its operator's band under (p, q) and its
         three-point table under p."""
         return {}
 

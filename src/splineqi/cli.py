@@ -162,6 +162,9 @@ def parse_config_file(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # output helpers
 
+# built once, the encoder `json.dumps(record, sort_keys=True)` makes per call
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 def _cell(value) -> str:
     if value is None:
@@ -201,7 +204,7 @@ def _emit_table(
         sink.write(",".join(_cell(v) for v in row) + "\n")
     if audit_records is not None:
         for record in audit_records:
-            sink.write(json.dumps(record, sort_keys=True) + "\n")
+            sink.write(_RECORD_ENCODER.encode(record) + "\n")
 
 
 def _prefix_columns(
@@ -312,7 +315,7 @@ def _run_study(cfg: RunConfig, sink: IO[str]) -> None:
 
 def _run_audit(cfg: RunConfig, sink: IO[str]) -> None:
     for record in iter_lp_audit(_space(cfg), cfg.p, cfg.q):
-        sink.write(json.dumps(record, sort_keys=True) + "\n")
+        sink.write(_RECORD_ENCODER.encode(record) + "\n")
 
 
 _COMMANDS = {

@@ -40,16 +40,15 @@ enumeration: its wide three-point weights are then the one optimum, so
 only the support {-p, 0, p} is solved, and as the recurrence is
 elementwise its weights are the bits the enumeration would read. On the
 band's edge another support can tie with them, and the tie rule may pick
-it, so those windows are enumerated. Each chunk is handed on as
-arrays (`_Rows`: centers, offsets, weights, values, and the matrices and
-right-hand sides that were solved), from which the build fills its band and
-the audit formats its records. The truncated windows at the two ends take
-the per-window path (`assemble_constraints`, then `solve_l1`, one row
-each): the window is enumerated the same way, and `solve_standard_form`
-prices the support once, with two small solves, to record whether it is
-certified. A row whose weights miss, on either path, is refused; so is a
-(space, p, q) whose widest window has more than _MAX_SUPPORTS supports,
-before any window is solved.
+it, so those windows are enumerated. Each chunk writes its weights and l1
+values into the operator's band rows and hands on the systems it solved.
+The truncated windows at the two ends take the per-window path
+(`assemble_constraints`, then `solve_l1`, one row each): the window is
+enumerated the same way, and `solve_standard_form` prices the support
+once, with two small solves, to record whether it is certified. A row
+whose weights miss, on either path, is refused; so is a (space, p, q)
+whose widest window has more than _MAX_SUPPORTS supports, before any
+window is solved.
 
 The wide three-point weights of `build_qp2star` are optimal iff a dual
 vector v with |v| <= 1 matches the signs of the nonzero weights and is
@@ -64,11 +63,11 @@ x_{-1} <= a + b <= x_1, at any scale. So the q = 2 verdict is this
 weights' l1 norm of all full windows of a (space, p) are computed together
 on first use, from the normalized sites, and kept read-only.
 
-The solved LP rows of a (space, p, q) are kept too, read-only: one call
-solves every window, and a later build or audit on that space reads them
-and assembles and solves nothing. Both are kept in the space's memo
-(`SplineSpace._memo`), the rows under (p, q) and the table under p, and go
-with the space; neither reads the other.
+The operator's band of a (space, p, q) is kept too, read-only, with the
+systems its rows solved: one call solves every window, and every build on
+that space wraps those arrays and every audit reads its records from them.
+Both are kept in the space's memo (`SplineSpace._memo`), the band under
+(p, q) and the table under p, and go with the space; neither reads the other.
 """
 
 from __future__ import annotations
@@ -466,70 +465,74 @@ def watson_certificate(space: SplineSpace, i: int, p: int) -> Certificate:
     return _VERDICTS[table.knot.item(row)]
 
 
-class _Rows(NamedTuple):
-    """Solved LP rows of the windows ``offsets`` around W consecutive
-    ``centers``: the weights (W, k), their l1 values (W,), and the
-    normalized systems they solve, Vandermonde rows (W, q+1, k) and
-    right-hand sides (W, q+1)."""
+class _Band(NamedTuple):
+    """The band of `QuasiInterpolant` (``sites``, ``weights``, ``lengths``)
+    of a near-best operator, each row's l1 value, and the normalized systems
+    its LP rows solved: one pair of Vandermonde rows (W, q+1, k) and
+    right-hand sides (W, q+1) per chunk of W rows, in index order from 1."""
 
-    centers: np.ndarray
-    offsets: tuple[int, ...]
+    sites: np.ndarray
     weights: np.ndarray
+    lengths: np.ndarray
     values: np.ndarray
-    matrix: np.ndarray
-    rhs: np.ndarray
+    systems: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def _lp_windows(space: SplineSpace, p: int, q: int) -> tuple[_Rows, ...]:
-    """The l1 LPs of the indices 1 .. dim-2 on their windows -p..p cut to the
-    index range, as read-only `_Rows` in index order; p and q are checked,
-    and p < m warned about, on every call. The windows at 1 and dim-2 have
-    p + 2 sites where q > p + 1, too few for exactness of degree q, so such a
-    q is refused before any window is solved.
+def _lp_windows(space: SplineSpace, p: int, q: int) -> _Band:
+    """The near-best band of (space, p, q), read-only: the extreme rows
+    evaluate at their own site, and each index 1 .. dim-2 takes the l1 LP on
+    its window -p..p cut to the index range, the one place that rule lives;
+    p and q are checked, and p < m warned about, on every call. The windows
+    at 1 and dim-2 have p + 2 sites where q > p + 1, too few for exactness
+    of degree q, so such a q is refused before any window is solved.
 
     The widest window, of min(2p+1, dim) sites, must have at most
-    _MAX_SUPPORTS supports, or the (space, p, q) is refused as well. The
-    full windows are solved together, a chunk of rows at a time
-    (`_solve_full_windows`); the truncated windows at the two ends take the
-    per-window path (`assemble_constraints`, then `_solve_window`) and come
-    as one row each. The rows are kept per (space, p, q) while the space
-    lives, and a later call reads them; a window that raises keeps nothing."""
+    _MAX_SUPPORTS supports, or the (space, p, q) is refused as well. Each
+    row is written once, as it is solved: the full windows a chunk at a time
+    (`_solve_full_windows`), the truncated windows at the two ends one by
+    one on the per-window path (`assemble_constraints`, `_solve_window`).
+    The band is kept per (space, p, q) while the space lives, and a later
+    call returns it; a window that raises keeps nothing."""
     m = space.degree
     _check_radius(space, p, q)
     if q > p + 1:
         raise ValueError(f"need q <= p + 1 = {p + 1}, since the windows at indices 1 and dim-2 "
                          f"have only p + 2 sites; got q={q} with p={p}")
-    _check_supports(min(2 * p + 1, space.dimension), q)
+    dim = space.dimension
+    width = min(2 * p + 1, dim) if dim > 2 else 1  # dim <= 2: no index has a window
+    _check_supports(width, q)
     if p < m:
         message = f"p={p} below degree {m}: interior norm bound not guaranteed"
         warnings.warn(message, stacklevel=3)  # at the build's or the audit's caller
     kept = space._memo
     if (p, q) in kept:
         return kept[p, q]
-    last = space.dimension - 1
+    last = dim - 1
     # the full windows p .. last-p, or none, are batched
     lo, hi = (p, last - p + 1) if p <= last - p else (last, last)
-    # every chunk's centers are a view of this, read-only as it is
-    index = np.arange(last + 1)
-    index.setflags(write=False)
-
-    def window(i):
+    sites, weights = _empty_band(dim, width)  # a padded row's sites hold its own index
+    lengths, values, systems = np.ones(dim, dtype=np.intp), np.ones(dim), []
+    weights[0, 0] = weights[-1, 0] = 1.0
+    step = max(1, _BATCH_ENTRIES // ((q + 1) * math.comb(2 * p + 1, q + 1)))
+    for i in itertools.chain(range(1, lo), range(lo, hi, step), range(hi, last)):
+        if lo <= i < hi:  # a chunk of full windows
+            at = slice(i, min(i + step, hi))
+            sites[at] += np.arange(-p, p + 1)
+            lengths[at] = 2 * p + 1
+            systems.append(_solve_full_windows(space, p, q, np.arange(at.start, at.stop),
+                                               weights[at], values[at]))
+            continue
         offsets = tuple(range(max(-p, -i), min(p, last - i) + 1))
         system = assemble_constraints(space, i, p, q, offsets=offsets)
-        solution = _solve_window(system)
-        return _Rows(index[i : i + 1], offsets, solution.weights[None],
-                     np.array([solution.value]), system.matrix[None], system.rhs[None])
-
-    step = max(1, _BATCH_ENTRIES // ((q + 1) * math.comb(2 * p + 1, q + 1)))
-    rows = (*map(window, range(1, lo)),
-            *(_solve_full_windows(space, p, q, index[start : min(start + step, hi)])
-              for start in range(lo, hi, step)),
-            *map(window, range(hi, last)))
-    for chunk in rows:
-        for array in (chunk.weights, chunk.values, chunk.matrix, chunk.rhs):
-            array.setflags(write=False)
-    kept[p, q] = rows
-    return rows
+        solution, k = _solve_window(system), len(offsets)
+        sites[i, :k] += offsets
+        weights[i, :k], lengths[i], values[i] = solution.weights, k, solution.value
+        systems.append((system.matrix[None], system.rhs[None]))
+    band = _Band(sites, weights, lengths, values, tuple(systems))
+    for array in (*band[:4], *itertools.chain.from_iterable(systems)):
+        array.setflags(write=False)
+    kept[p, q] = band
+    return band
 
 
 def _solve_window(system: ConstraintSystem) -> L1Solution:
@@ -547,10 +550,13 @@ def _wide_rows(x: np.ndarray, p: int) -> np.ndarray:
     return (x[:, p - 1] + 1e-12 < mid) & (mid < x[:, p + 1] - 1e-12)
 
 
-def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray) -> _Rows:
-    """The full windows at the given centers, solved together: the systems
-    as `assemble_constraints` builds them, the supports as `solve_l1` picks
-    them, the weights from Bjorck-Pereyra.
+def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray,
+                        weights: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The full windows at the W centers, solved together into their band
+    rows ``weights`` (W, 2p+1), zero on entry, and ``values`` (W,); returns
+    the Vandermonde rows and right-hand sides it solved. The systems are
+    those `assemble_constraints` builds, the supports those `solve_l1`
+    picks, the weights from Bjorck-Pereyra.
 
     At q = 2 the rows of `_wide_rows` skip the enumeration and solve the
     support {-p, 0, p} alone: it is their one optimum, and the elementwise
@@ -564,9 +570,8 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
     meet the constraints within _MISS_TOL, and no dual is solved. The first
     row that misses refuses the chunk, as `solve_l1` would refuse it.
     """
-    k, rows = 2 * p + 1, len(centers)
-    offsets = tuple(range(-p, p + 1))
-    _, x, matrix, rhs = _assemble(space, centers, offsets, q)
+    rows = len(centers)
+    _, x, matrix, rhs = _assemble(space, centers, tuple(range(-p, p + 1)), q)
     # a row that meets a non-finite value fails the residual test below
     with np.errstate(all="ignore"):
         wide = _wide_rows(x, p) if q == 2 else None
@@ -579,17 +584,16 @@ def _solve_full_windows(space: SplineSpace, p: int, q: int, centers: np.ndarray)
             if not wide.all():  # only the other rows are gathered, and enumerated
                 at = (~wide).nonzero()[0]
                 support[at], on_support[at] = _cheapest_supports(x[at], rhs[at])
-        weights = np.zeros((rows, k))
         weights[np.arange(rows)[:, None], support] = on_support
         miss = np.abs(matrix @ weights[:, :, None] - rhs[:, :, None]).max(axis=(1, 2))
-        values = np.abs(weights).sum(axis=1)
     met = miss <= _MISS_TOL
     if not met.all():
         row = met.argmin()  # the first row that misses
         i = int(centers[row])
         raise RuntimeError(f"near-best build failed at index {i}: l1 solve at index {i}: "
                            f"weights miss the constraints by {miss[row]:.1e}")
-    return _Rows(centers, offsets, weights, values, matrix, rhs)
+    values[:] = np.abs(weights).sum(axis=1)
+    return matrix, rhs
 
 
 def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolant:
@@ -598,35 +602,22 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
     Extreme indices use point evaluation; windows are truncated to the index
     range near the boundary. ``nu1_star`` is the max optimal value over
     interior stencils (all windows on simple knots); per-index values are
-    kept in ``lp_values``. The LP rows of an earlier build or audit of
-    (p, q) on this space are read, not solved again.
+    kept in ``lp_values``. The operator wraps the read-only band that
+    `_lp_windows` keeps for (p, q) on this space: every build and audit of
+    (p, q) there reads those arrays, and only the first call solves.
     """
-    windows = _lp_windows(space, p, q)
-    dim = space.dimension
+    band = _lp_windows(space, p, q)
     lo, hi = _interior_range(space.degree, p, space.knots.n)
-    i = np.arange(dim)
-    lengths = np.minimum(i, p) + np.minimum(dim - 1 - i, p) + 1
-    # the two extreme indices evaluate at their own site
-    lengths[[0, -1]] = 1
-    sites, weights = _empty_band(dim, int(lengths.max()))
-    weights[[0, -1], 0] = 1.0
-    values = np.ones(dim)
-    for rows in windows:
-        centers, k = rows.centers, len(rows.offsets)
-        at = slice(centers[0], centers[-1] + 1)  # a chunk's centers are consecutive
-        sites[at, :k] = centers[:, None] + np.array(rows.offsets)
-        weights[at, :k] = rows.weights
-        values[at] = rows.values
-    lp_values = values.tolist()
+    lp_values = band.values.tolist()
     interior_values = lp_values[lo : hi + 1] if lo <= hi else []
     return QuasiInterpolant(
         space=space,
         kind=KIND_NEARBEST,
         q=q,
         p=p,
-        sites=sites,
-        weights=weights,
-        lengths=lengths,
+        sites=band.sites,
+        weights=band.weights,
+        lengths=band.lengths,
         interior_lo=lo,
         interior_hi=hi,
         lp_values=tuple(lp_values),
@@ -636,23 +627,28 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
 
 def iter_lp_audit(space: SplineSpace, p: int, q: int = 2):
     """Yield one audit record per index: the LP, its optimum, and the q = 2
-    certificate status, each computed once. The rows of an operator already
-    built (or audited) on this space are read, not solved again; each
-    record's V and b are the system its row solved. Used by the CLI audit
+    certificate status, each computed once. Each record's offsets, weights
+    and value are its row of the band `_lp_windows` keeps, and its V and b
+    the system that row solved, so an operator already built (or audited)
+    on this space is read, not solved again. Used by the CLI audit
     stream."""
-    windows = _lp_windows(space, p, q)
+    band = _lp_windows(space, p, q)
     lo, hi = _interior_range(space.degree, p, space.knots.n)
     yield _record(0, (0,), [1.0], 1.0, [[1.0]], [1.0])
-    for rows in windows:
-        fields = zip(rows.centers.tolist(), rows.weights.tolist(), rows.values.tolist(),
-                     rows.matrix.tolist(), rows.rhs.tolist())
+    start = 1
+    for matrix, rhs in band.systems:
+        stop, k = start + len(matrix), matrix.shape[-1]
+        offsets = (band.sites[start, :k] - start).tolist()  # shared by the chunk's rows
+        fields = zip(range(start, stop), band.weights[start:stop, :k].tolist(),
+                     band.values[start:stop].tolist(), matrix.tolist(), rhs.tolist())
         # the q = 2 certificate of each full window, from the three-point table
         checks = itertools.repeat(None)
-        if q == 2 and len(rows.offsets) == 2 * p + 1:
-            table, at = _three_point_table(space, p), rows.centers - p
+        if q == 2 and k == 2 * p + 1:
+            table, at = _three_point_table(space, p), slice(start - p, stop - p)
             checks = zip(table.knot[at].tolist(), table.closed[at].tolist())
+        start = stop
         for (i, weights, value, V, b), check in zip(fields, checks):
-            record = _record(i, rows.offsets, weights, value, V, b, boundary=not lo <= i <= hi)
+            record = _record(i, offsets, weights, value, V, b, boundary=not lo <= i <= hi)
             if check:
                 knot, closed = check
                 record["knot_condition"] = knot

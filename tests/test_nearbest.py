@@ -380,12 +380,14 @@ class TestThreePointTable:
         sp = space_from("random", m=3, n=16, seed=5)
         watson_certificate(sp, 4, 3)
         build_nearbest_qi(sp, 3)
-        # the space's memo holds the three-point table by p and the LP rows
-        # by (p, q); a tuple takes no weak reference, so their arrays are
-        # followed
+        # the space's memo holds the three-point table by p and the near-best
+        # band by (p, q); a tuple takes no weak reference, so their arrays
+        # are followed
+        band = sp._memo[3, 2]
         refs = [weakref.ref(array) for array in sp._memo[3]]
-        refs += [weakref.ref(array) for chunk in sp._memo[3, 2]
-                 for array in (chunk.centers, chunk.weights, chunk.values)]
+        refs += [weakref.ref(array) for array in (band.sites, band.weights, band.lengths,
+                                                  band.values)]
+        del band
         assert all(ref() is not None for ref in refs)
         del sp
         gc.collect()

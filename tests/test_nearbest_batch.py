@@ -26,11 +26,20 @@ def _batched_cases(m):
     return [(p, q) for p in sorted({1, m, m + 1}) for q in range(min(m, 2 * p) + 1)]
 
 
+def _full_windows(space, p, q, centers):
+    """The weights (W, 2p+1) and l1 values (W,) of the full windows at the
+    W centers, solved together into band rows of their own."""
+    weights, values = np.zeros((len(centers), 2 * p + 1)), np.empty(len(centers))
+    nb._solve_full_windows(space, p, q, centers, weights, values)
+    return weights, values
+
+
 def _batch(space, p, q):
-    """(center, weights, value) of each full window, read from the chunk's
-    arrays."""
-    rows = nb._solve_full_windows(space, p, q, np.arange(p, space.dimension - p))
-    return zip(rows.centers.tolist(), rows.weights, rows.values.tolist())
+    """(center, weights, value) of each full window, read from the rows the
+    batch wrote."""
+    centers = np.arange(p, space.dimension - p)
+    weights, values = _full_windows(space, p, q, centers)
+    return zip(centers.tolist(), weights, values.tolist())
 
 
 def _exact_on_support(system, support):
@@ -166,8 +175,8 @@ def test_batch_solves_no_linear_system(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", refuse)
     monkeypatch.setattr(nb, "_solve_window", refuse)
     for q in range(4):
-        rows = nb._solve_full_windows(space, 3, q, centers)
-        assert np.isfinite(rows.values).all() and (rows.values >= 1.0 - 1e-12).all(), q
+        values = _full_windows(space, 3, q, centers)[1]
+        assert np.isfinite(values).all() and (values >= 1.0 - 1e-12).all(), q
 
 
 @pytest.mark.parametrize("refuse", [False, True])
@@ -243,13 +252,13 @@ def test_build_memory_stays_bounded(family, ratio, seed, m, p, q, n, limit_mb):
 
 
 def _enumerated(space, p):
-    """The rows of the full windows with every row's support enumerated, as
-    the batch found them before it took the wide three-point support
-    unenumerated."""
+    """The weights and l1 values of the full windows with every row's
+    support enumerated, as the batch found them before it took the wide
+    three-point support unenumerated."""
     dim = space.dimension
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nb, "_wide_rows", lambda x, p: np.zeros(len(x), dtype=bool))
-        return nb._solve_full_windows(space, p, 2, np.arange(p, dim - p))
+        return _full_windows(space, p, 2, np.arange(p, dim - p))
 
 
 def test_wide_rows_keep_the_enumerated_bits():
@@ -267,12 +276,12 @@ def test_wide_rows_keep_the_enumerated_bits():
                 ratio = {"arithmetic": 20.0, "geometric": total ** (1 / (n - 1))}.get(family, 1.0)
                 space = space_from(family, m, n=n, seed=int(rng.integers(2**31)), ratio=ratio)
                 centers = np.arange(p, space.dimension - p)
-                rows = nb._solve_full_windows(space, p, 2, centers)
+                weights, values = _full_windows(space, p, 2, centers)
                 full = _enumerated(space, p)
                 case = (family, m, p, n)
-                assert rows.weights.tobytes() == full.weights.tobytes(), case
-                assert rows.values.tolist() == full.values.tolist(), case
-                _, x, _, _ = nb._assemble(space, centers, rows.offsets, 2)
+                assert weights.tobytes() == full[0].tobytes(), case
+                assert values.tolist() == full[1].tolist(), case
+                _, x, _, _ = nb._assemble(space, centers, tuple(range(-p, p + 1)), 2)
                 flags = nb._wide_rows(x, p)
                 wide += int(flags.sum())
                 rows_seen += len(centers)
@@ -295,9 +304,9 @@ def test_rows_on_the_edge_are_enumerated():
     centers = np.arange(p, space.dimension - p)
     _, x, _, _ = nb._assemble(space, centers, tuple(range(-p, p + 1)), 2)
     assert nb._wide_rows(x, p).tolist() == [False] + [True] * (len(centers) - 2) + [False]
-    rows = nb._solve_full_windows(space, p, 2, centers)
-    assert np.flatnonzero(rows.weights[-1]).tolist() == [0, 2, 3]
-    assert rows.weights.tobytes() == _enumerated(space, p).weights.tobytes()
+    weights = _full_windows(space, p, 2, centers)[0]
+    assert np.flatnonzero(weights[-1]).tolist() == [0, 2, 3]
+    assert weights.tobytes() == _enumerated(space, p)[0].tobytes()
 
 
 def _same_bits(one, *others):

@@ -1,13 +1,15 @@
-"""The solved LP rows kept per (space, p, q).
+"""The near-best band kept per (space, p, q).
 
-A build or an audit solves every window of its (p, q) in one call and keeps
-the rows with the space, even when the audit's records are not all read; a
-later build or audit of the same (p, q) on that space reads them and solves
-nothing, and its results are those of a fresh space with the same knots.
-Nothing is kept when a window raises, the kept arrays are read-only, and
-they go with their space.
+A build or an audit solves every window of its (p, q) in one call into the
+operator's band and keeps it with the space, even when the audit's records
+are not all read; a later build or audit of the same (p, q) on that space
+reads it and solves nothing, and its results are those of a fresh space
+with the same knots. Every build wraps the kept arrays and every audit
+record reads its row. Nothing is kept when a window raises, the kept arrays
+are read-only, and they go with their space.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -141,12 +143,37 @@ def test_a_kept_row_still_warns(monkeypatch):
 def test_kept_rows_cannot_be_written():
     space = space_from("random", 3, n=16, seed=6)
     qi = build_nearbest_qi(space, 3)
-    kept = list(nb._lp_windows(space, 3, 2))
-    assert len(kept) > 1
-    for rows in kept:
-        for array in (rows.centers, rows.weights, rows.values, rows.matrix, rows.rhs):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
-    # the operator's band is its own copy
-    assert not any(np.shares_memory(qi.weights, rows.weights) for rows in kept)
+    band = nb._lp_windows(space, 3, 2)
+    assert len(band.systems) > 1
+    for array in (*band[:4], *itertools.chain.from_iterable(band.systems)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # the operator's band is the kept band
+    assert qi.sites is band.sites and qi.weights is band.weights and qi.lengths is band.lengths
+
+
+@pytest.mark.filterwarnings("ignore:p=1 below degree")
+@pytest.mark.parametrize("family, ratio, seed", FAMILIES)
+@pytest.mark.parametrize("m", range(1, 6))
+def test_builds_and_audits_share_the_kept_band(family, ratio, seed, m):
+    for p, q in _cases(m):
+        case = (family, m, p, q)
+        space = space_from(family, m, n=12, seed=seed, ratio=ratio)
+        first, second = build_nearbest_qi(space, p, q), build_nearbest_qi(space, p, q)
+        records = list(iter_lp_audit(space, p, q))
+        band = nb._lp_windows(space, p, q)
+        for name in ("sites", "weights", "lengths"):
+            array = getattr(band, name)
+            assert getattr(first, name) is array and getattr(second, name) is array, case
+            assert not array.flags.writeable, case
+        fresh = build_nearbest_qi(SplineSpace.from_knots(space.knots), p, q)
+        for name in ("sites", "weights", "lengths"):
+            assert getattr(band, name).tobytes() == getattr(fresh, name).tobytes(), case
+        assert band.values.tobytes() == np.array(fresh.lp_values).tobytes(), case
+        assert [record["i"] for record in records] == list(range(space.dimension)), case
+        for i, record in enumerate(records):
+            row = slice(0, band.lengths[i])
+            assert record["offsets"] == (band.sites[i, row] - i).tolist(), case
+            assert np.array(record["weights"]).tobytes() == band.weights[i, row].tobytes(), case
+            assert np.float64(record["value"]).tobytes() == band.values[i].tobytes(), case
