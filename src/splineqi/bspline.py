@@ -8,12 +8,15 @@ at knots in the same way. Each routine takes one point (a float) or many
 (an ndarray); the span is then an int or an array of the points' shape.
 One point is evaluated in Python floats: the knots come from the space's
 cached tuple and the span from `bisect`, while the recurrence and the
-differencing are the ones an array takes. Its final dot is BLAS `ddot` on a
+differencing are the ones an array takes. A numpy scalar point is read as
+a Python float after the range check. Its final dot is BLAS `ddot` on a
 unit-stride slice of the active coefficients, the kernel `np.vecdot` runs
 on an array's rows, so a point gives the same bits as a float or inside an
 array. A strided slice can round differently, so a spline reads its
 coefficients once, on its first evaluation, into a C-contiguous float64
-array that every later call slices.
+array that every later call slices. `eval_spline` keeps a point's span and
+basis values in its space's `_point_bases`, so every spline of a space
+evaluates a repeated point without the lookup or the recurrence.
 """
 
 from __future__ import annotations
@@ -31,12 +34,17 @@ __all__ = [
     "eval_basis_derivative",
 ]
 
+# entries a space's _point_bases holds before it is cleared
+_POINT_BASES_SIZE = 1024
+
 
 @dataclass(frozen=True, eq=False)
 class SplineSpace:
     """Knot vector plus its Greville abscissae ``greville`` and their
     centered second moments ``centered_second`` (both read-only, see
-    `greville_grid`). Immutable, safe to share."""
+    `greville_grid`). Immutable, safe to share. What it computes on first
+    use (the knot tuple, the central moments, the memo and the point
+    bases) is kept on the space and pickles with it."""
 
     knots: KnotVector
     greville: np.ndarray
@@ -78,6 +86,14 @@ class SplineSpace:
         return tuple(self.knots.t.tolist())
 
     @functools.cached_property
+    def _point_bases(self) -> dict:
+        """What `eval_spline` keeps of one-point evaluation, an empty dict on
+        first use: (point as a float, basis degree) -> (span, the active
+        basis values as a float64 array), shared by every spline of the
+        space and cleared when it holds _POINT_BASES_SIZE entries."""
+        return {}
+
+    @functools.cached_property
     def _memo(self) -> dict:
         """What is kept of this space, an empty dict on first use, gone with
         the space: `nearbest` keeps its operator's band under (p, q) and its
@@ -112,20 +128,22 @@ class SplineFunction:
 
 
 def _find_span(space: SplineSpace, x) -> tuple:
-    """The knots to read and the index k with t[k] <= x < t[k+1] (last span
-    at x = b): the array and an array of spans for an array x, the cached
-    tuple and an int for a point."""
+    """The knots to read, the index k with t[k] <= x < t[k+1] (last span at
+    x = b) and x as the recurrence reads it: the array, an array of spans
+    and x for an array x, the cached tuple, an int and a float for a point."""
     kv = space.knots
     m = kv.degree
     if isinstance(x, np.ndarray):
         inside = (kv.a <= x) & (x <= kv.b)
         if not inside.all():
             raise ValueError(f"x={x[~inside].flat[0]} outside [{kv.a}, {kv.b}]")
-        return kv.t, m + kv.t[m + 1 : m + kv.n].searchsorted(x, side="right")
+        return kv.t, m + kv.t[m + 1 : m + kv.n].searchsorted(x, side="right"), x
     t = space.knot_tuple
     if not t[0] <= x <= t[-1]:
         raise ValueError(f"x={x} outside [{kv.a}, {kv.b}]")
-    return t, bisect.bisect_right(t, x, m + 1, m + kv.n) - 1
+    # a numpy float32 point would keep float32 arithmetic (NEP 50)
+    x = float(x)
+    return t, bisect.bisect_right(t, x, m + 1, m + kv.n) - 1, x
 
 
 def _basis_values(t, span, deg: int, x) -> list:
@@ -166,7 +184,7 @@ def eval_basis(space: SplineSpace, x) -> tuple:
     x both gain its shape as leading axes.
     """
     m = space.degree
-    t, span = _find_span(space, x)
+    t, span, x = _find_span(space, x)
     return span - m, _rows(_basis_values(t, span, m, x))
 
 
@@ -184,35 +202,49 @@ def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
     m = kv.degree
     many = isinstance(x, np.ndarray)
     if many:
-        t, span = _find_span(space, x)
+        t, span, x = _find_span(space, x)
     else:
-        # _find_span's point lookup, inline: a point pays for no second call
+        # _find_span's range check, inline: a point pays for no second call
         t = space.knot_tuple
         if not t[0] <= x <= t[-1]:
             raise ValueError(f"x={x} outside [{kv.a}, {kv.b}]")
-        span = bisect.bisect_right(t, x, m + 1, m + kv.n) - 1
     coeffs = f._coeffs
     if derivative_order > m:
         return np.zeros(x.shape) if many else 0.0
+    deg = m - derivative_order
+    if not many:
+        # every spline of the space reads one lookup and recurrence per
+        # point and degree; -0.0 shares 0.0's entry, whose zeros can differ
+        # in sign, which the dot's sum does not show
+        key = float(x), deg
+        bases = space._point_bases
+        entry = bases.get(key)
+        if entry is None:
+            x = key[0]
+            span = bisect.bisect_right(t, x, m + 1, m + kv.n) - 1
+            entry = span, np.array(_basis_values(t, span, deg, x))
+            if len(bases) >= _POINT_BASES_SIZE:
+                bases.clear()
+            bases[key] = entry
+        span, values = entry
     first = span - m
     if not (many or derivative_order):
         # ddot rounds a unit-stride slice as vecdot rounds an array's row
-        return float(coeffs[first : span + 1].dot(_basis_values(t, span, m, x)))
+        return float(coeffs[first : span + 1].dot(values))
     # difference only the m+1 coefficients active on the span; entry l of
     # the order-r coefficients belongs to basis index first + l
     if many:
         local = [coeffs[first + l] for l in range(m + 1)]
     else:
         local = coeffs[first : span + 1].tolist()
-    deg = m
     for r in range(1, derivative_order + 1):
-        local = [deg * (local[l + 1] - local[l]) / (t[span + 1 + l] - t[first + r + l])
-                 for l in range(deg)]
-        deg -= 1
-    values = _basis_values(t, span, deg, x)
+        local = [(m + 1 - r) * (local[l + 1] - local[l]) / (t[span + 1 + l] - t[first + r + l])
+                 for l in range(m + 1 - r)]
     if many:
-        return np.vecdot(_rows(values), _rows(local))
-    return float(np.array(local).dot(values))
+        return np.vecdot(_rows(_basis_values(t, span, deg, x)), _rows(local))
+    # ddot of one entry (order m) returns the product, -0.0 too, where
+    # vecdot adds it to 0.0
+    return float(np.array(local).dot(values)) + 0.0
 
 
 def eval_basis_derivative(space: SplineSpace, x) -> tuple:
@@ -223,7 +255,7 @@ def eval_basis_derivative(space: SplineSpace, x) -> tuple:
     values are exact one-sided derivatives.
     """
     m = space.degree
-    t, span = _find_span(space, x)
+    t, span, x = _find_span(space, x)
     # entry l of the degree-(m-1) values belongs to knots t[j .. j+m], j = span-m+1+l
     inner = _basis_values(t, span, m - 1, x)
     scaled = [0.0, *(m * v / (t[span + 1 + l] - t[span - m + 1 + l])

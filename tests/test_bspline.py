@@ -1,6 +1,7 @@
 """Basis evaluation, spline evaluation/derivatives, integrals."""
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -260,13 +261,18 @@ def assert_same_bits(floats, array):
 @pytest.mark.parametrize("m", range(1, 8))
 class TestFloatPath:
     def test_spline_values_and_derivatives_match_array(self, m):
-        for sp in sweep_spaces(m):
-            pts = sweep_points(sp)
-            f = SplineFunction(sp, np.random.default_rng(m).standard_normal(sp.dimension))
-            for order in range(m + 2):
-                floats = [eval_spline(f, x, order) for x in pts]
-                assert all(type(v) is float for v in floats)
-                assert_same_bits(floats, eval_spline(f, np.array(pts), order))
+        """0.0 and -0.0 share a kept basis, so each of them comes first on
+        one fresh space."""
+        for sweep in sweep_spaces(m):
+            coeffs = np.random.default_rng(m).standard_normal(sweep.dimension)
+            for zeros in ([0.0, -0.0], [-0.0, 0.0]):
+                sp = SplineSpace.from_knots(sweep.knots)
+                pts = [*zeros, *sweep_points(sp)]
+                f = SplineFunction(sp, coeffs)
+                for order in range(m + 2):
+                    floats = [eval_spline(f, x, order) for x in pts]
+                    assert all(type(v) is float for v in floats)
+                    assert_same_bits(floats, eval_spline(f, np.array(pts), order))
 
     def test_coefficient_layouts_match_array(self, m):
         """A strided view, a list and an int array: a point gives the array
@@ -304,14 +310,18 @@ class TestFloatPath:
                 assert_same_bits(np.stack([p[1] for p in points]), vals)
 
     def test_numpy_scalar_takes_the_float_path(self, m):
+        """A numpy scalar is read as the float it holds: a float32 or float16
+        point is not evaluated in its own precision."""
         sp = space_from("random", m, 9, seed=m)
         f = SplineFunction(sp, np.cos(np.arange(sp.dimension)))
-        for x in sweep_points(sp):
-            scalar, zero_d = np.float64(x), np.array(x)
+        points = sweep_points(sp)
+        for scalar in [dtype(x) for dtype in (np.float64, np.float32, np.float16) for x in points]:
+            x, zero_d = float(scalar), np.array(scalar)
             for order in range(m + 2):
                 value = eval_spline(f, scalar, order)
                 assert type(value) is float
-                assert value == eval_spline(f, x, order) == eval_spline(f, zero_d, order)
+                assert_same_bits(value, eval_spline(f, x, order))
+                assert_same_bits(value, eval_spline(f, zero_d, order))
             for evaluate in (eval_basis, eval_basis_derivative):
                 first, vals = evaluate(sp, scalar)
                 assert type(first) is int
@@ -391,10 +401,16 @@ class TestFloatPathErrors:
     def test_point_reads_no_copy_of_list_coefficients(self):
         """List coefficients are converted once: after a warm-up call, 100
         points allocate nothing that grows with the dimension (a conversion
-        per point would allocate 8 bytes per coefficient)."""
+        per point would allocate 8 bytes per coefficient). A first spline
+        on the space has kept the points' bases, so the second allocates
+        none."""
         sp = space_from("uniform", 3, 10**5)
-        f = SplineFunction(sp, np.cos(np.arange(sp.dimension)).tolist())
         points = np.random.default_rng(0).uniform(0.0, 1.0, 100).tolist()
+        first = SplineFunction(sp, np.sin(np.arange(sp.dimension)).tolist())
+        for x in points:
+            first(x)
+            first(x, 1)
+        f = SplineFunction(sp, np.cos(np.arange(sp.dimension)).tolist())
         f(points[0])
         f(points[0], 1)
         tracemalloc.start()
@@ -419,6 +435,81 @@ class TestFloatPathErrors:
         assert sp.knot_tuple is knots
         assert knots == tuple(sp.knots.t)
         assert all(type(k) is float for k in knots)
+
+
+class TestPointBases:
+    def test_splines_of_a_space_share_one_entry(self):
+        sp = space_from("random", 3, 12, seed=6)
+        f = SplineFunction(sp, np.cos(np.arange(sp.dimension)))
+        g = SplineFunction(sp, np.sin(np.arange(sp.dimension)))
+        assert "_point_bases" not in vars(sp)
+        f(0.3)
+        f(0.3, 1)
+        kept = dict(sp._point_bases)
+        assert set(kept) == {(0.3, 3), (0.3, 2)}
+        g(0.3)
+        g(np.float32(0.3), 1)  # its own float, a key of its own
+        g(0.3, 1)
+        g(0.3, 4)  # above the degree: nothing to keep
+        eval_basis(sp, 0.7)
+        eval_basis_derivative(sp, 0.7)
+        g(np.array([0.7]))
+        assert set(sp._point_bases) == {(0.3, 3), (0.3, 2), (float(np.float32(0.3)), 2)}
+        assert all(sp._point_bases[key] is entry for key, entry in kept.items())
+
+    def test_bases_stay_bounded(self):
+        """3x the bound of distinct points, values then first derivatives:
+        the space never holds more than the bound, and every point keeps
+        the array path's bits."""
+        bound = bspline._POINT_BASES_SIZE
+        sp = space_from("random", 3, 40, seed=3)
+        f = SplineFunction(sp, np.random.default_rng(3).standard_normal(sp.dimension))
+        points = np.random.default_rng(4).uniform(0.0, 1.0, 3 * bound)
+        assert len(set(points.tolist())) == points.size
+        for order in (0, 1):
+            floats = []
+            for x in points.tolist():
+                floats.append(f(x, order))
+                assert len(sp._point_bases) <= bound
+            assert sp._point_bases
+            assert_same_bits(floats, f(points, order))
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_signed_zero_shares_an_entry(self, m):
+        """With a knot at 0, the basis at -0.0 and at 0.0 differ in the sign
+        of a zero (so eval_basis keeps none), yet a spline's value and
+        derivatives read through the dot keep the bits of either point,
+        whichever of the two came first, for coefficients with signed
+        zeros too."""
+        knots = space_from("uniform", m, 4, a=-1.0, b=1.0).knots
+        assert 0.0 in knots.t.tolist()
+        pos, neg = np.array([0.0]), np.array([-0.0])
+        bases = [evaluate(SplineSpace.from_knots(knots), z)[1].tobytes()
+                 for evaluate in (eval_basis, eval_basis_derivative) for z in (pos, neg)]
+        assert bases[0] != bases[1] or bases[2] != bases[3]
+        rng = np.random.default_rng(m)
+        for trial in range(20):
+            coeffs = rng.standard_normal(knots.dimension)
+            coeffs[rng.random(knots.dimension) < 0.3] = 0.0
+            coeffs[rng.random(knots.dimension) < 0.3] = -0.0
+            for zeros in ((0.0, -0.0), (-0.0, 0.0)):
+                sp = SplineSpace.from_knots(knots)
+                f = SplineFunction(sp, coeffs)
+                for order in range(m + 1):
+                    for z in zeros:
+                        assert_same_bits(f(z, order), f(np.array([z]), order))
+                assert len(sp._point_bases) == m + 1
+
+    def test_space_pickles_after_point_evaluations(self):
+        sp = space_from("random", 3, 30, seed=8)
+        f = SplineFunction(sp, np.cos(np.arange(sp.dimension)))
+        points = np.random.default_rng(5).uniform(0.0, 1.0, 50).tolist()
+        expected = [f(x, order) for order in range(3) for x in points]
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy.space is not sp
+        assert_same_bits([copy(x, order) for order in range(3) for x in points], expected)
+        fresh = SplineFunction(pickle.loads(pickle.dumps(sp)), f.coefficients)
+        assert_same_bits([fresh(x, order) for order in range(3) for x in points], expected)
 
 
 class TestArrayHelpers:
