@@ -14,9 +14,11 @@ unit-stride slice of the active coefficients, the kernel `np.vecdot` runs
 on an array's rows, so a point gives the same bits as a float or inside an
 array. A strided slice can round differently, so a spline reads its
 coefficients once, on its first evaluation, into a C-contiguous float64
-array that every later call slices. `eval_spline` keeps a point's span and
-basis values in its space's `_point_bases`, so every spline of a space
-evaluates a repeated point without the lookup or the recurrence.
+array that every later call slices. `eval_spline` keeps, in its space's
+`_point_bases`, a point's span from its first sight and its basis values
+from its second, so every spline of a space evaluates a point seen twice
+without the lookup or the recurrence, and a point seen once builds no
+array.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ __all__ = [
     "eval_basis_derivative",
 ]
 
-# entries a space's _point_bases holds before it is cleared
+# keys a space's _point_bases holds before it is cleared
 _POINT_BASES_SIZE = 1024
 
 
@@ -88,9 +90,10 @@ class SplineSpace:
     @functools.cached_property
     def _point_bases(self) -> dict:
         """What `eval_spline` keeps of one-point evaluation, an empty dict on
-        first use: (point as a float, basis degree) -> (span, the active
-        basis values as a float64 array), shared by every spline of the
-        space and cleared when it holds _POINT_BASES_SIZE entries."""
+        first use, keyed by (point as a float, basis degree): the span for a
+        key seen once, then (span, the active basis values as a read-only
+        float64 array) from its second sight on. Shared by every spline of
+        the space and cleared when it holds _POINT_BASES_SIZE keys."""
         return {}
 
     @functools.cached_property
@@ -148,19 +151,28 @@ def _find_span(space: SplineSpace, x) -> tuple:
 
 def _basis_values(t, span, deg: int, x) -> list:
     """Values of the deg+1 active basis functions, each a float or like x."""
-    values = [1.0]
-    left = [0.0]
-    right = [0.0]
-    for j in range(1, deg + 1):
+    if not deg:
+        return [1.0]
+    # the first level written out: saved is 0.0 there, and right_1 * tmp is
+    # never -0.0 (x <= t[span + 1]), so 0.0 + right_1 * tmp keeps its bits
+    left_1 = x - t[span]
+    right_1 = t[span + 1] - x
+    tmp = 1.0 / (right_1 + left_1)
+    values = [right_1 * tmp, left_1 * tmp]
+    # left[i] = x - t[span + 1 - i] and right[i - 1] = t[span + i] - x
+    left = [0.0, left_1]
+    right = [right_1]
+    for j in range(2, deg + 1):
         left.append(x - t[span + 1 - j])
         right.append(t[span + j] - x)
         saved = 0.0
-        for r in range(j):
-            right_r = right[r + 1]
+        r = 0
+        for right_r in right:
             left_r = left[j - r]
             tmp = values[r] / (right_r + left_r)
             values[r] = saved + right_r * tmp
             saved = left_r * tmp
+            r += 1
         values.append(saved)
     return values
 
@@ -213,20 +225,28 @@ def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
         return np.zeros(x.shape) if many else 0.0
     deg = m - derivative_order
     if not many:
-        # every spline of the space reads one lookup and recurrence per
-        # point and degree; -0.0 shares 0.0's entry, whose zeros can differ
-        # in sign, which the dot's sum does not show
-        key = float(x), deg
+        # a point and degree seen once keep their span; seen again, their
+        # basis values too, which every spline of the space then reads, so
+        # points that never repeat build no array. -0.0 shares 0.0's entry,
+        # whose zeros can differ in sign, which the dot's sum does not show
+        x = float(x)
+        key = x, deg
         bases = space._point_bases
         entry = bases.get(key)
-        if entry is None:
-            x = key[0]
+        if entry.__class__ is tuple:
+            span, values = entry
+        elif entry is None:
             span = bisect.bisect_right(t, x, m + 1, m + kv.n) - 1
-            entry = span, np.array(_basis_values(t, span, deg, x))
+            values = _basis_values(t, span, deg, x)
             if len(bases) >= _POINT_BASES_SIZE:
                 bases.clear()
-            bases[key] = entry
-        span, values = entry
+            bases[key] = span
+        else:
+            span = entry
+            values = np.array(_basis_values(t, span, deg, x))
+            # every spline of the space reads this array
+            values.setflags(write=False)
+            bases[key] = span, values
     first = span - m
     if not (many or derivative_order):
         # ddot rounds a unit-stride slice as vecdot rounds an array's row
@@ -237,9 +257,11 @@ def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
         local = [coeffs[first + l] for l in range(m + 1)]
     else:
         local = coeffs[first : span + 1].tolist()
+    k = m
     for r in range(1, derivative_order + 1):
-        local = [(m + 1 - r) * (local[l + 1] - local[l]) / (t[span + 1 + l] - t[first + r + l])
-                 for l in range(m + 1 - r)]
+        local = [k * (local[l + 1] - local[l]) / (t[span + 1 + l] - t[first + r + l])
+                 for l in range(k)]
+        k -= 1
     if many:
         return np.vecdot(_rows(_basis_values(t, span, deg, x)), _rows(local))
     # ddot of one entry (order m) returns the product, -0.0 too, where

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 
 from conftest import space_from, spaces
-from oracles import central_diff, greville_loop
+from oracles import _basis_values as basis_values_loop, central_diff, greville_loop
 from splineqi import bspline
 from splineqi import (
     QuasiInterpolant,
@@ -261,8 +261,9 @@ def assert_same_bits(floats, array):
 @pytest.mark.parametrize("m", range(1, 8))
 class TestFloatPath:
     def test_spline_values_and_derivatives_match_array(self, m):
-        """0.0 and -0.0 share a kept basis, so each of them comes first on
-        one fresh space."""
+        """Three passes: a point's first sight, the one that keeps its basis
+        and one that reads the kept basis. 0.0 and -0.0 share a kept basis,
+        so each of them comes first on one fresh space."""
         for sweep in sweep_spaces(m):
             coeffs = np.random.default_rng(m).standard_normal(sweep.dimension)
             for zeros in ([0.0, -0.0], [-0.0, 0.0]):
@@ -270,9 +271,11 @@ class TestFloatPath:
                 pts = [*zeros, *sweep_points(sp)]
                 f = SplineFunction(sp, coeffs)
                 for order in range(m + 2):
-                    floats = [eval_spline(f, x, order) for x in pts]
-                    assert all(type(v) is float for v in floats)
-                    assert_same_bits(floats, eval_spline(f, np.array(pts), order))
+                    expected = eval_spline(f, np.array(pts), order)
+                    for _ in range(3):
+                        floats = [eval_spline(f, x, order) for x in pts]
+                        assert all(type(v) is float for v in floats)
+                        assert_same_bits(floats, expected)
 
     def test_coefficient_layouts_match_array(self, m):
         """A strided view, a list and an int array: a point gives the array
@@ -402,12 +405,12 @@ class TestFloatPathErrors:
         """List coefficients are converted once: after a warm-up call, 100
         points allocate nothing that grows with the dimension (a conversion
         per point would allocate 8 bytes per coefficient). A first spline
-        on the space has kept the points' bases, so the second allocates
-        none."""
+        has read each point twice, so the space keeps the points' bases and
+        the second spline allocates none."""
         sp = space_from("uniform", 3, 10**5)
         points = np.random.default_rng(0).uniform(0.0, 1.0, 100).tolist()
         first = SplineFunction(sp, np.sin(np.arange(sp.dimension)).tolist())
-        for x in points:
+        for x in points * 2:
             first(x)
             first(x, 1)
         f = SplineFunction(sp, np.cos(np.arange(sp.dimension)).tolist())
@@ -439,40 +442,63 @@ class TestFloatPathErrors:
 
 class TestPointBases:
     def test_splines_of_a_space_share_one_entry(self):
+        """A point's first sight keeps its span, the second its read-only
+        basis, which every later call of every spline of the space reads."""
         sp = space_from("random", 3, 12, seed=6)
         f = SplineFunction(sp, np.cos(np.arange(sp.dimension)))
         g = SplineFunction(sp, np.sin(np.arange(sp.dimension)))
         assert "_point_bases" not in vars(sp)
         f(0.3)
         f(0.3, 1)
+        span = sp._point_bases[0.3, 3]
+        assert sp._point_bases == {(0.3, 3): span, (0.3, 2): span}
+        g(0.3)
+        g(0.3, 1)
         kept = dict(sp._point_bases)
         assert set(kept) == {(0.3, 3), (0.3, 2)}
-        g(0.3)
+        for (_, deg), (kept_span, values) in kept.items():
+            assert kept_span == span
+            assert values.shape == (deg + 1,) and not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+        f(0.3)
         g(np.float32(0.3), 1)  # its own float, a key of its own
         g(0.3, 1)
         g(0.3, 4)  # above the degree: nothing to keep
         eval_basis(sp, 0.7)
         eval_basis_derivative(sp, 0.7)
         g(np.array([0.7]))
-        assert set(sp._point_bases) == {(0.3, 3), (0.3, 2), (float(np.float32(0.3)), 2)}
+        own = float(np.float32(0.3)), 2
+        assert set(sp._point_bases) == {(0.3, 3), (0.3, 2), own}
+        assert sp._point_bases[own] == span
         assert all(sp._point_bases[key] is entry for key, entry in kept.items())
 
     def test_bases_stay_bounded(self):
-        """3x the bound of distinct points, values then first derivatives:
-        the space never holds more than the bound, and every point keeps
-        the array path's bits."""
+        """3x the bound of distinct points, values then first derivatives,
+        each point read by three splines in turn: the space never holds more
+        than the bound, and every point keeps the array path's bits. Read
+        by one spline once, points that never repeat keep no basis."""
         bound = bspline._POINT_BASES_SIZE
         sp = space_from("random", 3, 40, seed=3)
-        f = SplineFunction(sp, np.random.default_rng(3).standard_normal(sp.dimension))
+        rng = np.random.default_rng(3)
+        splines = [SplineFunction(sp, rng.standard_normal(sp.dimension)) for _ in range(3)]
         points = np.random.default_rng(4).uniform(0.0, 1.0, 3 * bound)
         assert len(set(points.tolist())) == points.size
         for order in (0, 1):
-            floats = []
+            floats = [[] for _ in splines]
             for x in points.tolist():
-                floats.append(f(x, order))
+                for f, out in zip(splines, floats):
+                    out.append(f(x, order))
                 assert len(sp._point_bases) <= bound
-            assert sp._point_bases
-            assert_same_bits(floats, f(points, order))
+            assert any(type(entry) is tuple for entry in sp._point_bases.values())
+            for f, out in zip(splines, floats):
+                assert_same_bits(out, f(points, order))
+        stream = SplineSpace.from_knots(sp.knots)
+        f = SplineFunction(stream, splines[0].coefficients)
+        floats = [f(x) for x in points.tolist()]
+        assert 0 < len(stream._point_bases) <= bound
+        assert all(type(entry) is int for entry in stream._point_bases.values())
+        assert_same_bits(floats, f(points))
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_signed_zero_shares_an_entry(self, m):
@@ -496,15 +522,22 @@ class TestPointBases:
                 sp = SplineSpace.from_knots(knots)
                 f = SplineFunction(sp, coeffs)
                 for order in range(m + 1):
-                    for z in zeros:
+                    # the second zero keeps its basis, which the first then reads
+                    for z in zeros * 2:
                         assert_same_bits(f(z, order), f(np.array([z]), order))
                 assert len(sp._point_bases) == m + 1
+                assert all(type(entry) is tuple for entry in sp._point_bases.values())
 
     def test_space_pickles_after_point_evaluations(self):
+        """Pickled once the space keeps spans (points read once) and bases
+        (points read twice)."""
         sp = space_from("random", 3, 30, seed=8)
         f = SplineFunction(sp, np.cos(np.arange(sp.dimension)))
         points = np.random.default_rng(5).uniform(0.0, 1.0, 50).tolist()
         expected = [f(x, order) for order in range(3) for x in points]
+        for order in range(3):
+            for x in points[:25]:
+                f(x, order)
         copy = pickle.loads(pickle.dumps(f))
         assert copy.space is not sp
         assert_same_bits([copy(x, order) for order in range(3) for x in points], expected)
@@ -519,6 +552,23 @@ class TestArrayHelpers:
         rows = bspline._rows(entries)
         assert rows.flags.c_contiguous and rows.shape == shape + (4,)
         assert rows.tobytes() == np.stack(entries, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 7])
+    def test_basis_values_match_reference_loop(self, m):
+        """The recurrence against the textbook loop of oracles.py, bit for
+        bit, at every degree up to m, for points and for an array of them:
+        every knot, a and b, and 0.0 and -0.0 on a space with a knot at 0."""
+        for sp in [*sweep_spaces(m), space_from("uniform", m, 4, a=-1.0, b=1.0)]:
+            kv = sp.knots
+            pts = [0.0, -0.0, *sweep_points(sp)]
+            spans = bspline._find_span(sp, np.array(pts))[1].tolist()
+            for deg in range(m + 1):
+                expected = np.array([basis_values_loop(kv.t, s, deg, x) for s, x in zip(spans, pts)])
+                points = [bspline._basis_values(sp.knot_tuple, s, deg, x) for s, x in zip(spans, pts)]
+                assert_same_bits(points, expected)
+                # degree 0 gives the one value 1.0 for every point
+                array = bspline._rows(bspline._basis_values(kv.t, np.array(spans), deg, np.array(pts)))
+                assert_same_bits(np.broadcast_to(array, expected.shape), expected)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_spans_match_searchsorted(self, m):
