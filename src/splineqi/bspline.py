@@ -9,7 +9,7 @@ at knots in the same way. Each routine takes one point (a float) or many
 One point is evaluated in Python floats: the knots come from the space's
 cached tuple and the span from `bisect`, while the recurrence and the
 differencing are the ones an array takes. A numpy scalar point is read as
-a Python float after the range check. Its final dot is BLAS `ddot` on a
+a Python float before the range check. Its final dot is BLAS `ddot` on a
 unit-stride slice of the active coefficients, the kernel `np.vecdot` runs
 on an array's rows, so a point gives the same bits as a float or inside an
 array. A strided slice can round differently, so a spline reads its
@@ -46,11 +46,16 @@ class SplineSpace:
     centered second moments ``centered_second`` (both read-only, see
     `greville_grid`). Immutable, safe to share. What it computes on first
     use (the knot tuple, the central moments, the memo and the point
-    bases) is kept on the space and pickles with it."""
+    bases) is kept on the space. A pickled space is rebuilt from its knots
+    by `from_knots`: the copy has the same bits, read-only, and none of
+    what the space kept."""
 
     knots: KnotVector
     greville: np.ndarray
     centered_second: np.ndarray
+
+    def __reduce__(self):
+        return type(self).from_knots, (self.knots,)
 
     @classmethod
     def from_knots(cls, kv: KnotVector) -> "SplineSpace":
@@ -137,14 +142,17 @@ def _find_span(space: SplineSpace, x) -> tuple:
     kv = space.knots
     m = kv.degree
     if isinstance(x, np.ndarray):
-        inside = (kv.a <= x) & (x <= kv.b)
+        # float64 ends: a float32 array is checked at its float64 values
+        inside = (kv.t[0] <= x) & (x <= kv.t[-1])
         if not inside.all():
-            raise ValueError(f"x={x[~inside].flat[0]} outside [{kv.a}, {kv.b}]")
+            raise ValueError(f"x={x[~inside].flat[0].item()} outside [{kv.a}, {kv.b}]")
         return kv.t, m + kv.t[m + 1 : m + kv.n].searchsorted(x, side="right"), x
     t = space.knot_tuple
+    if x.__class__ is not float and isinstance(x, np.generic):
+        x = float(x)  # a float32 point is checked, as it is read, as a float
     if not t[0] <= x <= t[-1]:
         raise ValueError(f"x={x} outside [{kv.a}, {kv.b}]")
-    # a numpy float32 point would keep float32 arithmetic (NEP 50)
+    # a Python int is read as a float too
     x = float(x)
     return t, bisect.bisect_right(t, x, m + 1, m + kv.n) - 1, x
 
@@ -218,6 +226,8 @@ def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
     else:
         # _find_span's range check, inline: a point pays for no second call
         t = space.knot_tuple
+        if x.__class__ is not float and isinstance(x, np.generic):
+            x = float(x)
         if not t[0] <= x <= t[-1]:
             raise ValueError(f"x={x} outside [{kv.a}, {kv.b}]")
     coeffs = f._coeffs

@@ -3,9 +3,11 @@
 Subcommands map onto the library surface: operator norm summaries, near-best
 LP sweeps with optional per-index audit records, convergence and
 differentiation studies, and quadrature tables. Output is CSV (default) or a
-single JSON object; the audit stream is JSON lines. All output is
-deterministic for a fixed configuration, including the random partition
-family, so runs can be diffed byte for byte.
+single JSON object; the audit stream is JSON lines. `audit` and `nearbest
+--audit` write each record as it is read from the operator's band, solved
+before the first byte, and `nearbest` reads its nu1_star from the build of
+that band. All output is deterministic for a fixed configuration, including
+the random partition family, so runs can be diffed byte for byte.
 
 Exit codes: 0 success, 2 configuration or validation error (among them a
 near-best window with more supports than the LP enumerates), 3 numerical
@@ -37,7 +39,7 @@ from .applications import (
 )
 from .bspline import SplineSpace
 from .knots import FAMILIES, PartitionSpec, generate_partition
-from .nearbest import iter_lp_audit, knot_condition
+from .nearbest import _audited, iter_lp_audit, knot_condition
 from .quasi_interp import KIND_NEARBEST, norm_upper_bound
 
 __all__ = ["RunConfig", "parse_config_file", "run", "main"]
@@ -162,8 +164,9 @@ def parse_config_file(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # output helpers
 
-# built once, the encoder `json.dumps(record, sort_keys=True)` makes per call
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+# built once, the encoder `json.dumps(record, sort_keys=True, allow_nan=False)`
+# makes per call: every record is strict JSON, in CSV, JSON and JSON lines
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 def _cell(value) -> str:
@@ -188,23 +191,33 @@ def _emit_table(
     sink: IO[str],
     columns: list[str],
     rows: list[list],
-    audit_records: list[dict] | None = None,
+    records: Iterable[dict] | None = None,
 ) -> None:
+    """The table, then the audit ``records`` if given, each written as it
+    is read: in CSV one JSON line each, in JSON the strict ``json.dumps`` of
+    the whole payload, whose "audit" key sorts before "columns"."""
     if cfg.fmt == "json":
-        payload: dict = {
+        table = json.dumps({
             "columns": list(columns),
             "rows": [dict(zip(columns, map(_json_cell, row))) for row in rows],
-        }
-        if audit_records is not None:
-            payload["audit"] = audit_records
-        sink.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+        }, sort_keys=True, allow_nan=False)
+        if records is not None:
+            sink.write('{"audit": [')
+            for k, record in enumerate(records):
+                sink.write((", " if k else "") + _RECORD_ENCODER.encode(record))
+            table = "], " + table[1:]
+        sink.write(table + "\n")
         return
     sink.write(",".join(columns) + "\n")
     for row in rows:
         sink.write(",".join(_cell(v) for v in row) + "\n")
-    if audit_records is not None:
-        for record in audit_records:
-            sink.write(_RECORD_ENCODER.encode(record) + "\n")
+    if records is not None:
+        _write_records(sink, records)
+
+
+def _write_records(sink: IO[str], records: Iterable[dict]) -> None:
+    for record in records:
+        sink.write(_RECORD_ENCODER.encode(record) + "\n")
 
 
 def _prefix_columns(
@@ -256,19 +269,15 @@ def _run_norms(cfg: RunConfig, sink: IO[str]) -> None:
 def _run_nearbest(cfg: RunConfig, sink: IO[str]) -> None:
     recipe = _recipe(cfg)
     space = _space(cfg)
-    if cfg.audit:
-        records = list(iter_lp_audit(space, cfg.p, cfg.q))
-        # the build's nu1_star: the largest optimum over interior stencils
-        nu1_star = max((r["value"] for r in records if not r["boundary"]), default=None)
-    else:
-        records, nu1_star = None, recipe.build(space).nu1_star
+    # one band: the build's nu1_star, and with --audit the records it streams
+    qi, records = _audited(space, cfg.p, cfg.q)
     # the q = 2 certificate of each full window is its knot condition
     full = range(cfg.p, space.dimension - cfg.p) if cfg.q == 2 else ()
     certified = all(knot_condition(space, i, cfg.p) for i in full) if full else "n/a"
     cols, vals = _prefix_columns(cfg, recipe, with_n=True)
     cols += ["nu1_star", "bound", "all_certified"]
-    vals += [nu1_star, recipe.bound(cfg.m), certified]
-    _emit_table(cfg, sink, cols, [vals], audit_records=records)
+    vals += [qi.nu1_star, recipe.bound(cfg.m), certified]
+    _emit_table(cfg, sink, cols, [vals], records if cfg.audit else None)
 
 
 def _run_quad(cfg: RunConfig, sink: IO[str]) -> None:
@@ -314,8 +323,7 @@ def _run_study(cfg: RunConfig, sink: IO[str]) -> None:
 
 
 def _run_audit(cfg: RunConfig, sink: IO[str]) -> None:
-    for record in iter_lp_audit(_space(cfg), cfg.p, cfg.q):
-        sink.write(_RECORD_ENCODER.encode(record) + "\n")
+    _write_records(sink, iter_lp_audit(_space(cfg), cfg.p, cfg.q))
 
 
 _COMMANDS = {

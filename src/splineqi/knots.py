@@ -44,6 +44,11 @@ class KnotVector:
     t: np.ndarray
     n: int
 
+    def __reduce__(self):
+        # a pickled copy is rebuilt, read-only, with the same bits
+        m = self.degree
+        return make_clamped_knots, (self.a, self.b, self.t[m + 1 : m + self.n], m)
+
     @property
     def a(self) -> float:
         return float(self.t[0])

@@ -65,9 +65,11 @@ on first use, from the normalized sites, and kept read-only.
 
 The operator's band of a (space, p, q) is kept too, read-only, with the
 systems its rows solved: one call solves every window, and every build on
-that space wraps those arrays and every audit reads its records from them.
-Both are kept in the space's memo (`SplineSpace._memo`), the band under
-(p, q) and the table under p, and go with the space; neither reads the other.
+that space wraps those arrays and every audit reads its records from them,
+one at a time (`_records`); `_audited` gives the operator and that stream
+from one solve. Both are kept in the space's memo (`SplineSpace._memo`),
+the band under (p, q) and the table under p, and go with the space;
+neither reads the other.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ import functools
 import itertools
 import math
 import warnings
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -625,14 +627,25 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
     )
 
 
-def iter_lp_audit(space: SplineSpace, p: int, q: int = 2):
+def iter_lp_audit(space: SplineSpace, p: int, q: int = 2) -> Iterator[dict]:
     """Yield one audit record per index: the LP, its optimum, and the q = 2
     certificate status, each computed once. Each record's offsets, weights
     and value are its row of the band `_lp_windows` keeps, and its V and b
     the system that row solved, so an operator already built (or audited)
-    on this space is read, not solved again. Used by the CLI audit
-    stream."""
-    band = _lp_windows(space, p, q)
+    on this space is read, not solved again. Lazy: nothing is solved before
+    the first record is asked for, and no operator is built."""
+    yield from _records(space, _lp_windows(space, p, q), p, q)
+
+
+def _audited(space: SplineSpace, p: int, q: int) -> tuple[QuasiInterpolant, Iterator[dict]]:
+    """The operator of (space, p, q) and a generator of its audit records,
+    from the build's one `_lp_windows` call, so the band is solved first."""
+    qi = build_nearbest_qi(space, p, q)
+    return qi, _records(space, space._memo[p, q], p, q)
+
+
+def _records(space: SplineSpace, band: _Band, p: int, q: int) -> Iterator[dict]:
+    """The audit records of (space, p, q) read from its ``band``."""
     lo, hi = _interior_range(space.degree, p, space.knots.n)
     yield _record(0, (0,), [1.0], 1.0, [[1.0]], [1.0])
     start = 1

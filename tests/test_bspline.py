@@ -15,6 +15,7 @@ from splineqi import (
     QuasiInterpolant,
     SplineFunction,
     SplineSpace,
+    build_nearbest_qi,
     eval_basis,
     eval_basis_derivative,
     eval_spline,
@@ -350,6 +351,23 @@ class TestFloatPathErrors:
                     call(z)
                 assert str(exc.value) == message
 
+    def test_float32_point_is_checked_as_a_float(self):
+        """np.float32(0.1) is 0.10000000149 as the float it is read as, past
+        b = 0.1, although b rounds to it in float32: a point, a 0-d and a
+        1-d array of it are refused as that float is."""
+        sp = space_from("uniform", 3, 4, b=0.1)
+        f = SplineFunction(sp, np.ones(sp.dimension))
+        x = np.float32(0.1)
+        message = f"x={float(x)} outside [0.0, 0.1]"
+        calls = [lambda z: eval_basis(sp, z), lambda z: eval_basis_derivative(sp, z)]
+        calls += [lambda z, k=k: eval_spline(f, z, k) for k in range(5)]
+        for call in calls:
+            for z in (x, float(x), np.array(x), np.array([0.05, x])):
+                with pytest.raises(ValueError) as exc:
+                    call(z)
+                assert str(exc.value) == message
+        assert f(np.float32(0.05)) == f(float(np.float32(0.05)))
+
     def test_negative_order_message(self):
         sp = space_from("uniform", 2, 5)
         f = SplineFunction(sp, np.ones(sp.dimension))
@@ -543,6 +561,29 @@ class TestPointBases:
         assert_same_bits([copy(x, order) for order in range(3) for x in points], expected)
         fresh = SplineFunction(pickle.loads(pickle.dumps(sp)), f.coefficients)
         assert_same_bits([fresh(x, order) for order in range(3) for x in points], expected)
+
+    def test_a_pickled_space_is_rebuilt_read_only(self):
+        """A copy is rebuilt from its knots: it keeps none of what the space
+        kept, its arrays have the space's bits and are read-only, and so is
+        what it keeps in turn (a point's basis, a near-best band)."""
+        sp = space_from("random", 3, 30, seed=8)
+        f = SplineFunction(sp, np.cos(np.arange(sp.dimension)))
+        for _ in range(2):  # the second sight keeps the point's basis
+            f(0.3)
+        sp.central_moments, build_nearbest_qi(sp, 3)
+        copy = pickle.loads(pickle.dumps(sp))
+        assert set(vars(copy)) == {"knots", "greville", "centered_second"}
+        g = SplineFunction(copy, f.coefficients)
+        assert_same_bits([g(0.3), g(0.3), g(0.3)], [f(0.3)] * 3)
+        qi = build_nearbest_qi(copy, 3)
+        assert qi.weights.tobytes() == build_nearbest_qi(sp, 3).weights.tobytes()
+        arrays = [copy.knots.t, copy.greville, copy.centered_second, copy.central_moments,
+                  copy._point_bases[0.3, 3][1], *copy._memo[3, 2][:4]]
+        originals = [sp.knots.t, sp.greville, sp.centered_second, sp.central_moments,
+                     sp._point_bases[0.3, 3][1], *sp._memo[3, 2][:4]]
+        for array, original in zip(arrays, originals, strict=True):
+            assert array.tobytes() == original.tobytes()
+            assert not array.flags.writeable
 
 
 class TestArrayHelpers:
