@@ -29,6 +29,7 @@ from .quasi_interp import (
     QuasiInterpolant,
     _dqi_spline,
     _oracle_table,
+    _pickled,
     _real_samples,
     apply_qi,
     build_q2star,
@@ -65,6 +66,8 @@ class QuadratureRule(NamedTuple):
     nodes: np.ndarray
     weights: np.ndarray
 
+    __reduce__ = _pickled
+
     def integrate(self, samples: np.ndarray) -> float:
         """The rule on samples at the nodes; complex samples raise TypeError,
         and finite samples whose weighted sum overflows raise ValueError."""
@@ -87,7 +90,8 @@ class QuadratureRule(NamedTuple):
 
 def quadrature_from_qi(qi: QuasiInterpolant) -> QuadratureRule:
     """Integrate the spline output exactly: node k collects lambda_j(k - j)
-    times the basis integral, over every stencil j touching k."""
+    times the basis integral, over every stencil j touching k. The nodes
+    are the space's own read-only ``greville`` array."""
     space = qi.space
     dim = space.dimension
     m = space.degree
@@ -97,10 +101,8 @@ def quadrature_from_qi(qi: QuasiInterpolant) -> QuadratureRule:
     w = np.bincount(
         qi.sites.ravel(), weights=(qi.weights * integrals[:, None]).ravel(), minlength=dim
     )
-    nodes = space.greville.copy()
-    nodes.flags.writeable = False
     w.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=w)
+    return QuadratureRule(nodes=space.greville, weights=w)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +116,8 @@ class DifferentiationMatrix(NamedTuple):
     qi: QuasiInterpolant
     nodes: np.ndarray
 
+    __reduce__ = _pickled
+
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """The derivative at the nodes; complex samples raise TypeError, and
         finite samples whose derivative overflows raise ValueError."""
@@ -125,11 +129,10 @@ class DifferentiationMatrix(NamedTuple):
 
 
 def differentiation_matrix(qi: QuasiInterpolant) -> DifferentiationMatrix:
+    """The matrix of ``qi``; its nodes are the space's own ``greville`` array."""
     if qi.space.degree < 2:
         raise ValueError("differentiation needs degree >= 2")
-    nodes = qi.space.greville.copy()
-    nodes.flags.writeable = False
-    return DifferentiationMatrix(qi=qi, nodes=nodes)
+    return DifferentiationMatrix(qi=qi, nodes=qi.space.greville)
 
 
 # ---------------------------------------------------------------------------

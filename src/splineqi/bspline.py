@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knots import KnotVector, central_coefficients, greville_grid
+from .knots import KnotVector, _integer, central_coefficients, greville_grid
 
 __all__ = [
     "SplineSpace", "SplineFunction", "eval_basis", "eval_spline",
@@ -215,6 +215,9 @@ def eval_spline(f: SplineFunction, x, derivative_order: int = 0):
     Orders above the degree return exactly 0. At a knot the value is the
     limit from the right (from the left at x = b).
     """
+    if derivative_order.__class__ is not int:
+        derivative_order = _integer(
+            derivative_order, f"derivative order must be an integer, got {derivative_order!r}")
     if derivative_order < 0:
         raise ValueError("derivative order must be >= 0")
     space = f.space

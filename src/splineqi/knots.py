@@ -80,14 +80,22 @@ def _check_interval(a, b) -> None:
         raise ValueError(f"the length b - a of [{a}, {b}] overflows float64")
 
 
+def _integer(value, refusal: str, least: float = -math.inf) -> int:
+    """``value`` as a Python int, the one rule for an integer argument: a
+    Python or numpy integer, not a bool, and at least ``least``; anything
+    else raises ValueError(refusal). The caller tests any other bound."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ValueError(refusal)
+
+
 def make_clamped_knots(a: float, b: float, interior, m: int) -> KnotVector:
     """Build a clamped knot vector from interval ends and interior knots.
 
     ``interior`` must be strictly increasing and lie strictly inside (a, b);
     it may be empty. Raises ValueError on any malformed input.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"degree must be an integer >= 1, got {m!r}")
+    m = _integer(m, f"degree must be an integer >= 1, got {m!r}", 1)
     a = float(a)
     b = float(b)
     _check_interval(a, b)
@@ -178,13 +186,15 @@ def generate_partition(spec: PartitionSpec, m: int) -> KnotVector:
     """
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown partition family {spec.family!r}")
-    if not isinstance(spec.n, int) or spec.n < 1:
-        raise ValueError(f"need n >= 1 subintervals, got {spec.n!r}")
+    spec = spec._replace(n=_integer(spec.n, f"need n >= 1 subintervals, got {spec.n!r}", 1))
     _check_interval(spec.a, spec.b)
     if spec.family in ("arithmetic", "geometric") and not 0 < spec.ratio < math.inf:
         raise ValueError(f"need a finite ratio > 0, got {spec.ratio}")
-    if spec.family == "random" and spec.seed < 0:
-        raise ValueError(f"the random family needs a seed >= 0, got {spec.seed}")
+    if spec.family == "random":
+        seed = _integer(spec.seed, f"the random family needs an integer seed, got {spec.seed!r}")
+        if seed < 0:
+            raise ValueError(f"the random family needs a seed >= 0, got {seed}")
+        spec = spec._replace(seed=seed)
     if spec.family == "uniform":
         # exact endpoints and evenly rounded interior
         interior = np.linspace(spec.a, spec.b, spec.n + 1)[1:-1]

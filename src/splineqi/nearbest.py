@@ -83,10 +83,11 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .bspline import SplineSpace
-from .knots import central_coefficients
+from .knots import _integer, central_coefficients
 from .quasi_interp import (
     KIND_NEARBEST,
     QuasiInterpolant,
+    _check_exactness,
     _check_radius,
     _empty_band,
     _index,
@@ -174,24 +175,24 @@ def assemble_constraints(
     """Build the normalized exactness system for index i.
 
     Default offsets are the full window -p .. p; callers near the boundary
-    pass the truncated window themselves. The index, like the offsets, must
-    be an integer (Python or numpy, not bool); the offsets must be distinct
-    and all sites valid indices.
+    pass the truncated window themselves. The index, p, q and the offsets
+    are integers (`knots._integer`); the offsets must be distinct and all
+    sites valid indices.
     """
     dim = space.dimension
     if type(i) is not int:
         i = _index(i)
     if not 0 <= i < dim:
         raise ValueError(f"index {i} outside 0..{dim - 1}")
-    _check_radius(space, p, q)
+    p = _check_radius(p)
+    q = _check_exactness(space, p, q)
     if offsets is None:
         offsets = tuple(range(-p, p + 1))
     else:
         offsets = tuple(offsets)
         if set(map(type, offsets)) != {int}:  # Python ints pass as they are
-            if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in offsets):
-                raise ValueError(f"offsets must be integers, got {offsets!r}")
-            offsets = tuple(map(int, offsets))
+            refusal = f"offsets must be integers, got {offsets!r}"
+            offsets = tuple(_integer(s, refusal) for s in offsets)
     if len(set(offsets)) != len(offsets):
         raise ValueError("offsets must be distinct")
     if len(offsets) < q + 1:
@@ -396,25 +397,25 @@ def _three_point_table(space: SplineSpace, p: int) -> _ThreePointTable:
     return memo[p]
 
 
-def _three_point_row(space: SplineSpace, i: int, p: int) -> tuple[_ThreePointTable, int]:
-    """The table of (space, p) and index i's row. A table is kept only for
-    a p that was checked, so an int p with a table is not checked again,
-    nor an int i within its rows."""
+def _three_point_row(space: SplineSpace, i: int, p: int) -> tuple[_ThreePointTable, int, int]:
+    """The table of (space, p), and i and p as checked Python ints (index
+    i's row is i - p). A table is kept only for a p that was checked, so an
+    int p with a table is not checked again, nor an int i within its rows."""
     table = space._memo.get(p) if type(p) is int else None
     if table is None or type(i) is not int or not 0 <= i - p < len(table.knot):
         i = _index(i)
-        _check_radius(space, p)
+        p = _check_radius(p)
         if not 0 <= i - p < space.dimension - 2 * p:
             raise ValueError(f"index {i} has no full window of radius {p}")
         table = _three_point_table(space, p)
-    return table, i - p
+    return table, i, p
 
 
 def build_watson_form(space: SplineSpace, i: int, p: int) -> WatsonForm:
     """Explicit null-space parametrization of the q=2 constraints: column k
     is the support's Lagrange values at the normalized site x_k, with -1 at
     k. For p = 1 the feasible point is unique and the matrix is empty."""
-    i = p + _three_point_row(space, i, p)[1]  # i checked, as a Python int
+    _, i, p = _three_point_row(space, i, p)  # checked, as Python ints
     free = [k for k in range(-p + 1, p) if k != 0]
     sites = p + np.array(free, dtype=np.intp)
     matrix = np.zeros((2 * p + 1, len(free)))
@@ -443,8 +444,8 @@ def knot_condition(space: SplineSpace, i: int, p: int) -> bool:
     `watson_certificate` and of the audit's ``certificate``. Always true
     for p = 1 and on uniform partitions; can fail on strongly graded ones.
     """
-    table, row = _three_point_row(space, i, p)
-    return table.knot.item(row)
+    table, i, p = _three_point_row(space, i, p)
+    return table.knot.item(i - p)
 
 
 class Certificate(NamedTuple):
@@ -463,21 +464,24 @@ def watson_certificate(space: SplineSpace, i: int, p: int) -> Certificate:
     {-p, 0, p}, which is `knot_condition` at any scale (see the module
     docstring).
     """
-    table, row = _three_point_row(space, i, p)
-    return _VERDICTS[table.knot.item(row)]
+    table, i, p = _three_point_row(space, i, p)
+    return _VERDICTS[table.knot.item(i - p)]
 
 
 class _Band(NamedTuple):
     """The band of `QuasiInterpolant` (``sites``, ``weights``, ``lengths``)
-    of a near-best operator, each row's l1 value, and the normalized systems
-    its LP rows solved: one pair of Vandermonde rows (W, q+1, k) and
-    right-hand sides (W, q+1) per chunk of W rows, in index order from 1."""
+    of a near-best operator, each row's l1 value, the normalized systems
+    its LP rows solved (one pair of Vandermonde rows (W, q+1, k) and
+    right-hand sides (W, q+1) per chunk of W rows, in index order from 1),
+    and its p and q as Python ints."""
 
     sites: np.ndarray
     weights: np.ndarray
     lengths: np.ndarray
     values: np.ndarray
     systems: tuple[tuple[np.ndarray, np.ndarray], ...]
+    p: int
+    q: int
 
 
 def _lp_windows(space: SplineSpace, p: int, q: int) -> _Band:
@@ -496,7 +500,8 @@ def _lp_windows(space: SplineSpace, p: int, q: int) -> _Band:
     The band is kept per (space, p, q) while the space lives, and a later
     call returns it; a window that raises keeps nothing."""
     m = space.degree
-    _check_radius(space, p, q)
+    p = _check_radius(p)
+    q = _check_exactness(space, p, q)
     if q > p + 1:
         raise ValueError(f"need q <= p + 1 = {p + 1}, since the windows at indices 1 and dim-2 "
                          f"have only p + 2 sites; got q={q} with p={p}")
@@ -512,15 +517,13 @@ def _lp_windows(space: SplineSpace, p: int, q: int) -> _Band:
     last = dim - 1
     # the full windows p .. last-p, or none, are batched
     lo, hi = (p, last - p + 1) if p <= last - p else (last, last)
-    sites, weights = _empty_band(dim, width)  # a padded row's sites hold its own index
-    lengths, values, systems = np.ones(dim, dtype=np.intp), np.ones(dim), []
-    weights[0, 0] = weights[-1, 0] = 1.0
+    sites, weights, lengths = _empty_band(dim, width)  # a padded row's sites hold its own index
+    values, systems = np.ones(dim), []
     step = max(1, _BATCH_ENTRIES // ((q + 1) * math.comb(2 * p + 1, q + 1)))
     for i in itertools.chain(range(1, lo), range(lo, hi, step), range(hi, last)):
         if lo <= i < hi:  # a chunk of full windows
             at = slice(i, min(i + step, hi))
-            sites[at] += np.arange(-p, p + 1)
-            lengths[at] = 2 * p + 1
+            sites[at] += np.arange(-p, p + 1)  # at the band's full width, 2p + 1
             systems.append(_solve_full_windows(space, p, q, np.arange(at.start, at.stop),
                                                weights[at], values[at]))
             continue
@@ -530,7 +533,7 @@ def _lp_windows(space: SplineSpace, p: int, q: int) -> _Band:
         sites[i, :k] += offsets
         weights[i, :k], lengths[i], values[i] = solution.weights, k, solution.value
         systems.append((system.matrix[None], system.rhs[None]))
-    band = _Band(sites, weights, lengths, values, tuple(systems))
+    band = _Band(sites, weights, lengths, values, tuple(systems), p, q)
     for array in (*band[:4], *itertools.chain.from_iterable(systems)):
         array.setflags(write=False)
     kept[p, q] = band
@@ -609,14 +612,14 @@ def build_nearbest_qi(space: SplineSpace, p: int, q: int = 2) -> QuasiInterpolan
     (p, q) there reads those arrays, and only the first call solves.
     """
     band = _lp_windows(space, p, q)
-    lo, hi = _interior_range(space.degree, p, space.knots.n)
+    lo, hi = _interior_range(space.degree, band.p, space.knots.n)
     lp_values = band.values.tolist()
     interior_values = lp_values[lo : hi + 1] if lo <= hi else []
     return QuasiInterpolant(
         space=space,
         kind=KIND_NEARBEST,
-        q=q,
-        p=p,
+        q=band.q,
+        p=band.p,
         sites=band.sites,
         weights=band.weights,
         lengths=band.lengths,
@@ -634,18 +637,19 @@ def iter_lp_audit(space: SplineSpace, p: int, q: int = 2) -> Iterator[dict]:
     the system that row solved, so an operator already built (or audited)
     on this space is read, not solved again. Lazy: nothing is solved before
     the first record is asked for, and no operator is built."""
-    yield from _records(space, _lp_windows(space, p, q), p, q)
+    yield from _records(space, _lp_windows(space, p, q))
 
 
 def _audited(space: SplineSpace, p: int, q: int) -> tuple[QuasiInterpolant, Iterator[dict]]:
     """The operator of (space, p, q) and a generator of its audit records,
     from the build's one `_lp_windows` call, so the band is solved first."""
     qi = build_nearbest_qi(space, p, q)
-    return qi, _records(space, space._memo[p, q], p, q)
+    return qi, _records(space, space._memo[qi.p, qi.q])
 
 
-def _records(space: SplineSpace, band: _Band, p: int, q: int) -> Iterator[dict]:
-    """The audit records of (space, p, q) read from its ``band``."""
+def _records(space: SplineSpace, band: _Band) -> Iterator[dict]:
+    """The audit records of (space, band.p, band.q) read from its ``band``."""
+    p, q = band.p, band.q
     lo, hi = _interior_range(space.degree, p, space.knots.n)
     yield _record(0, (0,), [1.0], 1.0, [[1.0]], [1.0])
     start = 1

@@ -14,10 +14,11 @@ weights are the unique quadratically exact combination
 
 with tbar_i the centered second moment of the window.
 
-Boundary policy for stencil operators: the two extreme indices use pure
-point evaluation (exact there, the window is a single repeated knot); any
-other index whose offsets would leave the index set shifts its outer sites
-inward to the nearest available ones and re-solves for quadratic exactness.
+Boundary policy for stencil operators, whose extreme rows `_empty_band`
+writes: the two extreme indices use pure point evaluation (exact there, the
+window is a single repeated knot); any other index whose offsets would
+leave the index set shifts its outer sites inward to the nearest available
+ones and re-solves for exactness.
 Interior here means every knot touched by the stencil's windows is simple,
 which holds exactly for p + m - 1 <= i <= n - p; norm bounds are guaranteed
 only on that range, and `norm_upper_bound` can restrict to it.
@@ -25,6 +26,7 @@ only on that range, and `norm_upper_bound` can restrict to it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from collections import abc
@@ -34,6 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bspline import SplineFunction, SplineSpace
+from .knots import _integer
 
 __all__ = [
     "KIND_DQI", "KIND_Q2STAR", "KIND_QP2STAR", "KIND_NEARBEST", "Stencil",
@@ -45,6 +48,22 @@ KIND_DQI = "dqi"
 KIND_Q2STAR = "q2star"
 KIND_QP2STAR = "qp2star"
 KIND_NEARBEST = "nearbest"
+
+
+def _pickled(record: tuple) -> tuple:
+    """`__reduce__` of a NamedTuple holding arrays: its fields, unpickled by
+    `_unpickled`, with which of them are read-only arrays."""
+    read_only = tuple(isinstance(v, np.ndarray) and not v.flags.writeable for v in record)
+    return _unpickled, (type(record), tuple(record), read_only)
+
+
+def _unpickled(cls, fields: tuple, read_only: tuple):
+    """The record of `_pickled`, whose arrays read-only on the pickled record
+    are read-only again, with the same bytes."""
+    for value, frozen in zip(fields, read_only):
+        if frozen:
+            value.setflags(write=False)
+    return cls._make(fields)
 
 
 class Stencil(NamedTuple):
@@ -61,14 +80,21 @@ class Stencil(NamedTuple):
     weights: np.ndarray
     boundary: bool = False
 
+    __reduce__ = _pickled
 
-def _empty_band(dim: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Band arrays of the given width whose entries are all padding: each
-    row's sites repeat its own index, so a gather stays in range, and every
-    weight is 0."""
+
+def _empty_band(dim: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sites, weights and lengths of a band: the extreme rows are the point
+    evaluations of the boundary policy, and every other row is padding of
+    the full width until it is written (its sites repeat its own index, so
+    a gather stays in range, and its weights are 0)."""
     sites = np.empty((dim, width), dtype=np.intp)
     sites[...] = np.arange(dim)[:, None]
-    return sites, np.zeros((dim, width))
+    weights = np.zeros((dim, width))
+    weights[[0, -1], 0] = 1.0
+    lengths = np.full(dim, width, dtype=np.intp)
+    lengths[[0, -1]] = 1
+    return sites, weights, lengths
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +126,10 @@ class QuasiInterpolant:
     def __post_init__(self) -> None:
         for band in (self.sites, self.weights, self.lengths):
             band.setflags(write=False)
+
+    def __reduce__(self):
+        # a pickled copy is rebuilt through the constructor: read-only again
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
     def stencil(self, i: int) -> Stencil:
         """Row i of the band without its padding; the weights are a
@@ -164,22 +194,22 @@ class StencilView(abc.Sequence):
 
 
 def _index(i) -> int:
-    """An index as a Python int; a bool or a non-integer is refused."""
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-        raise ValueError(f"index must be an integer, got {i!r}")
-    return int(i)
+    """An index as a Python int (`knots._integer`)."""
+    return _integer(i, f"index must be an integer, got {i!r}")
 
 
-def _check_radius(space: SplineSpace, p, q: int | None = None) -> None:
-    """Refuse an offset radius p, and an exactness degree q if given, that
-    is not an int (a bool is not one here) or lies outside its range."""
-    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-        raise ValueError(f"offset radius must be an integer >= 1, got {p!r}")
-    if q is None:
-        return
+def _check_radius(p) -> int:
+    """The offset radius p as a Python int >= 1 (`knots._integer`)."""
+    return _integer(p, f"offset radius must be an integer >= 1, got {p!r}", 1)
+
+
+def _check_exactness(space: SplineSpace, p: int, q) -> int:
+    """The exactness degree q of a checked radius p as an int in 0..min(m, 2p)."""
     top = min(space.degree, 2 * p)
-    if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q <= top:
-        raise ValueError(f"need 0 <= q <= min(m, 2p) = {top}, got {q!r}")
+    refusal = f"need 0 <= q <= min(m, 2p) = {top}, got {q!r}"
+    if (q := _integer(q, refusal, 0)) > top:
+        raise ValueError(refusal)
+    return q
 
 
 def _interior_range(m: int, p: int, n: int) -> tuple[int, int]:
@@ -259,11 +289,7 @@ def _build_radius_p(space: SplineSpace, p: int, kind: str) -> QuasiInterpolant:
     if space.centered_second[1:-1].min() < np.finfo(float).tiny:
         raise ValueError(f"the centered second moments of [{kv.a}, {kv.b}] underflow float64")
     lo, hi = _interior_range(kv.degree, p, kv.n)
-    sites, weights = _empty_band(dim, 3)
-    lengths = np.full(dim, 3)
-    # the two extreme indices evaluate at their own site
-    lengths[[0, -1]] = 1
-    weights[[0, -1], 0] = 1.0
+    sites, weights, lengths = _empty_band(dim, 3)
     # rows 1 .. dim-2 take sites max(0, i-p), i, min(dim-1, i+p), written in place
     jm, jp = sites[1:-1, 0], sites[1:-1, 2]
     np.maximum(np.subtract(jm, p, out=jm), 0, out=jm)
@@ -305,7 +331,7 @@ def build_qp2star(space: SplineSpace, p: int) -> QuasiInterpolant:
     """
     if space.degree < 2:
         raise ValueError("quadratic exactness needs degree >= 2")
-    _check_radius(space, p)
+    p = _check_radius(p)
     if p < space.degree:
         raise ValueError(f"p={p} below degree {space.degree}: norm bound not guaranteed")
     return _build_radius_p(space, p, KIND_QP2STAR)

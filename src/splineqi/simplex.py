@@ -21,6 +21,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .knots import _integer
+
 __all__ = ["SimplexResult", "solve_standard_form"]
 
 # the smallest reduced cost that counts as negative
@@ -66,8 +68,8 @@ def solve_standard_form(
 ) -> SimplexResult:
     """Price ``basis`` for min c.x s.t. A x = b, x >= 0.
 
-    ``basis`` lists one column of A per row: distinct integers (Python or
-    numpy, not bool). If it prices optimal (`_certified`), its basic
+    ``basis`` lists one column of A per row: distinct integers
+    (`knots._integer`). If it prices optimal (`_certified`), its basic
     solution is returned with status "optimal"; otherwise the status is
     "not optimal", with x = 0 and a NaN value; no other basis is searched
     for. Raises ValueError with a malformed basis.
@@ -78,13 +80,13 @@ def solve_standard_form(
     rows, cols = A.shape
     if b.shape != (rows,) or c.shape != (cols,):
         raise ValueError("inconsistent LP dimensions")
+    refusal = "a basis needs {} column indices in 0..{}, got {!r}".format  # formatted if used
     columns = list(basis)
     if set(map(type, columns)) != {int}:  # Python ints pass as they are
-        integers = all(isinstance(j, (int, np.integer)) and not isinstance(j, bool) for j in columns)
-        columns = list(map(int, columns)) if integers else None
-    if (columns is None or len(columns) != rows or len(set(columns)) != rows
-            or not all(0 <= j < cols for j in columns)):
-        raise ValueError(f"a basis needs {rows} column indices in 0..{cols - 1}, got {basis!r}")
+        message = refusal(rows, cols - 1, basis)
+        columns = [_integer(j, message) for j in columns]
+    if len(columns) != rows or len(set(columns)) != rows or not all(0 <= j < cols for j in columns):
+        raise ValueError(refusal(rows, cols - 1, basis))
 
     # a NaN in b gives a NaN in x_B, which fails the test whatever tol is
     tol = 1e-8 * max(1.0, max(map(abs, b.tolist()), default=0.0))

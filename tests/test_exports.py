@@ -1,12 +1,16 @@
 """Each module's `__all__` is its public API: every name resolves, no name is
 listed twice, and the package re-exports exactly the library modules' lists.
 Its records are NamedTuples that keep their fields, defaults and repr, and
-only five types stay dataclasses."""
+only five types stay dataclasses. A pickled result keeps its arrays' bytes,
+read-only where they were."""
 
+import copy
 import dataclasses
 import importlib
+import pickle
 import pkgutil
 
+import numpy as np
 import pytest
 
 import splineqi
@@ -117,3 +121,39 @@ def test_every_public_record_is_tested():
     public = {name for module in MODULES for name in getattr(module, "__all__", ())
               if isinstance(obj := getattr(module, name), type) and issubclass(obj, tuple)}
     assert public == {type(record).__name__ for record, _, _ in RECORDS}
+
+
+def _read_only_results():
+    """Each result type that holds read-only arrays, as the library makes it."""
+    space = splineqi.SplineSpace.from_knots(
+        splineqi.generate_partition(splineqi.PartitionSpec("random", n=30, seed=3), 3))
+    nearbest = splineqi.build_nearbest_qi(space, 3)
+    return [splineqi.build_q2star(space), splineqi.build_qp2star(space, 3), nearbest,
+            nearbest.stencil(5), splineqi.quadrature_from_qi(nearbest),
+            splineqi.differentiation_matrix(nearbest)]
+
+
+def _arrays(result) -> dict:
+    fields = result._asdict() if isinstance(result, tuple) else vars(result)
+    return {name: value for name, value in fields.items() if isinstance(value, np.ndarray)}
+
+
+@pytest.mark.parametrize("result", _read_only_results(),
+                         ids=lambda result: getattr(result, "kind", type(result).__name__))
+def test_a_pickled_result_keeps_its_bytes_read_only(result):
+    arrays, copies = _arrays(result), _arrays(pickle.loads(pickle.dumps(result)))
+    assert sorted(copies) == sorted(arrays) != []
+    for name, array in arrays.items():
+        assert copies[name].tobytes() == array.tobytes() and copies[name].dtype == array.dtype
+        assert not array.flags.writeable and not copies[name].flags.writeable, name
+
+
+def test_a_pickled_record_keeps_a_writeable_array_writeable():
+    # only the arrays that are read-only on the record are frozen again, and
+    # a shallow copy freezes none of the caller's arrays
+    rule = splineqi.QuadratureRule(nodes=np.linspace(0.0, 1.0, 3), weights=np.ones(3))
+    rule.weights.setflags(write=False)
+    loaded = pickle.loads(pickle.dumps(rule))
+    assert loaded.nodes.flags.writeable and not loaded.weights.flags.writeable
+    copied = copy.copy(loaded)
+    assert copied.nodes is loaded.nodes and loaded.nodes.flags.writeable
